@@ -26,7 +26,7 @@ from .elgamal import (
     encrypt,
     decrypt,
 )
-from .errors import BadScenario
+from .errors import BadScenario, MessageTooLarge
 from .textcfg import parse_kv, split_blocks
 
 ROLES = ("leaf", "aggregator", "reader")
@@ -130,14 +130,15 @@ def load_scenario(path) -> Scenario:
 
 
 def _post_order(scenario: Scenario) -> list[str]:
+    # reversed pre-order that visits the last child first: children before
+    # parents in listed order, and no recursion limit on the tree's depth
     order: list[str] = []
-
-    def walk(nid: str):
-        for child in scenario.nodes[nid].children:
-            walk(child)
+    stack = [scenario.root]
+    while stack:
+        nid = stack.pop()
         order.append(nid)
-
-    walk(scenario.root)
+        stack.extend(scenario.nodes[nid].children)
+    order.reverse()
     return order
 
 
@@ -147,7 +148,13 @@ def run_round(tree: Scenario, keys: KeyPair, rng,
 
     Leaves without a fixed reading draw an 8-bit value from the round's
     random source, so a seeded rng makes the whole round reproducible.
+    A tree whose largest possible sum exceeds 2**max_bits - 1 is rejected
+    before any leaf encrypts, since the reader could not recover it.
     """
+    worst = sum(255 if n.reading is None else n.reading for n in tree.leaves())
+    if worst.bit_length() > max_bits:
+        raise MessageTooLarge(
+            f"worst-case sum {worst} of {len(tree.leaves())} leaves exceeds 2**{max_bits} - 1")
     curve = keys.public_Y.curve
     ciphertexts: dict[str, bytes] = {}
     stats: dict[str, NodeStats] = {}

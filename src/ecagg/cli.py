@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import aggsim, elgamal, scalarmul
-from .counters import op_counters, reset_counters
+from .counters import counters, reset_counters
 from .curve import builtin_curve, load_curve
 from .errors import BadConfig, Error, NotFound
 from .field import fe_from_int, fe_inv, fe_mul
@@ -98,6 +98,7 @@ class BenchRow:
     ecdbl_sd: float
     femul_mean: float
     femul_sd: float
+    feinv_mean: float
     wall_ms: float
 
 
@@ -138,7 +139,7 @@ def _bench_config(token: str, curve, scalars, rng) -> tuple[BenchRow, bool]:
         prec = table.extra_points
     if kind == "elgamal":
         keys = elgamal.keygen(rng, curve)
-    adds, dbls, muls, times = [], [], [], []
+    samples, times = [], []
     for k in scalars:
         reset_counters()
         t0 = time.perf_counter()
@@ -151,19 +152,15 @@ def _bench_config(token: str, curve, scalars, rng) -> tuple[BenchRow, bool]:
         else:
             elgamal.encrypt(keys.public_Y, rng.getrandbits(8), rng, g_table=table)
         times.append(time.perf_counter() - t0)
-        a, d, m = op_counters()
-        adds.append(a)
-        dbls.append(d)
-        muls.append(m)
+        c = counters()
+        samples.append((c.ecadd, c.ecdbl, c.fe_mul, c.fe_inv))
+    adds, dbls, muls, invs = zip(*samples)
 
     def stat(xs):
         return (statistics.fmean(xs), statistics.pstdev(xs) if len(xs) > 1 else 0.0)
 
-    am, asd = stat(adds)
-    dm, dsd = stat(dbls)
-    mm, msd = stat(muls)
-    row = BenchRow(token, t, w, prec, len(scalars), am, asd, dm, dsd, mm, msd,
-                   statistics.fmean(times) * 1e3)
+    row = BenchRow(token, t, w, prec, len(scalars), *stat(adds), *stat(dbls), *stat(muls),
+                   statistics.fmean(invs), statistics.fmean(times) * 1e3)
     return row, w_defaulted and kind in ("interleave", "elgamal")
 
 
@@ -195,22 +192,24 @@ def cmd_bench(args) -> int:
         rows.append(row)
         any_defaulted = any_defaulted or defaulted
     header = (f"{'config':<22} {'t':>2} {'w':>2} {'prec':>4} {'trials':>6} "
-              f"{'ecadd':>8} {'sd':>6} {'ecdbl':>8} {'sd':>6} {'fe_mul':>9} {'sd':>7} {'ms':>8}")
+              f"{'ecadd':>8} {'sd':>6} {'ecdbl':>8} {'sd':>6} {'fe_mul':>9} {'sd':>7} {'fe_inv':>6} "
+              f"{'ms':>8}")
     print(header)
     for r in rows:
         print(f"{r.label:<22} {r.t:>2} {r.w:>2} {r.prec_points:>4} {r.trials:>6} "
               f"{r.ecadd_mean:>8.1f} {r.ecadd_sd:>6.1f} {r.ecdbl_mean:>8.1f} {r.ecdbl_sd:>6.1f} "
-              f"{r.femul_mean:>9.1f} {r.femul_sd:>7.1f} {r.wall_ms:>8.3f}")
+              f"{r.femul_mean:>9.1f} {r.femul_sd:>7.1f} {r.feinv_mean:>6.1f} {r.wall_ms:>8.3f}")
     print(f"inv/mult wall-time ratio: {_inv_mult_ratio(curve, rng):.1f} (measured, not asserted)")
     if any_defaulted:
         print("note: rows without an explicit w use width 2")
     if args.csv:
         lines = ["config,t,w,prec_points,trials,ecadd_mean,ecadd_sd,ecdbl_mean,ecdbl_sd,"
-                 "femul_mean,femul_sd,wall_ms"]
+                 "femul_mean,femul_sd,feinv_mean,wall_ms"]
         for r in rows:
             lines.append(f"{r.label},{r.t},{r.w},{r.prec_points},{r.trials},"
                          f"{r.ecadd_mean:.3f},{r.ecadd_sd:.3f},{r.ecdbl_mean:.3f},"
-                         f"{r.ecdbl_sd:.3f},{r.femul_mean:.3f},{r.femul_sd:.3f},{r.wall_ms:.3f}")
+                         f"{r.ecdbl_sd:.3f},{r.femul_mean:.3f},{r.femul_sd:.3f},"
+                         f"{r.feinv_mean:.3f},{r.wall_ms:.3f}")
         Path(args.csv).write_text("\n".join(lines) + "\n")
     return 0
 

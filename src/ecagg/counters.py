@@ -13,8 +13,9 @@ class OpCounters:
     """Running totals of group and field operations.
 
     add_corrections and last_reduce_passes are debug facilities for the
-    field layer: how often modular addition needed its carry fix-up, and
-    how many substitution passes the most recent explicit reduction took.
+    field layer: how often an element-level mod_add call needed its carry
+    fix-up (the group law reduces with ``%`` and never calls it), and how
+    many substitution passes the most recent explicit reduction took.
     """
 
     __slots__ = ("ecadd", "ecdbl", "fe_mul", "fe_inv",

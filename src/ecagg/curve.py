@@ -8,6 +8,12 @@ reserved for the reader side and for serialization.
 
 A point with Z = 0 is the group identity in Jacobian coordinates; affine
 points carry an explicit infinity flag instead.
+
+Coordinates are plain integers in [0, p).  Each formula is straight-line
+code reducing with CPython's ``%`` (see the field module for why), and
+adds its fixed multiplication tally to the counters once, squarings counted
+as multiplications: 8 for dbl-2001-b (a = -3; 10 for a general a), 11 for
+madd-2007-bl and 16 for add-2007-bl (hyperelliptic.org/EFD).
 """
 
 from __future__ import annotations
@@ -17,15 +23,7 @@ from pathlib import Path
 
 from .counters import counters
 from .errors import BadConfig, BadEncoding, InvalidCurve, OffCurvePoint
-from .field import (
-    FieldElement,
-    FieldParams,
-    mod_add,
-    mod_inv,
-    mod_mul,
-    mod_sqr,
-    mod_sub,
-)
+from .field import FieldParams, mod_inv
 from .textcfg import parse_kv
 
 _CONFIG_KEYS = ("name", "n", "c", "a", "b", "gx", "gy", "order_n")
@@ -56,12 +54,12 @@ class AffinePoint:
     def __hash__(self):
         if self.infinity:
             return hash(("affine", None))
-        return hash(("affine", self.x.value, self.y.value))
+        return hash(("affine", self.x, self.y))
 
     def __repr__(self):
         if self.infinity:
             return "AffinePoint(identity)"
-        return f"AffinePoint({self.x.value:#x}, {self.y.value:#x})"
+        return f"AffinePoint({self.x:#x}, {self.y:#x})"
 
 
 class JacobianPoint:
@@ -77,18 +75,16 @@ class JacobianPoint:
 
     @classmethod
     def infinity(cls, curve):
-        f = curve.field
-        one = FieldElement(1, f)
-        return cls(curve, one, one, FieldElement(0, f))
+        return cls(curve, 1, 1, 0)
 
     @property
     def is_infinity(self) -> bool:
-        return self.Z.value == 0
+        return self.Z == 0
 
     def __repr__(self):
         if self.is_infinity:
             return "JacobianPoint(identity)"
-        return f"JacobianPoint({self.X.value:#x}, {self.Y.value:#x}, {self.Z.value:#x})"
+        return f"JacobianPoint({self.X:#x}, {self.Y:#x}, {self.Z:#x})"
 
 
 class CurveParams:
@@ -108,17 +104,18 @@ class CurveParams:
         if disc == 0:
             raise InvalidCurve("singular curve: 4a^3 + 27b^2 = 0")
         self.field = field
-        self.a = FieldElement(a, field)
-        self.b = FieldElement(b, field)
+        self.a = a
+        self.b = b
         self.order_n = order_n
         self.name = name
         self.a_is_minus3 = a == p - 3
         self._tables = {}
         self._rmap_cache = {}
-        self.G = AffinePoint(self, FieldElement(gx, field), FieldElement(gy, field))
+        self.G = AffinePoint(self, gx, gy)
         if not on_curve(self.G):
             raise InvalidCurve("generator not on curve")
-        if not _reference_mul(order_n, self.G).is_infinity:
+        from .scalarmul import mul_binary  # deferred: scalarmul imports this module
+        if not mul_binary(order_n, self.G).is_infinity:
             raise InvalidCurve("order_n * G is not the identity")
 
     def __repr__(self):
@@ -129,52 +126,41 @@ def on_curve(P: AffinePoint) -> bool:
     """True for the identity and for (x, y) satisfying y^2 = x^3 + ax + b."""
     if P.infinity:
         return True
-    cur = P.curve
-    f = cur.field
-    x, y = P.x.value, P.y.value
-    lhs = mod_sqr(f, y)
-    rhs = mod_add(f, mod_mul(f, mod_add(f, mod_sqr(f, x), cur.a.value), x), cur.b.value)
-    return lhs == rhs
+    cur, x = P.curve, P.x
+    p = cur.field.p
+    counters().fe_mul += 3
+    return P.y * P.y % p == ((x * x + cur.a) * x + cur.b) % p
 
 
 def lift(P: AffinePoint) -> JacobianPoint:
     """Embed an affine point into Jacobian coordinates with Z = 1."""
     if P.infinity:
         return JacobianPoint.infinity(P.curve)
-    f = P.curve.field
-    return JacobianPoint(P.curve, P.x, P.y, FieldElement(1, f))
+    return JacobianPoint(P.curve, P.x, P.y, 1)
 
 
 def ec_dbl_jj(Q: JacobianPoint) -> JacobianPoint:
     """Double a Jacobian point; Y = 0 and the identity both double to the identity."""
-    if Q.Z.value == 0 or Q.Y.value == 0:
+    X1, Y1, Z1 = Q.X, Q.Y, Q.Z
+    if not Z1 or not Y1:
         return JacobianPoint.infinity(Q.curve)
     cur = Q.curve
-    f = cur.field
-    counters().ecdbl += 1
-    X1, Y1, Z1 = Q.X.value, Q.Y.value, Q.Z.value
-    yy = mod_sqr(f, Y1)
-    yyyy = mod_sqr(f, yy)
-    t = mod_mul(f, X1, yy)
-    t2 = mod_add(f, t, t)
-    s = mod_add(f, t2, t2)
-    z1z1 = mod_sqr(f, Z1)
+    p = cur.field.p
+    c = counters()
+    c.ecdbl += 1
+    yy = Y1 * Y1 % p
+    s = (X1 * yy % p) << 2
+    z1z1 = Z1 * Z1 % p
     if cur.a_is_minus3:
         # 3*(X1 - Z1^2)*(X1 + Z1^2) saves the a*Z^4 multiplication
-        u = mod_mul(f, mod_sub(f, X1, z1z1), mod_add(f, X1, z1z1))
-        m = mod_add(f, mod_add(f, u, u), u)
+        c.fe_mul += 8
+        m = 3 * (X1 - z1z1) * (X1 + z1z1) % p
     else:
-        xx = mod_sqr(f, X1)
-        xx3 = mod_add(f, mod_add(f, xx, xx), xx)
-        m = mod_add(f, xx3, mod_mul(f, cur.a.value, mod_sqr(f, z1z1)))
-    x3 = mod_sub(f, mod_sqr(f, m), mod_add(f, s, s))
-    y8 = mod_add(f, yyyy, yyyy)
-    y8 = mod_add(f, y8, y8)
-    y8 = mod_add(f, y8, y8)
-    y3 = mod_sub(f, mod_mul(f, m, mod_sub(f, s, x3)), y8)
-    zy = mod_mul(f, Y1, Z1)
-    z3 = mod_add(f, zy, zy)
-    return JacobianPoint(cur, FieldElement(x3, f), FieldElement(y3, f), FieldElement(z3, f))
+        c.fe_mul += 10
+        m = (3 * X1 * X1 + cur.a * (z1z1 * z1z1 % p)) % p
+    x3 = (m * m - (s << 1)) % p
+    y3 = (m * (s - x3) - (yy * yy << 3)) % p
+    return JacobianPoint(cur, x3, y3, (Y1 * Z1 << 1) % p)
 
 
 def ec_add_ajj(P: AffinePoint, Q: JacobianPoint) -> JacobianPoint:
@@ -185,34 +171,33 @@ def ec_add_ajj(P: AffinePoint, Q: JacobianPoint) -> JacobianPoint:
     """
     if P.infinity:
         return Q
-    if Q.Z.value == 0:
+    X1, Y1, Z1 = Q.X, Q.Y, Q.Z
+    if not Z1:
         return lift(P)
     cur = Q.curve
-    f = cur.field
-    x2, y2 = P.x.value, P.y.value
-    X1, Y1, Z1 = Q.X.value, Q.Y.value, Q.Z.value
-    z1z1 = mod_sqr(f, Z1)
-    u2 = mod_mul(f, x2, z1z1)
-    s2 = mod_mul(f, y2, mod_mul(f, Z1, z1z1))
+    p = cur.field.p
+    c = counters()
+    z1z1 = Z1 * Z1 % p
+    u2 = P.x * z1z1 % p
+    s2 = P.y * (Z1 * z1z1 % p) % p
     if u2 == X1:
+        c.fe_mul += 4
         if s2 == Y1:
             return ec_dbl_jj(Q)
         # same affine x, different y: the operands are opposite points
         return JacobianPoint.infinity(cur)
-    counters().ecadd += 1
-    h = mod_sub(f, u2, X1)
-    hh = mod_sqr(f, h)
-    i = mod_add(f, hh, hh)
-    i = mod_add(f, i, i)
-    j = mod_mul(f, h, i)
-    r = mod_sub(f, s2, Y1)
-    r = mod_add(f, r, r)
-    v = mod_mul(f, X1, i)
-    x3 = mod_sub(f, mod_sub(f, mod_sqr(f, r), j), mod_add(f, v, v))
-    yj = mod_mul(f, Y1, j)
-    y3 = mod_sub(f, mod_mul(f, r, mod_sub(f, v, x3)), mod_add(f, yj, yj))
-    z3 = mod_sub(f, mod_sub(f, mod_sqr(f, mod_add(f, Z1, h)), z1z1), hh)
-    return JacobianPoint(cur, FieldElement(x3, f), FieldElement(y3, f), FieldElement(z3, f))
+    c.ecadd += 1
+    c.fe_mul += 11
+    h = u2 - X1
+    hh = h * h % p
+    i = hh << 2
+    j = h * i % p
+    r = (s2 - Y1) << 1
+    v = X1 * i % p
+    x3 = (r * r - j - (v << 1)) % p
+    y3 = (r * (v - x3) - (Y1 * j << 1)) % p
+    z3 = ((Z1 + h) * (Z1 + h) - z1z1 - hh) % p
+    return JacobianPoint(cur, x3, y3, z3)
 
 
 def ec_add_jjj(Q1: JacobianPoint, Q2: JacobianPoint) -> JacobianPoint:
@@ -222,84 +207,72 @@ def ec_add_jjj(Q1: JacobianPoint, Q2: JacobianPoint) -> JacobianPoint:
     accumulator, but ciphertext aggregation must add two accumulators; this
     keeps that path inversion-free.
     """
-    if Q1.Z.value == 0:
+    X1, Y1, Z1 = Q1.X, Q1.Y, Q1.Z
+    X2, Y2, Z2 = Q2.X, Q2.Y, Q2.Z
+    if not Z1:
         return Q2
-    if Q2.Z.value == 0:
+    if not Z2:
         return Q1
     cur = Q1.curve
-    f = cur.field
-    X1, Y1, Z1 = Q1.X.value, Q1.Y.value, Q1.Z.value
-    X2, Y2, Z2 = Q2.X.value, Q2.Y.value, Q2.Z.value
-    z1z1 = mod_sqr(f, Z1)
-    z2z2 = mod_sqr(f, Z2)
-    u1 = mod_mul(f, X1, z2z2)
-    u2 = mod_mul(f, X2, z1z1)
-    s1 = mod_mul(f, Y1, mod_mul(f, Z2, z2z2))
-    s2 = mod_mul(f, Y2, mod_mul(f, Z1, z1z1))
+    p = cur.field.p
+    c = counters()
+    z1z1 = Z1 * Z1 % p
+    z2z2 = Z2 * Z2 % p
+    u1 = X1 * z2z2 % p
+    u2 = X2 * z1z1 % p
+    s1 = Y1 * (Z2 * z2z2 % p) % p
+    s2 = Y2 * (Z1 * z1z1 % p) % p
     if u1 == u2:
+        c.fe_mul += 8
         if s1 == s2:
             return ec_dbl_jj(Q1)
         return JacobianPoint.infinity(cur)
-    counters().ecadd += 1
-    h = mod_sub(f, u2, u1)
-    h2 = mod_add(f, h, h)
-    i = mod_sqr(f, h2)
-    j = mod_mul(f, h, i)
-    r = mod_sub(f, s2, s1)
-    r = mod_add(f, r, r)
-    v = mod_mul(f, u1, i)
-    x3 = mod_sub(f, mod_sub(f, mod_sqr(f, r), j), mod_add(f, v, v))
-    sj = mod_mul(f, s1, j)
-    y3 = mod_sub(f, mod_mul(f, r, mod_sub(f, v, x3)), mod_add(f, sj, sj))
-    zz = mod_sub(f, mod_sub(f, mod_sqr(f, mod_add(f, Z1, Z2)), z1z1), z2z2)
-    z3 = mod_mul(f, zz, h)
-    return JacobianPoint(cur, FieldElement(x3, f), FieldElement(y3, f), FieldElement(z3, f))
+    c.ecadd += 1
+    c.fe_mul += 16
+    h = u2 - u1
+    i = (h * h << 2) % p
+    j = h * i % p
+    r = (s2 - s1) << 1
+    v = u1 * i % p
+    x3 = (r * r - j - (v << 1)) % p
+    y3 = (r * (v - x3) - (s1 * j << 1)) % p
+    z3 = ((Z1 + Z2) * (Z1 + Z2) - z1z1 - z2z2) * h % p
+    return JacobianPoint(cur, x3, y3, z3)
 
 
 def ec_neg(P: AffinePoint) -> AffinePoint:
     """Mirror a point across the x axis; the identity is its own negative."""
     if P.infinity:
         return P
-    f = P.curve.field
-    return AffinePoint(P.curve, P.x, FieldElement(mod_sub(f, 0, P.y.value), f))
+    return AffinePoint(P.curve, P.x, -P.y % P.curve.field.p)
 
 
 def ec_eq(Q1: JacobianPoint, Q2: JacobianPoint) -> bool:
     """Projective equality: X1*Z2^2 = X2*Z1^2 and Y1*Z2^3 = Y2*Z1^3."""
-    i1, i2 = Q1.Z.value == 0, Q2.Z.value == 0
-    if i1 or i2:
-        return i1 and i2
-    f = Q1.curve.field
-    z1z1 = mod_sqr(f, Q1.Z.value)
-    z2z2 = mod_sqr(f, Q2.Z.value)
-    if mod_mul(f, Q1.X.value, z2z2) != mod_mul(f, Q2.X.value, z1z1):
+    Z1, Z2 = Q1.Z, Q2.Z
+    if not Z1 or not Z2:
+        return not Z1 and not Z2
+    p = Q1.curve.field.p
+    c = counters()
+    c.fe_mul += 4
+    z1z1 = Z1 * Z1 % p
+    z2z2 = Z2 * Z2 % p
+    if Q1.X * z2z2 % p != Q2.X * z1z1 % p:
         return False
-    s1 = mod_mul(f, Q1.Y.value, mod_mul(f, Q2.Z.value, z2z2))
-    s2 = mod_mul(f, Q2.Y.value, mod_mul(f, Q1.Z.value, z1z1))
-    return s1 == s2
+    c.fe_mul += 4
+    return Q1.Y * (Z2 * z2z2 % p) % p == Q2.Y * (Z1 * z1z1 % p) % p
 
 
 def to_affine(Q: JacobianPoint) -> AffinePoint:
     """Normalize with a single inversion; reader-side or serialization only."""
-    if Q.Z.value == 0:
+    if not Q.Z:
         return AffinePoint.identity(Q.curve)
     f = Q.curve.field
-    zinv = mod_inv(f, Q.Z.value)
-    zi2 = mod_sqr(f, zinv)
-    x = mod_mul(f, Q.X.value, zi2)
-    y = mod_mul(f, Q.Y.value, mod_mul(f, zi2, zinv))
-    return AffinePoint(Q.curve, FieldElement(x, f), FieldElement(y, f))
-
-
-def _reference_mul(k: int, P: AffinePoint) -> JacobianPoint:
-    # construction-time validation only; the production multipliers live in
-    # the scalar multiplication module
-    R = JacobianPoint.infinity(P.curve)
-    for i in range(k.bit_length() - 1, -1, -1):
-        R = ec_dbl_jj(R)
-        if (k >> i) & 1:
-            R = ec_add_ajj(P, R)
-    return R
+    p = f.p
+    zinv = mod_inv(f, Q.Z)
+    zi2 = zinv * zinv % p
+    counters().fe_mul += 4
+    return AffinePoint(Q.curve, Q.X * zi2 % p, Q.Y * (zi2 * zinv % p) % p)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +286,7 @@ def point_to_bytes(P: AffinePoint) -> bytes:
     if P.infinity:
         return bytes([_IDENTITY])
     blen = P.curve.field.byte_length
-    return bytes([_UNCOMPRESSED]) + P.x.value.to_bytes(blen, "big") + P.y.value.to_bytes(blen, "big")
+    return bytes([_UNCOMPRESSED]) + P.x.to_bytes(blen, "big") + P.y.to_bytes(blen, "big")
 
 
 def decode_point(data: bytes, pos: int, curve: CurveParams) -> tuple[AffinePoint, int]:
@@ -329,12 +302,11 @@ def decode_point(data: bytes, pos: int, curve: CurveParams) -> tuple[AffinePoint
     end = pos + 1 + 2 * blen
     if end > len(data):
         raise BadEncoding("truncated point payload")
-    f = curve.field
     x = int.from_bytes(data[pos + 1:pos + 1 + blen], "big")
     y = int.from_bytes(data[pos + 1 + blen:end], "big")
-    if x >= f.p or y >= f.p:
+    if x >= curve.field.p or y >= curve.field.p:
         raise OffCurvePoint("coordinate not below p")
-    P = AffinePoint(curve, FieldElement(x, f), FieldElement(y, f))
+    P = AffinePoint(curve, x, y)
     if not on_curve(P):
         raise OffCurvePoint("coordinates fail the curve equation")
     return P, end

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .counters import counters
 from .curve import (
     AffinePoint,
     CurveParams,
@@ -32,7 +33,6 @@ from .curve import (
     to_affine,
 )
 from .errors import BadConfig, BadEncoding, MessageTooLarge, NotFound
-from .field import FieldElement, mod_mul, mod_sqr
 from .scalarmul import PrecompTable, default_table, mul_binary, mul_interleave, mul_signed
 from .textcfg import parse_kv
 
@@ -82,15 +82,17 @@ def map_message(m: int, curve: CurveParams, max_bits: int = DEFAULT_MAX_BITS) ->
 
 def _affine_matches(M_aff: AffinePoint, Q: JacobianPoint) -> bool:
     # cross-multiplied comparison of a normalized point against an accumulator
-    if Q.Z.value == 0:
-        return M_aff.infinity
-    if M_aff.infinity:
+    Z = Q.Z
+    if not Z or M_aff.infinity:
+        return not Z and M_aff.infinity
+    p = Q.curve.field.p
+    zz = Z * Z % p
+    c = counters()
+    c.fe_mul += 2
+    if M_aff.x * zz % p != Q.X:
         return False
-    f = Q.curve.field
-    zz = mod_sqr(f, Q.Z.value)
-    if mod_mul(f, M_aff.x.value, zz) != Q.X.value:
-        return False
-    return mod_mul(f, M_aff.y.value, mod_mul(f, zz, Q.Z.value)) == Q.Y.value
+    c.fe_mul += 2
+    return M_aff.y * (zz * Z % p) % p == Q.Y
 
 
 def _bsgs_cache(curve: CurveParams, stride: int):
@@ -101,7 +103,7 @@ def _bsgs_cache(curve: CurveParams, stride: int):
     acc = lift(curve.G)
     for j in range(1, stride):
         aff = to_affine(acc)
-        babies.setdefault(aff.x.value, (j, aff.y.value))
+        babies.setdefault(aff.x, (j, aff.y))
         acc = ec_add_ajj(curve.G, acc)
     neg_stride = ec_neg(to_affine(mul_binary(stride, curve.G)))
     curve._rmap_cache[stride] = (babies, neg_stride)
@@ -138,10 +140,10 @@ def rmap(M: JacobianPoint, max_value: int, bsgs_threshold: int = BSGS_THRESHOLD)
             if base <= max_value:
                 return base
         else:
-            hit = babies.get(cur.x.value)
+            hit = babies.get(cur.x)
             if hit is not None:
                 j, y = hit
-                if y == cur.y.value and base + j <= max_value:
+                if y == cur.y and base + j <= max_value:
                     return base + j
         cur = to_affine(ec_add_ajj(neg_stride, lift(cur)))
     raise NotFound(f"no preimage at or below {max_value}")
@@ -212,8 +214,8 @@ def save_keypair(kp: KeyPair, prefix) -> tuple[Path, Path]:
     sec = Path(f"{prefix}.sec")
     pub.write_text(
         f"curve = {curve.name}\n"
-        f"yx = {kp.public_Y.x.value:0{width}x}\n"
-        f"yy = {kp.public_Y.y.value:0{width}x}\n")
+        f"yx = {kp.public_Y.x:0{width}x}\n"
+        f"yy = {kp.public_Y.y:0{width}x}\n")
     sec.write_text(
         f"curve = {curve.name}\n"
         f"x = {kp.secret_x:0{width}x}\n")
@@ -246,10 +248,9 @@ def load_public_key(path) -> AffinePoint:
     """Read a .pub file; the point is validated against its curve."""
     raw = _read_key_file(path, ("yx", "yy"))
     curve = raw["curve"]
-    f = curve.field
-    if raw["yx"] >= f.p or raw["yy"] >= f.p:
+    if raw["yx"] >= curve.field.p or raw["yy"] >= curve.field.p:
         raise BadConfig("public key coordinate not below p")
-    Y = AffinePoint(curve, FieldElement(raw["yx"], f), FieldElement(raw["yy"], f))
+    Y = AffinePoint(curve, raw["yx"], raw["yy"])
     if not on_curve(Y):
         raise BadConfig("public key is not on the curve")
     return Y

@@ -18,6 +18,7 @@ stored points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 # op_counters/reset_counters re-exported here: they are this module's bench surface
@@ -122,6 +123,23 @@ def wmof_recode(k: int, w: int, max_width: int = MAX_RECODING_WIDTH) -> SignedDi
     return SignedDigits(tuple(digits), w)
 
 
+def _odd_multiples(P: AffinePoint, w: int) -> dict[int, AffinePoint]:
+    """{1: P, 3: 3P, ..., 2**(w-1) - 1: ...}, chained additions of 2P, each normalized."""
+    multiples = {1: P}
+    if w > 2:
+        dbl_aff = to_affine(ec_dbl_jj(lift(P)))
+        acc = lift(P)
+        for d in range(3, 1 << (w - 1), 2):
+            acc = ec_add_ajj(dbl_aff, acc)
+            multiples[d] = to_affine(acc)
+    return multiples
+
+
+def _signed(multiples: dict[int, AffinePoint]) -> dict[int, AffinePoint]:
+    """The odd multiples keyed by signed digit: d -> d*P and -d -> -(d*P)."""
+    return {**multiples, **{-d: ec_neg(pt) for d, pt in multiples.items()}}
+
+
 def split_scalar(k: int, t: int, n_bits: int) -> list[int]:
     """Split k into t tracks of ceil(n_bits/t) bits, least significant first.
 
@@ -143,7 +161,7 @@ def split_scalar(k: int, t: int, n_bits: int) -> list[int]:
 class PrecompTable:
     """Fixed-base table: shifted bases per track plus their odd multiples."""
 
-    __slots__ = ("curve", "t", "w", "n_bits", "chunk", "multiples")
+    __slots__ = ("curve", "t", "w", "n_bits", "chunk", "multiples", "signed")
 
     def __init__(self, curve: CurveParams, t: int, w: int, n_bits: int,
                  multiples: tuple[dict[int, AffinePoint], ...]):
@@ -153,9 +171,11 @@ class PrecompTable:
         self.n_bits = n_bits
         self.chunk = -(-n_bits // t)
         self.multiples = multiples
+        self.signed = tuple(_signed(m) for m in multiples)
 
     def lookup(self, track: int, digit: int) -> AffinePoint:
-        return self.multiples[track][digit]
+        """digit * base of the track, for any nonzero digit the table covers."""
+        return self.signed[track][digit]
 
     def stored_points(self) -> list[AffinePoint]:
         """Every stored point: bases in track order, then odd multiples."""
@@ -195,13 +215,7 @@ def build_table(G: AffinePoint, t: int, w: int, n_bits: int | None = None) -> Pr
         bases.append(to_affine(R))
     multiples = []
     for i, base in enumerate(bases):
-        track = {1: base}
-        if w > 2:
-            dbl_aff = to_affine(ec_dbl_jj(lift(base)))
-            acc = lift(base)
-            for d in range(3, 1 << (w - 1), 2):
-                acc = ec_add_ajj(dbl_aff, acc)
-                track[d] = to_affine(acc)
+        track = _odd_multiples(base, w)
         multiples.append(track)
         shift = i * chunk
         for d, pt in track.items():
@@ -232,16 +246,14 @@ def mul_interleave(k: int, table: PrecompTable) -> JacobianPoint:
     R = JacobianPoint.infinity(curve)
     if k == 0:
         return R
-    rows = [wmof_recode(part, table.w).digits if part else ()
+    rows = [wmof_recode(part, table.w).digits
             for part in split_scalar(k, table.t, table.n_bits)]
-    for j in range(max(len(row) for row in rows) - 1, -1, -1):
+    # one column of digits per doubling, most significant first
+    for column in reversed(list(zip_longest(*rows, fillvalue=0))):
         R = ec_dbl_jj(R)
-        for i, row in enumerate(rows):
-            if j < len(row):
-                d = row[j]
-                if d:
-                    pt = table.lookup(i, d if d > 0 else -d)
-                    R = ec_add_ajj(pt if d > 0 else ec_neg(pt), R)
+        for signed, d in zip(table.signed, column):
+            if d:
+                R = ec_add_ajj(signed[d], R)
     return R
 
 
@@ -255,20 +267,13 @@ def mul_signed(k: int, P: AffinePoint, w: int) -> JacobianPoint:
     if k < 0:
         raise ValueError("scalar must be non-negative")
     digits = wmof_recode(k, w).digits
-    multiples = {1: P}
-    if w > 2 and any(abs(d) > 1 for d in digits):
-        dbl_aff = to_affine(ec_dbl_jj(lift(P)))
-        acc = lift(P)
-        for d in range(3, 1 << (w - 1), 2):
-            acc = ec_add_ajj(dbl_aff, acc)
-            multiples[d] = to_affine(acc)
+    # digits of +-1 alone need no multiples beyond P
+    signed = _signed(_odd_multiples(P, w if any(abs(d) > 1 for d in digits) else 2))
     R = JacobianPoint.infinity(P.curve)
-    for j in range(len(digits) - 1, -1, -1):
+    for d in reversed(digits):
         R = ec_dbl_jj(R)
-        d = digits[j]
         if d:
-            pt = multiples[d if d > 0 else -d]
-            R = ec_add_ajj(pt if d > 0 else ec_neg(pt), R)
+            R = ec_add_ajj(signed[d], R)
     return R
 
 

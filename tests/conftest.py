@@ -13,7 +13,7 @@ import random
 import pytest
 
 from ecagg.curve import AffinePoint, CurveParams, builtin_curve, to_affine
-from ecagg.field import FieldElement, FieldParams
+from ecagg.field import FieldParams
 
 # ---------------------------------------------------------------------------
 # Affine-formula oracle on integer tuples; None is the identity.
@@ -49,14 +49,14 @@ def o_mul(k, P, p, a):
 
 def o_of(curve):
     """(p, a) pair for feeding the oracle from CurveParams."""
-    return curve.field.p, curve.a.value
+    return curve.field.p, curve.a
 
 
 def as_tuple(P):
     """AffinePoint -> oracle tuple."""
     if P.infinity:
         return None
-    return (P.x.value, P.y.value)
+    return (P.x, P.y)
 
 
 def jac_tuple(Q):
@@ -68,8 +68,7 @@ def as_point(T, curve):
     """Oracle tuple -> AffinePoint."""
     if T is None:
         return AffinePoint.identity(curve)
-    f = curve.field
-    return AffinePoint(curve, FieldElement(T[0], f), FieldElement(T[1], f))
+    return AffinePoint(curve, T[0], T[1])
 
 
 def oracle_points(curve, count, rng, start_bits=48):
@@ -92,6 +91,10 @@ SECP160R1_P = 2**160 - 2**31 - 1
 # the CurveParams constructor re-validates all of it on every test session.
 TINY = {"n": 13, "c": 1, "a": 8188, "b": 3, "gx": 1, "gy": 1, "order": 8221}
 
+# Same field with a = 2, the general-a doubling branch: b = 15, generator
+# (1, 7807), group order 8167 (prime), also re-validated by CurveParams.
+TINY_A2 = {"n": 13, "c": 1, "a": 2, "b": 15, "gx": 1, "gy": 7807, "order": 8167}
+
 
 @pytest.fixture(scope="session")
 def curve():
@@ -103,6 +106,13 @@ def tiny_curve():
     fp = FieldParams(TINY["n"], TINY["c"])
     return CurveParams(fp, TINY["a"], TINY["b"], TINY["gx"], TINY["gy"],
                        TINY["order"], "tiny13")
+
+
+@pytest.fixture(scope="session")
+def tiny_curve_a2():
+    fp = FieldParams(TINY_A2["n"], TINY_A2["c"])
+    return CurveParams(fp, TINY_A2["a"], TINY_A2["b"], TINY_A2["gx"], TINY_A2["gy"],
+                       TINY_A2["order"], "tiny13a2")
 
 
 @pytest.fixture(scope="session")

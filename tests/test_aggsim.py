@@ -15,8 +15,9 @@ from ecagg.aggsim import (
     run_round,
     scenario_from_text,
 )
+from ecagg.counters import op_counters
 from ecagg.elgamal import keygen
-from ecagg.errors import BadScenario
+from ecagg.errors import BadScenario, Error
 
 DEMO = """
 id=reader
@@ -199,6 +200,46 @@ def test_child_permutation_keeps_sum(keys):
     r1 = run_round(base, keys, random.Random(5), max_bits=16)
     r2 = run_round(permuted, keys, random.Random(5), max_bits=16)
     assert r1.recovered_sum == r2.recovered_sum == 63
+
+
+def test_deep_chain_round(keys):
+    # 2,000 aggregators in a single chain: deeper than the recursion limit
+    depth = 2000
+    blocks = ["id=reader\nrole=reader\nchildren=a0"]
+    blocks += [f"id=a{i}\nrole=aggregator\nchildren=a{i + 1}" for i in range(depth - 1)]
+    blocks += [f"id=a{depth - 1}\nrole=aggregator\nchildren=s", "id=s\nrole=leaf\nreading=77"]
+    result = run_round(scenario_from_text("\n\n".join(blocks)), keys, random.Random(8),
+                       max_bits=16)
+    assert result.recovered_sum == result.expected_sum == 77
+    assert len(result.node_stats) == depth + 2
+
+
+def test_post_order_children_first_in_listed_order(keys):
+    text = DEMO.replace("children=agg", "children=agg,s5") + "\nid=s5\nrole=leaf\nreading=1\n"
+    result = run_round(scenario_from_text(text), keys, random.Random(3), max_bits=16)
+    assert list(result.node_stats) == ["s1", "s2", "s3", "s4", "agg", "s5", "reader"]
+
+
+@pytest.mark.parametrize("reading", ["reading=255\n", ""])
+def test_worst_case_sum_rejected_before_encryption(keys, reading):
+    # 300 leaves at 255 (fixed, or drawn with 255 as the worst case) exceed 2**16 - 1
+    blocks = ["id=reader\nrole=reader\nchildren=" + ",".join(f"s{i}" for i in range(300))]
+    blocks += [f"id=s{i}\nrole=leaf\n{reading}" for i in range(300)]
+    scenario = scenario_from_text("\n\n".join(blocks))
+    before = op_counters()
+    with pytest.raises(Error, match="worst-case sum"):
+        run_round(scenario, keys, random.Random(1), max_bits=16)
+    assert op_counters()[:2] == before[:2]
+
+
+def test_worst_case_sum_at_bound_accepted(keys):
+    # 257 leaves at 255 sum to 65535 = 2**16 - 1, the largest recoverable sum
+    blocks = ["id=reader\nrole=reader\nchildren=agg",
+              "id=agg\nrole=aggregator\nchildren=" + ",".join(f"s{i}" for i in range(257))]
+    blocks += [f"id=s{i}\nrole=leaf\nreading=255" for i in range(257)]
+    result = run_round(scenario_from_text("\n\n".join(blocks)), keys, random.Random(1),
+                       max_bits=16)
+    assert result.recovered_sum == 65535
 
 
 def test_no_secret_fields_outside_reader():

@@ -220,6 +220,20 @@ def test_bench_elgamal_mode_and_csv(workspace, capsys):
     assert lines[1].startswith("elgamal:t=2,w=2,2,2,1,2,")
 
 
+def test_bench_reports_inversions(workspace, capsys):
+    # mof3 normalizes 2*P and 3*P on the fly; binary never inverts
+    curve = str(workspace / "test.curve")
+    csv_path = workspace / "inv.csv"
+    assert run_main("bench", "--curve", curve, "--trials", "2", "--configs", "binary", "mof3",
+                    "--seed", "f00d", "--csv", str(csv_path)) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    col = header.split().index("fe_inv")
+    assert [float(r.split()[col]) for r in rows[:2]] == [0.0, 2.0]
+    header, *rows = csv_path.read_text().splitlines()
+    col = header.split(",").index("feinv_mean")
+    assert [r.split(",")[col] for r in rows] == ["0.000", "2.000"]
+
+
 def test_bench_w2_note_when_defaulted(workspace, capsys):
     curve = str(workspace / "test.curve")
     run_main("bench", "--curve", curve, "--trials", "1",

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import as_point, as_tuple, jac_tuple, o_add, o_mul, o_of, oracle_points
+from ecagg.counters import counters
 from ecagg.curve import (
     AffinePoint,
     JacobianPoint,
@@ -19,19 +20,13 @@ from ecagg.curve import (
     to_affine,
 )
 from ecagg.errors import BadConfig, BadEncoding, InvalidCurve, OffCurvePoint
-from ecagg.field import FieldElement
 
 
 def scale(Q, lam):
     """(X, Y, Z) -> (lam^2 X, lam^3 Y, lam Z): same point, new representative."""
-    f = Q.curve.field
-    l2 = lam * lam % f.p
-    return JacobianPoint(
-        Q.curve,
-        FieldElement(Q.X.value * l2 % f.p, f),
-        FieldElement(Q.Y.value * l2 * lam % f.p, f),
-        FieldElement(Q.Z.value * lam % f.p, f),
-    )
+    p = Q.curve.field.p
+    l2 = lam * lam % p
+    return JacobianPoint(Q.curve, Q.X * l2 % p, Q.Y * l2 * lam % p, Q.Z * lam % p)
 
 
 # --- validation ---------------------------------------------------------------
@@ -44,13 +39,12 @@ def test_on_curve_generator(curve):
     # direct equation check against the loaded parameters
     p, a = o_of(curve)
     gx, gy = as_tuple(curve.G)
-    assert (gy * gy - (gx**3 + a * gx + curve.b.value)) % p == 0
+    assert (gy * gy - (gx**3 + a * gx + curve.b)) % p == 0
     assert on_curve(curve.G)
 
 
 def test_on_curve_rejects_perturbed_generator(curve):
-    f = curve.field
-    bad = AffinePoint(curve, curve.G.x, FieldElement((curve.G.y.value + 1) % f.p, f))
+    bad = AffinePoint(curve, curve.G.x, (curve.G.y + 1) % curve.field.p)
     assert bad.y != curve.G.y
     assert not on_curve(bad)
 
@@ -65,7 +59,7 @@ def test_add_identity_left(curve):
 
 def test_add_infinity_right(curve):
     out = ec_add_ajj(curve.G, JacobianPoint.infinity(curve))
-    assert out.Z.value == 1
+    assert out.Z == 1
     assert to_affine(out) == curve.G
 
 
@@ -167,6 +161,60 @@ def test_closure(curve, rng):
         assert on_curve(to_affine(out))
 
 
+# --- general a (a != -3) ---------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def a2_points(tiny_curve_a2):
+    """G, 2G, ..., 300G on the a = 2 curve as oracle tuples."""
+    p, a = o_of(tiny_curve_a2)
+    g = as_tuple(tiny_curve_a2.G)
+    pts = [g]
+    while len(pts) < 300:
+        pts.append(o_add(pts[-1], g, p, a))
+    return pts
+
+
+def test_general_a_dbl_oracle(tiny_curve_a2, a2_points, rng):
+    cur = tiny_curve_a2
+    p, a = o_of(cur)
+    assert not cur.a_is_minus3
+    for T in a2_points:
+        Q = scale(lift(as_point(T, cur)), rng.randrange(1, p))
+        assert jac_tuple(ec_dbl_jj(Q)) == o_add(T, T, p, a)
+
+
+def test_general_a_dbl_tally(tiny_curve_a2):
+    c = counters()
+    before = (c.ecadd, c.ecdbl, c.fe_mul)
+    ec_dbl_jj(lift(tiny_curve_a2.G))
+    assert (c.ecadd - before[0], c.ecdbl - before[1], c.fe_mul - before[2]) == (0, 1, 10)
+
+
+def test_general_a_add_oracle(tiny_curve_a2, a2_points, rng):
+    cur = tiny_curve_a2
+    p, a = o_of(cur)
+    pairs = [(rng.choice(a2_points), rng.choice(a2_points)) for _ in range(300)]
+    pairs += [(T, T) for T in a2_points[:10]]
+    pairs += [(T, as_tuple(ec_neg(as_point(T, cur)))) for T in a2_points[:10]]
+    for T1, T2 in pairs:
+        want = o_add(T1, T2, p, a)
+        Q2 = scale(lift(as_point(T2, cur)), rng.randrange(1, p))
+        assert jac_tuple(ec_add_ajj(as_point(T1, cur), Q2)) == want
+        Q1 = scale(lift(as_point(T1, cur)), rng.randrange(1, p))
+        assert jac_tuple(ec_add_jjj(Q1, Q2)) == want
+
+
+def test_general_a_to_affine_oracle(tiny_curve_a2):
+    cur = tiny_curve_a2
+    p, a = o_of(cur)
+    g = as_tuple(cur.G)
+    R = JacobianPoint.infinity(cur)
+    for k in range(1, 200):
+        R = ec_add_ajj(cur.G, R)
+        assert as_tuple(to_affine(R)) == o_mul(k, g, p, a)
+        assert as_tuple(to_affine(ec_dbl_jj(R))) == o_mul(2 * k, g, p, a)
+
+
 # --- negation and equality ------------------------------------------------------
 
 def test_neg_identity(curve):
@@ -232,7 +280,7 @@ order_n = 0100000000000000000001f4c8f927aed3ca752257
 def test_load_shipped_profile(curve):
     assert curve.name == "secp160r1"
     assert curve.field.p == 2**160 - 2**31 - 1
-    assert curve.a.value == curve.field.p - 3
+    assert curve.a == curve.field.p - 3
     assert curve.a_is_minus3
     assert on_curve(curve.G)
 

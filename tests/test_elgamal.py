@@ -279,11 +279,11 @@ def test_key_file_unknown_curve(tmp_path):
 
 
 def test_key_file_off_curve_point(curve, keys, tmp_path):
-    y_bad = (keys.public_Y.y.value + 1) % curve.field.p
+    y_bad = (keys.public_Y.y + 1) % curve.field.p
     bad = tmp_path / "bad.pub"
     bad.write_text(
         f"curve = {curve.name}\n"
-        f"yx = {keys.public_Y.x.value:040x}\n"
+        f"yx = {keys.public_Y.x:040x}\n"
         f"yy = {y_bad:040x}\n")
     with pytest.raises(BadConfig):
         load_public_key(bad)

@@ -1,0 +1,118 @@
+"""Exact operation counts: the paper's hardware-free cost metric.
+
+Every tuple is (ECADD, ECDBL, field multiplications, inversions) counted on
+secp160r1.  The values were taken from the implementation that routed each
+multiply and square through mod_mul, so any rewrite of the group law has to
+keep its per-formula tallies exact to pass.
+"""
+
+import random
+
+import pytest
+
+from ecagg.counters import counters
+from ecagg.curve import (
+    AffinePoint,
+    JacobianPoint,
+    ec_add_ajj,
+    ec_add_jjj,
+    ec_dbl_jj,
+    ec_neg,
+    lift,
+    to_affine,
+)
+from ecagg.elgamal import (
+    ct_add,
+    ct_from_bytes,
+    ct_identity,
+    ct_to_bytes,
+    decrypt,
+    encrypt,
+    keygen,
+    map_message,
+    rmap,
+)
+from ecagg.scalarmul import default_table, mul_binary
+
+BOUND = (1 << 24) - 1
+
+
+def tally(fn, *args):
+    """fn(*args) and the (ecadd, ecdbl, fe_mul, fe_inv) it added."""
+    c = counters()
+    before = (c.ecadd, c.ecdbl, c.fe_mul, c.fe_inv)
+    out = fn(*args)
+    return out, tuple(a - b for a, b in zip((c.ecadd, c.ecdbl, c.fe_mul, c.fe_inv), before))
+
+
+@pytest.fixture(scope="module")
+def keys(curve):
+    # warm the lazy default table and BSGS cache so only per-call work counts
+    default_table(curve)
+    rmap(map_message(1, curve), BOUND)
+    return keygen(random.Random(0x5EED), curve)
+
+
+def test_encrypt_counts(keys):
+    _, ops = tally(encrypt, keys.public_Y, 200, random.Random(7))
+    assert ops == (119, 245, 3274, 0)
+
+
+def test_fold_and_serialize_counts(keys, curve):
+    rng = random.Random(11)
+    wire = [ct_to_bytes(encrypt(keys.public_Y, m, rng)) for m in (15, 16, 18, 14)]
+
+    def fold():
+        acc = ct_identity(curve)
+        for data in wire:
+            acc = ct_add(acc, ct_from_bytes(data, curve))
+        return ct_to_bytes(acc)
+
+    root, ops = tally(fold)
+    # 8 decodes at 3 multiplies, 3 real additions per component at 16,
+    # 2 normalizations at 1 inversion and 4 multiplies
+    assert ops == (6, 0, 128, 2)
+    assert decrypt(keys.secret_x, ct_from_bytes(root, curve), 1000) == 63
+
+
+def test_decrypt_counts(keys, curve):
+    rng = random.Random(11)
+    ct = ct_from_bytes(ct_to_bytes(encrypt(keys.public_Y, 0xABCDEF, rng)), curve)
+    m, ops = tally(decrypt, keys.secret_x, ct, BOUND)
+    assert m == 0xABCDEF
+    assert ops == (773, 158, 12527, 690)
+
+
+@pytest.fixture(scope="module")
+def operands(curve):
+    Q = mul_binary(5, curve.G)
+    return Q, to_affine(Q), mul_binary(7, curve.G)
+
+
+def test_ajj_branches(curve, operands):
+    Q, P, Q7 = operands
+    inf = JacobianPoint.infinity(curve)
+    assert tally(ec_add_ajj, AffinePoint.identity(curve), Q)[1] == (0, 0, 0, 0)
+    assert tally(ec_add_ajj, P, inf)[1] == (0, 0, 0, 0)
+    # equal x: 4 multiplies to detect it, then the 8-multiply doubling
+    assert tally(ec_add_ajj, P, Q)[1] == (0, 1, 12, 0)
+    out, ops = tally(ec_add_ajj, ec_neg(P), Q)
+    assert out.is_infinity and ops == (0, 0, 4, 0)
+    assert tally(ec_add_ajj, P, Q7)[1] == (1, 0, 11, 0)
+
+
+def test_jjj_branches(curve, operands):
+    Q, P, Q7 = operands
+    inf = JacobianPoint.infinity(curve)
+    assert tally(ec_add_jjj, inf, Q)[1] == (0, 0, 0, 0)
+    assert tally(ec_add_jjj, Q, inf)[1] == (0, 0, 0, 0)
+    assert tally(ec_add_jjj, Q, lift(P))[1] == (0, 1, 16, 0)
+    out, ops = tally(ec_add_jjj, Q, lift(ec_neg(P)))
+    assert out.is_infinity and ops == (0, 0, 8, 0)
+    assert tally(ec_add_jjj, Q, Q7)[1] == (1, 0, 16, 0)
+
+
+def test_dbl_counts_a_minus3(curve, operands):
+    Q, _, _ = operands
+    assert tally(ec_dbl_jj, Q)[1] == (0, 1, 8, 0)
+    assert tally(ec_dbl_jj, JacobianPoint.infinity(curve))[1] == (0, 0, 0, 0)

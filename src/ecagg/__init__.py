@@ -35,24 +35,19 @@ from .elgamal import (
 from .field import (
     FieldElement,
     FieldParams,
-    WideProduct,
     fe_add,
     fe_from_bytes,
     fe_from_int,
     fe_inv,
     fe_mul,
-    fe_mul_raw,
-    fe_reduce,
     fe_square,
     fe_sub,
     fe_to_bytes,
 )
 from .scalarmul import (
     PrecompTable,
-    SignedDigits,
     build_table,
     default_table,
-    mof_recode,
     mul_binary,
     mul_interleave,
     mul_signed,

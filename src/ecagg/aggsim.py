@@ -12,7 +12,7 @@ the supplied random source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .counters import op_counters
@@ -61,11 +61,9 @@ class NodeStats:
 @dataclass
 class RoundResult:
     ciphertexts: dict[str, bytes]
-    root_ciphertext: bytes
     recovered_sum: int
     expected_sum: int
     node_stats: dict[str, NodeStats]
-    events: list[str] = dc_field(default_factory=list)
 
 
 def scenario_from_text(text: str) -> Scenario:
@@ -124,7 +122,7 @@ def scenario_from_text(text: str) -> Scenario:
 def load_scenario(path) -> Scenario:
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise BadScenario(f"cannot read scenario file: {e}") from None
     return scenario_from_text(text)
 
@@ -158,7 +156,6 @@ def run_round(tree: Scenario, keys: KeyPair, rng,
     curve = keys.public_Y.curve
     ciphertexts: dict[str, bytes] = {}
     stats: dict[str, NodeStats] = {}
-    events: list[str] = []
     expected = 0
 
     for nid in _post_order(tree):
@@ -170,14 +167,11 @@ def run_round(tree: Scenario, keys: KeyPair, rng,
                 reading = rng.randrange(256)
             expected += reading
             data = ct_to_bytes(encrypt(keys.public_Y, reading, rng, max_bits=max_bits))
-            events.append(f"{nid}: encrypted reading ({len(data)} bytes)")
         else:
             folded = ct_identity(curve)
             for child in node.children:
                 folded = ct_add(folded, ct_from_bytes(ciphertexts[child], curve))
             data = ct_to_bytes(folded)
-            events.append(
-                f"{nid}: folded {len(node.children)} ciphertexts ({len(data)} bytes)")
         ciphertexts[nid] = data
         ecadd, ecdbl, fe_mul = (a - b for a, b in zip(op_counters(), before))
         stats[nid] = NodeStats(node.role, len(data), ecadd, ecdbl, fe_mul)
@@ -190,10 +184,8 @@ def run_round(tree: Scenario, keys: KeyPair, rng,
     reader_stats.ecadd += ecadd
     reader_stats.ecdbl += ecdbl
     reader_stats.fe_mul += fe_mul
-    events.append(f"{tree.root}: decrypted aggregate, sum={recovered}")
 
-    return RoundResult(ciphertexts, ciphertexts[tree.root], recovered, expected,
-                       stats, events)
+    return RoundResult(ciphertexts, recovered, expected, stats)
 
 
 def emit_report(result: RoundResult) -> str:

@@ -35,6 +35,12 @@ def _make_rng(seed_hex: str | None) -> random.Random:
 
 def cmd_keygen(args) -> int:
     curve = load_curve(args.curve)
+    # key files name their curve, and the other commands resolve that name
+    # to the built-in curve: refuse a curve that name would not reproduce
+    shipped = builtin_curve(curve.name)
+    if ((curve.field.p, curve.a, curve.b, curve.G, curve.order_n)
+            != (shipped.field.p, shipped.a, shipped.b, shipped.G, shipped.order_n)):
+        raise BadConfig(f"curve {curve.name!r} differs from the built-in curve of that name")
     rng = _make_rng(args.seed)
     kp = elgamal.keygen(rng, curve)
     pub, sec = elgamal.save_keypair(kp, args.out)

@@ -12,14 +12,13 @@ import threading
 class OpCounters:
     """Running totals of group and field operations.
 
-    add_corrections and last_reduce_passes are debug facilities for the
-    field layer: how often an element-level mod_add call needed its carry
-    fix-up (the group law reduces with ``%`` and never calls it), and how
-    many substitution passes the most recent explicit reduction took.
+    ecadd, ecdbl, fe_mul and fe_inv are the cost metrics.  last_reduce_passes
+    is not a total: it holds how many substitution passes the most recent
+    mod_reduce call took, so the two-pass bound behind FieldParams'
+    c < 2**(n/2) rule can be checked.
     """
 
-    __slots__ = ("ecadd", "ecdbl", "fe_mul", "fe_inv",
-                 "add_corrections", "last_reduce_passes")
+    __slots__ = ("ecadd", "ecdbl", "fe_mul", "fe_inv", "last_reduce_passes")
 
     def __init__(self):
         self.reset()
@@ -29,7 +28,6 @@ class OpCounters:
         self.ecdbl = 0
         self.fe_mul = 0
         self.fe_inv = 0
-        self.add_corrections = 0
         self.last_reduce_passes = 0
 
     def snapshot(self) -> tuple[int, int, int]:

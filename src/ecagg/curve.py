@@ -351,16 +351,18 @@ def load_curve(path) -> CurveParams:
     """Read and validate a curve config file."""
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise BadConfig(f"cannot read curve file: {e}") from None
     return curve_from_config(text)
 
 
 def builtin_curve(name: str = "secp160r1") -> CurveParams:
-    """One of the curve profiles shipped with the package."""
-    res = importlib.resources.files("ecagg").joinpath(f"data/{name}.curve")
-    try:
-        text = res.read_text()
-    except (FileNotFoundError, OSError):
-        raise BadConfig(f"no built-in curve named {name!r}") from None
-    return curve_from_config(text)
+    """One of the curve profiles shipped with the package, by file stem.
+
+    Key files name their curve, so the name is outside input: only the stem
+    of a shipped ``data/*.curve`` file is looked up, never a path.
+    """
+    data = importlib.resources.files("ecagg").joinpath("data")
+    if name + ".curve" not in {res.name for res in data.iterdir()}:
+        raise BadConfig(f"no built-in curve named {name!r}")
+    return curve_from_config(data.joinpath(name + ".curve").read_text())

@@ -110,7 +110,7 @@ def _bsgs_cache(curve: CurveParams, stride: int):
     return babies, neg_stride
 
 
-def rmap(M: JacobianPoint, max_value: int, bsgs_threshold: int = BSGS_THRESHOLD) -> int:
+def rmap(M: JacobianPoint, max_value: int) -> int:
     """Recover the m in [0, max_value] with m*G = M.
 
     Small bounds step through multiples of G one addition at a time; larger
@@ -124,7 +124,7 @@ def rmap(M: JacobianPoint, max_value: int, bsgs_threshold: int = BSGS_THRESHOLD)
     M_aff = to_affine(M)
     if M_aff.infinity:
         return 0
-    if max_value <= bsgs_threshold:
+    if max_value <= BSGS_THRESHOLD:
         acc = lift(curve.G)
         for m in range(1, max_value + 1):
             if _affine_matches(M_aff, acc):
@@ -180,12 +180,11 @@ def ct_identity(curve: CurveParams) -> Ciphertext:
     return Ciphertext(JacobianPoint.infinity(curve), JacobianPoint.infinity(curve))
 
 
-def decrypt(secret_x: int, c: Ciphertext, max_value: int,
-            bsgs_threshold: int = BSGS_THRESHOLD) -> int:
+def decrypt(secret_x: int, c: Ciphertext, max_value: int) -> int:
     """Strip the mask (m*G = S - x*R) and search the message range."""
     xR = mul_binary(secret_x, to_affine(c.R))
     M = ec_add_ajj(ec_neg(to_affine(xR)), c.S)
-    return rmap(M, max_value, bsgs_threshold)
+    return rmap(M, max_value)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +199,7 @@ def ct_from_bytes(data: bytes, curve: CurveParams) -> Ciphertext:
     S, pos = decode_point(data, pos, curve)
     if pos != len(data):
         raise BadEncoding("trailing bytes after ciphertext")
-    return Ciphertext(lift(R), lift(S))
+    return Ciphertext(R, S)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +224,7 @@ def save_keypair(kp: KeyPair, prefix) -> tuple[Path, Path]:
 def _read_key_file(path, fields: tuple[str, ...]) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise BadConfig(f"cannot read key file: {e}") from None
     try:
         raw = parse_kv(text)
@@ -248,8 +247,8 @@ def load_public_key(path) -> AffinePoint:
     """Read a .pub file; the point is validated against its curve."""
     raw = _read_key_file(path, ("yx", "yy"))
     curve = raw["curve"]
-    if raw["yx"] >= curve.field.p or raw["yy"] >= curve.field.p:
-        raise BadConfig("public key coordinate not below p")
+    if not (0 <= raw["yx"] < curve.field.p and 0 <= raw["yy"] < curve.field.p):
+        raise BadConfig("public key coordinate outside [0, p)")
     Y = AffinePoint(curve, raw["yx"], raw["yy"])
     if not on_curve(Y):
         raise BadConfig("public key is not on the curve")

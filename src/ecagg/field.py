@@ -6,10 +6,9 @@ r_h*c + r_l) until the result fits in n bits.  Modular addition uses the same
 idea: instead of subtracting p after an overflow, add c and drop the carry
 bit.  Neither ever divides by p.
 
-Values are carried as Python integers; the fixed-width little-endian limb
-view required by the wire format is derived on demand.  Correctness is
-word-size independent and the test suite checks it against plain big-integer
-modular arithmetic.
+Values are carried as Python integers and encoded as fixed-length
+big-endian bytes.  The test suite checks every operation against plain
+big-integer modular arithmetic.
 
 mod_reduce and mod_mul stay as the paper's reference, checked against the
 oracle and used by the element-level fe_* API.  The group law in the curve
@@ -28,13 +27,8 @@ from .counters import counters
 from .errors import BadLength, NonCanonical, ZeroInverse
 
 
-def add_correction_count() -> int:
-    """How often this thread's modular additions needed the carry fix-up."""
-    return counters().add_corrections
-
-
 def last_reduce_passes() -> int:
-    """Substitution passes taken by this thread's most recent fe_reduce."""
+    """Substitution passes taken by this thread's most recent mod_reduce."""
     return counters().last_reduce_passes
 
 
@@ -67,9 +61,9 @@ def _is_probable_prime(m: int, rounds: int = 32) -> bool:
 class FieldParams:
     """The prime p = 2**n - c plus everything derived from its shape."""
 
-    __slots__ = ("n", "c", "p", "mask", "limb_bits", "limb_count", "byte_length")
+    __slots__ = ("n", "c", "p", "mask", "byte_length")
 
-    def __init__(self, n: int, c: int, limb_bits: int = 32):
+    def __init__(self, n: int, c: int):
         if n < 4:
             raise ValueError("bit length n must be at least 4")
         if c < 1:
@@ -85,8 +79,6 @@ class FieldParams:
         self.c = c
         self.p = p
         self.mask = (1 << n) - 1
-        self.limb_bits = limb_bits
-        self.limb_count = -(-n // limb_bits)
         self.byte_length = -(-n // 8)
 
     def __eq__(self, other):
@@ -99,11 +91,6 @@ class FieldParams:
         return f"FieldParams(n={self.n}, c={self.c:#x})"
 
 
-def _limb_view(value: int, count: int, width: int) -> tuple[int, ...]:
-    m = (1 << width) - 1
-    return tuple((value >> (i * width)) & m for i in range(count))
-
-
 class FieldElement:
     """A reduced residue in [0, p).  Immutable."""
 
@@ -114,11 +101,6 @@ class FieldElement:
             raise NonCanonical(f"value {value:#x} outside [0, p)")
         self.value = value
         self.field = field
-
-    @property
-    def limbs(self) -> tuple[int, ...]:
-        """Little-endian limbs, always field.limb_count of them."""
-        return _limb_view(self.value, self.field.limb_count, self.field.limb_bits)
 
     def __eq__(self, other):
         return (
@@ -137,25 +119,6 @@ class FieldElement:
         return f"FieldElement({self.value:#x})"
 
 
-class WideProduct:
-    """An unreduced product, at most 2n bits wide."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: FieldParams):
-        if not 0 <= value < 1 << (2 * field.n):
-            raise ValueError("wide value outside [0, 2**(2n))")
-        self.value = value
-        self.field = field
-
-    @property
-    def limbs(self) -> tuple[int, ...]:
-        return _limb_view(self.value, 2 * self.field.limb_count, self.field.limb_bits)
-
-    def __repr__(self):
-        return f"WideProduct({self.value:#x})"
-
-
 def _same_field(a: FieldElement, b: FieldElement):
     if a.field is not b.field and a.field.p != b.field.p:
         raise ValueError("operands from different fields")
@@ -170,7 +133,6 @@ def mod_add(f: FieldParams, x: int, y: int) -> int:
     r = x + y
     if (r >> f.n) or r >= f.p:
         # overflow of the n-bit word or r >= p: add c, drop the 2**n carry
-        counters().add_corrections += 1
         r = (r + f.c) & f.mask
     return r
 
@@ -208,11 +170,6 @@ def mod_mul(f: FieldParams, x: int, y: int) -> int:
     return r
 
 
-def mod_sqr(f: FieldParams, x: int) -> int:
-    # deliberate delegation: a dedicated squaring can be slotted in later
-    return mod_mul(f, x, x)
-
-
 def mod_inv(f: FieldParams, x: int) -> int:
     """Inverse by pow(x, -1, p); reader-side and serialization cost only.
 
@@ -245,23 +202,13 @@ def fe_sub(a: FieldElement, b: FieldElement) -> FieldElement:
     return FieldElement(mod_sub(a.field, a.value, b.value), a.field)
 
 
-def fe_mul_raw(a: FieldElement, b: FieldElement) -> WideProduct:
-    """Exact 2n-bit product, not reduced."""
-    _same_field(a, b)
-    return WideProduct(a.value * b.value, a.field)
-
-
-def fe_reduce(r: WideProduct) -> FieldElement:
-    return FieldElement(mod_reduce(r.field, r.value), r.field)
-
-
 def fe_mul(a: FieldElement, b: FieldElement) -> FieldElement:
     _same_field(a, b)
     return FieldElement(mod_mul(a.field, a.value, b.value), a.field)
 
 
 def fe_square(a: FieldElement) -> FieldElement:
-    return FieldElement(mod_sqr(a.field, a.value), a.field)
+    return FieldElement(mod_mul(a.field, a.value, a.value), a.field)
 
 
 def fe_inv(a: FieldElement) -> FieldElement:

@@ -17,12 +17,8 @@ stored points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
-from pathlib import Path
 
-# op_counters/reset_counters re-exported here: they are this module's bench surface
-from .counters import op_counters, reset_counters  # noqa: F401
 from .curve import (
     AffinePoint,
     CurveParams,
@@ -44,24 +40,6 @@ MAX_RECODING_WIDTH = 4
 _TABLE_MAGIC = b"EPT1"
 
 
-@dataclass(frozen=True)
-class SignedDigits:
-    """Little-endian signed digit vector; digits[i] has weight 2**i."""
-
-    digits: tuple[int, ...]
-    width: int
-
-    @property
-    def value(self) -> int:
-        return sum(d << i for i, d in enumerate(self.digits))
-
-    def __len__(self):
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
-
-
 def mul_binary(k: int, P: AffinePoint) -> JacobianPoint:
     """Left-to-right double-and-add; the no-recoding baseline."""
     if k < 0:
@@ -74,39 +52,21 @@ def mul_binary(k: int, P: AffinePoint) -> JacobianPoint:
     return R
 
 
-def mof_recode(k: int) -> SignedDigits:
-    """Signed binary recoding with digit[i] = bit[i-1] - bit[i].
-
-    Produces bitlen+1 digits in {-1, 0, +1} whose weighted sum reconstructs
-    k; adjacent nonzero digits are legal here, unlike in the windowed form.
-    """
-    if k < 0:
-        raise ValueError("scalar must be non-negative")
-    if k == 0:
-        return SignedDigits((0,), 1)
-    n = k.bit_length()
-    digits = []
-    for i in range(n + 1):
-        below = (k >> (i - 1)) & 1 if i > 0 else 0
-        here = (k >> i) & 1
-        digits.append(below - here)
-    return SignedDigits(tuple(digits), 1)
-
-
-def wmof_recode(k: int, w: int, max_width: int = MAX_RECODING_WIDTH) -> SignedDigits:
+def wmof_recode(k: int, w: int) -> tuple[int, ...]:
     """Width-w signed recoding with odd digits and w-sparse nonzeros.
 
-    Every nonzero digit is odd with |d| <= 2**(w-1) - 1, any w consecutive
-    positions hold at most one nonzero digit, and the digits reconstruct k.
-    Emitting an odd digit clears the w-1 positions above it, which is what
-    guarantees the sparsity.
+    Digits are little-endian: digit i has weight 2**i.  Every nonzero digit
+    is odd with |d| <= 2**(w-1) - 1, any w consecutive positions hold at
+    most one nonzero digit, and the digits reconstruct k.  Emitting an odd
+    digit clears the w-1 positions above it, which is what guarantees the
+    sparsity.
     """
-    if w < 2 or w > max_width:
-        raise UnsupportedWidth(f"width {w} outside [2, {max_width}]")
+    if w < 2 or w > MAX_RECODING_WIDTH:
+        raise UnsupportedWidth(f"width {w} outside [2, {MAX_RECODING_WIDTH}]")
     if k < 0:
         raise ValueError("scalar must be non-negative")
     if k == 0:
-        return SignedDigits((0,), w)
+        return (0,)
     half = 1 << (w - 1)
     full = half << 1
     digits = []
@@ -120,7 +80,7 @@ def wmof_recode(k: int, w: int, max_width: int = MAX_RECODING_WIDTH) -> SignedDi
         else:
             digits.append(0)
         k >>= 1
-    return SignedDigits(tuple(digits), w)
+    return tuple(digits)
 
 
 def _odd_multiples(P: AffinePoint, w: int) -> dict[int, AffinePoint]:
@@ -173,10 +133,6 @@ class PrecompTable:
         self.multiples = multiples
         self.signed = tuple(_signed(m) for m in multiples)
 
-    def lookup(self, track: int, digit: int) -> AffinePoint:
-        """digit * base of the track, for any nonzero digit the table covers."""
-        return self.signed[track][digit]
-
     def stored_points(self) -> list[AffinePoint]:
         """Every stored point: bases in track order, then odd multiples."""
         pts = [self.multiples[i][1] for i in range(self.t)]
@@ -190,6 +146,19 @@ class PrecompTable:
     def extra_points(self) -> int:
         """Stored points beyond the generator itself."""
         return len(self.stored_points()) - 1
+
+
+def _check_multiples(multiples: tuple[dict[int, AffinePoint], ...], G: AffinePoint,
+                     chunk: int) -> None:
+    """Raise TableMismatch unless every stored point of track i, digit d is
+    on the curve and equals (d << i*chunk) * G by binary multiplication."""
+    for i, track in enumerate(multiples):
+        shift = i * chunk
+        for d, pt in track.items():
+            if not on_curve(pt):
+                raise TableMismatch(f"track {i} multiple {d} left the curve")
+            if not ec_eq(lift(pt), mul_binary(d << shift, G)):
+                raise TableMismatch(f"track {i} multiple {d} disagrees with binary multiplication")
 
 
 def build_table(G: AffinePoint, t: int, w: int, n_bits: int | None = None) -> PrecompTable:
@@ -213,17 +182,9 @@ def build_table(G: AffinePoint, t: int, w: int, n_bits: int | None = None) -> Pr
         for _ in range(chunk):
             R = ec_dbl_jj(R)
         bases.append(to_affine(R))
-    multiples = []
-    for i, base in enumerate(bases):
-        track = _odd_multiples(base, w)
-        multiples.append(track)
-        shift = i * chunk
-        for d, pt in track.items():
-            if not on_curve(pt):
-                raise TableMismatch(f"track {i} multiple {d} left the curve")
-            if not ec_eq(lift(pt), mul_binary(d << shift, G)):
-                raise TableMismatch(f"track {i} multiple {d} disagrees with binary multiplication")
-    return PrecompTable(curve, t, w, n_bits, tuple(multiples))
+    multiples = tuple(_odd_multiples(base, w) for base in bases)
+    _check_multiples(multiples, G, chunk)
+    return PrecompTable(curve, t, w, n_bits, multiples)
 
 
 def default_table(curve: CurveParams, t: int = 2, w: int = 2) -> PrecompTable:
@@ -246,7 +207,7 @@ def mul_interleave(k: int, table: PrecompTable) -> JacobianPoint:
     R = JacobianPoint.infinity(curve)
     if k == 0:
         return R
-    rows = [wmof_recode(part, table.w).digits
+    rows = [wmof_recode(part, table.w)
             for part in split_scalar(k, table.t, table.n_bits)]
     # one column of digits per doubling, most significant first
     for column in reversed(list(zip_longest(*rows, fillvalue=0))):
@@ -266,7 +227,7 @@ def mul_signed(k: int, P: AffinePoint, w: int) -> JacobianPoint:
     """
     if k < 0:
         raise ValueError("scalar must be non-negative")
-    digits = wmof_recode(k, w).digits
+    digits = wmof_recode(k, w)
     # digits of +-1 alone need no multiples beyond P
     signed = _signed(_odd_multiples(P, w if any(abs(d) > 1 for d in digits) else 2))
     R = JacobianPoint.infinity(P.curve)
@@ -279,7 +240,8 @@ def mul_signed(k: int, P: AffinePoint, w: int) -> JacobianPoint:
 
 # ---------------------------------------------------------------------------
 # Table files: magic, curve name, (t, w, n_bits), point count, then the
-# stored points in wire encoding.  Import re-checks every point on load.
+# stored points in wire encoding.  The format stores no base point: import
+# re-checks every point against binary multiples of the first stored base.
 
 def table_to_bytes(table: PrecompTable) -> bytes:
     name = table.curve.name.encode()
@@ -322,18 +284,11 @@ def table_from_bytes(data: bytes, curve: CurveParams) -> PrecompTable:
         points.append(P)
     if pos != len(data):
         raise BadEncoding("trailing bytes after table")
-    multiples = [{1: points[i]} for i in range(t)]
+    multiples = tuple({1: points[i]} for i in range(t))
     idx = t
     for i in range(t):
         for d in range(3, 1 << (w - 1), 2):
             multiples[i][d] = points[idx]
             idx += 1
-    return PrecompTable(curve, t, w, n_bits, tuple(multiples))
-
-
-def save_table(table: PrecompTable, path) -> None:
-    Path(path).write_bytes(table_to_bytes(table))
-
-
-def load_table(path, curve: CurveParams) -> PrecompTable:
-    return table_from_bytes(Path(path).read_bytes(), curve)
+    _check_multiples(multiples, points[0], -(-n_bits // t))
+    return PrecompTable(curve, t, w, n_bits, multiples)

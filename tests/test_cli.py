@@ -71,6 +71,30 @@ def test_keygen_missing_curve_file(workspace):
                     "--out", str(workspace / "k")) == 2
 
 
+# the tiny test curve (p = 2**13 - 1) under the shipped curve's name
+TINY_AS_SECP = """
+name = secp160r1
+n = d
+c = 1
+a = 1ffc
+b = 3
+gx = 1
+gy = 1
+order_n = 201d
+"""
+
+
+@pytest.mark.parametrize("text", [CURVE_TEXT.replace("secp160r1", "mycurve"), TINY_AS_SECP],
+                         ids=["renamed", "other_params"])
+def test_keygen_refuses_curve_key_files_cannot_name(workspace, text):
+    # key files carry only the curve's name, which encrypt resolves to the
+    # built-in curve; keygen must not write keys for a curve it cannot reach
+    (workspace / "other.curve").write_text(text)
+    assert run_main("keygen", "--curve", str(workspace / "other.curve"),
+                    "--out", str(workspace / "k"), "--seed", "1") == 2
+    assert not list(workspace.glob("k.*"))
+
+
 def test_keygen_pub_validates_on_reload(workspace):
     from ecagg.curve import on_curve
     from ecagg.elgamal import load_public_key

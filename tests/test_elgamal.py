@@ -1,9 +1,12 @@
 """Encryption round trips, the additive property, and the wire format."""
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import ecagg
 from ecagg.curve import ec_eq, lift, on_curve, to_affine
 from ecagg.elgamal import (
     Ciphertext,
@@ -287,3 +290,25 @@ def test_key_file_off_curve_point(curve, keys, tmp_path):
         f"yy = {y_bad:040x}\n")
     with pytest.raises(BadConfig):
         load_public_key(bad)
+
+
+def test_key_file_negative_coordinate(curve, tmp_path):
+    # -(p - gx) is congruent to gx, so only the range check can refuse it
+    p = curve.field.p
+    bad = tmp_path / "neg.pub"
+    bad.write_text(f"curve = {curve.name}\nyx = -{p - curve.G.x:x}\nyy = {curve.G.y:x}\n")
+    with pytest.raises(BadConfig):
+        load_public_key(bad)
+
+
+@pytest.mark.parametrize("kind", ["path", "nul", "not_utf8"])
+def test_key_file_curve_name_must_be_shipped(tmp_path, kind):
+    data_dir = Path(ecagg.__file__).parent / "data"
+    (tmp_path / "my.curve").write_text((data_dir / "secp160r1.curve").read_text())
+    names = {"path": os.path.relpath(tmp_path / "my", data_dir).encode(),
+             "nul": b"a\0b",
+             "not_utf8": b"secp160r1\xff"}
+    sec = tmp_path / "k.sec"
+    sec.write_bytes(b"curve = " + names[kind] + b"\nx = 05\n")
+    with pytest.raises(BadConfig):
+        load_secret_key(sec)

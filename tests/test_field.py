@@ -9,17 +9,15 @@ from ecagg.errors import BadLength, NonCanonical, ZeroInverse
 from ecagg.field import (
     FieldElement,
     FieldParams,
-    WideProduct,
     fe_add,
     fe_from_bytes,
     fe_from_int,
     fe_inv,
     fe_mul,
-    fe_mul_raw,
-    fe_reduce,
     fe_square,
     fe_sub,
     fe_to_bytes,
+    mod_reduce,
 )
 
 N = 160
@@ -42,7 +40,6 @@ def fe(v, f):
 def test_params_shape(fp160):
     assert fp160.p == P
     assert fp160.c == C
-    assert fp160.limb_count == 5
     assert fp160.byte_length == 20
 
 
@@ -70,17 +67,6 @@ def test_from_int_examples(fp160):
     assert fe_from_int(1 << N, fp160).value == C
 
 
-def test_limb_views(fp160, rng):
-    for _ in range(50):
-        v = rng.randrange(P)
-        limbs = fe(v, fp160).limbs
-        assert len(limbs) == 5
-        assert all(0 <= l < 2**32 for l in limbs)
-        assert sum(l << (32 * i) for i, l in enumerate(limbs)) == v
-    wide = WideProduct((P - 1) ** 2, fp160)
-    assert len(wide.limbs) == 10
-
-
 # --- addition / subtraction -------------------------------------------------
 
 def test_add_examples(fp160):
@@ -104,18 +90,6 @@ def test_add_boundary_pairs(fp160):
     for a in vals:
         for b in vals:
             assert fe_add(fe(a, fp160), fe(b, fp160)).value == (a + b) % P
-
-
-def test_add_correction_fires_at_most_once(fp160, rng):
-    for _ in range(200):
-        a, b = rng.randrange(P), rng.randrange(P)
-        before = field.add_correction_count()
-        fe_add(fe(a, fp160), fe(b, fp160))
-        assert field.add_correction_count() - before <= 1
-    # a sum that overflows must use exactly one correction
-    before = field.add_correction_count()
-    fe_add(fe(P - 1, fp160), fe(P - 1, fp160))
-    assert field.add_correction_count() - before == 1
 
 
 def test_sub_examples(fp160, rng):
@@ -144,27 +118,19 @@ def test_sub_boundary_pairs(fp160):
 
 # --- multiplication and reduction -------------------------------------------
 
-def test_mul_raw_examples(fp160, rng):
-    f = fp160
-    x = rng.randrange(P)
-    assert fe_mul_raw(fe(1, f), fe(x, f)).value == x
-    assert fe_mul_raw(fe(0, f), fe(x, f)).value == 0
-    assert fe_mul_raw(fe(P - 1, f), fe(P - 1, f)).value == (P - 1) ** 2
-
-
 def test_reduce_examples(fp160):
     f = fp160
-    assert fe_reduce(WideProduct(P, f)).value == 0
-    assert fe_reduce(WideProduct(1 << N, f)).value == C
+    assert mod_reduce(f, P) == 0
+    assert mod_reduce(f, 1 << N) == C
     # oracle: (p-1)^2 mod p = 1
     assert (P - 1) ** 2 % P == 1
-    assert fe_reduce(WideProduct((P - 1) ** 2, f)).value == 1
+    assert mod_reduce(f, (P - 1) ** 2) == 1
 
 
 def test_reduce_random_wide(fp160, rng):
     for _ in range(TRIALS):
         r = rng.randrange(1 << (2 * N))
-        out = fe_reduce(WideProduct(r, fp160)).value
+        out = mod_reduce(fp160, r)
         assert out == r % P
         assert out < P
 
@@ -173,9 +139,9 @@ def test_reduce_products_take_two_passes(fp160, rng):
     # products of canonical operands fold flat in at most two substitutions
     for _ in range(300):
         a, b = rng.randrange(P), rng.randrange(P)
-        fe_reduce(fe_mul_raw(fe(a, fp160), fe(b, fp160)))
+        mod_reduce(fp160, a * b)
         assert field.last_reduce_passes() <= 2
-    fe_reduce(WideProduct((P - 1) ** 2, fp160))
+    mod_reduce(fp160, (P - 1) ** 2)
     assert field.last_reduce_passes() <= 2
 
 
@@ -184,7 +150,7 @@ def test_reduce_adversarial_three_pass_input(fp160):
     # by one bit; the loop must keep going and stay correct
     r = ((1 << N) - 2 * C - 3) * (1 << N) + (2 * C + 3) * C - 1
     assert r < (P - 1) ** 2
-    out = fe_reduce(WideProduct(r, fp160)).value
+    out = mod_reduce(fp160, r)
     assert out == r % P
     assert field.last_reduce_passes() <= 3
 
@@ -216,7 +182,7 @@ def test_mul_is_reduce_of_raw(fp160, rng):
     for _ in range(200):
         a = fe(rng.randrange(P), fp160)
         b = fe(rng.randrange(P), fp160)
-        assert fe_mul(a, b) == fe_reduce(fe_mul_raw(a, b))
+        assert fe_mul(a, b).value == mod_reduce(fp160, a.value * b.value)
 
 
 def test_square_delegates_to_mul(fp160, rng):
@@ -284,13 +250,3 @@ def test_field_axioms(fp160, rng):
         assert fe_add(fe_add(a, b), c) == fe_add(a, fe_add(b, c))
         assert fe_mul(fe_mul(a, b), c) == fe_mul(a, fe_mul(b, c))
         assert fe_mul(a, fe_add(b, c)) == fe_add(fe_mul(a, b), fe_mul(a, c))
-
-
-def test_word_size_independence(rng):
-    # same arithmetic carried on 16-bit limbs; results must not change
-    narrow = FieldParams(160, C, limb_bits=16)
-    assert narrow.limb_count == 10
-    for _ in range(100):
-        a, b = rng.randrange(P), rng.randrange(P)
-        assert fe_mul(fe(a, narrow), fe(b, narrow)).value == a * b % P
-    assert len(fe(1, narrow).limbs) == 10

@@ -4,12 +4,11 @@ import pytest
 
 from conftest import as_tuple, jac_tuple, o_add, o_of
 from ecagg.counters import op_counters, reset_counters
-from ecagg.curve import ec_add_jjj, ec_eq, lift, on_curve, to_affine
+from ecagg.curve import ec_add_jjj, ec_eq, lift, on_curve, point_to_bytes, to_affine
 from ecagg.errors import BadEncoding, OffCurvePoint, TableMismatch, UnsupportedWidth
 from ecagg.scalarmul import (
     build_table,
     default_table,
-    mof_recode,
     mul_binary,
     mul_interleave,
     mul_signed,
@@ -64,35 +63,15 @@ def test_binary_counts_doubling(curve):
 
 # --- signed recodings -------------------------------------------------------------
 
-def test_mof_zero():
-    assert mof_recode(0).digits == (0,)
-
-
-def test_mof_three():
-    # 3 = 0b11 recodes to +1 at weight 4 and -1 at weight 1
-    sd = mof_recode(3)
-    assert sd.digits == (-1, 0, 1)
-    assert sd.value == 3
-
-
-def test_mof_reconstruction(rng):
-    for _ in range(500):
-        k = rng.getrandbits(N)
-        sd = mof_recode(k)
-        assert sd.value == k
-        assert len(sd.digits) == k.bit_length() + 1
-        assert all(d in (-1, 0, 1) for d in sd.digits)
-
-
 def test_wmof_zero_and_one():
-    assert wmof_recode(0, 2).digits == (0,)
-    assert wmof_recode(1, 2).digits == (1,)
+    assert wmof_recode(0, 2) == (0,)
+    assert wmof_recode(1, 2) == (1,)
 
 
 def test_wmof_width_two_digit_set(rng):
     for _ in range(200):
-        sd = wmof_recode(rng.getrandbits(N), 2)
-        assert all(d in (-1, 0, 1) for d in sd.digits)
+        digits = wmof_recode(rng.getrandbits(N), 2)
+        assert all(d in (-1, 0, 1) for d in digits)
 
 
 def test_wmof_invariants(rng):
@@ -100,7 +79,7 @@ def test_wmof_invariants(rng):
         bound = (1 << (w - 1)) - 1
         for _ in range(700):
             k = rng.getrandbits(N)
-            digits = wmof_recode(k, w).digits
+            digits = wmof_recode(k, w)
             assert sum(d << i for i, d in enumerate(digits)) == k
             nonzero = [i for i, d in enumerate(digits) if d]
             for i in nonzero:
@@ -173,7 +152,7 @@ def test_table_points_validated(curve):
 
 def test_table_base_shift(curve):
     table = build_table(curve.G, 2, 2)
-    assert ec_eq(lift(table.lookup(1, 1)), mul_binary(1 << 80, curve.G))
+    assert ec_eq(lift(table.signed[1][1]), mul_binary(1 << 80, curve.G))
 
 
 # --- interleaved multiplication ----------------------------------------------------------
@@ -289,6 +268,24 @@ def test_table_tampered_point_rejected(curve):
     data = bytearray(table_to_bytes(build_table(curve.G, 2, 2)))
     data[-1] ^= 0x01
     with pytest.raises(OffCurvePoint):
+        table_from_bytes(bytes(data), curve)
+
+
+def test_table_forged_multiple_rejected(curve):
+    # (2, 3) stores G, 2**80 G, 3 G, 3 * 2**80 G; the last becomes 3 G, which
+    # is on the curve and decodes cleanly
+    data = table_to_bytes(build_table(curve.G, 2, 3))
+    three = point_to_bytes(to_affine(mul_binary(3, curve.G)))
+    with pytest.raises(TableMismatch):
+        table_from_bytes(data[:-len(three)] + three, curve)
+
+
+def test_table_altered_n_bits_rejected(curve):
+    data = bytearray(table_to_bytes(build_table(curve.G, 2, 2)))
+    at = 4 + 1 + len(curve.name) + 2
+    assert int.from_bytes(data[at:at + 2], "big") == N
+    data[at:at + 2] = (100).to_bytes(2, "big")
+    with pytest.raises(TableMismatch):
         table_from_bytes(bytes(data), curve)
 
 

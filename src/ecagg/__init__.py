@@ -2,7 +2,6 @@
 prime field, with fixed-base scalar multiplication, a concealed-aggregation
 simulator, and an operation-count benchmark CLI."""
 
-from .counters import op_counters, reset_counters
 from .curve import (
     AffinePoint,
     CurveParams,

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .counters import op_counters
+from .counters import FIELDS, OpCounters, tally
 from .elgamal import (
     DEFAULT_MAX_BITS,
     KeyPair,
+    bsgs_cache,
     ct_add,
     ct_from_bytes,
     ct_identity,
@@ -27,6 +28,7 @@ from .elgamal import (
     decrypt,
 )
 from .errors import BadScenario, MessageTooLarge
+from .scalarmul import default_table
 from .textcfg import parse_kv, split_blocks
 
 ROLES = ("leaf", "aggregator", "reader")
@@ -52,18 +54,18 @@ class Scenario:
 @dataclass
 class NodeStats:
     role: str
-    ct_bytes: int = 0
-    ecadd: int = 0
-    ecdbl: int = 0
-    fe_mul: int = 0
+    ct_bytes: int
+    ops: OpCounters
 
 
 @dataclass
 class RoundResult:
+    """One round's output; setup counts the table and BSGS builds, kept off every node."""
     ciphertexts: dict[str, bytes]
     recovered_sum: int
     expected_sum: int
     node_stats: dict[str, NodeStats]
+    setup: OpCounters
 
 
 def scenario_from_text(text: str) -> Scenario:
@@ -148,58 +150,60 @@ def run_round(tree: Scenario, keys: KeyPair, rng,
     random source, so a seeded rng makes the whole round reproducible.
     A tree whose largest possible sum exceeds 2**max_bits - 1 is rejected
     before any leaf encrypts, since the reader could not recover it.
+    The reader's stats cover its fold and its decryption.
     """
     worst = sum(255 if n.reading is None else n.reading for n in tree.leaves())
     if worst.bit_length() > max_bits:
         raise MessageTooLarge(
             f"worst-case sum {worst} of {len(tree.leaves())} leaves exceeds 2**{max_bits} - 1")
     curve = keys.public_Y.curve
+    bound = (1 << max_bits) - 1
+    with tally() as setup:
+        default_table(curve)
+        bsgs_cache(curve, bound)
     ciphertexts: dict[str, bytes] = {}
     stats: dict[str, NodeStats] = {}
     expected = 0
 
     for nid in _post_order(tree):
         node = tree.nodes[nid]
-        before = op_counters()
-        if node.role == "leaf":
-            reading = node.reading
-            if reading is None:
-                reading = rng.randrange(256)
-            expected += reading
-            data = ct_to_bytes(encrypt(keys.public_Y, reading, rng, max_bits=max_bits))
-        else:
-            folded = ct_identity(curve)
-            for child in node.children:
-                folded = ct_add(folded, ct_from_bytes(ciphertexts[child], curve))
-            data = ct_to_bytes(folded)
+        with tally() as ops:
+            if node.role == "leaf":
+                reading = node.reading
+                if reading is None:
+                    reading = rng.randrange(256)
+                expected += reading
+                data = ct_to_bytes(encrypt(keys.public_Y, reading, rng, max_bits=max_bits))
+            else:
+                folded = ct_identity(curve)
+                for child in node.children:
+                    folded = ct_add(folded, ct_from_bytes(ciphertexts[child], curve))
+                data = ct_to_bytes(folded)
+            if nid == tree.root:
+                recovered = decrypt(keys.secret_x, ct_from_bytes(data, curve), bound)
         ciphertexts[nid] = data
-        ecadd, ecdbl, fe_mul = (a - b for a, b in zip(op_counters(), before))
-        stats[nid] = NodeStats(node.role, len(data), ecadd, ecdbl, fe_mul)
+        stats[nid] = NodeStats(node.role, len(data), ops)
 
-    before = op_counters()
-    root_ct = ct_from_bytes(ciphertexts[tree.root], curve)
-    recovered = decrypt(keys.secret_x, root_ct, (1 << max_bits) - 1)
-    ecadd, ecdbl, fe_mul = (a - b for a, b in zip(op_counters(), before))
-    reader_stats = stats[tree.root]
-    reader_stats.ecadd += ecadd
-    reader_stats.ecdbl += ecdbl
-    reader_stats.fe_mul += fe_mul
-
-    return RoundResult(ciphertexts, recovered, expected, stats)
+    return RoundResult(ciphertexts, recovered, expected, stats, setup)
 
 
 def emit_report(result: RoundResult) -> str:
     """Readable table plus machine-parseable record lines."""
-    lines = ["node             role        bytes   ecadd   ecdbl  fe_mul"]
+    def cols(ops):
+        return "".join(f" {getattr(ops, f):>7}" for f in FIELDS)
+
+    def kvs(ops):
+        return "".join(f" {f}={getattr(ops, f)}" for f in FIELDS)
+
+    lines = ["node             role        bytes" + "".join(f" {f:>7}" for f in FIELDS)]
     for nid, st in result.node_stats.items():
-        lines.append(
-            f"{nid:<16} {st.role:<10} {st.ct_bytes:>6} {st.ecadd:>7} {st.ecdbl:>7} {st.fe_mul:>7}")
+        lines.append(f"{nid:<16} {st.role:<10} {st.ct_bytes:>6}" + cols(st.ops))
+    lines.append(f"{'(setup)':<16} {'':<10} {'':>6}" + cols(result.setup))
     lines.append(f"recovered sum={result.recovered_sum} expected={result.expected_sum}")
     lines.append("")
     for nid, st in result.node_stats.items():
-        lines.append(
-            f"record node={nid} role={st.role} bytes={st.ct_bytes}"
-            f" ecadd={st.ecadd} ecdbl={st.ecdbl} fe_mul={st.fe_mul}")
+        lines.append(f"record node={nid} role={st.role} bytes={st.ct_bytes}" + kvs(st.ops))
+    lines.append("record phase=setup" + kvs(result.setup))
     lines.append(
         f"record sum={result.recovered_sum} expected={result.expected_sum}"
         f" node_count={len(result.node_stats)}")
@@ -209,7 +213,7 @@ def emit_report(result: RoundResult) -> str:
 def parse_report(text: str) -> dict:
     """Read the record lines back; inverse of the machine half of emit_report."""
     nodes: dict[str, dict] = {}
-    summary: dict[str, int] = {}
+    out: dict = {"nodes": nodes}
     for line in text.splitlines():
         if not line.startswith("record "):
             continue
@@ -218,6 +222,8 @@ def parse_report(text: str) -> dict:
             nid = fields.pop("node")
             role = fields.pop("role")
             nodes[nid] = {"role": role, **{k: int(v) for k, v in fields.items()}}
+        elif fields.pop("phase", None) == "setup":
+            out["setup"] = {k: int(v) for k, v in fields.items()}
         else:
-            summary = {k: int(v) for k, v in fields.items()}
-    return {"nodes": nodes, **summary}
+            out.update((k, int(v)) for k, v in fields.items())
+    return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import aggsim, elgamal, scalarmul
-from .counters import counters, reset_counters
+from .counters import tally
 from .curve import builtin_curve, load_curve
 from .errors import BadConfig, Error, NotFound
 from .field import fe_from_int, fe_inv, fe_mul
@@ -147,19 +147,18 @@ def _bench_config(token: str, curve, scalars, rng) -> tuple[BenchRow, bool]:
         keys = elgamal.keygen(rng, curve)
     samples, times = [], []
     for k in scalars:
-        reset_counters()
-        t0 = time.perf_counter()
-        if kind == "binary":
-            scalarmul.mul_binary(k, curve.G)
-        elif kind == "mof":
-            scalarmul.mul_signed(k, curve.G, w)
-        elif kind == "interleave":
-            scalarmul.mul_interleave(k, table)
-        else:
-            elgamal.encrypt(keys.public_Y, rng.getrandbits(8), rng, g_table=table)
-        times.append(time.perf_counter() - t0)
-        c = counters()
-        samples.append((c.ecadd, c.ecdbl, c.fe_mul, c.fe_inv))
+        with tally() as ops:
+            t0 = time.perf_counter()
+            if kind == "binary":
+                scalarmul.mul_binary(k, curve.G)
+            elif kind == "mof":
+                scalarmul.mul_signed(k, curve.G, w)
+            elif kind == "interleave":
+                scalarmul.mul_interleave(k, table)
+            else:
+                elgamal.encrypt(keys.public_Y, rng.getrandbits(8), rng, g_table=table)
+            times.append(time.perf_counter() - t0)
+        samples.append((ops.ecadd, ops.ecdbl, ops.fe_mul, ops.fe_inv))
     adds, dbls, muls, invs = zip(*samples)
 
     def stat(xs):

@@ -91,7 +91,7 @@ class CurveParams:
     """Validated domain parameters: curve coefficients, generator, group order."""
 
     __slots__ = ("field", "a", "b", "G", "order_n", "name", "a_is_minus3",
-                 "_tables", "_rmap_cache")
+                 "_g_table", "_rmap_cache")
 
     def __init__(self, field: FieldParams, a: int, b: int, gx: int, gy: int,
                  order_n: int, name: str):
@@ -109,7 +109,7 @@ class CurveParams:
         self.order_n = order_n
         self.name = name
         self.a_is_minus3 = a == p - 3
-        self._tables = {}
+        self._g_table = None
         self._rmap_cache = {}
         self.G = AffinePoint(self, gx, gy)
         if not on_curve(self.G):

@@ -95,7 +95,12 @@ def _affine_matches(M_aff: AffinePoint, Q: JacobianPoint) -> bool:
     return M_aff.y * (zz * Z % p) % p == Q.Y
 
 
-def _bsgs_cache(curve: CurveParams, stride: int):
+def bsgs_cache(curve: CurveParams, max_value: int):
+    """(stride, baby table, -stride*G) for searching [0, max_value], built
+    once per curve and stride; None when rmap steps through that bound linearly."""
+    if max_value <= BSGS_THRESHOLD:
+        return None
+    stride = 1 << min(14, (max_value.bit_length() + 1) // 2 + 4)
     cached = curve._rmap_cache.get(stride)
     if cached is not None:
         return cached
@@ -106,8 +111,8 @@ def _bsgs_cache(curve: CurveParams, stride: int):
         babies.setdefault(aff.x, (j, aff.y))
         acc = ec_add_ajj(curve.G, acc)
     neg_stride = ec_neg(to_affine(mul_binary(stride, curve.G)))
-    curve._rmap_cache[stride] = (babies, neg_stride)
-    return babies, neg_stride
+    cached = curve._rmap_cache[stride] = (stride, babies, neg_stride)
+    return cached
 
 
 def rmap(M: JacobianPoint, max_value: int) -> int:
@@ -124,15 +129,15 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
     M_aff = to_affine(M)
     if M_aff.infinity:
         return 0
-    if max_value <= BSGS_THRESHOLD:
+    cache = bsgs_cache(curve, max_value)
+    if cache is None:
         acc = lift(curve.G)
         for m in range(1, max_value + 1):
             if _affine_matches(M_aff, acc):
                 return m
             acc = ec_add_ajj(curve.G, acc)
         raise NotFound(f"no preimage at or below {max_value}")
-    stride = 1 << min(14, (max_value.bit_length() + 1) // 2 + 4)
-    babies, neg_stride = _bsgs_cache(curve, stride)
+    stride, babies, neg_stride = cache
     cur = M_aff
     for i in range(max_value // stride + 1):
         base = i * stride
@@ -150,13 +155,11 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
 
 
 def encrypt(public_Y: AffinePoint, m: int, rng, *, max_bits: int = DEFAULT_MAX_BITS,
-            g_table: PrecompTable | None = None,
-            y_table: PrecompTable | None = None) -> Ciphertext:
+            g_table: PrecompTable | None = None) -> Ciphertext:
     """Fresh-randomness encryption of m under the public point.
 
     The generator multiplication runs over a fixed-base table; the public-key
-    multiplication defaults to the table-free signed scan, since storing a
-    table for Y is a deployment trade-off the caller can opt into.
+    multiplication is the table-free signed scan.
     """
     if m < 0 or m.bit_length() > max_bits:
         raise MessageTooLarge(f"message must be in [0, 2**{max_bits})")
@@ -165,8 +168,7 @@ def encrypt(public_Y: AffinePoint, m: int, rng, *, max_bits: int = DEFAULT_MAX_B
     if g_table is None:
         g_table = default_table(curve)
     R = mul_interleave(k, g_table)
-    kY = mul_interleave(k, y_table) if y_table is not None else mul_signed(k, public_Y, 2)
-    S = ec_add_jjj(map_message(m, curve, max_bits), kY)
+    S = ec_add_jjj(map_message(m, curve, max_bits), mul_signed(k, public_Y, 2))
     return Ciphertext(R, S)
 
 

@@ -27,9 +27,13 @@ from .counters import counters
 from .errors import BadLength, NonCanonical, ZeroInverse
 
 
+_last_reduce_passes = 0
+
+
 def last_reduce_passes() -> int:
-    """Substitution passes taken by this thread's most recent mod_reduce."""
-    return counters().last_reduce_passes
+    """Substitution passes taken by the most recent mod_reduce, so the
+    two-pass bound behind FieldParams' c < 2**(n/2) rule can be checked."""
+    return _last_reduce_passes
 
 
 def _is_probable_prime(m: int, rounds: int = 32) -> bool:
@@ -64,8 +68,9 @@ class FieldParams:
     __slots__ = ("n", "c", "p", "mask", "byte_length")
 
     def __init__(self, n: int, c: int):
-        if n < 4:
-            raise ValueError("bit length n must be at least 4")
+        # up to P-521's field, checked before 1 << (n // 2) and the primality test
+        if not 4 <= n <= 521:
+            raise ValueError("bit length n must be in [4, 521]")
         if c < 1:
             raise ValueError("c must be positive")
         if c >= 1 << (n // 2):
@@ -147,6 +152,7 @@ def mod_sub(f: FieldParams, x: int, y: int) -> int:
 
 def mod_reduce(f: FieldParams, r: int) -> int:
     """Reduce a value below 2**(2n) by substituting 2**n -> c."""
+    global _last_reduce_passes
     n, c, mask = f.n, f.c, f.mask
     passes = 0
     while r >> n:
@@ -154,7 +160,7 @@ def mod_reduce(f: FieldParams, r: int) -> int:
         passes += 1
     if r >= f.p:
         r = (r + c) & mask
-    counters().last_reduce_passes = passes
+    _last_reduce_passes = passes
     return r
 
 

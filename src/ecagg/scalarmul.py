@@ -121,15 +121,14 @@ def split_scalar(k: int, t: int, n_bits: int) -> list[int]:
 class PrecompTable:
     """Fixed-base table: shifted bases per track plus their odd multiples."""
 
-    __slots__ = ("curve", "t", "w", "n_bits", "chunk", "multiples", "signed")
+    __slots__ = ("curve", "t", "w", "chunk", "multiples", "signed")
 
-    def __init__(self, curve: CurveParams, t: int, w: int, n_bits: int,
+    def __init__(self, curve: CurveParams, t: int, w: int,
                  multiples: tuple[dict[int, AffinePoint], ...]):
         self.curve = curve
         self.t = t
         self.w = w
-        self.n_bits = n_bits
-        self.chunk = -(-n_bits // t)
+        self.chunk = -(-curve.field.n // t)
         self.multiples = multiples
         self.signed = tuple(_signed(m) for m in multiples)
 
@@ -161,7 +160,7 @@ def _check_multiples(multiples: tuple[dict[int, AffinePoint], ...], G: AffinePoi
                 raise TableMismatch(f"track {i} multiple {d} disagrees with binary multiplication")
 
 
-def build_table(G: AffinePoint, t: int, w: int, n_bits: int | None = None) -> PrecompTable:
+def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
     """Precompute and validate the fixed-base table for (t, w).
 
     Bases are chained doublings of G; odd multiples are chained additions.
@@ -173,9 +172,7 @@ def build_table(G: AffinePoint, t: int, w: int, n_bits: int | None = None) -> Pr
     if w < 2 or w > MAX_RECODING_WIDTH:
         raise UnsupportedWidth(f"width {w} outside [2, {MAX_RECODING_WIDTH}]")
     curve = G.curve
-    if n_bits is None:
-        n_bits = curve.field.n
-    chunk = -(-n_bits // t)
+    chunk = -(-curve.field.n // t)
     bases = [G]
     for i in range(1, t):
         R = lift(bases[-1])
@@ -184,16 +181,14 @@ def build_table(G: AffinePoint, t: int, w: int, n_bits: int | None = None) -> Pr
         bases.append(to_affine(R))
     multiples = tuple(_odd_multiples(base, w) for base in bases)
     _check_multiples(multiples, G, chunk)
-    return PrecompTable(curve, t, w, n_bits, multiples)
+    return PrecompTable(curve, t, w, multiples)
 
 
-def default_table(curve: CurveParams, t: int = 2, w: int = 2) -> PrecompTable:
-    """Shared per-curve table, built on first use."""
-    key = (t, w)
-    table = curve._tables.get(key)
-    if table is None:
-        table = curve._tables[key] = build_table(curve.G, t, w)
-    return table
+def default_table(curve: CurveParams) -> PrecompTable:
+    """The curve's shared (t=2, w=2) generator table, built on first use."""
+    if curve._g_table is None:
+        curve._g_table = build_table(curve.G, 2, 2)
+    return curve._g_table
 
 
 def mul_interleave(k: int, table: PrecompTable) -> JacobianPoint:
@@ -202,13 +197,13 @@ def mul_interleave(k: int, table: PrecompTable) -> JacobianPoint:
         raise ValueError("scalar must be non-negative")
     if k.bit_length() > table.t * table.chunk + 1:
         raise TableMismatch(
-            f"{k.bit_length()}-bit scalar exceeds table designed for {table.n_bits} bits")
+            f"{k.bit_length()}-bit scalar exceeds table designed for {table.curve.field.n} bits")
     curve = table.curve
     R = JacobianPoint.infinity(curve)
     if k == 0:
         return R
     rows = [wmof_recode(part, table.w)
-            for part in split_scalar(k, table.t, table.n_bits)]
+            for part in split_scalar(k, table.t, curve.field.n)]
     # one column of digits per doubling, most significant first
     for column in reversed(list(zip_longest(*rows, fillvalue=0))):
         R = ec_dbl_jj(R)
@@ -250,7 +245,7 @@ def table_to_bytes(table: PrecompTable) -> bytes:
     pts = table.stored_points()
     head = (_TABLE_MAGIC + bytes([len(name)]) + name
             + bytes([table.t, table.w])
-            + table.n_bits.to_bytes(2, "big")
+            + table.curve.field.n.to_bytes(2, "big")
             + len(pts).to_bytes(2, "big"))
     return head + b"".join(point_to_bytes(p) for p in pts)
 
@@ -271,6 +266,8 @@ def table_from_bytes(data: bytes, curve: CurveParams) -> PrecompTable:
         raise BadEncoding("truncated table header") from None
     if name != curve.name:
         raise TableMismatch(f"table built for curve {name!r}, not {curve.name!r}")
+    if n_bits != curve.field.n:
+        raise TableMismatch(f"table designed for {n_bits} bits, curve has {curve.field.n}")
     if t < 1 or w < 2 or w > MAX_RECODING_WIDTH:
         raise BadEncoding("table header has invalid (t, w)")
     expected = t + t * ((1 << (w - 2)) - 1)
@@ -291,4 +288,4 @@ def table_from_bytes(data: bytes, curve: CurveParams) -> PrecompTable:
             multiples[i][d] = points[idx]
             idx += 1
     _check_multiples(multiples, points[0], -(-n_bits // t))
-    return PrecompTable(curve, t, w, n_bits, multiples)
+    return PrecompTable(curve, t, w, multiples)

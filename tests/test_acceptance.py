@@ -12,7 +12,7 @@ import time
 import pytest
 
 from conftest import as_point, as_tuple, jac_tuple, o_add, o_of
-from ecagg.counters import op_counters, reset_counters
+from ecagg.counters import tally
 from ecagg.curve import (
     ec_add_ajj,
     ec_dbl_jj,
@@ -176,12 +176,12 @@ def test_criterion_6_doubling_reduction(curve):
     int_total = 0
     for _ in range(100):
         k = rng.getrandbits(N)
-        reset_counters()
-        mul_binary(k, curve.G)
-        bin_total += op_counters()[1]
-        reset_counters()
-        mul_interleave(k, table)
-        int_total += op_counters()[1]
+        with tally() as t:
+            mul_binary(k, curve.G)
+        bin_total += t.ecdbl
+        with tally() as t:
+            mul_interleave(k, table)
+        int_total += t.ecdbl
     ratio = int_total / bin_total
     assert ratio <= DOUBLING_RATIO_BOUND, ratio
     report(6, f"mean ECDBL ratio (t=2 vs binary) over 100 trials: {ratio:.3f}")

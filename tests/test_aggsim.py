@@ -15,7 +15,8 @@ from ecagg.aggsim import (
     run_round,
     scenario_from_text,
 )
-from ecagg.counters import op_counters
+from ecagg.counters import FIELDS, tally
+from ecagg.curve import builtin_curve
 from ecagg.elgamal import keygen
 from ecagg.errors import BadScenario, Error
 
@@ -226,10 +227,9 @@ def test_worst_case_sum_rejected_before_encryption(keys, reading):
     blocks = ["id=reader\nrole=reader\nchildren=" + ",".join(f"s{i}" for i in range(300))]
     blocks += [f"id=s{i}\nrole=leaf\n{reading}" for i in range(300)]
     scenario = scenario_from_text("\n\n".join(blocks))
-    before = op_counters()
-    with pytest.raises(Error, match="worst-case sum"):
+    with tally() as ops, pytest.raises(Error, match="worst-case sum"):
         run_round(scenario, keys, random.Random(1), max_bits=16)
-    assert op_counters()[:2] == before[:2]
+    assert (ops.ecadd, ops.ecdbl) == (0, 0)
 
 
 def test_worst_case_sum_at_bound_accepted(keys):
@@ -273,11 +273,25 @@ def test_report_roundtrip(keys):
     assert parsed["nodes"].keys() == result.node_stats.keys()
     for nid, st in result.node_stats.items():
         rec = parsed["nodes"][nid]
-        assert rec["role"] == st.role
-        assert rec["bytes"] == st.ct_bytes
-        assert rec["ecadd"] == st.ecadd
-        assert rec["ecdbl"] == st.ecdbl
-        assert rec["fe_mul"] == st.fe_mul
+        assert rec == {"role": st.role, "bytes": st.ct_bytes,
+                       **{f: getattr(st.ops, f) for f in FIELDS}}
+    assert parsed["setup"] == {f: getattr(result.setup, f) for f in FIELDS}
+    assert parsed["node_count"] == len(result.node_stats)
+
+
+def test_setup_and_nodes_account_for_every_operation():
+    # on a fresh curve the setup record carries the table and BSGS builds;
+    # setup plus the nodes must equal everything the round counted
+    keys = keygen(random.Random(0xACC), builtin_curve())
+    with tally() as outer:
+        result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
+    assert result.setup.ecadd > 4000 and result.setup.fe_inv > 4000
+    for f in FIELDS:
+        nodes = sum(getattr(st.ops, f) for st in result.node_stats.values())
+        assert getattr(result.setup, f) + nodes == getattr(outer, f), f
+    # no node is charged a build (the first leaf once drew 402 ECDBL for the table)
+    for st in result.node_stats.values():
+        assert st.ops.ecdbl < 300 and st.ops.fe_inv <= 5
 
 
 def test_empty_round_reports_zero_counts(keys):

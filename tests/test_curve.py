@@ -320,6 +320,13 @@ def test_load_rejects_non_hex():
         curve_from_config(bad)
 
 
+@pytest.mark.parametrize("n", ["20a", "2001", "ffffffff"])
+def test_load_rejects_oversized_field(n):
+    # above 521 bits (P-521) before any primality test or 1 << (n // 2)
+    with pytest.raises(InvalidCurve, match="bit length"):
+        curve_from_config(BASE_CONFIG.replace("n = a0", f"n = {n}"))
+
+
 def test_load_rejects_wrong_order():
     bad = BASE_CONFIG.replace(
         "order_n = 0100000000000000000001f4c8f927aed3ca752257",

@@ -24,7 +24,7 @@ from ecagg.elgamal import (
     save_keypair,
 )
 from ecagg.errors import BadConfig, BadEncoding, MessageTooLarge, NotFound, OffCurvePoint
-from ecagg.scalarmul import build_table, mul_binary
+from ecagg.scalarmul import mul_binary
 
 
 class ForcedK:
@@ -148,14 +148,6 @@ def test_encrypt_forced_unit_k(curve, keys):
     assert ec_eq(ct.R, lift(curve.G))
     expected_S = ec_add_jjj(map_message(9, curve), lift(keys.public_Y))
     assert ec_eq(ct.S, expected_S)
-
-
-def test_encrypt_with_y_table(curve, keys, rng):
-    y_table = build_table(keys.public_Y, 2, 2)
-    for _ in range(5):
-        m = rng.randrange(1 << 12)
-        ct = encrypt(keys.public_Y, m, rng, y_table=y_table)
-        assert decrypt(keys.secret_x, ct, (1 << 12) - 1) == m
 
 
 def test_encrypt_rejects_oversized(curve, keys, rng):

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import as_tuple, jac_tuple, o_add, o_of
-from ecagg.counters import op_counters, reset_counters
+from ecagg.counters import tally
 from ecagg.curve import ec_add_jjj, ec_eq, lift, on_curve, point_to_bytes, to_affine
 from ecagg.errors import BadEncoding, OffCurvePoint, TableMismatch, UnsupportedWidth
 from ecagg.scalarmul import (
@@ -55,10 +55,9 @@ def test_binary_rejects_negative(curve):
 
 
 def test_binary_counts_doubling(curve):
-    reset_counters()
-    mul_binary(2, curve.G)
-    ecadd, ecdbl, _ = op_counters()
-    assert ecdbl >= 1
+    with tally() as ops:
+        mul_binary(2, curve.G)
+    assert ops.ecdbl >= 1
 
 
 # --- signed recodings -------------------------------------------------------------
@@ -169,6 +168,15 @@ def test_interleave_matches_binary(curve, rng):
             assert ec_eq(mul_interleave(k, table), mul_binary(k, curve.G))
 
 
+def test_interleave_non_generator_base(curve, rng):
+    # a fixed-base table need not be built on G
+    P = to_affine(mul_binary(rng.getrandbits(N), curve.G))
+    table = build_table(P, 2, 2)
+    for _ in range(5):
+        k = rng.getrandbits(N)
+        assert ec_eq(mul_interleave(k, table), mul_binary(k, P))
+
+
 def test_interleave_small_scalars(curve):
     table = default_table(curve)
     for k in (1, 2, 3, 7, 160, 2**80, 2**80 + 5):
@@ -178,10 +186,9 @@ def test_interleave_small_scalars(curve):
 def test_interleave_doubling_bound(curve, rng):
     table = build_table(curve.G, 2, 2)
     for _ in range(30):
-        reset_counters()
-        mul_interleave(rng.getrandbits(N), table)
-        _, ecdbl, _ = op_counters()
-        assert ecdbl <= 81
+        with tally() as ops:
+            mul_interleave(rng.getrandbits(N), table)
+        assert ops.ecdbl <= 81
 
 
 def test_interleave_doublings_decrease_with_tracks(curve, rng):
@@ -189,9 +196,9 @@ def test_interleave_doublings_decrease_with_tracks(curve, rng):
     counts = []
     for t in (1, 2, 3, 4, 5):
         table = build_table(curve.G, t, 2)
-        reset_counters()
-        mul_interleave(k, table)
-        counts.append(op_counters()[1])
+        with tally() as ops:
+            mul_interleave(k, table)
+        counts.append(ops.ecdbl)
     assert all(a > b for a, b in zip(counts, counts[1:]))
     # bound: ceil(n/t) + w
     for t, count in zip((1, 2, 3, 4, 5), counts):
@@ -229,9 +236,9 @@ def test_signed_addition_count(curve, rng):
     totals = 0
     trials = 200
     for _ in range(trials):
-        reset_counters()
-        mul_signed(rng.getrandbits(N), curve.G, 2)
-        totals += op_counters()[0]
+        with tally() as ops:
+            mul_signed(rng.getrandbits(N), curve.G, 2)
+        totals += ops.ecadd
     mean = totals / trials
     assert abs(mean - N / 3) / (N / 3) < 0.08
 
@@ -245,11 +252,6 @@ def test_multiplication_homomorphism(curve, rng):
         combined = mul_binary((k1 + k2) % curve.order_n, curve.G)
         summed = ec_add_jjj(mul_binary(k1, curve.G), mul_binary(k2, curve.G))
         assert ec_eq(combined, summed)
-
-
-def test_counters_reset():
-    reset_counters()
-    assert op_counters() == (0, 0, 0)
 
 
 # --- table serialization -----------------------------------------------------------------------
@@ -289,6 +291,16 @@ def test_table_altered_n_bits_rejected(curve):
         table_from_bytes(bytes(data), curve)
 
 
+def test_table_header_n_bits_rejected_before_any_work(curve):
+    # n_bits = 0xffff would have the per-point check double 32,767 times
+    data = bytearray(table_to_bytes(build_table(curve.G, 2, 2)))
+    at = 4 + 1 + len(curve.name) + 2
+    data[at:at + 2] = (0xFFFF).to_bytes(2, "big")
+    with tally() as ops, pytest.raises(TableMismatch):
+        table_from_bytes(bytes(data), curve)
+    assert (ops.ecadd, ops.ecdbl, ops.fe_mul) == (0, 0, 0)
+
+
 def test_table_bad_magic_rejected(curve):
     data = b"XXXX" + table_to_bytes(build_table(curve.G, 2, 2))[4:]
     with pytest.raises(BadEncoding):
@@ -302,13 +314,13 @@ def test_table_truncation_rejected(curve):
 
 
 def test_table_curve_mismatch(curve, tiny_curve):
-    data = table_to_bytes(build_table(tiny_curve.G, 2, 2, n_bits=13))
+    data = table_to_bytes(build_table(tiny_curve.G, 2, 2))
     with pytest.raises(TableMismatch):
         table_from_bytes(data, curve)
 
 
 def test_interleave_on_tiny_curve(tiny_curve, rng):
-    table = build_table(tiny_curve.G, 2, 2, n_bits=13)
+    table = build_table(tiny_curve.G, 2, 2)
     for _ in range(50):
         k = rng.getrandbits(13)
         assert ec_eq(mul_interleave(k, table), mul_binary(k, tiny_curve.G))

@@ -148,8 +148,9 @@ def run_round(tree: Scenario, keys: KeyPair, rng,
 
     Leaves without a fixed reading draw an 8-bit value from the round's
     random source, so a seeded rng makes the whole round reproducible.
-    A tree whose largest possible sum exceeds 2**max_bits - 1 is rejected
-    before any leaf encrypts, since the reader could not recover it.
+    A tree whose largest possible sum exceeds 2**max_bits - 1, and a
+    max_bits above the reader's search ceiling, are rejected before any
+    leaf encrypts, since the reader could not recover the sum.
     The reader's stats cover its fold and its decryption.
     """
     worst = sum(255 if n.reading is None else n.reading for n in tree.leaves())
@@ -159,8 +160,8 @@ def run_round(tree: Scenario, keys: KeyPair, rng,
     curve = keys.public_Y.curve
     bound = (1 << max_bits) - 1
     with tally() as setup:
-        default_table(curve)
         bsgs_cache(curve, bound)
+        default_table(curve)
     ciphertexts: dict[str, bytes] = {}
     stats: dict[str, NodeStats] = {}
     expected = 0

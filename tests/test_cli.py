@@ -135,6 +135,19 @@ def test_decrypt_wrong_key_exits_3(workspace, capsys):
                     "--in", cts[0], "--max", "60000") == 3
 
 
+def test_decrypt_search_ceiling(workspace, capsys):
+    curve = str(workspace / "test.curve")
+    run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "2")
+    cts = encrypt_files(workspace, (77,))
+    assert run_main("decrypt", "--sec", str(workspace / "k.sec"),
+                    "--in", cts[0], "--max", str(1 << 32)) == 2
+    capsys.readouterr()
+    # the widest bound builds the 2**18-point giant table once
+    assert run_main("decrypt", "--sec", str(workspace / "k.sec"),
+                    "--in", cts[0], "--max", str((1 << 32) - 1)) == 0
+    assert capsys.readouterr().out.strip() == "77"
+
+
 def test_add_single_file_reencodes(workspace):
     curve = str(workspace / "test.curve")
     run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "2")

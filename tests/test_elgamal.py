@@ -23,8 +23,16 @@ from ecagg.elgamal import (
     rmap,
     save_keypair,
 )
-from ecagg.errors import BadConfig, BadEncoding, MessageTooLarge, NotFound, OffCurvePoint
-from ecagg.scalarmul import mul_binary
+from ecagg.counters import FIELDS, tally
+from ecagg.errors import (
+    BadConfig,
+    BadEncoding,
+    MessageTooLarge,
+    NotFound,
+    OffCurvePoint,
+    TableMismatch,
+)
+from ecagg.scalarmul import build_table, mul_binary, table_from_bytes, table_to_bytes
 
 
 class ForcedK:
@@ -115,6 +123,39 @@ def test_rmap_not_found(curve):
         rmap(map_message(40000, curve), 30000)
 
 
+BOUND24 = (1 << 24) - 1
+STRIDE = 1 << 14  # the baby-step stride at that bound; giant steps batch by 32
+
+
+@pytest.mark.parametrize("m", [i * STRIDE + d for i in (1, 31, 32, 33, 1023) for d in (-1, 0, 1)]
+                         + [BOUND24])
+def test_rmap_giant_batch_edges(curve, m):
+    # i*STRIDE lands a giant step on the identity (equal x, opposite y)
+    assert rmap(map_message(m, curve), BOUND24) == m
+
+
+@pytest.mark.parametrize("scalar", [BOUND24 + 1, -1, -(STRIDE - 1), -STRIDE, -32 * STRIDE,
+                                    -33 * STRIDE, -1023 * STRIDE],
+                         ids=["above", "-1", "-baby", "-1stride", "-32stride", "-33stride",
+                              "-1023stride"])
+def test_rmap_out_of_range_not_found(curve, scalar):
+    # -j*G shares its x with a baby entry, so only the y check rejects it;
+    # -(i*STRIDE)*G equals the ith giant point, the step left out of its batch
+    with pytest.raises(NotFound):
+        rmap(mul_binary(scalar % curve.order_n, curve.G), BOUND24)
+
+
+def test_search_bound_ceiling_rejected_before_any_work(curve, keys, rng):
+    ct = encrypt(keys.public_Y, 5, rng)
+    M = map_message(5, curve)
+    with tally() as t:
+        with pytest.raises(MessageTooLarge):
+            rmap(M, 1 << 32)
+        with pytest.raises(MessageTooLarge):
+            decrypt(keys.secret_x, ct, 1 << 32)
+    assert [getattr(t, f) for f in FIELDS] == [0, 0, 0, 0]
+
+
 # --- encryption ---------------------------------------------------------------------------
 
 def test_encrypt_decrypt_roundtrip(curve, keys, rng):
@@ -122,6 +163,21 @@ def test_encrypt_decrypt_roundtrip(curve, keys, rng):
         m = rng.randrange(1 << 16)
         ct = encrypt(keys.public_Y, m, rng)
         assert decrypt(keys.secret_x, ct, (1 << 16) - 1) == m
+
+
+def test_encrypt_rejects_table_for_another_base(curve, keys):
+    # the table format stores no base point, so a Y-table loads as a G-table
+    # would; encrypt must refuse it before drawing k
+    def loaded(base):
+        return table_from_bytes(table_to_bytes(build_table(base, 2, 2)), curve)
+
+    rng = random.Random(4)
+    ct = encrypt(keys.public_Y, 9, rng, g_table=loaded(curve.G))
+    assert decrypt(keys.secret_x, ct, 100) == 9
+    state = rng.getstate()
+    with pytest.raises(TableMismatch):
+        encrypt(keys.public_Y, 9, rng, g_table=loaded(keys.public_Y))
+    assert rng.getstate() == state
 
 
 def test_encrypt_zero(curve, keys, rng):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ecagg import field
+from ecagg.counters import tally
 from ecagg.errors import BadLength, NonCanonical, ZeroInverse
 from ecagg.field import (
     FieldElement,
@@ -17,6 +18,7 @@ from ecagg.field import (
     fe_square,
     fe_sub,
     fe_to_bytes,
+    mod_inv_batch,
     mod_reduce,
 )
 
@@ -211,6 +213,23 @@ def test_inv_multiplicative(fp160, rng):
 def test_inv_zero_raises(fp160):
     with pytest.raises(ZeroInverse):
         fe_inv(fe(0, fp160))
+
+
+@pytest.mark.parametrize("n", [1, 2, 33])
+def test_inv_batch_matches_pow(fp160, rng, n):
+    # one inversion and 3(n - 1) multiplications, whatever the length
+    xs = [rng.randrange(1, P) for _ in range(n - 1)] + [P - 1]
+    with tally() as t:
+        out = mod_inv_batch(fp160, xs)
+    assert out == [pow(x, -1, P) for x in xs]
+    assert (t.fe_inv, t.fe_mul) == (1, 3 * (n - 1))
+
+
+@pytest.mark.parametrize("xs", [[0], [3, 0], [0, 3, 5], [7, P]], ids=["alone", "last", "first", "p"])
+def test_inv_batch_zero_raises(fp160, xs):
+    with tally() as t, pytest.raises(ZeroInverse):
+        mod_inv_batch(fp160, xs)
+    assert (t.fe_inv, t.fe_mul) == (0, 0)
 
 
 # --- bytes --------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Every tuple is (ECADD, ECDBL, field multiplications, inversions) counted on
 secp160r1.  The values were taken from the implementation that routed each
 multiply and square through mod_mul, so any rewrite of the group law has to
-keep its per-formula tallies exact to pass.
+keep its per-formula tallies exact to pass.  The decrypt and BSGS-build
+values were taken again when the reader's search began sharing inversions.
 """
 
 import random
@@ -14,6 +15,7 @@ from ecagg.counters import counters
 from ecagg.curve import (
     AffinePoint,
     JacobianPoint,
+    builtin_curve,
     ec_add_ajj,
     ec_add_jjj,
     ec_dbl_jj,
@@ -22,6 +24,7 @@ from ecagg.curve import (
     to_affine,
 )
 from ecagg.elgamal import (
+    bsgs_cache,
     ct_add,
     ct_from_bytes,
     ct_identity,
@@ -80,7 +83,16 @@ def test_decrypt_counts(keys, curve):
     ct = ct_from_bytes(ct_to_bytes(encrypt(keys.public_Y, 0xABCDEF, rng)), curve)
     m, ops = tally(decrypt, keys.secret_x, ct, BOUND)
     assert m == 0xABCDEF
-    assert ops == (773, 158, 12527, 690)
+    # signed x*R, then 687 giant steps in 22 batches of one inversion each
+    assert ops == (743, 159, 5321, 25)
+
+
+def test_bsgs_build_counts():
+    # a fresh curve's one-off build for the default bound: 2**14 - 1 baby
+    # points normalized in 64 chunks of one inversion, 2**14*G by binary
+    # doublings, and 1023 giant points normalized in 4 chunks
+    _, ops = tally(bsgs_cache, builtin_curve(), BOUND)
+    assert ops == (17402, 16, 313200, 69)
 
 
 @pytest.fixture(scope="module")

@@ -110,7 +110,7 @@ class CurveParams:
         self.name = name
         self.a_is_minus3 = a == p - 3
         self._g_table = None
-        self._rmap_cache = {}
+        self._rmap_cache = None
         self.G = AffinePoint(self, gx, gy)
         if not on_curve(self.G):
             raise InvalidCurve("generator not on curve")
@@ -264,9 +264,12 @@ def ec_eq(Q1: JacobianPoint, Q2: JacobianPoint) -> bool:
 
 
 def to_affine(Q: JacobianPoint) -> AffinePoint:
-    """Normalize with a single inversion; reader-side or serialization only."""
+    """Normalize with a single inversion, or none when Z = 1 (a decoded
+    point); reader-side or serialization only."""
     if not Q.Z:
         return AffinePoint.identity(Q.curve)
+    if Q.Z == 1:
+        return AffinePoint(Q.curve, Q.X, Q.Y)
     f = Q.curve.field
     p = f.p
     zinv = mod_inv(f, Q.Z)

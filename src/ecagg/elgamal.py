@@ -8,10 +8,12 @@ range for the m whose multiple matches.  The search bound is what keeps the
 scheme practical: aggregated sums are assumed to fit a configured number of
 bits (24 by default, at most MAX_SEARCH_BITS).
 
-Above BSGS_THRESHOLD the search is baby-step/giant-step over per-curve
-cached tables, and it shares inversions wherever it can: both tables are
-normalized in chunks with one inversion each, and giant steps are affine
-additions batched to one inversion (Montgomery's trick, mod_inv_batch).
+The search is baby-step/giant-step at every bound, over one baby/giant
+table cached per curve: the one for the largest stride asked for so far,
+which also serves every smaller bound.  It shares inversions wherever it
+can: both tables are normalized in chunks with one inversion each, and giant
+steps are affine additions batched to one inversion (Montgomery's trick,
+mod_inv_batch).
 
 Only the holder of the secret key ever inverts a field element or recovers a
 plaintext; aggregation itself needs nothing but point additions.
@@ -19,6 +21,7 @@ plaintext; aggregation itself needs nothing but point additions.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,9 +47,6 @@ from .textcfg import parse_kv
 
 DEFAULT_MAX_BITS = 24
 
-# Above this search bound the reverse mapping switches from stepping one
-# generator at a time to a cached baby-step/giant-step table.
-BSGS_THRESHOLD = 4096
 # Widest search bound: the giant table holds bound // 2**14 points.
 MAX_SEARCH_BITS = 32
 # Chain points normalized per shared inversion when the tables are built;
@@ -93,21 +93,6 @@ def map_message(m: int, curve: CurveParams, max_bits: int = DEFAULT_MAX_BITS) ->
     return mul_binary(m, curve.G)
 
 
-def _affine_matches(M_aff: AffinePoint, Q: JacobianPoint) -> bool:
-    # cross-multiplied comparison of a normalized point against an accumulator
-    Z = Q.Z
-    if not Z or M_aff.infinity:
-        return not Z and M_aff.infinity
-    p = Q.curve.field.p
-    zz = Z * Z % p
-    c = counters()
-    c.fe_mul += 2
-    if M_aff.x * zz % p != Q.X:
-        return False
-    c.fe_mul += 2
-    return M_aff.y * (zz * Z % p) % p == Q.Y
-
-
 def _chain(step: AffinePoint, count: int):
     """Yield (x, y) of step, 2*step, ..., count*step.
 
@@ -132,66 +117,61 @@ def _chain(step: AffinePoint, count: int):
 
 def bsgs_cache(curve: CurveParams, max_value: int):
     """(stride, baby table, giant x list, giant y list) for searching
-    [0, max_value]; None when rmap steps through that bound linearly.
+    [0, max_value].
 
     The baby table maps the x of j*G to (j, y) for 1 <= j < stride; entry
     i - 1 of the giant lists is -i*stride*G for 1 <= i <= max_value // stride.
-    Both are cached on the curve per stride, and the giant lists are rebuilt
-    longer when a larger bound needs more of them.  The giant table grows
-    with the bound (2**18 points, about 28 MB, at 32 bits), so a bound above
-    MAX_SEARCH_BITS bits raises MessageTooLarge before any point work.
+    The stride grows with the bound (16 at bound 0, 512 at 1000, 2**14 from
+    2**18 up).  A curve caches one entry, the one with the largest stride
+    asked for so far: a smaller bound reuses it with fewer giant steps, a
+    larger stride replaces it, and the giant lists are rebuilt longer when a
+    bound needs more of them.  The giant table grows with the bound (2**18
+    points, about 28 MB, at 32 bits), so a bound outside
+    [0, 2**MAX_SEARCH_BITS) raises MessageTooLarge before any point work.
     """
-    if max_value.bit_length() > MAX_SEARCH_BITS:
-        raise MessageTooLarge(f"search bound must be below 2**{MAX_SEARCH_BITS}")
-    if max_value <= BSGS_THRESHOLD:
-        return None
+    if not 0 <= max_value < 1 << MAX_SEARCH_BITS:
+        raise MessageTooLarge(f"search bound must be in [0, 2**{MAX_SEARCH_BITS})")
     stride = 1 << min(14, (max_value.bit_length() + 1) // 2 + 4)
-    cached = curve._rmap_cache.get(stride)
-    if cached is None:
+    cached = curve._rmap_cache
+    if cached is None or cached[0] < stride:
+        # drop the smaller table before building, so the two never coexist
+        cached = curve._rmap_cache = None
         babies = {x: (j, y) for j, (x, y) in enumerate(_chain(curve.G, stride - 1), 1)}
-        cached = curve._rmap_cache[stride] = (stride, babies, [], [])
+        cached = curve._rmap_cache = (stride, babies, [], [])
+    stride, babies = cached[:2]
     if len(cached[2]) < max_value // stride:
         neg_stride = ec_neg(to_affine(mul_binary(stride, curve.G)))
-        gxs: list[int] = []
-        gys: list[int] = []
+        # likewise the shorter giant lists go first; the new ones fill in place
+        gxs, gys = [], []
+        cached = curve._rmap_cache = (stride, babies, gxs, gys)
         for x, y in _chain(neg_stride, max_value // stride):
             gxs.append(x)
             gys.append(y)
-        cached = curve._rmap_cache[stride] = (stride, cached[1], gxs, gys)
     return cached
 
 
 def rmap(M: JacobianPoint, max_value: int) -> int:
     """Recover the m in [0, max_value] with m*G = M.
 
-    Small bounds step through multiples of G one addition at a time.  Larger
-    bounds use baby-step/giant-step over bsgs_cache: giant step i is the
-    affine sum M + (-i*stride*G), and a match in the baby table at x3 with
-    the same y gives m = i*stride + j.  Steps run in batches of _GIANT_BATCH
-    sharing one inversion (mod_inv_batch over the x differences); a step
-    computes only the slope and x3, and y3 only when x3 is in the table.
-    Each giant step counts as one ECADD with 2 multiplications plus its
-    share of the batch inversion, and 1 more on an x hit.
+    Baby-step/giant-step over bsgs_cache: M itself is looked up in the baby
+    table, then giant step i is the affine sum M + (-i*stride*G), and a
+    match in the baby table at x3 with the same y gives m = i*stride + j.
+    Steps run in batches of _GIANT_BATCH sharing one inversion
+    (mod_inv_batch over the x differences); a step computes only the slope
+    and x3, and y3 only when x3 is in the table.  Each giant step counts as
+    one ECADD with 2 multiplications plus its share of the batch inversion,
+    and 1 more on an x hit.  A bound below the cached stride is answered by
+    the baby table alone, with no giant step.
 
     Raises NotFound when no multiple in range matches, which is how a
     corrupted aggregate or a wrong key shows up, and MessageTooLarge for a
-    bound above MAX_SEARCH_BITS bits.
+    bound outside [0, 2**MAX_SEARCH_BITS).
     """
-    if max_value < 0:
-        raise ValueError("search bound must be non-negative")
     curve = M.curve
-    cache = bsgs_cache(curve, max_value)
+    stride, babies, gxs, gys = bsgs_cache(curve, max_value)
     M_aff = to_affine(M)
     if M_aff.infinity:
         return 0
-    if cache is None:
-        acc = lift(curve.G)
-        for m in range(1, max_value + 1):
-            if _affine_matches(M_aff, acc):
-                return m
-            acc = ec_add_ajj(curve.G, acc)
-        raise NotFound(f"no preimage at or below {max_value}")
-    stride, babies, gxs, gys = cache
     f = curve.field
     p = f.p
     xM, yM = M_aff.x, M_aff.y
@@ -269,7 +249,8 @@ def decrypt(secret_x: int, c: Ciphertext, max_value: int) -> int:
 
     The bound is checked (and the search tables built) before x*R, which
     runs over the width-2 signed recoding: a third fewer additions than
-    binary and, unlike wider recodings, no odd multiples to normalize.
+    binary and, unlike wider recodings, no odd multiples to normalize.  R
+    as decoded from the wire is affine already, so normalizing it is free.
     """
     bsgs_cache(c.curve, max_value)
     xR = mul_signed(secret_x, to_affine(c.R), 2)
@@ -296,18 +277,25 @@ def ct_from_bytes(data: bytes, curve: CurveParams) -> Ciphertext:
 # Key files: key=value text with hexadecimal fields.
 
 def save_keypair(kp: KeyPair, prefix) -> tuple[Path, Path]:
-    """Write PREFIX.pub and PREFIX.sec; returns the two paths."""
+    """Write PREFIX.pub and PREFIX.sec, the secret one with mode 0600;
+    returns the two paths.  Raises BadConfig, before writing anything, when
+    either file exists: a key pair is never overwritten.
+    """
     curve = kp.public_Y.curve
     width = 2 * curve.field.byte_length
     pub = Path(f"{prefix}.pub")
     sec = Path(f"{prefix}.sec")
+    for path in (pub, sec):
+        if path.exists():
+            raise BadConfig(f"{path} exists; refusing to overwrite a key file")
     pub.write_text(
         f"curve = {curve.name}\n"
         f"yx = {kp.public_Y.x:0{width}x}\n"
         f"yy = {kp.public_Y.y:0{width}x}\n")
-    sec.write_text(
-        f"curve = {curve.name}\n"
-        f"x = {kp.secret_x:0{width}x}\n")
+    with os.fdopen(os.open(sec, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600), "w") as out:
+        out.write(
+            f"curve = {curve.name}\n"
+            f"x = {kp.secret_x:0{width}x}\n")
     return pub, sec
 
 

@@ -294,6 +294,10 @@ def test_setup_and_nodes_account_for_every_operation():
     # no node is charged a build (the first leaf once drew 402 ECDBL for the table)
     for st in result.node_stats.values():
         assert st.ops.ecdbl < 300 and st.ops.fe_inv <= 5
+    # the reader's single child leaves its fold affine, so serializing it and
+    # normalizing R are free: one inversion for x*R, one for M, and the sum
+    # 63 is a baby-table hit with no giant step
+    assert result.node_stats["reader"].ops.fe_inv == 2
 
 
 def test_round_rejects_bound_above_search_ceiling(keys):

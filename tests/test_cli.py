@@ -1,5 +1,6 @@
 """Command-line behaviour, including the exit-code contract."""
 
+import stat
 import subprocess
 import sys
 
@@ -64,6 +65,23 @@ def test_keygen_deterministic(workspace, capsys):
     assert run_main("keygen", "--curve", curve, "--out", str(workspace / "b"), "--seed", "c0ffee") == 0
     assert (workspace / "a.pub").read_bytes() == (workspace / "b.pub").read_bytes()
     assert (workspace / "a.sec").read_bytes() == (workspace / "b.sec").read_bytes()
+
+
+def test_keygen_secret_file_mode_0600(workspace):
+    curve = str(workspace / "test.curve")
+    assert run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "1") == 0
+    assert stat.S_IMODE((workspace / "k.sec").stat().st_mode) == 0o600
+
+
+@pytest.mark.parametrize("existing", ["both", "pub", "sec"])
+def test_keygen_refuses_to_overwrite(workspace, existing):
+    curve = str(workspace / "test.curve")
+    assert run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "1") == 0
+    if existing != "both":
+        (workspace / ("k.sec" if existing == "pub" else "k.pub")).unlink()
+    before = {p.name: p.read_bytes() for p in workspace.glob("k.*")}
+    assert run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "2") == 2
+    assert {p.name: p.read_bytes() for p in workspace.glob("k.*")} == before
 
 
 def test_keygen_missing_curve_file(workspace):
@@ -139,8 +157,9 @@ def test_decrypt_search_ceiling(workspace, capsys):
     curve = str(workspace / "test.curve")
     run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "2")
     cts = encrypt_files(workspace, (77,))
-    assert run_main("decrypt", "--sec", str(workspace / "k.sec"),
-                    "--in", cts[0], "--max", str(1 << 32)) == 2
+    for bound in (str(1 << 32), "-1"):
+        assert run_main("decrypt", "--sec", str(workspace / "k.sec"),
+                        "--in", cts[0], "--max", bound) == 2
     capsys.readouterr()
     # the widest bound builds the 2**18-point giant table once
     assert run_main("decrypt", "--sec", str(workspace / "k.sec"),

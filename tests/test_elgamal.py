@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import ecagg
-from ecagg.curve import ec_eq, lift, on_curve, to_affine
+from ecagg.curve import builtin_curve, ec_eq, lift, on_curve, to_affine
 from ecagg.elgamal import (
     Ciphertext,
+    bsgs_cache,
     ct_add,
     ct_from_bytes,
     ct_identity,
@@ -103,11 +104,14 @@ def test_rmap_identity_and_generator(curve):
     assert rmap(lift(curve.G), 100) == 1
 
 
-def test_rmap_roundtrip_incremental(curve, rng):
-    # small bound keeps the search on the one-addition-per-step path
+def test_rmap_roundtrip_incremental(rng):
+    # a fresh curve, so the bound of 2**10 - 1 builds its own stride-512
+    # table (with one giant step) rather than reusing a larger one
+    curve = builtin_curve()
     for _ in range(40):
         m = rng.randrange(1 << 10)
         assert rmap(map_message(m, curve), (1 << 10) - 1) == m
+    assert curve._rmap_cache[0] == 512
 
 
 def test_rmap_roundtrip_bsgs(curve, rng):
@@ -149,11 +153,30 @@ def test_search_bound_ceiling_rejected_before_any_work(curve, keys, rng):
     ct = encrypt(keys.public_Y, 5, rng)
     M = map_message(5, curve)
     with tally() as t:
-        with pytest.raises(MessageTooLarge):
-            rmap(M, 1 << 32)
-        with pytest.raises(MessageTooLarge):
-            decrypt(keys.secret_x, ct, 1 << 32)
+        for bound in (1 << 32, -1):
+            with pytest.raises(MessageTooLarge):
+                rmap(M, bound)
+            with pytest.raises(MessageTooLarge):
+                decrypt(keys.secret_x, ct, bound)
     assert [getattr(t, f) for f in FIELDS] == [0, 0, 0, 0]
+
+
+def test_one_search_table_serves_smaller_bounds():
+    c = builtin_curve()
+    table = bsgs_cache(c, BOUND24)
+    assert table[0] == STRIDE
+    with tally() as t:
+        for bound in ((1 << 16) - 1, 4096, 1000, 0):
+            assert bsgs_cache(c, bound) is table
+    assert [getattr(t, f) for f in FIELDS] == [0, 0, 0, 0]
+    assert c._rmap_cache is table
+    # the stride-2**14 baby table holds 5000*G and G, but both lie above the bound
+    with pytest.raises(NotFound):
+        rmap(map_message(5000, c), 4096)
+    with pytest.raises(NotFound):
+        rmap(map_message(1, c), 0)
+    assert rmap(map_message(4096, c), 4096) == 4096
+    assert rmap(map_message(0, c), 0) == 0
 
 
 # --- encryption ---------------------------------------------------------------------------

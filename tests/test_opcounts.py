@@ -4,7 +4,8 @@ Every tuple is (ECADD, ECDBL, field multiplications, inversions) counted on
 secp160r1.  The values were taken from the implementation that routed each
 multiply and square through mod_mul, so any rewrite of the group law has to
 keep its per-formula tallies exact to pass.  The decrypt and BSGS-build
-values were taken again when the reader's search began sharing inversions.
+values were taken again when the reader's search began sharing inversions,
+and the decrypt once more when normalizing an affine R became free.
 """
 
 import random
@@ -83,8 +84,9 @@ def test_decrypt_counts(keys, curve):
     ct = ct_from_bytes(ct_to_bytes(encrypt(keys.public_Y, 0xABCDEF, rng)), curve)
     m, ops = tally(decrypt, keys.secret_x, ct, BOUND)
     assert m == 0xABCDEF
-    # signed x*R, then 687 giant steps in 22 batches of one inversion each
-    assert ops == (743, 159, 5321, 25)
+    # signed x*R (R from the wire is affine, so normalizing it is free), then
+    # 687 giant steps in 22 batches of one inversion each
+    assert ops == (743, 159, 5317, 24)
 
 
 def test_bsgs_build_counts():
@@ -93,6 +95,12 @@ def test_bsgs_build_counts():
     # doublings, and 1023 giant points normalized in 4 chunks
     _, ops = tally(bsgs_cache, builtin_curve(), BOUND)
     assert ops == (17402, 16, 313200, 69)
+
+
+def test_bsgs_build_counts_small_bound():
+    # bound 1000 takes stride 512: 511 baby points in 2 chunks (2*G is a
+    # doubling), 512*G by 9 binary doublings, and 1 giant point, itself
+    assert tally(bsgs_cache, builtin_curve(), 1000)[1] == (509, 10, 9262, 4)
 
 
 @pytest.fixture(scope="module")

@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import argparse
 import random
-import statistics
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from statistics import fmean, pstdev
 
 from . import aggsim, elgamal, scalarmul
 from .counters import tally
 from .curve import builtin_curve, load_curve
 from .errors import BadConfig, Error, NotFound
-from .field import fe_from_int, fe_inv, fe_mul
 
 
 def _make_rng(seed_hex: str | None) -> random.Random:
@@ -91,97 +89,44 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # Benchmark.
 
-@dataclass
-class BenchRow:
-    label: str
-    t: int
-    w: int
-    prec_points: int
-    trials: int
-    ecadd_mean: float
-    ecadd_sd: float
-    ecdbl_mean: float
-    ecdbl_sd: float
-    femul_mean: float
-    femul_sd: float
-    feinv_mean: float
-    wall_ms: float
+# (table header, table format, CSV name) per column; the CSV writes every
+# float to three decimals
+_BENCH_COLUMNS = (
+    ("config", "<22", "config"), ("t", ">2", "t"), ("w", ">2", "w"),
+    ("prec", ">4", "prec_points"), ("trials", ">6", "trials"),
+    ("ecadd", ">8.1f", "ecadd_mean"), ("sd", ">6.1f", "ecadd_sd"),
+    ("ecdbl", ">8.1f", "ecdbl_mean"), ("sd", ">6.1f", "ecdbl_sd"),
+    ("fe_mul", ">9.1f", "femul_mean"), ("sd", ">7.1f", "femul_sd"),
+    ("fe_inv", ">6.1f", "feinv_mean"), ("ms", ">8.3f", "wall_ms"),
+)
 
 
-def _parse_config(token: str) -> tuple[str, int, int, bool]:
-    """Returns (kind, t, w, w_defaulted)."""
+def _bench_config(token: str, curve, rng):
+    """(t, w, stored points, one-trial callable of k, w defaulted) for a
+    token such as binary, mof3, interleave:t=2,w=2 or elgamal:t=1."""
     name, _, params = token.partition(":")
-    t, w, w_given = 1, 2, False
-    for part in params.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    given = {}
+    for part in filter(None, (part.strip() for part in params.split(","))):
         key, _, value = part.partition("=")
-        if key == "t":
-            t = int(value)
-        elif key == "w":
-            w = int(value)
-            w_given = True
-        else:
+        if key not in ("t", "w"):
             raise BadConfig(f"unknown parameter {key!r} in config {token!r}")
+        given[key] = int(value)
+    t, w = given.get("t", 1), given.get("w", 2)
+    G = curve.G
     if name == "binary":
-        return "binary", 1, 0, False
+        return 1, 0, 0, lambda k: scalarmul.mul_binary(k, G), False
     if name.startswith("mof") and name[3:].isdigit():
-        return "mof", 1, int(name[3:]), True
+        w = int(name[3:])
+        return 1, w, 0, lambda k: scalarmul.mul_signed(k, G, w), False
+    if name not in ("interleave", "elgamal"):
+        raise BadConfig(f"unknown bench config {token!r}")
+    table = scalarmul.build_table(G, t, w)
     if name == "interleave":
-        return "interleave", t, w, not w_given
-    if name == "elgamal":
-        return "elgamal", t, w, not w_given
-    raise BadConfig(f"unknown bench config {token!r}")
-
-
-def _bench_config(token: str, curve, scalars, rng) -> tuple[BenchRow, bool]:
-    kind, t, w, w_defaulted = _parse_config(token)
-    prec = 0
-    table = None
-    keys = None
-    if kind in ("interleave", "elgamal"):
-        table = scalarmul.build_table(curve.G, t, w)
-        prec = table.extra_points
-    if kind == "elgamal":
-        keys = elgamal.keygen(rng, curve)
-    samples, times = [], []
-    for k in scalars:
-        with tally() as ops:
-            t0 = time.perf_counter()
-            if kind == "binary":
-                scalarmul.mul_binary(k, curve.G)
-            elif kind == "mof":
-                scalarmul.mul_signed(k, curve.G, w)
-            elif kind == "interleave":
-                scalarmul.mul_interleave(k, table)
-            else:
-                elgamal.encrypt(keys.public_Y, rng.getrandbits(8), rng, g_table=table)
-            times.append(time.perf_counter() - t0)
-        samples.append((ops.ecadd, ops.ecdbl, ops.fe_mul, ops.fe_inv))
-    adds, dbls, muls, invs = zip(*samples)
-
-    def stat(xs):
-        return (statistics.fmean(xs), statistics.pstdev(xs) if len(xs) > 1 else 0.0)
-
-    row = BenchRow(token, t, w, prec, len(scalars), *stat(adds), *stat(dbls), *stat(muls),
-                   statistics.fmean(invs), statistics.fmean(times) * 1e3)
-    return row, w_defaulted and kind in ("interleave", "elgamal")
-
-
-def _inv_mult_ratio(curve, rng, samples: int = 200) -> float:
-    """Wall-time cost of one inversion in units of one multiplication."""
-    f = curve.field
-    elems = [fe_from_int(rng.randrange(1, f.p), f) for _ in range(samples)]
-    t0 = time.perf_counter()
-    for e in elems:
-        fe_mul(e, e)
-    t_mul = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for e in elems:
-        fe_inv(e)
-    t_inv = time.perf_counter() - t0
-    return t_inv / t_mul if t_mul > 0 else float("nan")
+        return (t, w, table.extra_points, lambda k: scalarmul.mul_interleave(k, table),
+                "w" not in given)
+    Y = elgamal.keygen(rng, curve).public_Y
+    return (t, w, table.extra_points,
+            lambda k: elgamal.encrypt(Y, rng.getrandbits(8), rng, g_table=table), "w" not in given)
 
 
 def cmd_bench(args) -> int:
@@ -193,28 +138,28 @@ def cmd_bench(args) -> int:
     rows = []
     any_defaulted = False
     for token in args.configs:
-        row, defaulted = _bench_config(token, curve, scalars, rng)
-        rows.append(row)
+        t, w, prec, trial, defaulted = _bench_config(token, curve, rng)
         any_defaulted = any_defaulted or defaulted
-    header = (f"{'config':<22} {'t':>2} {'w':>2} {'prec':>4} {'trials':>6} "
-              f"{'ecadd':>8} {'sd':>6} {'ecdbl':>8} {'sd':>6} {'fe_mul':>9} {'sd':>7} {'fe_inv':>6} "
-              f"{'ms':>8}")
-    print(header)
-    for r in rows:
-        print(f"{r.label:<22} {r.t:>2} {r.w:>2} {r.prec_points:>4} {r.trials:>6} "
-              f"{r.ecadd_mean:>8.1f} {r.ecadd_sd:>6.1f} {r.ecdbl_mean:>8.1f} {r.ecdbl_sd:>6.1f} "
-              f"{r.femul_mean:>9.1f} {r.femul_sd:>7.1f} {r.feinv_mean:>6.1f} {r.wall_ms:>8.3f}")
-    print(f"inv/mult wall-time ratio: {_inv_mult_ratio(curve, rng):.1f} (measured, not asserted)")
+        samples = []
+        for k in scalars:
+            with tally() as ops:
+                t0 = time.perf_counter()
+                trial(k)
+                wall = time.perf_counter() - t0
+            samples.append((ops.ecadd, ops.ecdbl, ops.fe_mul, ops.fe_inv, wall))
+        adds, dbls, muls, invs, walls = zip(*samples)
+        rows.append((token, t, w, prec, len(scalars),
+                     *(s for xs in (adds, dbls, muls) for s in (fmean(xs), pstdev(xs))),
+                     fmean(invs), fmean(walls) * 1e3))
+    print(" ".join(format(head, spec.partition(".")[0]) for head, spec, _ in _BENCH_COLUMNS))
+    for row in rows:
+        print(" ".join(format(v, spec) for v, (_, spec, _) in zip(row, _BENCH_COLUMNS)))
     if any_defaulted:
         print("note: rows without an explicit w use width 2")
     if args.csv:
-        lines = ["config,t,w,prec_points,trials,ecadd_mean,ecadd_sd,ecdbl_mean,ecdbl_sd,"
-                 "femul_mean,femul_sd,feinv_mean,wall_ms"]
-        for r in rows:
-            lines.append(f"{r.label},{r.t},{r.w},{r.prec_points},{r.trials},"
-                         f"{r.ecadd_mean:.3f},{r.ecadd_sd:.3f},{r.ecdbl_mean:.3f},"
-                         f"{r.ecdbl_sd:.3f},{r.femul_mean:.3f},{r.femul_sd:.3f},"
-                         f"{r.feinv_mean:.3f},{r.wall_ms:.3f}")
+        lines = [",".join(name for _, _, name in _BENCH_COLUMNS)]
+        lines += [",".join(f"{v:.3f}" if isinstance(v, float) else str(v) for v in row)
+                  for row in rows]
         Path(args.csv).write_text("\n".join(lines) + "\n")
     return 0
 

@@ -93,17 +93,18 @@ def map_message(m: int, curve: CurveParams, max_bits: int = DEFAULT_MAX_BITS) ->
     return mul_binary(m, curve.G)
 
 
-def _chain(step: AffinePoint, count: int):
-    """Yield (x, y) of step, 2*step, ..., count*step.
+def _chain(step: AffinePoint, count: int, start: AffinePoint | None = None):
+    """Yield (x, y) of start + step, start + 2*step, ..., start + count*step,
+    start defaulting to the identity.
 
-    The multiples are chained with ec_add_ajj and normalized in chunks of
+    The points are chained with ec_add_ajj and normalized in chunks of
     _NORMALIZE_CHUNK that share one inversion each, so at most one chunk of
     Jacobian points is alive at a time and peak memory stays flat whatever
     the count.
     """
     f = step.curve.field
     p = f.p
-    acc = JacobianPoint.infinity(step.curve)
+    acc = JacobianPoint.infinity(step.curve) if start is None else lift(start)
     for lo in range(0, count, _NORMALIZE_CHUNK):
         chunk = []
         for _ in range(min(_NORMALIZE_CHUNK, count - lo)):
@@ -124,10 +125,11 @@ def bsgs_cache(curve: CurveParams, max_value: int):
     The stride grows with the bound (16 at bound 0, 512 at 1000, 2**14 from
     2**18 up).  A curve caches one entry, the one with the largest stride
     asked for so far: a smaller bound reuses it with fewer giant steps, a
-    larger stride replaces it, and the giant lists are rebuilt longer when a
-    bound needs more of them.  The giant table grows with the bound (2**18
-    points, about 28 MB, at 32 bits), so a bound outside
-    [0, 2**MAX_SEARCH_BITS) raises MessageTooLarge before any point work.
+    larger stride replaces it, and the giant lists grow in place, chained on
+    from their last point, when a bound needs more of them.  The giant table
+    grows with the bound (2**18 points, about 28 MB, at 32 bits), so a bound
+    outside [0, 2**MAX_SEARCH_BITS) raises MessageTooLarge before any point
+    work.
     """
     if not 0 <= max_value < 1 << MAX_SEARCH_BITS:
         raise MessageTooLarge(f"search bound must be in [0, 2**{MAX_SEARCH_BITS})")
@@ -138,13 +140,11 @@ def bsgs_cache(curve: CurveParams, max_value: int):
         cached = curve._rmap_cache = None
         babies = {x: (j, y) for j, (x, y) in enumerate(_chain(curve.G, stride - 1), 1)}
         cached = curve._rmap_cache = (stride, babies, [], [])
-    stride, babies = cached[:2]
-    if len(cached[2]) < max_value // stride:
+    stride, _, gxs, gys = cached
+    if len(gxs) < max_value // stride:
         neg_stride = ec_neg(to_affine(mul_binary(stride, curve.G)))
-        # likewise the shorter giant lists go first; the new ones fill in place
-        gxs, gys = [], []
-        cached = curve._rmap_cache = (stride, babies, gxs, gys)
-        for x, y in _chain(neg_stride, max_value // stride):
+        last = AffinePoint(curve, gxs[-1], gys[-1]) if gxs else None
+        for x, y in _chain(neg_stride, max_value // stride - len(gxs), last):
             gxs.append(x)
             gys.append(y)
     return cached

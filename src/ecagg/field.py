@@ -15,8 +15,7 @@ oracle and used by the element-level fe_* API.  The group law in the curve
 module reduces with CPython's ``%`` instead: 0.47 us per 160-bit multiply and
 reduce against 0.95 us for the substitution inlined (Python 3.11, 2-CPU
 Xeon), as the division runs in C and each substitution pass in bytecode.
-Inversion is ``pow(x, -1, p)``, so the inv/mult wall-time ratio that
-``ecagg bench`` prints falls.
+Inversion is ``pow(x, -1, p)``.
 """
 
 from __future__ import annotations
@@ -179,8 +178,7 @@ def mod_mul(f: FieldParams, x: int, y: int) -> int:
 def mod_inv(f: FieldParams, x: int) -> int:
     """Inverse by pow(x, -1, p); reader-side and serialization cost only.
 
-    19.6 us against 94 us for pow(x, p - 2, p) at 160 bits, so the inv/mult
-    ratio that ``ecagg bench`` prints falls; see the module docstring.
+    19.6 us against 94 us for pow(x, p - 2, p) at 160 bits.
     """
     if x == 0:
         raise ZeroInverse("zero has no inverse")

@@ -103,6 +103,19 @@ def test_bsgs_build_counts_small_bound():
     assert tally(bsgs_cache, builtin_curve(), 1000)[1] == (509, 10, 9262, 4)
 
 
+def test_bsgs_extension_counts():
+    # bound 2**20 - 1 holds 63 giant points at stride 2**14; 2**22 - 1 needs
+    # 255, and the 192 new ones chain on from the 63rd: 2**14*G by binary
+    # doublings again, and one chunk of one inversion
+    curve = builtin_curve()
+    bsgs_cache(curve, 2**20 - 1)
+    assert tally(bsgs_cache, curve, 2**22 - 1)[1] == (192, 14, 3569, 2)
+    assert bsgs_cache(curve, 2**22 - 1)[2:] == bsgs_cache(builtin_curve(), 2**22 - 1)[2:]
+    # either side of the old end: giant steps 63 and 64, and the new last one
+    for m in (63 * 2**14 + 5, 64 * 2**14, 2**22 - 1):
+        assert rmap(map_message(m, curve), 2**22 - 1) == m
+
+
 @pytest.fixture(scope="module")
 def operands(curve):
     Q = mul_binary(5, curve.G)

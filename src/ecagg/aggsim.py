@@ -28,7 +28,7 @@ from .elgamal import (
     decrypt,
 )
 from .errors import BadScenario, MessageTooLarge
-from .scalarmul import default_table
+from .scalarmul import default_table, fixed_base_table
 from .textcfg import parse_kv, split_blocks
 
 ROLES = ("leaf", "aggregator", "reader")
@@ -60,7 +60,8 @@ class NodeStats:
 
 @dataclass
 class RoundResult:
-    """One round's output; setup counts the table and BSGS builds, kept off every node."""
+    """One round's output; setup counts the BSGS build and the generator and
+    public-key table builds still missing, kept off every node."""
     ciphertexts: dict[str, bytes]
     recovered_sum: int
     expected_sum: int
@@ -162,6 +163,7 @@ def run_round(tree: Scenario, keys: KeyPair, rng,
     with tally() as setup:
         bsgs_cache(curve, bound)
         default_table(curve)
+        fixed_base_table(keys.public_Y)
     ciphertexts: dict[str, bytes] = {}
     stats: dict[str, NodeStats] = {}
     expected = 0

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .counters import counters
 from .errors import BadConfig, BadEncoding, InvalidCurve, OffCurvePoint
-from .field import FieldParams, mod_inv
+from .field import FieldParams, mod_inv, mod_inv_batch
 from .textcfg import parse_kv
 
 _CONFIG_KEYS = ("name", "n", "c", "a", "b", "gx", "gy", "order_n")
@@ -91,7 +91,7 @@ class CurveParams:
     """Validated domain parameters: curve coefficients, generator, group order."""
 
     __slots__ = ("field", "a", "b", "G", "order_n", "name", "a_is_minus3",
-                 "_g_table", "_rmap_cache")
+                 "_tables", "_rmap_cache")
 
     def __init__(self, field: FieldParams, a: int, b: int, gx: int, gy: int,
                  order_n: int, name: str):
@@ -109,7 +109,8 @@ class CurveParams:
         self.order_n = order_n
         self.name = name
         self.a_is_minus3 = a == p - 3
-        self._g_table = None
+        # fixed-base tables by base point (scalarmul.fixed_base_table)
+        self._tables = {}
         self._rmap_cache = None
         self.G = AffinePoint(self, gx, gy)
         if not on_curve(self.G):
@@ -263,6 +264,14 @@ def ec_eq(Q1: JacobianPoint, Q2: JacobianPoint) -> bool:
     return Q1.Y * (Z2 * z2z2 % p) % p == Q2.Y * (Z1 * z1z1 % p) % p
 
 
+def _scaled(Q: JacobianPoint, zinv: int) -> AffinePoint:
+    """The affine image of Q given 1/Z."""
+    p = Q.curve.field.p
+    zi2 = zinv * zinv % p
+    counters().fe_mul += 4
+    return AffinePoint(Q.curve, Q.X * zi2 % p, Q.Y * (zi2 * zinv % p) % p)
+
+
 def to_affine(Q: JacobianPoint) -> AffinePoint:
     """Normalize with a single inversion, or none when Z = 1 (a decoded
     point); reader-side or serialization only."""
@@ -270,12 +279,15 @@ def to_affine(Q: JacobianPoint) -> AffinePoint:
         return AffinePoint.identity(Q.curve)
     if Q.Z == 1:
         return AffinePoint(Q.curve, Q.X, Q.Y)
-    f = Q.curve.field
-    p = f.p
-    zinv = mod_inv(f, Q.Z)
-    zi2 = zinv * zinv % p
-    counters().fe_mul += 4
-    return AffinePoint(Q.curve, Q.X * zi2 % p, Q.Y * (zi2 * zinv % p) % p)
+    return _scaled(Q, mod_inv(Q.curve.field, Q.Z))
+
+
+def to_affine_batch(Qs: list[JacobianPoint]) -> list[AffinePoint]:
+    """to_affine of every point for at most one inversion: the points with
+    Z other than 0 and 1 share it (mod_inv_batch), the rest need none."""
+    pending = [Q.Z for Q in Qs if Q.Z not in (0, 1)]
+    zinvs = iter(mod_inv_batch(Qs[0].curve.field, pending))
+    return [to_affine(Q) if Q.Z in (0, 1) else _scaled(Q, next(zinvs)) for Q in Qs]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ range for the m whose multiple matches.  The search bound is what keeps the
 scheme practical: aggregated sums are assumed to fit a configured number of
 bits (24 by default, at most MAX_SEARCH_BITS).
 
+The reader's public key Y is as fixed as G, so both encryption
+multiplications run over fixed-base tables: keygen builds Y's table along
+with Y (the reader provisions sensors with both), and S = k*Y + m*G is one
+doubling chain, m's recoding riding on the generator table's first track
+(Shamir's trick).
+
 The search is baby-step/giant-step at every bound, over one baby/giant
 table cached per curve: the one for the largest stride asked for so far,
 which also serves every smaller bound.  It shares inversions wherever it
@@ -39,10 +45,18 @@ from .curve import (
     on_curve,
     point_to_bytes,
     to_affine,
+    to_affine_batch,
 )
 from .errors import BadConfig, BadEncoding, MessageTooLarge, NotFound, TableMismatch
 from .field import mod_inv_batch
-from .scalarmul import PrecompTable, default_table, mul_binary, mul_interleave, mul_signed
+from .scalarmul import (
+    PrecompTable,
+    default_table,
+    fixed_base_table,
+    mul_binary,
+    mul_interleave,
+    mul_signed,
+)
 from .textcfg import parse_kv
 
 DEFAULT_MAX_BITS = 24
@@ -80,9 +94,11 @@ class Ciphertext:
 
 
 def keygen(rng, curve: CurveParams) -> KeyPair:
-    """Draw x uniform in [1, order-1] and publish Y = x*G."""
+    """Draw x uniform in [1, order-1] and publish Y = x*G, with Y's
+    fixed-base table built and cached on the curve for encrypt."""
     x = rng.randrange(1, curve.order_n)
     Y = to_affine(mul_binary(x, curve.G))
+    fixed_base_table(Y)
     return KeyPair(x, Y)
 
 
@@ -216,10 +232,14 @@ def encrypt(public_Y: AffinePoint, m: int, rng, *, max_bits: int = DEFAULT_MAX_B
             g_table: PrecompTable | None = None) -> Ciphertext:
     """Fresh-randomness encryption of m under the public point.
 
-    The generator multiplication runs over a fixed-base table; the public-key
-    multiplication is the table-free signed scan.  A table whose first base
-    is not the curve's generator, such as one built for Y, raises
-    TableMismatch before k is drawn.
+    Both multiplications run over fixed-base tables: R = k*G over g_table
+    (the curve's generator table by default), and S = k*Y + m*G in one
+    doubling chain over Y's table, with m's recoding one more row over
+    track 0 of g_table.  Y's table comes from fixed_base_table, so a key
+    from this process's keygen finds it built; any other key, such as one
+    from load_public_key, pays one validated build on first use.  A
+    g_table whose first base is not the curve's generator, such as one
+    built for Y, raises TableMismatch before k is drawn.
     """
     if m < 0 or m.bit_length() > max_bits:
         raise MessageTooLarge(f"message must be in [0, 2**{max_bits})")
@@ -228,10 +248,9 @@ def encrypt(public_Y: AffinePoint, m: int, rng, *, max_bits: int = DEFAULT_MAX_B
         g_table = default_table(curve)
     elif g_table.multiples[0][1] != curve.G:
         raise TableMismatch("table was built for a base other than the curve's generator")
+    y_table = fixed_base_table(public_Y)
     k = rng.randrange(1, curve.order_n)
-    R = mul_interleave(k, g_table)
-    S = ec_add_jjj(map_message(m, curve, max_bits), mul_signed(k, public_Y, 2))
-    return Ciphertext(R, S)
+    return Ciphertext(mul_interleave(k, g_table), mul_interleave(k, y_table, m, g_table))
 
 
 def ct_add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
@@ -262,7 +281,8 @@ def decrypt(secret_x: int, c: Ciphertext, max_value: int) -> int:
 # Wire format: R then S, each in the point encoding of the curve module.
 
 def ct_to_bytes(c: Ciphertext) -> bytes:
-    return point_to_bytes(to_affine(c.R)) + point_to_bytes(to_affine(c.S))
+    """R and S normalized together, for one inversion at most."""
+    return b"".join(point_to_bytes(P) for P in to_affine_batch([c.R, c.S]))
 
 
 def ct_from_bytes(data: bytes, curve: CurveParams) -> Ciphertext:

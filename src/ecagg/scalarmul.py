@@ -12,7 +12,10 @@ split into t tracks of n/t bits, each track walks its own shifted base point
 2**((i-1)*n/t) * G, and all tracks share a single doubling chain of n/t
 steps.  The shifted bases and the odd multiples needed by widths above 2 are
 precomputed; beyond the generator itself that is (t-1) + t*(2**(w-2) - 1)
-stored points.
+stored points.  Any fixed point can be the base: encryption multiplies both
+the generator and the reader's public key this way, each over a (4, 4)
+table from fixed_base_table, and folds a second, short scalar into the same
+doubling chain (Shamir's trick).
 """
 
 from __future__ import annotations
@@ -184,32 +187,60 @@ def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
     return PrecompTable(curve, t, w, multiples)
 
 
+def fixed_base_table(P: AffinePoint) -> PrecompTable:
+    """The validated (4, 4) table for base P, 16 stored points, built on
+    first use.
+
+    A curve caches two such tables: its generator's, and that of the most
+    recently used other base (in practice the public key encryption runs
+    under).  A new other base drops the previous one's table before its own
+    is built, so the two never coexist.
+    """
+    tables = P.curve._tables
+    table = tables.get(P)
+    if table is None:
+        if P != P.curve.G:
+            for base in [b for b in tables if b != P.curve.G]:
+                del tables[base]
+        table = tables[P] = build_table(P, 4, 4)
+    return table
+
+
 def default_table(curve: CurveParams) -> PrecompTable:
-    """The curve's shared (t=2, w=2) generator table, built on first use."""
-    if curve._g_table is None:
-        curve._g_table = build_table(curve.G, 2, 2)
-    return curve._g_table
+    """The curve's shared generator table, fixed_base_table(curve.G)."""
+    return fixed_base_table(curve.G)
 
 
-def mul_interleave(k: int, table: PrecompTable) -> JacobianPoint:
-    """k * G over a precomputed table: t recoded tracks, one doubling chain."""
-    if k < 0:
+def mul_interleave(k: int, table: PrecompTable, m: int = 0,
+                   m_table: PrecompTable | None = None) -> JacobianPoint:
+    """k * P over P's precomputed table: t recoded tracks, one doubling chain.
+
+    Given m_table, the result is k*P + m*Q with Q the first base of m_table
+    (Shamir's trick): m's recoding is one more row over track 0 of m_table,
+    sharing the chain, so a short m adds its nonzero digits and no
+    doubling.
+    """
+    if k < 0 or m < 0:
         raise ValueError("scalar must be non-negative")
+    if m and m_table is None:
+        raise ValueError("a second scalar needs its table")
     if k.bit_length() > table.t * table.chunk + 1:
         raise TableMismatch(
             f"{k.bit_length()}-bit scalar exceeds table designed for {table.curve.field.n} bits")
-    curve = table.curve
-    R = JacobianPoint.infinity(curve)
-    if k == 0:
-        return R
     rows = [wmof_recode(part, table.w)
-            for part in split_scalar(k, table.t, curve.field.n)]
-    # one column of digits per doubling, most significant first
+            for part in split_scalar(k, table.t, table.curve.field.n)]
+    signed = list(table.signed)
+    if m_table is not None:
+        rows.append(wmof_recode(m, m_table.w))
+        signed.append(m_table.signed[0])
+    R = JacobianPoint.infinity(table.curve)
+    # one column of digits per doubling, most significant first; doubling
+    # the identity before the first addition costs nothing
     for column in reversed(list(zip_longest(*rows, fillvalue=0))):
         R = ec_dbl_jj(R)
-        for signed, d in zip(table.signed, column):
+        for lookup, d in zip(signed, column):
             if d:
-                R = ec_add_ajj(signed[d], R)
+                R = ec_add_ajj(lookup[d], R)
     return R
 
 

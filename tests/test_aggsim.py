@@ -16,9 +16,10 @@ from ecagg.aggsim import (
     scenario_from_text,
 )
 from ecagg.counters import FIELDS, tally
-from ecagg.curve import builtin_curve
+from ecagg.curve import builtin_curve, to_affine
 from ecagg.elgamal import keygen
 from ecagg.errors import BadScenario, Error, MessageTooLarge
+from ecagg.scalarmul import fixed_base_table, mul_binary
 
 DEMO = """
 id=reader
@@ -285,19 +286,34 @@ def test_setup_and_nodes_account_for_every_operation():
     keys = keygen(random.Random(0xACC), builtin_curve())
     with tally() as outer:
         result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
-    # one inversion for the table's second base, 16 for the 4095 baby points
-    # (chunks of 256), one for -4096*G and one for the 15 giant points
-    assert result.setup.ecadd > 4000 and result.setup.fe_inv == 19
+    # 19 inversions for the generator's (4,4) table (3 shifted bases, then
+    # 2*B and 3 odd multiples per track), 16 for the 4095 baby points
+    # (chunks of 256), one for -4096*G and one for the 15 giant points;
+    # keygen already built the public key's table
+    assert result.setup.ecadd > 4000 and result.setup.fe_inv == 37
     for f in FIELDS:
         nodes = sum(getattr(st.ops, f) for st in result.node_stats.values())
         assert getattr(result.setup, f) + nodes == getattr(outer, f), f
-    # no node is charged a build (the first leaf once drew 402 ECDBL for the table)
+    # no node is charged a build (a (4,4) table costs 1,104 ECDBL): a leaf
+    # runs two 40-step chains, the reader x*R over 160 bits
     for st in result.node_stats.values():
-        assert st.ops.ecdbl < 300 and st.ops.fe_inv <= 5
+        assert st.ops.ecdbl < (90 if st.role == "leaf" else 170) and st.ops.fe_inv <= 2
     # the reader's single child leaves its fold affine, so serializing it and
     # normalizing R are free: one inversion for x*R, one for M, and the sum
     # 63 is a baby-table hit with no giant step
     assert result.node_stats["reader"].ops.fe_inv == 2
+
+
+def test_setup_builds_an_evicted_public_key_table():
+    # a curve keeps one table besides the generator's: once another base
+    # has displaced the key's, the round's setup rebuilds it, not a leaf
+    curve = builtin_curve()
+    keys = keygen(random.Random(0xACC), curve)
+    fixed_base_table(to_affine(mul_binary(2, curve.G)))
+    result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
+    assert result.setup.fe_inv == 37 + 19
+    assert all(st.ops.ecdbl < 90 for st in result.node_stats.values() if st.role == "leaf")
+    assert keys.public_Y in curve._tables and len(curve._tables) == 2
 
 
 def test_round_rejects_bound_above_search_ceiling(keys):

@@ -307,8 +307,8 @@ mof4                    1  4    0      3     35.3    1.2    159.0    0.0    1676
 interleave:t=2,w=2      2  2    1      3     53.7    1.2     79.0    0.8    1222.3    20.2    0.0       ms
 interleave:t=3          3  2    2      3     55.3    0.5     54.0    0.0    1040.7     5.2    0.0       ms
 interleave:t=4,w=4      4  4   15      3     33.7    1.2     39.0    0.8     682.3    18.7    0.0       ms
-elgamal:t=2,w=2         2  2    1      3    112.7    3.1    243.3    1.2    3191.0    34.9    0.0       ms
-elgamal:t=1             1  2    0      3    112.0    4.3    321.7    0.5    3810.3    45.1    0.0       ms
+elgamal:t=2,w=2         2  2    1      3     91.0    2.2    119.7    0.5    1958.3    25.2    0.0       ms
+elgamal:t=1             1  2    0      3     89.7    3.3    197.0    0.8    2562.3    36.9    0.0       ms
 note: rows without an explicit w use width 2
 """
 
@@ -321,8 +321,8 @@ mof4,1,4,0,3,35.333,1.247,159.000,0.000,1676.667,13.719,4.000,ms
 interleave:t=2,w=2,2,2,1,3,53.667,1.247,79.000,0.816,1222.333,20.171,0.000,ms
 interleave:t=3,3,2,2,3,55.333,0.471,54.000,0.000,1040.667,5.185,0.000,ms
 interleave:t=4,w=4,4,4,15,3,33.667,1.247,39.000,0.816,682.333,18.661,0.000,ms
-elgamal:t=2,w=2,2,2,1,3,112.667,3.091,243.333,1.247,3191.000,34.881,0.000,ms
-elgamal:t=1,1,2,0,3,112.000,4.320,321.667,0.471,3810.333,45.147,0.000,ms
+elgamal:t=2,w=2,2,2,1,3,91.000,2.160,119.667,0.471,1958.333,25.250,0.000,ms
+elgamal:t=1,1,2,0,3,89.667,3.300,197.000,0.816,2562.333,36.881,0.000,ms
 """
 
 

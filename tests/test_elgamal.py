@@ -7,7 +7,18 @@ from pathlib import Path
 import pytest
 
 import ecagg
-from ecagg.curve import builtin_curve, ec_eq, lift, on_curve, to_affine
+from ecagg.curve import (
+    AffinePoint,
+    JacobianPoint,
+    builtin_curve,
+    ec_add_jjj,
+    ec_eq,
+    ec_neg,
+    lift,
+    on_curve,
+    point_to_bytes,
+    to_affine,
+)
 from ecagg.elgamal import (
     Ciphertext,
     bsgs_cache,
@@ -33,7 +44,13 @@ from ecagg.errors import (
     OffCurvePoint,
     TableMismatch,
 )
-from ecagg.scalarmul import build_table, mul_binary, table_from_bytes, table_to_bytes
+from ecagg.scalarmul import (
+    build_table,
+    fixed_base_table,
+    mul_binary,
+    table_from_bytes,
+    table_to_bytes,
+)
 
 
 class ForcedK:
@@ -82,7 +99,6 @@ def test_map_one(curve):
 
 
 def test_map_homomorphy(curve, rng):
-    from ecagg.curve import ec_add_jjj
     for _ in range(30):
         m1, m2 = rng.randrange(1 << 11), rng.randrange(1 << 11)
         lhs = ec_add_jjj(map_message(m1, curve), map_message(m2, curve))
@@ -203,6 +219,66 @@ def test_encrypt_rejects_table_for_another_base(curve, keys):
     assert rng.getstate() == state
 
 
+def test_encrypt_rejects_public_key_table_as_generator_table(curve, keys):
+    # the key's own cached (4,4) table is no generator table either
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(TableMismatch):
+        encrypt(keys.public_Y, 9, rng, g_table=fixed_base_table(keys.public_Y))
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("m, max_bits", [(0, 24), (1, 24), (2**24 - 1, 24), (2**32 - 1, 32)])
+def test_shamir_edges_round_trip(curve, keys, m, max_bits):
+    # S = k*Y + m*G in one chain: the stripped mask must leave exactly m*G
+    # by binary multiplication, whether m's row is empty, one digit, or
+    # as long as the bound allows
+    ct = ct_from_bytes(ct_to_bytes(encrypt(keys.public_Y, m, random.Random(m), max_bits=max_bits)),
+                       curve)
+    xR = mul_binary(keys.secret_x, to_affine(ct.R))
+    M = ec_add_jjj(ct.S, lift(ec_neg(to_affine(xR))))
+    assert ec_eq(M, mul_binary(m, curve.G))
+    if max_bits == 24:
+        assert decrypt(keys.secret_x, ct, BOUND24) == m
+
+
+def test_alternating_keys_keep_two_tables(tmp_path):
+    # one key from this process's keygen, the other read back from a .pub
+    # file (its own curve object) and also placed on the first key's curve,
+    # which must then drop the first key's table to build the other's
+    curve = builtin_curve()
+    mine = keygen(random.Random(21), curve)
+    theirs = keygen(random.Random(22), builtin_curve())
+    pub, _ = save_keypair(theirs, tmp_path / "other")
+    loaded = load_public_key(pub)
+    assert loaded.curve is not curve
+    rehomed = AffinePoint(curve, loaded.x, loaded.y)
+    rng = random.Random(23)
+    for _ in range(2):
+        for Y, x in ((mine.public_Y, mine.secret_x), (loaded, theirs.secret_x),
+                     (rehomed, theirs.secret_x)):
+            m = rng.randrange(1000)
+            assert decrypt(x, encrypt(Y, m, rng), 1000) == m
+            # the key's curve holds G's table and this key's, nothing more
+            assert Y.curve._tables.keys() == {Y.curve.G, Y}
+            assert len(curve._tables) <= 2 and len(loaded.curve._tables) <= 2
+
+
+def test_ct_to_bytes_shares_one_inversion(curve, keys, rng):
+    # the batch normalization writes the bytes one inversion per point would
+    def each(c):
+        return point_to_bytes(to_affine(c.R)) + point_to_bytes(to_affine(c.S))
+
+    fresh = encrypt(keys.public_Y, 5, rng)
+    cases = [fresh, ct_from_bytes(ct_to_bytes(fresh), curve), ct_identity(curve),
+             Ciphertext(JacobianPoint.infinity(curve), fresh.S),
+             Ciphertext(fresh.R, lift(curve.G))]
+    for c, invs in zip(cases, (1, 0, 0, 1, 1)):
+        with tally() as ops:
+            data = ct_to_bytes(c)
+        assert data == each(c) and ops.fe_inv == invs
+
+
 def test_encrypt_zero(curve, keys, rng):
     ct = encrypt(keys.public_Y, 0, rng)
     assert decrypt(keys.secret_x, ct, 100) == 0
@@ -222,7 +298,6 @@ def test_encrypt_randomized(curve, keys):
 
 
 def test_encrypt_forced_unit_k(curve, keys):
-    from ecagg.curve import ec_add_jjj
     ct = encrypt(keys.public_Y, 9, ForcedK(1))
     assert ec_eq(ct.R, lift(curve.G))
     expected_S = ec_add_jjj(map_message(9, curve), lift(keys.public_Y))

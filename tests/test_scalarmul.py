@@ -4,11 +4,12 @@ import pytest
 
 from conftest import as_tuple, jac_tuple, o_add, o_of
 from ecagg.counters import tally
-from ecagg.curve import ec_add_jjj, ec_eq, lift, on_curve, point_to_bytes, to_affine
+from ecagg.curve import builtin_curve, ec_add_jjj, ec_eq, lift, on_curve, point_to_bytes, to_affine
 from ecagg.errors import BadEncoding, OffCurvePoint, TableMismatch, UnsupportedWidth
 from ecagg.scalarmul import (
     build_table,
     default_table,
+    fixed_base_table,
     mul_binary,
     mul_interleave,
     mul_signed,
@@ -217,6 +218,35 @@ def test_interleave_accepts_order_sized_scalar(curve):
     table = default_table(curve)
     k = curve.order_n - 1
     assert ec_eq(mul_interleave(k, table), mul_binary(k, curve.G))
+
+
+def test_interleave_folds_a_second_scalar(curve, rng):
+    # k*P + m*G in one chain, for m shorter and longer than the chain and
+    # over generator tables of other shapes
+    P = to_affine(mul_binary(rng.getrandbits(N), curve.G))
+    p_table = build_table(P, 4, 4)
+    for g_table in (default_table(curve), build_table(curve.G, 1, 2), build_table(curve.G, 8, 3)):
+        for m in (0, 1, 7, 2**24 - 1, 2**32 - 1, 2**60 + 3):
+            k = rng.getrandbits(N)
+            expected = ec_add_jjj(mul_binary(k, P), mul_binary(m, curve.G))
+            assert ec_eq(mul_interleave(k, p_table, m, g_table), expected)
+    assert ec_eq(mul_interleave(0, p_table, 5, default_table(curve)), mul_binary(5, curve.G))
+    with pytest.raises(ValueError):
+        mul_interleave(3, p_table, 5)
+
+
+def test_fixed_base_table_keeps_the_generator_and_one_other_base(rng):
+    c = builtin_curve()
+    G_table = fixed_base_table(c.G)
+    assert default_table(c) is G_table and (G_table.t, G_table.w) == (4, 4)
+    assert G_table.extra_points == 15
+    P, Q = (to_affine(mul_binary(rng.getrandbits(N), c.G)) for _ in range(2))
+    P_table = fixed_base_table(P)
+    assert fixed_base_table(P) is P_table and c._tables.keys() == {c.G, P}
+    fixed_base_table(Q)
+    assert c._tables.keys() == {c.G, Q}
+    assert fixed_base_table(P) is not P_table and c._tables.keys() == {c.G, P}
+    assert fixed_base_table(c.G) is G_table
 
 
 # --- signed multiplication -----------------------------------------------------------------

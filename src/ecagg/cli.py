@@ -17,7 +17,7 @@ from pathlib import Path
 from statistics import fmean, pstdev
 
 from . import aggsim, elgamal, scalarmul
-from .counters import tally
+from .counters import FIELDS, tally
 from .curve import builtin_curve, load_curve
 from .errors import BadConfig, Error, NotFound
 
@@ -79,9 +79,13 @@ def cmd_decrypt(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = aggsim.load_scenario(args.scenario)
     rng = _make_rng(args.seed)
-    curve = builtin_curve()
-    keys = elgamal.keygen(rng, curve)
+    # validating the curve and keygen's public-key table come before the
+    # round's setup tally starts, so their counts join the (setup) record here
+    with tally() as before_round:
+        keys = elgamal.keygen(rng, builtin_curve())
     result = aggsim.run_round(scenario, keys, rng)
+    for f in FIELDS:
+        setattr(result.setup, f, getattr(result.setup, f) + getattr(before_round, f))
     sys.stdout.write(aggsim.emit_report(result))
     return 0
 

@@ -3,10 +3,10 @@
 A plaintext m is carried as the point m*G, so adding two ciphertexts
 component-wise adds the hidden plaintexts: (R1+R2, S1+S2) encrypts m1+m2.
 Encryption draws a fresh k and emits (k*G, m*G + k*Y); decryption strips the
-mask with the secret key (m*G = S - x*R) and then searches the small message
-range for the m whose multiple matches.  The search bound is what keeps the
-scheme practical: aggregated sums are assumed to fit a configured number of
-bits (24 by default, at most MAX_SEARCH_BITS).
+mask with the secret key (m*G = S + x*(-R)) and then searches the small
+message range for the m whose multiple matches.  The search bound is what
+keeps the scheme practical: aggregated sums are assumed to fit a configured
+number of bits (24 by default, at most MAX_SEARCH_BITS).
 
 The reader's public key Y is as fixed as G, so both encryption
 multiplications run over fixed-base tables: keygen builds Y's table along
@@ -16,10 +16,11 @@ doubling chain, m's recoding riding on the generator table's first track
 
 The search is baby-step/giant-step at every bound, over one baby/giant
 table cached per curve: the one for the largest stride asked for so far,
-which also serves every smaller bound.  It shares inversions wherever it
-can: both tables are normalized in chunks with one inversion each, and giant
-steps are affine additions batched to one inversion (Montgomery's trick,
-mod_inv_batch).
+which also serves every smaller bound.  It uses the negation map: j*G and
+-j*G share an x, so one baby entry matches both signs and each giant step
+covers twice the stride.  It shares inversions wherever it can: both tables
+are normalized in chunks with one inversion each, and giant steps are affine
+additions batched to one inversion (Montgomery's trick, mod_inv_batch).
 
 Only the holder of the secret key ever inverts a field element or recovers a
 plaintext; aggregation itself needs nothing but point additions.
@@ -61,7 +62,7 @@ from .textcfg import parse_kv
 
 DEFAULT_MAX_BITS = 24
 
-# Widest search bound: the giant table holds bound // 2**14 points.
+# Widest search bound: the giant table holds about bound // 2**15 points.
 MAX_SEARCH_BITS = 32
 # Chain points normalized per shared inversion when the tables are built;
 # normalizing all 2**14 baby points at once measured 4.3 MB more peak memory.
@@ -136,16 +137,18 @@ def bsgs_cache(curve: CurveParams, max_value: int):
     """(stride, baby table, giant x list, giant y list) for searching
     [0, max_value].
 
-    The baby table maps the x of j*G to (j, y) for 1 <= j < stride; entry
-    i - 1 of the giant lists is -i*stride*G for 1 <= i <= max_value // stride.
-    The stride grows with the bound (16 at bound 0, 512 at 1000, 2**14 from
-    2**18 up).  A curve caches one entry, the one with the largest stride
-    asked for so far: a smaller bound reuses it with fewer giant steps, a
-    larger stride replaces it, and the giant lists grow in place, chained on
-    from their last point, when a bound needs more of them.  The giant table
-    grows with the bound (2**18 points, about 28 MB, at 32 bits), so a bound
-    outside [0, 2**MAX_SEARCH_BITS) raises MessageTooLarge before any point
-    work.
+    The baby table maps the x of j*G to (j, y) for 1 <= j <= stride; since
+    -j*G shares that x, one entry answers both signs.  Entry i - 1 of the
+    giant lists is -i*2*stride*G for 1 <= i <= _giant_steps(max_value,
+    stride), so giant step i covers the window [2*i*stride - stride,
+    2*i*stride + stride].  The stride grows with the bound (16 at bound 0,
+    512 at 1000, 2**14 from 2**18 up).  A curve caches one entry, the one
+    with the largest stride asked for so far: a smaller bound reuses it with
+    fewer giant steps, a larger stride replaces it, and the giant lists grow
+    in place, chained on from their last point, when a bound needs more of
+    them.  The giant table grows with the bound (2**17 points, about 14 MB,
+    at 32 bits), so a bound outside [0, 2**MAX_SEARCH_BITS) raises
+    MessageTooLarge before any point work.
     """
     if not 0 <= max_value < 1 << MAX_SEARCH_BITS:
         raise MessageTooLarge(f"search bound must be in [0, 2**{MAX_SEARCH_BITS})")
@@ -154,30 +157,39 @@ def bsgs_cache(curve: CurveParams, max_value: int):
     if cached is None or cached[0] < stride:
         # drop the smaller table before building, so the two never coexist
         cached = curve._rmap_cache = None
-        babies = {x: (j, y) for j, (x, y) in enumerate(_chain(curve.G, stride - 1), 1)}
+        babies = {x: (j, y) for j, (x, y) in enumerate(_chain(curve.G, stride), 1)}
         cached = curve._rmap_cache = (stride, babies, [], [])
     stride, _, gxs, gys = cached
-    if len(gxs) < max_value // stride:
-        neg_stride = ec_neg(to_affine(mul_binary(stride, curve.G)))
+    steps = _giant_steps(max_value, stride)
+    if len(gxs) < steps:
+        neg_span = ec_neg(to_affine(mul_binary(2 * stride, curve.G)))
         last = AffinePoint(curve, gxs[-1], gys[-1]) if gxs else None
-        for x, y in _chain(neg_stride, max_value // stride - len(gxs), last):
+        for x, y in _chain(neg_span, steps - len(gxs), last):
             gxs.append(x)
             gys.append(y)
     return cached
 
 
+def _giant_steps(max_value: int, stride: int) -> int:
+    """Giant steps whose windows reach [0, max_value]: the last window's
+    center 2*i*stride is at most max_value + stride."""
+    return (max_value + stride) // (2 * stride)
+
+
 def rmap(M: JacobianPoint, max_value: int) -> int:
     """Recover the m in [0, max_value] with m*G = M.
 
-    Baby-step/giant-step over bsgs_cache: M itself is looked up in the baby
-    table, then giant step i is the affine sum M + (-i*stride*G), and a
-    match in the baby table at x3 with the same y gives m = i*stride + j.
-    Steps run in batches of _GIANT_BATCH sharing one inversion
-    (mod_inv_batch over the x differences); a step computes only the slope
-    and x3, and y3 only when x3 is in the table.  Each giant step counts as
-    one ECADD with 2 multiplications plus its share of the batch inversion,
-    and 1 more on an x hit.  A bound below the cached stride is answered by
-    the baby table alone, with no giant step.
+    Baby-step/giant-step over bsgs_cache with the negation map: M itself is
+    looked up in the baby table, then giant step i is the affine sum
+    M + (-c*G) for the center c = 2*i*stride.  A match in the baby table at
+    x3 is checked by its full y: the baby's y gives m = c + j, its negative
+    m = c - j, and either m must lie in [0, max_value] (the last window
+    reaches past the bound).  Steps run in batches of _GIANT_BATCH sharing
+    one inversion (mod_inv_batch over the x differences); a step computes
+    only the slope and x3, and y3 only when x3 is in the table.  Each giant
+    step counts as one ECADD with 2 multiplications plus its share of the
+    batch inversion, and 1 more on an x hit.  A bound below the cached
+    stride is answered by the baby table alone, with no giant step.
 
     Raises NotFound when no multiple in range matches, which is how a
     corrupted aggregate or a wrong key shows up, and MessageTooLarge for a
@@ -195,20 +207,22 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
     if hit is not None and hit[1] == yM and hit[0] <= max_value:
         return hit[0]
     c = counters()
-    steps = max_value // stride
-    # entry t of the giant lists is giant step t + 1
+    span = 2 * stride
+    steps = _giant_steps(max_value, stride)
+    # entry t of the giant lists is giant step t + 1, centered on (t + 1)*span
     for lo in range(0, steps, _GIANT_BATCH):
         hi = min(lo + _GIANT_BATCH, steps)
         batch = range(lo, hi)
         dxs = [x - xM for x in gxs[lo:hi]]
         if 0 in dxs:
             t = lo + dxs.index(0)
-            if gys[t] != yM:
-                # M = (t + 1)*stride*G: the step lands on the identity
-                return (t + 1) * stride
-            # M is the giant point itself, so the step would double it, and
-            # 2M = -2(t + 1)*stride*G is j*G for no j < stride while the
-            # group order exceeds 2*max_value + stride
+            if gys[t] != yM and (t + 1) * span <= max_value:
+                # M = (t + 1)*span*G: the step lands on the identity
+                return (t + 1) * span
+            # M is (t + 1)*span*G above the bound, or the giant point
+            # -(t + 1)*span*G itself, whose log lies far above it: either way
+            # no m in range is left, and the step (a doubling or the
+            # identity) is skipped
             del dxs[t - lo]
             batch = [s for s in batch if s != t]
         for done, (t, inv) in enumerate(zip(batch, mod_inv_batch(f, dxs)), 1):
@@ -218,8 +232,10 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
             if hit is not None:
                 c.fe_mul += 1
                 j, y = hit
-                m = (t + 1) * stride + j
-                if (lam * (xM - x3) - yM) % p == y and m <= max_value:
+                y3 = (lam * (xM - x3) - yM) % p
+                center = (t + 1) * span
+                m = center + j if y3 == y else center - j if y3 == p - y else None
+                if m is not None and m <= max_value:
                     c.ecadd += done
                     c.fe_mul += 2 * done
                     return m
@@ -264,17 +280,19 @@ def ct_identity(curve: CurveParams) -> Ciphertext:
 
 
 def decrypt(secret_x: int, c: Ciphertext, max_value: int) -> int:
-    """Strip the mask (m*G = S - x*R) and search the message range.
+    """Strip the mask (m*G = S + x*(-R)) and search the message range.
 
-    The bound is checked (and the search tables built) before x*R, which
+    The bound is checked (and the search tables built) before x*(-R), which
     runs over the width-2 signed recoding: a third fewer additions than
-    binary and, unlike wider recodings, no odd multiples to normalize.  R
-    as decoded from the wire is affine already, so normalizing it is free.
+    binary and, unlike wider recodings, no odd multiples to normalize.  The
+    product stays Jacobian and S is the affine operand of the mixed
+    addition; R and S as decoded from the wire are affine already, so the
+    only inversion besides the giant-step batches is rmap's normalization
+    of M.
     """
     bsgs_cache(c.curve, max_value)
-    xR = mul_signed(secret_x, to_affine(c.R), 2)
-    M = ec_add_ajj(ec_neg(to_affine(xR)), c.S)
-    return rmap(M, max_value)
+    return rmap(ec_add_ajj(to_affine(c.S), mul_signed(secret_x, ec_neg(to_affine(c.R)), 2)),
+                max_value)
 
 
 # ---------------------------------------------------------------------------

@@ -287,21 +287,22 @@ def test_setup_and_nodes_account_for_every_operation():
     with tally() as outer:
         result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
     # 19 inversions for the generator's (4,4) table (3 shifted bases, then
-    # 2*B and 3 odd multiples per track), 16 for the 4095 baby points
-    # (chunks of 256), one for -4096*G and one for the 15 giant points;
+    # 2*B and 3 odd multiples per track), 16 for the 4096 baby points
+    # (chunks of 256), one for -8192*G and one for the 8 giant points;
     # keygen already built the public key's table
     assert result.setup.ecadd > 4000 and result.setup.fe_inv == 37
     for f in FIELDS:
         nodes = sum(getattr(st.ops, f) for st in result.node_stats.values())
         assert getattr(result.setup, f) + nodes == getattr(outer, f), f
     # no node is charged a build (a (4,4) table costs 1,104 ECDBL): a leaf
-    # runs two 40-step chains, the reader x*R over 160 bits
+    # runs two 40-step chains, the reader x*R over 160 bits; each node
+    # inverts once, to serialize (leaf, aggregator) or to normalize M (reader)
     for st in result.node_stats.values():
-        assert st.ops.ecdbl < (90 if st.role == "leaf" else 170) and st.ops.fe_inv <= 2
+        assert st.ops.ecdbl < (90 if st.role == "leaf" else 170) and st.ops.fe_inv == 1
     # the reader's single child leaves its fold affine, so serializing it and
-    # normalizing R are free: one inversion for x*R, one for M, and the sum
-    # 63 is a baby-table hit with no giant step
-    assert result.node_stats["reader"].ops.fe_inv == 2
+    # normalizing R and S are free, x*(-R) stays Jacobian: one inversion for
+    # M, and the sum 63 is a baby-table hit with no giant step
+    assert result.node_stats["reader"].ops.fe_inv == 1
 
 
 def test_setup_builds_an_evicted_public_key_table():

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from ecagg.aggsim import parse_report
 from ecagg.cli import main
+from ecagg.counters import FIELDS, tally
 
 CURVE_TEXT = """
 name = secp160r1
@@ -203,6 +205,21 @@ def test_simulate_reproducible(workspace, capsys):
     run_main("simulate", "--scenario", str(workspace / "demo.scenario"), "--seed", "9")
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_simulate_records_account_for_every_operation(workspace, capsys):
+    # curve validation and keygen's public-key (4,4) table come before the
+    # round starts; the (setup) record carries them, so setup plus the node
+    # records equal everything the command counted
+    with tally() as outer:
+        assert run_main("simulate", "--scenario", str(workspace / "demo.scenario"),
+                        "--seed", "1") == 0
+    report = parse_report(capsys.readouterr().out)
+    for f in FIELDS:
+        nodes = sum(rec[f] for rec in report["nodes"].values())
+        assert report["setup"][f] + nodes == getattr(outer, f), f
+    # the generator's and the key's tables at 1,104 ECDBL each, plus Y itself
+    assert report["setup"]["ecdbl"] > 2 * 1104 + 150
 
 
 def test_simulate_bad_scenario_exits_2(workspace):

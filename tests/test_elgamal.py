@@ -150,7 +150,8 @@ STRIDE = 1 << 14  # the baby-step stride at that bound; giant steps batch by 32
 @pytest.mark.parametrize("m", [i * STRIDE + d for i in (1, 31, 32, 33, 1023) for d in (-1, 0, 1)]
                          + [BOUND24])
 def test_rmap_giant_batch_edges(curve, m):
-    # i*STRIDE lands a giant step on the identity (equal x, opposite y)
+    # even i*STRIDE lands a giant step on the identity (equal x, opposite
+    # y), odd i*STRIDE sits on the edge two windows share
     assert rmap(map_message(m, curve), BOUND24) == m
 
 
@@ -160,7 +161,8 @@ def test_rmap_giant_batch_edges(curve, m):
                               "-1023stride"])
 def test_rmap_out_of_range_not_found(curve, scalar):
     # -j*G shares its x with a baby entry, so only the y check rejects it;
-    # -(i*STRIDE)*G equals the ith giant point, the step left out of its batch
+    # -(2i*STRIDE)*G equals the ith giant point, the step left out of its
+    # batch
     with pytest.raises(NotFound):
         rmap(mul_binary(scalar % curve.order_n, curve.G), BOUND24)
 
@@ -193,6 +195,76 @@ def test_one_search_table_serves_smaller_bounds():
         rmap(map_message(1, c), 0)
     assert rmap(map_message(4096, c), 4096) == 4096
     assert rmap(map_message(0, c), 0) == 0
+
+
+# The negation map: giant step i is centered on c = 2*i*STRIDE and a baby
+# entry j in [1, STRIDE] matches either sign, so the window is [c - STRIDE,
+# c + STRIDE]; at BOUND24 the last of the 512 windows is centered on 2**24.
+LAST = 512
+
+
+def _expect_rmap(M, m, bound):
+    """rmap(M, bound) returns m when m lies in [0, bound], else NotFound."""
+    if 0 <= m <= bound:
+        assert rmap(M, bound) == m
+    else:
+        with pytest.raises(NotFound):
+            rmap(M, bound)
+
+
+@pytest.mark.parametrize("i", [1, 31, 32, 33, LAST])
+@pytest.mark.parametrize("j", [0, 1, STRIDE - 1, STRIDE])
+@pytest.mark.parametrize("sign", [1, -1], ids=["+j", "-j"])
+def test_rmap_negation_map_window_edges(curve, i, j, sign):
+    # j = 0 is the window's center, where the step lands on the identity;
+    # the last window is centered on 2**24, just past the bound, so there
+    # only the m <= bound checks reject the center and every +j
+    m = 2 * i * STRIDE + sign * j
+    _expect_rmap(mul_binary(m, curve.G), m, BOUND24)
+
+
+@pytest.mark.parametrize("i", [1, 16, 32, 33, LAST - 1, LAST])
+def test_rmap_window_center_both_signs(curve, i):
+    # M and -M share the giant point's x: +c*G is c (when in range), while
+    # -c*G is the giant point itself, whose log lies far above the bound
+    c = 2 * i * STRIDE
+    _expect_rmap(mul_binary(c, curve.G), c, BOUND24)
+    with pytest.raises(NotFound):
+        rmap(mul_binary(curve.order_n - c, curve.G), BOUND24)
+
+
+@pytest.mark.parametrize("bound", [0, 1, STRIDE - 1, STRIDE, STRIDE + 1, 1000, 4096, BOUND24])
+def test_rmap_fresh_curve_bounds(bound):
+    # a fresh curve builds the table for this bound's own stride: bound and
+    # every window edge below it are found, bound + 1 and the far end of the
+    # last window are not
+    c = builtin_curve()
+    G = c.G
+    assert rmap(mul_binary(bound, G), bound) == bound
+    stride, babies, gxs, gys = c._rmap_cache
+    assert len(babies) == stride and len(gxs) == len(gys) == (bound + stride) // (2 * stride)
+    reach = 2 * len(gxs) * stride + stride
+    assert reach > bound
+    for m in (bound + 1, reach):
+        with pytest.raises(NotFound):
+            rmap(mul_binary(m, G), bound)
+    if bound <= 1000:
+        checked = range(bound + 1)
+    elif bound <= STRIDE + 1:
+        edges = {2 * i * stride + d for i in range(len(gxs) + 1)
+                 for d in (-stride, 1 - stride, -1, 0, 1, stride - 1, stride)}
+        checked = sorted(m for m in edges if m >= 0)
+    else:
+        checked = (0, 1, stride, stride + 1, bound - stride, bound - 1)
+    for m in checked:
+        _expect_rmap(mul_binary(m, G), m, bound)
+
+
+def test_rmap_random_at_default_bound(curve):
+    rng = random.Random(0x9E6)
+    for _ in range(300):
+        m = rng.randrange(BOUND24 + 1)
+        assert rmap(mul_binary(m, curve.G), BOUND24) == m
 
 
 # --- encryption ---------------------------------------------------------------------------

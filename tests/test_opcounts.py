@@ -5,7 +5,9 @@ secp160r1.  The values were taken from the implementation that routed each
 multiply and square through mod_mul, so any rewrite of the group law has to
 keep its per-formula tallies exact to pass.  The decrypt and BSGS-build
 values were taken again when the reader's search began sharing inversions,
-and the decrypt once more when normalizing an affine R became free.  The
+the decrypt once more when normalizing an affine R became free, and both
+again when the search began matching +-j in the baby table (giant steps of
+twice the stride) and decrypt stopped normalizing x*R.  The
 encrypt value was taken again when k*Y moved onto a (4,4) public-key table
 with m*G folded into its chain, and the fold value when serializing began
 sharing one inversion between R and S.
@@ -101,35 +103,42 @@ def test_decrypt_counts(keys, curve):
     ct = ct_from_bytes(ct_to_bytes(encrypt(keys.public_Y, 0xABCDEF, rng)), curve)
     m, ops = tally(decrypt, keys.secret_x, ct, BOUND)
     assert m == 0xABCDEF
-    # signed x*R (R from the wire is affine, so normalizing it is free), then
-    # 687 giant steps in 22 batches of one inversion each
-    assert ops == (743, 159, 5317, 24)
+    # signed x*(-R), left Jacobian for the mixed addition with S (R and S
+    # from the wire are affine, so normalizing them is free), one inversion
+    # to normalize M, then 344 giant steps in 11 batches of one inversion
+    # each: 0xABCDEF = 344*2**15 - 12817 is a -j match
+    assert ops == (400, 159, 3604, 12)
 
 
 def test_bsgs_build_counts():
-    # a fresh curve's one-off build for the default bound: 2**14 - 1 baby
-    # points normalized in 64 chunks of one inversion, 2**14*G by binary
-    # doublings, and 1023 giant points normalized in 4 chunks
-    _, ops = tally(bsgs_cache, builtin_curve(), BOUND)
-    assert ops == (17402, 16, 313200, 69)
+    # a fresh curve's one-off build for the default bound: 2**14 baby points
+    # normalized in 64 chunks of one inversion (2*G is a doubling), 2**15*G
+    # by binary doublings, and 512 giant points, -2**15*G to -2**24*G,
+    # normalized in 2 chunks (the second is a doubling)
+    table, ops = tally(bsgs_cache, builtin_curve(), BOUND)
+    assert ops == (16892, 17, 304034, 67)
+    assert table[0] == 2**14 and len(table[1]) == 2**14
+    assert len(table[2]) == len(table[3]) == 512
 
 
 def test_bsgs_build_counts_small_bound():
-    # bound 1000 takes stride 512: 511 baby points in 2 chunks (2*G is a
-    # doubling), 512*G by 9 binary doublings, and 1 giant point, itself
-    assert tally(bsgs_cache, builtin_curve(), 1000)[1] == (509, 10, 9262, 4)
+    # bound 1000 takes stride 512: 512 baby points in 2 chunks (2*G is a
+    # doubling), 1024*G by 10 binary doublings, and 1 giant point, itself
+    assert tally(bsgs_cache, builtin_curve(), 1000)[1] == (510, 11, 9288, 4)
 
 
 def test_bsgs_extension_counts():
-    # bound 2**20 - 1 holds 63 giant points at stride 2**14; 2**22 - 1 needs
-    # 255, and the 192 new ones chain on from the 63rd: 2**14*G by binary
-    # doublings again, and one chunk of one inversion
+    # bound 2**20 - 1 holds 32 giant points at stride 2**14 (the last window,
+    # centered on 2**20, reaches below the bound); 2**22 - 1 needs 128, and
+    # the 96 new ones chain on from the 32nd: 2**15*G by binary doublings
+    # again, and one chunk of one inversion
     curve = builtin_curve()
     bsgs_cache(curve, 2**20 - 1)
-    assert tally(bsgs_cache, curve, 2**22 - 1)[1] == (192, 14, 3569, 2)
+    assert tally(bsgs_cache, curve, 2**22 - 1)[1] == (96, 15, 1849, 2)
     assert bsgs_cache(curve, 2**22 - 1)[2:] == bsgs_cache(builtin_curve(), 2**22 - 1)[2:]
-    # either side of the old end: giant steps 63 and 64, and the new last one
-    for m in (63 * 2**14 + 5, 64 * 2**14, 2**22 - 1):
+    # either side of the old end: giant step 32 (+j), the window edge
+    # shared by steps 32 and 33, step 33's center, and the new last one
+    for m in (32 * 2**15 + 5, 33 * 2**15 - 2**14, 33 * 2**15, 2**22 - 1):
         assert rmap(map_message(m, curve), 2**22 - 1) == m
 
 

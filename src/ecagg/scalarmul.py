@@ -28,13 +28,14 @@ from .curve import (
     JacobianPoint,
     decode_point,
     ec_add_ajj,
+    ec_add_jjj,
     ec_dbl_jj,
     ec_eq,
     ec_neg,
     lift,
     on_curve,
     point_to_bytes,
-    to_affine,
+    to_affine_batch,
 )
 from .errors import BadEncoding, TableMismatch, UnsupportedWidth
 
@@ -87,14 +88,15 @@ def wmof_recode(k: int, w: int) -> tuple[int, ...]:
 
 
 def _odd_multiples(P: AffinePoint, w: int) -> dict[int, AffinePoint]:
-    """{1: P, 3: 3P, ..., 2**(w-1) - 1: ...}, chained additions of 2P, each normalized."""
+    """{1: P, 3: 3P, ..., 2**(w-1) - 1: ...}: chained additions of a
+    Jacobian 2P, normalized together for one inversion."""
     multiples = {1: P}
     if w > 2:
-        dbl_aff = to_affine(ec_dbl_jj(lift(P)))
-        acc = lift(P)
-        for d in range(3, 1 << (w - 1), 2):
-            acc = ec_add_ajj(dbl_aff, acc)
-            multiples[d] = to_affine(acc)
+        dbl = ec_dbl_jj(lift(P))
+        chain = [ec_add_ajj(P, dbl)]
+        for _ in range(5, 1 << (w - 1), 2):
+            chain.append(ec_add_jjj(dbl, chain[-1]))
+        multiples.update(zip(range(3, 1 << (w - 1), 2), to_affine_batch(chain)))
     return multiples
 
 
@@ -166,9 +168,10 @@ def _check_multiples(multiples: tuple[dict[int, AffinePoint], ...], G: AffinePoi
 def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
     """Precompute and validate the fixed-base table for (t, w).
 
-    Bases are chained doublings of G; odd multiples are chained additions.
-    Every stored point is checked against an independent binary
-    multiplication of its defining scalar before the table is returned.
+    Bases are chained doublings of G, normalized together; odd multiples
+    are chained additions, one inversion per track.  Every stored point is
+    checked against an independent binary multiplication of its defining
+    scalar before the table is returned.
     """
     if t < 1:
         raise ValueError("track count must be at least 1")
@@ -176,12 +179,13 @@ def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
         raise UnsupportedWidth(f"width {w} outside [2, {MAX_RECODING_WIDTH}]")
     curve = G.curve
     chunk = -(-curve.field.n // t)
-    bases = [G]
+    shifted = [lift(G)]
     for i in range(1, t):
-        R = lift(bases[-1])
+        R = shifted[-1]
         for _ in range(chunk):
             R = ec_dbl_jj(R)
-        bases.append(to_affine(R))
+        shifted.append(R)
+    bases = to_affine_batch(shifted)
     multiples = tuple(_odd_multiples(base, w) for base in bases)
     _check_multiples(multiples, G, chunk)
     return PrecompTable(curve, t, w, multiples)
@@ -248,8 +252,8 @@ def mul_signed(k: int, P: AffinePoint, w: int) -> JacobianPoint:
     """k * P scanned over its width-w recoding; no stored precomputation.
 
     Width 2 needs nothing beyond P and its mirror; wider recodings build
-    their few odd multiples on the fly (normalized, so the inversions show
-    up in the counters like everything else).
+    their few odd multiples on the fly (normalized for one inversion, which
+    shows up in the counters like everything else).
     """
     if k < 0:
         raise ValueError("scalar must be non-negative")

@@ -286,11 +286,12 @@ def test_setup_and_nodes_account_for_every_operation():
     keys = keygen(random.Random(0xACC), builtin_curve())
     with tally() as outer:
         result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
-    # 19 inversions for the generator's (4,4) table (3 shifted bases, then
-    # 2*B and 3 odd multiples per track), 16 for the 4096 baby points
-    # (chunks of 256), one for -8192*G and one for the 8 giant points;
-    # keygen already built the public key's table
-    assert result.setup.ecadd > 4000 and result.setup.fe_inv == 37
+    # 5 inversions for the generator's (4,4) table (one for the 3 shifted
+    # bases, one per track for its odd multiples), 23 for the 4096 baby
+    # points (8 to seed the first 256 lanes, 15 to advance them), one for
+    # -8192*G and 3 to seed the 8 giant points; keygen already built the
+    # public key's table
+    assert result.setup.ecadd > 4000 and result.setup.fe_inv == 32
     for f in FIELDS:
         nodes = sum(getattr(st.ops, f) for st in result.node_stats.values())
         assert getattr(result.setup, f) + nodes == getattr(outer, f), f
@@ -312,7 +313,7 @@ def test_setup_builds_an_evicted_public_key_table():
     keys = keygen(random.Random(0xACC), curve)
     fixed_base_table(to_affine(mul_binary(2, curve.G)))
     result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
-    assert result.setup.fe_inv == 37 + 19
+    assert result.setup.fe_inv == 32 + 5
     assert all(st.ops.ecdbl < 90 for st in result.node_stats.values() if st.role == "leaf")
     assert keys.public_Y in curve._tables and len(curve._tables) == 2
 

@@ -291,17 +291,17 @@ def test_bench_elgamal_mode_and_csv(workspace, capsys):
 
 
 def test_bench_reports_inversions(workspace, capsys):
-    # mof3 normalizes 2*P and 3*P on the fly; binary never inverts
+    # mof3 normalizes 3*P on the fly, one inversion; binary never inverts
     curve = str(workspace / "test.curve")
     csv_path = workspace / "inv.csv"
     assert run_main("bench", "--curve", curve, "--trials", "2", "--configs", "binary", "mof3",
                     "--seed", "f00d", "--csv", str(csv_path)) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     col = header.split().index("fe_inv")
-    assert [float(r.split()[col]) for r in rows[:2]] == [0.0, 2.0]
+    assert [float(r.split()[col]) for r in rows[:2]] == [0.0, 1.0]
     header, *rows = csv_path.read_text().splitlines()
     col = header.split(",").index("feinv_mean")
-    assert [r.split(",")[col] for r in rows] == ["0.000", "2.000"]
+    assert [r.split(",")[col] for r in rows] == ["0.000", "1.000"]
 
 
 def test_bench_w2_note_when_defaulted(workspace, capsys):
@@ -319,8 +319,8 @@ GOLDEN_TEXT = """\
 config                  t  w prec trials    ecadd     sd    ecdbl     sd    fe_mul      sd fe_inv       ms
 binary                  1  0    0      3     79.0    4.3    158.3    0.9    2135.7    55.0    0.0       ms
 mof2                    1  2    0      3     53.0    0.8    159.0    0.8    1855.0    13.5    0.0       ms
-mof3                    1  3    0      3     40.3    0.9    159.0    1.6    1723.7    16.7    2.0       ms
-mof4                    1  4    0      3     35.3    1.2    159.0    0.0    1676.7    13.7    4.0       ms
+mof3                    1  3    0      3     40.3    0.9    159.0    1.6    1719.7    16.7    1.0       ms
+mof4                    1  4    0      3     35.3    1.2    159.0    0.0    1688.7    13.7    1.0       ms
 interleave:t=2,w=2      2  2    1      3     53.7    1.2     79.0    0.8    1222.3    20.2    0.0       ms
 interleave:t=3          3  2    2      3     55.3    0.5     54.0    0.0    1040.7     5.2    0.0       ms
 interleave:t=4,w=4      4  4   15      3     33.7    1.2     39.0    0.8     682.3    18.7    0.0       ms
@@ -333,8 +333,8 @@ GOLDEN_CSV = """\
 config,t,w,prec_points,trials,ecadd_mean,ecadd_sd,ecdbl_mean,ecdbl_sd,femul_mean,femul_sd,feinv_mean,wall_ms
 binary,1,0,0,3,79.000,4.320,158.333,0.943,2135.667,54.950,0.000,ms
 mof2,1,2,0,3,53.000,0.816,159.000,0.816,1855.000,13.491,0.000,ms
-mof3,1,3,0,3,40.333,0.943,159.000,1.633,1723.667,16.680,2.000,ms
-mof4,1,4,0,3,35.333,1.247,159.000,0.000,1676.667,13.719,4.000,ms
+mof3,1,3,0,3,40.333,0.943,159.000,1.633,1719.667,16.680,1.000,ms
+mof4,1,4,0,3,35.333,1.247,159.000,0.000,1688.667,13.719,1.000,ms
 interleave:t=2,w=2,2,2,1,3,53.667,1.247,79.000,0.816,1222.333,20.171,0.000,ms
 interleave:t=3,3,2,2,3,55.333,0.471,54.000,0.000,1040.667,5.185,0.000,ms
 interleave:t=4,w=4,4,4,15,3,33.667,1.247,39.000,0.816,682.333,18.661,0.000,ms

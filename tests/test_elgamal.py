@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from conftest import as_tuple, o_add, o_mul, o_of
 
 import ecagg
 from ecagg.curve import (
@@ -21,6 +22,7 @@ from ecagg.curve import (
 )
 from ecagg.elgamal import (
     Ciphertext,
+    _chain,
     bsgs_cache,
     ct_add,
     ct_from_bytes,
@@ -43,6 +45,7 @@ from ecagg.errors import (
     NotFound,
     OffCurvePoint,
     TableMismatch,
+    ZeroInverse,
 )
 from ecagg.scalarmul import (
     build_table,
@@ -265,6 +268,72 @@ def test_rmap_random_at_default_bound(curve):
     for _ in range(300):
         m = rng.randrange(BOUND24 + 1)
         assert rmap(mul_binary(m, curve.G), BOUND24) == m
+
+
+def _oracle_multiples(curve, step, count, start=None):
+    """start + k*step for k = 1..count as oracle tuples, by textbook affine
+    additions."""
+    p, a = o_of(curve)
+    acc, s = (None if start is None else as_tuple(start)), as_tuple(step)
+    out = []
+    for _ in range(count):
+        acc = o_add(acc, s, p, a)
+        out.append(acc)
+    return out
+
+
+def _oracle_neg_multiple(curve, k):
+    p, a = o_of(curve)
+    x, y = o_mul(k, as_tuple(curve.G), p, a)
+    return AffinePoint(curve, x, -y % p)
+
+
+def test_search_tables_match_oracle_at_bound_1000():
+    c = builtin_curve()
+    stride, babies, gxs, gys = bsgs_cache(c, 1000)
+    assert stride == 512
+    expected = _oracle_multiples(c, c.G, stride)
+    assert babies == {x: (j, y) for j, (x, y) in enumerate(expected, 1)}
+    assert list(zip(gxs, gys)) == [as_tuple(_oracle_neg_multiple(c, 2 * stride))]
+
+
+def test_giant_lists_match_oracle_across_blocks(curve):
+    # the 512 giant points of the default bound fill two blocks of lanes
+    _, _, gxs, gys = bsgs_cache(curve, BOUND24)
+    expected = _oracle_multiples(curve, _oracle_neg_multiple(curve, 2 * STRIDE), LAST)
+    assert list(zip(gxs[:LAST], gys[:LAST])) == expected
+
+
+@pytest.mark.parametrize("count", [1, 2, 100, 255, 256, 257, 600])
+def test_chain_matches_oracle(curve, count):
+    # below one block of 256 lanes, exactly one, and 2 or 3 blocks, the
+    # last one partial
+    assert list(_chain(curve.G, count)) == _oracle_multiples(curve, curve.G, count)
+
+
+@pytest.mark.parametrize("i, count, doublings", [
+    (5, 600, 10), (40, 100, 7), (255, 257, 10), (1000, 300, 8)])
+def test_chain_from_start_matches_oracle(curve, i, count, doublings):
+    # start = i*step: besides the ladder's doublings (one per full level,
+    # 8 to reach 256 lanes), lane k = i meets the start itself when it is
+    # added, and lane 256 - i meets 256*step in the first advance; both
+    # are doubled in their batch
+    step = to_affine(mul_binary(3, curve.G))
+    start = to_affine(mul_binary(3 * i, curve.G))
+    with tally() as t:
+        got = list(_chain(step, count, start))
+    assert got == _oracle_multiples(curve, step, count, start)
+    assert t.ecdbl == doublings
+
+
+@pytest.mark.parametrize("i", [-5, -259], ids=["start-batch", "advance"])
+def test_chain_raises_at_identity(curve, i):
+    # start + k*G is the identity at k = -i: lane 5 when the start is
+    # added, lane 3 of the first advance (3 + 256 = 259); the identity has
+    # no affine coordinates, so the batch inversion refuses it
+    start = to_affine(mul_binary(i % curve.order_n, curve.G))
+    with pytest.raises(ZeroInverse):
+        list(_chain(curve.G, 600, start))
 
 
 # --- encryption ---------------------------------------------------------------------------

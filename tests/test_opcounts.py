@@ -7,7 +7,8 @@ keep its per-formula tallies exact to pass.  The decrypt and BSGS-build
 values were taken again when the reader's search began sharing inversions,
 the decrypt once more when normalizing an affine R became free, and both
 again when the search began matching +-j in the baby table (giant steps of
-twice the stride) and decrypt stopped normalizing x*R.  The
+twice the stride) and decrypt stopped normalizing x*R, and the build once
+more when the tables came to be built by lane-batched affine additions.  The
 encrypt value was taken again when k*Y moved onto a (4,4) public-key table
 with m*G folded into its chain, and the fold value when serializing began
 sharing one inversion between R and S.
@@ -110,31 +111,45 @@ def test_decrypt_counts(keys, curve):
     assert ops == (400, 159, 3604, 12)
 
 
+# A search table is built in lanes of 256 affine points.  The first 256
+# multiples of the step come from a ladder of 8 batches (n*step added to
+# the lanes 1..n, the last of them a doubling): 247 additions, 8 doublings,
+# 3*255 + 8 + 3*(255 - 8) = 1,514 multiplies and 8 inversions.  Each later
+# block advances every lane by 256*step in one batch of 256 sums, 3*256 +
+# 3*255 = 1,533 multiplies and 1 inversion; in the first such block lane
+# 256 meets 256*step itself and is doubled, 1 multiply more.
+
+
 def test_bsgs_build_counts():
-    # a fresh curve's one-off build for the default bound: 2**14 baby points
-    # normalized in 64 chunks of one inversion (2*G is a doubling), 2**15*G
-    # by binary doublings, and 512 giant points, -2**15*G to -2**24*G,
-    # normalized in 2 chunks (the second is a doubling)
+    # a fresh curve's one-off build for the default bound: 2**14 baby points,
+    # the ladder plus 63 blocks (98,094 multiplies, 71 inversions); 2**15*G
+    # by 15 binary doublings and one normalization (124 multiplies, 1
+    # inversion); and 512 giant points, -2**15*G to -2**24*G, the ladder
+    # plus 1 block (3,048 multiplies, 9 inversions)
     table, ops = tally(bsgs_cache, builtin_curve(), BOUND)
-    assert ops == (16892, 17, 304034, 67)
+    assert ops == (16876, 33, 101266, 81)
     assert table[0] == 2**14 and len(table[1]) == 2**14
     assert len(table[2]) == len(table[3]) == 512
 
 
 def test_bsgs_build_counts_small_bound():
-    # bound 1000 takes stride 512: 512 baby points in 2 chunks (2*G is a
-    # doubling), 1024*G by 10 binary doublings, and 1 giant point, itself
-    assert tally(bsgs_cache, builtin_curve(), 1000)[1] == (510, 11, 9288, 4)
+    # bound 1000 takes stride 512: 512 baby points, the ladder plus 1 block
+    # (3,048 multiplies, 9 inversions), 1024*G by 10 binary doublings and a
+    # normalization (84 multiplies, 1 inversion), and 1 giant point, itself
+    assert tally(bsgs_cache, builtin_curve(), 1000)[1] == (502, 19, 3132, 10)
 
 
 def test_bsgs_extension_counts():
     # bound 2**20 - 1 holds 32 giant points at stride 2**14 (the last window,
     # centered on 2**20, reaches below the bound); 2**22 - 1 needs 128, and
     # the 96 new ones chain on from the 32nd: 2**15*G by binary doublings
-    # again, and one chunk of one inversion
+    # again (124 multiplies, 1 inversion), a ladder of 7 batches to 96
+    # multiples of the step (89 additions, 6 doublings, 555 multiplies),
+    # then the 32nd point added to every lane in one batch, where lane 32
+    # meets it and is doubled (95 additions, 1 doubling, 574 multiplies)
     curve = builtin_curve()
     bsgs_cache(curve, 2**20 - 1)
-    assert tally(bsgs_cache, curve, 2**22 - 1)[1] == (96, 15, 1849, 2)
+    assert tally(bsgs_cache, curve, 2**22 - 1)[1] == (184, 22, 1253, 9)
     assert bsgs_cache(curve, 2**22 - 1)[2:] == bsgs_cache(builtin_curve(), 2**22 - 1)[2:]
     # either side of the old end: giant step 32 (+j), the window edge
     # shared by steps 32 and 33, step 33's center, and the new last one

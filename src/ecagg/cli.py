@@ -1,10 +1,10 @@
 """Command-line front end: key management, file-level encryption, the
 aggregation simulator, and an operation-count benchmark.
 
-The benchmark reports ECADD/ECDBL/field-multiplication counts per
-configuration instead of asserting hardware timings; wall-clock means are
-printed for orientation only.  Exit codes: 0 success, 2 bad input or
-configuration, 3 when decryption exhausts its search bound.
+The benchmark reports ECADD/ECDBL/field-multiplication and inversion counts
+per configuration and no wall time, which perfbench measures.  Exit codes:
+0 success, 2 bad input or configuration, 3 when decryption exhausts its
+search bound.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import time
 from pathlib import Path
 from statistics import fmean, pstdev
 
@@ -101,7 +100,7 @@ _BENCH_COLUMNS = (
     ("ecadd", ">8.1f", "ecadd_mean"), ("sd", ">6.1f", "ecadd_sd"),
     ("ecdbl", ">8.1f", "ecdbl_mean"), ("sd", ">6.1f", "ecdbl_sd"),
     ("fe_mul", ">9.1f", "femul_mean"), ("sd", ">7.1f", "femul_sd"),
-    ("fe_inv", ">6.1f", "feinv_mean"), ("ms", ">8.3f", "wall_ms"),
+    ("fe_inv", ">6.1f", "feinv_mean"),
 )
 
 
@@ -147,14 +146,12 @@ def cmd_bench(args) -> int:
         samples = []
         for k in scalars:
             with tally() as ops:
-                t0 = time.perf_counter()
                 trial(k)
-                wall = time.perf_counter() - t0
-            samples.append((ops.ecadd, ops.ecdbl, ops.fe_mul, ops.fe_inv, wall))
-        adds, dbls, muls, invs, walls = zip(*samples)
+            samples.append((ops.ecadd, ops.ecdbl, ops.fe_mul, ops.fe_inv))
+        adds, dbls, muls, invs = zip(*samples)
         rows.append((token, t, w, prec, len(scalars),
                      *(s for xs in (adds, dbls, muls) for s in (fmean(xs), pstdev(xs))),
-                     fmean(invs), fmean(walls) * 1e3))
+                     fmean(invs)))
     print(" ".join(format(head, spec.partition(".")[0]) for head, spec, _ in _BENCH_COLUMNS))
     for row in rows:
         print(" ".join(format(v, spec) for v, (_, spec, _) in zip(row, _BENCH_COLUMNS)))

@@ -1,26 +1,29 @@
-"""Scalar multiplication: binary baseline, signed recodings, and the
-interleaved fixed-base method.
+"""Scalar multiplication: the binary reference and one table-driven scan.
 
-The baseline is the left-to-right double-and-add scan.  Signed recodings cut
-the number of point additions: a width-w recoding has only odd digits no
-larger than 2**(w-1) - 1, at most one nonzero digit in any w consecutive
-positions, and an average nonzero fraction of 1/(1+w).  Negative digits cost
-nothing extra because negating a point just mirrors its y coordinate.
+mul_binary, left-to-right double-and-add, is the independent reference that
+tests and table validation compare against.  mul_signed and mul_interleave
+only build rows of signed digits, each over its base's signed odd
+multiples, and return one scan over them: a single shared doubling chain
+and one mixed addition per nonzero digit.
+
+Signed recodings cut the number of additions: a width-w recoding has only
+odd digits no larger than 2**(w-1) - 1, at most one nonzero digit in any w
+consecutive positions, and an average nonzero fraction of 1/(1+w).
+Negative digits cost nothing extra: negating a point mirrors its y.
 
 For a fixed base the interleaved method also cuts doublings: the scalar is
-split into t tracks of n/t bits, each track walks its own shifted base point
-2**((i-1)*n/t) * G, and all tracks share a single doubling chain of n/t
-steps.  The shifted bases and the odd multiples needed by widths above 2 are
-precomputed; beyond the generator itself that is (t-1) + t*(2**(w-2) - 1)
-stored points.  Any fixed point can be the base: encryption multiplies both
-the generator and the reader's public key this way, each over a (4, 4)
-table from fixed_base_table, and folds a second, short scalar into the same
-doubling chain (Shamir's trick).
+split into t tracks of n/t bits, one row per track over its own shifted
+base 2**((i-1)*n/t) * G, so the chain is n/t steps long.  The shifted bases
+and the odd multiples needed by widths above 2 are precomputed; beyond the
+generator itself that is (t-1) + t*(2**(w-2) - 1) stored points.  Any fixed
+point can be the base: encryption runs k*G and k*Y over (4, 4) tables from
+fixed_base_table, m*G folded into the k*Y chain as one more row (Shamir's
+trick).
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import compress
 
 from .curve import (
     AffinePoint,
@@ -215,6 +218,23 @@ def default_table(curve: CurveParams) -> PrecompTable:
     return fixed_base_table(curve.G)
 
 
+def _scan(curve: CurveParams, rows: list[tuple[int, ...]],
+          lookups: list[dict[int, AffinePoint]]) -> JacobianPoint:
+    """Sum of each row's little-endian signed digits times its lookup's
+    base: additions grouped by position, rows in order within one, zero
+    digits skipped at C speed by compress; the identity doubles for free."""
+    adds = [()] * max(map(len, rows))
+    for row, lookup in zip(rows, lookups):
+        for i, d in compress(enumerate(row), row):
+            adds[i] += (lookup[d],)
+    R = JacobianPoint.infinity(curve)
+    for points in reversed(adds):
+        R = ec_dbl_jj(R)
+        for pt in points:
+            R = ec_add_ajj(pt, R)
+    return R
+
+
 def mul_interleave(k: int, table: PrecompTable, m: int = 0,
                    m_table: PrecompTable | None = None) -> JacobianPoint:
     """k * P over P's precomputed table: t recoded tracks, one doubling chain.
@@ -224,28 +244,18 @@ def mul_interleave(k: int, table: PrecompTable, m: int = 0,
     sharing the chain, so a short m adds its nonzero digits and no
     doubling.
     """
-    if k < 0 or m < 0:
-        raise ValueError("scalar must be non-negative")
     if m and m_table is None:
         raise ValueError("a second scalar needs its table")
+    parts = split_scalar(k, table.t, table.curve.field.n)
     if k.bit_length() > table.t * table.chunk + 1:
         raise TableMismatch(
             f"{k.bit_length()}-bit scalar exceeds table designed for {table.curve.field.n} bits")
-    rows = [wmof_recode(part, table.w)
-            for part in split_scalar(k, table.t, table.curve.field.n)]
-    signed = list(table.signed)
+    rows = [wmof_recode(part, table.w) for part in parts]
+    lookups = list(table.signed)
     if m_table is not None:
         rows.append(wmof_recode(m, m_table.w))
-        signed.append(m_table.signed[0])
-    R = JacobianPoint.infinity(table.curve)
-    # one column of digits per doubling, most significant first; doubling
-    # the identity before the first addition costs nothing
-    for column in reversed(list(zip_longest(*rows, fillvalue=0))):
-        R = ec_dbl_jj(R)
-        for lookup, d in zip(signed, column):
-            if d:
-                R = ec_add_ajj(lookup[d], R)
-    return R
+        lookups.append(m_table.signed[0])
+    return _scan(table.curve, rows, lookups)
 
 
 def mul_signed(k: int, P: AffinePoint, w: int) -> JacobianPoint:
@@ -255,17 +265,7 @@ def mul_signed(k: int, P: AffinePoint, w: int) -> JacobianPoint:
     their few odd multiples on the fly (normalized for one inversion, which
     shows up in the counters like everything else).
     """
-    if k < 0:
-        raise ValueError("scalar must be non-negative")
-    digits = wmof_recode(k, w)
-    # digits of +-1 alone need no multiples beyond P
-    signed = _signed(_odd_multiples(P, w if any(abs(d) > 1 for d in digits) else 2))
-    R = JacobianPoint.infinity(P.curve)
-    for d in reversed(digits):
-        R = ec_dbl_jj(R)
-        if d:
-            R = ec_add_ajj(signed[d], R)
-    return R
+    return _scan(P.curve, [wmof_recode(k, w)], [_signed(_odd_multiples(P, w))])
 
 
 # ---------------------------------------------------------------------------

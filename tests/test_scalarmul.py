@@ -1,10 +1,22 @@
 """Recoding invariants and multiplier equivalence."""
 
+from collections import Counter
+
 import pytest
 
-from conftest import as_tuple, jac_tuple, o_add, o_of
+from conftest import as_tuple, jac_tuple, o_add, o_mul, o_of
+from ecagg import scalarmul
 from ecagg.counters import tally
-from ecagg.curve import builtin_curve, ec_add_jjj, ec_eq, lift, on_curve, point_to_bytes, to_affine
+from ecagg.curve import (
+    builtin_curve,
+    ec_add_ajj,
+    ec_add_jjj,
+    ec_eq,
+    lift,
+    on_curve,
+    point_to_bytes,
+    to_affine,
+)
 from ecagg.errors import BadEncoding, OffCurvePoint, TableMismatch, UnsupportedWidth
 from ecagg.scalarmul import (
     build_table,
@@ -272,6 +284,46 @@ def test_signed_addition_count(curve, rng):
     mean = totals / trials
     assert abs(mean - N / 3) / (N / 3) < 0.08
 
+
+
+def test_negative_scalars_rejected(curve):
+    table = default_table(curve)
+    for w in (2, 3, 4):
+        with pytest.raises(ValueError):
+            mul_signed(-1, curve.G, w)
+    with pytest.raises(ValueError):
+        mul_interleave(-1, table)
+    with pytest.raises(ValueError):
+        mul_interleave(3, table, -1, table)
+
+
+def test_scan_matches_oracle_across_the_tiny_group_order(tiny_curve, monkeypatch):
+    # k runs across the group order 8221, so partial sums in the chain meet
+    # the point being added (a doubling) and its negative (the identity);
+    # the wrapper counts those meetings to show the sweep reaches them
+    p, a = o_of(tiny_curve)
+    g = as_tuple(tiny_curve.G)
+    P = to_affine(mul_binary(2, tiny_curve.G))
+    p_table, g_table = build_table(P, 4, 4), build_table(tiny_curve.G, 4, 4)
+    meets = Counter()
+
+    def counting_add(A, Q):
+        R = ec_add_ajj(A, Q)
+        if Q.Z and A.x * Q.Z * Q.Z % p == Q.X:
+            meets["identity" if R.is_infinity else "doubling"] += 1
+        return R
+
+    monkeypatch.setattr(scalarmul, "ec_add_ajj", counting_add)
+    ks = range(8221 - 256, 8221 + 256)
+    runs = [(f"w={w}", lambda k, w=w: mul_signed(k, tiny_curve.G, w), lambda k: k)
+            for w in (2, 3, 4)]
+    runs.append(("interleave", lambda k: mul_interleave(k, p_table, k % 256, g_table),
+                 lambda k: 2 * k + k % 256))
+    for name, multiply, scalar in runs:
+        meets.clear()
+        for k in ks:
+            assert jac_tuple(multiply(k)) == o_mul(scalar(k), g, p, a), (name, k)
+        assert meets["doubling"] and meets["identity"], name
 
 # --- group-law ties ---------------------------------------------------------------------------
 

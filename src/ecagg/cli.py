@@ -111,18 +111,18 @@ def _bench_config(token: str, curve, rng):
     given = {}
     for part in filter(None, (part.strip() for part in params.split(","))):
         key, _, value = part.partition("=")
-        if key not in ("t", "w"):
-            raise BadConfig(f"unknown parameter {key!r} in config {token!r}")
+        if key not in ("t", "w") or key in given:
+            raise BadConfig(f"unknown or repeated parameter {key!r} in config {token!r}")
         given[key] = int(value)
     t, w = given.get("t", 1), given.get("w", 2)
     G = curve.G
-    if name == "binary":
+    if name == "binary" and not given:
         return 1, 0, 0, lambda k: scalarmul.mul_binary(k, G), False
-    if name.startswith("mof") and name[3:].isdigit():
+    if name.startswith("mof") and name[3:].isdigit() and not given:
         w = int(name[3:])
         return 1, w, 0, lambda k: scalarmul.mul_signed(k, G, w), False
     if name not in ("interleave", "elgamal"):
-        raise BadConfig(f"unknown bench config {token!r}")
+        raise BadConfig(f"unknown bench config {token!r} (binary and mofN take no parameters)")
     table = scalarmul.build_table(G, t, w)
     if name == "interleave":
         return (t, w, table.extra_points, lambda k: scalarmul.mul_interleave(k, table),

@@ -307,9 +307,9 @@ def encrypt(public_Y: AffinePoint, m: int, rng, *, max_bits: int = DEFAULT_MAX_B
     doubling chain over Y's table, with m's recoding one more row over
     track 0 of g_table.  Y's table comes from fixed_base_table, so a key
     from this process's keygen finds it built; any other key, such as one
-    from load_public_key, pays one validated build on first use.  A
-    g_table whose first base is not the curve's generator, such as one
-    built for Y, raises TableMismatch before k is drawn.
+    from load_public_key, pays one table build on first use.  A g_table
+    whose first base is not the curve's generator, such as one built for
+    Y, raises TableMismatch before k is drawn.
     """
     if m < 0 or m.bit_length() > max_bits:
         raise MessageTooLarge(f"message must be in [0, 2**{max_bits})")

@@ -295,7 +295,7 @@ def test_setup_and_nodes_account_for_every_operation():
     for f in FIELDS:
         nodes = sum(getattr(st.ops, f) for st in result.node_stats.values())
         assert getattr(result.setup, f) + nodes == getattr(outer, f), f
-    # no node is charged a build (a (4,4) table costs 1,104 ECDBL): a leaf
+    # no node is charged a build (a (4,4) table costs 124 ECDBL): a leaf
     # runs two 40-step chains, the reader x*R over 160 bits; each node
     # inverts once, to serialize (leaf, aggregator) or to normalize M (reader)
     for st in result.node_stats.values():

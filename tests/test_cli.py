@@ -217,8 +217,11 @@ def test_simulate_records_account_for_every_operation(workspace, capsys):
     for f in FIELDS:
         nodes = sum(rec[f] for rec in report["nodes"].values())
         assert report["setup"][f] + nodes == getattr(outer, f), f
-    # the generator's and the key's tables at 1,104 ECDBL each, plus Y itself
-    assert report["setup"]["ecdbl"] > 2 * 1104 + 150
+    # curve validation (160 doublings for order_n * G), Y itself (159 for
+    # this seed's x * G), the key's and the generator's (4,4) tables (124
+    # each), and the 2**24 search tables (33: 15 for 2**15 * G by binary
+    # doublings, 18 in the lane ladders)
+    assert report["setup"]["ecdbl"] == 160 + 159 + 2 * 124 + 33
 
 
 def test_simulate_bad_scenario_exits_2(workspace):
@@ -354,8 +357,11 @@ def test_bench_golden_output(workspace, capsys):
 
 def test_bench_unknown_config_exits_2(workspace):
     curve = str(workspace / "test.curve")
-    assert run_main("bench", "--curve", curve, "--trials", "1",
-                    "--configs", "quantum") == 2
+    # a parameter on binary or mofN, or a repeated one, would otherwise be
+    # dropped and its row run another config
+    for config in ("quantum", "mof3:w=2", "binary:t=4", "interleave:t=2,t=3"):
+        assert run_main("bench", "--curve", curve, "--trials", "1",
+                        "--configs", config) == 2, config
 
 
 def test_bench_zero_trials_exits_2(workspace):

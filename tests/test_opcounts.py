@@ -11,7 +11,9 @@ twice the stride) and decrypt stopped normalizing x*R, and the build once
 more when the tables came to be built by lane-batched affine additions.  The
 encrypt value was taken again when k*Y moved onto a (4,4) public-key table
 with m*G folded into its chain, and the fold value when serializing began
-sharing one inversion between R and S.
+sharing one inversion between R and S.  The table build and import values
+were taken when building stopped re-deriving its points by binary
+multiplication, and import began comparing against a local build.
 """
 
 import random
@@ -42,7 +44,13 @@ from ecagg.elgamal import (
     map_message,
     rmap,
 )
-from ecagg.scalarmul import default_table, mul_binary
+from ecagg.scalarmul import (
+    build_table,
+    default_table,
+    mul_binary,
+    table_from_bytes,
+    table_to_bytes,
+)
 
 BOUND = (1 << 24) - 1
 
@@ -155,6 +163,17 @@ def test_bsgs_extension_counts():
     # shared by steps 32 and 33, step 33's center, and the new last one
     for m in (32 * 2**15 + 5, 33 * 2**15 - 2**14, 33 * 2**15, 2**22 - 1):
         assert rmap(map_message(m, curve), 2**22 - 1) == m
+
+
+def test_table_build_counts(curve):
+    # a (4,4) table: 3 shifted bases by 40 doublings each, normalized
+    # together (1 inversion); then per track 2P by one doubling and 3P, 5P,
+    # 7P by three additions, normalized together (1 inversion each).
+    # Importing its bytes decodes the 16 points (3 multiplies each for the
+    # curve check) and builds the same table from the first one
+    table, ops = tally(build_table, curve.G, 4, 4)
+    assert ops == (12, 124, 1254, 5)
+    assert tally(table_from_bytes, table_to_bytes(table), curve)[1] == (12, 124, 1302, 5)
 
 
 @pytest.fixture(scope="module")

@@ -153,13 +153,23 @@ def test_table_extra_point_counts(curve):
         assert table.extra_points == (t - 1) + t * (2 ** (w - 2) - 1)
 
 
-def test_table_points_validated(curve):
-    table = build_table(curve.G, 3, 3)
-    chunk = table.chunk
-    for i in range(3):
-        for d, pt in table.multiples[i].items():
-            assert on_curve(pt)
-            assert ec_eq(lift(pt), mul_binary(d << (i * chunk), curve.G))
+def test_table_points_validated(curve, tiny_curve, tiny_curve_a2, rng):
+    # the builder checks nothing itself: every stored point of every (t, w)
+    # is d * 2**(i*chunk) times its base, against binary multiplication on
+    # secp160r1 (the generator and another base) and against the affine
+    # oracle on both small curves
+    P = to_affine(mul_binary(rng.getrandbits(N), curve.G))
+    multipliers = [(B, lambda k, B=B: jac_tuple(mul_binary(k, B))) for B in (curve.G, P)]
+    multipliers += [(c.G, lambda k, c=c: o_mul(k, as_tuple(c.G), *o_of(c)))
+                    for c in (tiny_curve, tiny_curve_a2)]
+    for base, multiply in multipliers:
+        for t in range(1, 6):
+            for w in range(2, 5):
+                table = build_table(base, t, w)
+                for i, track in enumerate(table.multiples):
+                    for d, pt in track.items():
+                        assert on_curve(pt), (base, t, w, i, d)
+                        assert as_tuple(pt) == multiply(d << (i * table.chunk)), (base, t, w, i, d)
 
 
 def test_table_base_shift(curve):
@@ -362,6 +372,13 @@ def test_table_forged_multiple_rejected(curve):
     three = point_to_bytes(to_affine(mul_binary(3, curve.G)))
     with pytest.raises(TableMismatch):
         table_from_bytes(data[:-len(three)] + three, curve)
+    # the two stored multiples of 3 swapped: every point is still a valid
+    # table point, only at the wrong place
+    size = len(three)
+    swapped = data[:-2 * size] + data[-size:] + data[-2 * size:-size]
+    assert swapped != data
+    with pytest.raises(TableMismatch):
+        table_from_bytes(swapped, curve)
 
 
 def test_table_altered_n_bits_rejected(curve):
@@ -374,7 +391,8 @@ def test_table_altered_n_bits_rejected(curve):
 
 
 def test_table_header_n_bits_rejected_before_any_work(curve):
-    # n_bits = 0xffff would have the per-point check double 32,767 times
+    # a wrong n_bits is rejected from the header alone, before any point
+    # is decoded or any table is built
     data = bytearray(table_to_bytes(build_table(curve.G, 2, 2)))
     at = 4 + 1 + len(curve.name) + 2
     data[at:at + 2] = (0xFFFF).to_bytes(2, "big")

@@ -54,16 +54,10 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_add(args) -> int:
-    curve = None
-    total = None
+    curve = builtin_curve()
+    total = elgamal.ct_identity(curve)
     for path in args.inputs:
-        data = Path(path).read_bytes()
-        if curve is None:
-            curve = builtin_curve()
-        ct = elgamal.ct_from_bytes(data, curve)
-        total = ct if total is None else elgamal.ct_add(total, ct)
-    if total is None:
-        raise BadConfig("no input ciphertexts")
+        total = elgamal.ct_add(total, elgamal.ct_from_bytes(Path(path).read_bytes(), curve))
     Path(args.out).write_bytes(elgamal.ct_to_bytes(total))
     return 0
 

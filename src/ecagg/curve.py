@@ -327,13 +327,6 @@ def decode_point(data: bytes, pos: int, curve: CurveParams) -> tuple[AffinePoint
     return P, end
 
 
-def point_from_bytes(data: bytes, curve: CurveParams) -> AffinePoint:
-    P, end = decode_point(data, 0, curve)
-    if end != len(data):
-        raise BadEncoding("trailing bytes after point")
-    return P
-
-
 # ---------------------------------------------------------------------------
 # Curve configuration files.
 

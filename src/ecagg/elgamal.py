@@ -85,13 +85,9 @@ class Ciphertext:
 
     __slots__ = ("R", "S")
 
-    def __init__(self, R, S):
-        self.R = R if isinstance(R, JacobianPoint) else lift(R)
-        self.S = S if isinstance(S, JacobianPoint) else lift(S)
-
-    @property
-    def curve(self) -> CurveParams:
-        return self.R.curve
+    def __init__(self, R: JacobianPoint, S: JacobianPoint):
+        self.R = R
+        self.S = S
 
     def __repr__(self):
         return f"Ciphertext(R={self.R!r}, S={self.S!r})"
@@ -106,10 +102,11 @@ def keygen(rng, curve: CurveParams) -> KeyPair:
     return KeyPair(x, Y)
 
 
-def map_message(m: int, curve: CurveParams, max_bits: int = DEFAULT_MAX_BITS) -> JacobianPoint:
-    """Embed a message as the point m*G; zero maps to the identity."""
-    if m < 0 or m.bit_length() > max_bits:
-        raise MessageTooLarge(f"message must be in [0, 2**{max_bits})")
+def map_message(m: int, curve: CurveParams) -> JacobianPoint:
+    """Embed a message in [0, 2**DEFAULT_MAX_BITS) as the point m*G; zero
+    maps to the identity."""
+    if m < 0 or m.bit_length() > DEFAULT_MAX_BITS:
+        raise MessageTooLarge(f"message must be in [0, 2**{DEFAULT_MAX_BITS})")
     return mul_binary(m, curve.G)
 
 
@@ -117,9 +114,8 @@ def _lanes_plus(curve: CurveParams, xs: list[int], ys: list[int], qx: int, qy: i
     """(x, y) lists of P + Q for every lane P = (xs[i], ys[i]), affine
     additions sharing one inversion (mod_inv_batch).
 
-    A lane equal to Q is doubled within the batch.  A lane opposite to Q
-    sums to the identity, which has no (x, y): its zero denominator makes
-    the batch inversion raise ZeroInverse.  Each sum is the slope, x3 and y3
+    A lane equal to Q is doubled within the batch; no lane may be opposite
+    to Q, as the identity has no (x, y).  Each sum is the slope, x3 and y3
     at one multiplication each, a doubling one more for x**2, plus its share
     of the batch inversion.
     """
@@ -150,21 +146,18 @@ def _lanes_plus(curve: CurveParams, xs: list[int], ys: list[int], qx: int, qy: i
     return out_x, out_y
 
 
-def _chain(step: AffinePoint, count: int, start: AffinePoint | None = None):
-    """Yield (x, y) of start + step, start + 2*step, ..., start + count*step,
-    start defaulting to the identity.
+def _chain(step: AffinePoint, count: int):
+    """Yield (x, y) of step, 2*step, ..., count*step.
 
     The points are computed in L = _NORMALIZE_CHUNK lanes of affine points
     that all advance by L*step, one batch of affine additions (_lanes_plus)
     per block, so only two lists of L coordinates are alive at a time and
-    peak memory stays flat whatever the count.  The first block of step
-    multiples comes from a ladder: k*step for k <= n plus n*step gives
-    n < k <= 2n (k = 2n a doubling), one batch per level; a start is then
-    added to every lane in one more batch.  For a start of i*step, lane i
-    equals the start and lane L - i equals L*step on the first advance
-    (lane L of a fresh chain): each is doubled in its batch.  A lane
-    opposite its addend would sum to the identity and raises ZeroInverse,
-    so no point is ever wrong.
+    peak memory stays flat whatever the count.  The first block comes from a
+    ladder: k*step for k <= n plus n*step gives n < k <= 2n (k = 2n a
+    doubling), one batch per level; on the first advance lane L holds
+    L*step itself and is doubled.  Lane k only ever holds a multiple of step
+    no larger than count, so none sums to the identity while count stays
+    below the step's order.
     """
     if count <= 0:
         return
@@ -178,8 +171,6 @@ def _chain(step: AffinePoint, count: int, start: AffinePoint | None = None):
         ys += ny
     # first*step, the advance of a whole block when count exceeds one
     dx, dy = xs[-1], ys[-1]
-    if start is not None:
-        xs, ys = _lanes_plus(curve, xs, ys, start.x, start.y)
     yield from zip(xs, ys)
     for done in range(first, count, first):
         more = min(first, count - done)
@@ -198,11 +189,11 @@ def bsgs_cache(curve: CurveParams, max_value: int):
     2*i*stride + stride].  The stride grows with the bound (16 at bound 0,
     512 at 1000, 2**14 from 2**18 up).  A curve caches one entry, the one
     with the largest stride asked for so far: a smaller bound reuses it with
-    fewer giant steps, a larger stride replaces it, and the giant lists grow
-    in place, chained on from their last point, when a bound needs more of
-    them.  The giant table grows with the bound (2**17 points, about 14 MB,
-    at 32 bits), so a bound outside [0, 2**MAX_SEARCH_BITS) raises
-    MessageTooLarge before any point work.
+    fewer giant steps, a larger stride replaces it, and a bound that needs
+    more giant steps keeps the baby table and rebuilds the giant lists at
+    the new length.  The giant table grows with the bound (2**17 points,
+    about 14 MB, at 32 bits), so a bound outside [0, 2**MAX_SEARCH_BITS)
+    raises MessageTooLarge before any point work.
     """
     if not 0 <= max_value < 1 << MAX_SEARCH_BITS:
         raise MessageTooLarge(f"search bound must be in [0, 2**{MAX_SEARCH_BITS})")
@@ -216,9 +207,9 @@ def bsgs_cache(curve: CurveParams, max_value: int):
     stride, _, gxs, gys = cached
     steps = _giant_steps(max_value, stride)
     if len(gxs) < steps:
-        neg_span = ec_neg(to_affine(mul_binary(2 * stride, curve.G)))
-        last = AffinePoint(curve, gxs[-1], gys[-1]) if gxs else None
-        for x, y in _chain(neg_span, steps - len(gxs), last):
+        gxs.clear()
+        gys.clear()
+        for x, y in _chain(ec_neg(to_affine(mul_binary(2 * stride, curve.G))), steps):
             gxs.append(x)
             gys.append(y)
     return cached
@@ -344,7 +335,7 @@ def decrypt(secret_x: int, c: Ciphertext, max_value: int) -> int:
     only inversion besides the giant-step batches is rmap's normalization
     of M.
     """
-    bsgs_cache(c.curve, max_value)
+    bsgs_cache(c.R.curve, max_value)
     return rmap(ec_add_ajj(to_affine(c.S), mul_signed(secret_x, ec_neg(to_affine(c.R)), 2)),
                 max_value)
 
@@ -362,7 +353,7 @@ def ct_from_bytes(data: bytes, curve: CurveParams) -> Ciphertext:
     S, pos = decode_point(data, pos, curve)
     if pos != len(data):
         raise BadEncoding("trailing bytes after ciphertext")
-    return Ciphertext(R, S)
+    return Ciphertext(lift(R), lift(S))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,6 @@ class ZeroInverse(Error):
     """Attempted inversion of the zero field element."""
 
 
-class BadLength(Error):
-    """Byte string has the wrong length for its fixed-width encoding."""
-
-
 class NonCanonical(Error):
     """Decoded or supplied value is not a reduced residue."""
 

@@ -6,9 +6,8 @@ r_h*c + r_l) until the result fits in n bits.  Modular addition uses the same
 idea: instead of subtracting p after an overflow, add c and drop the carry
 bit.  Neither ever divides by p.
 
-Values are carried as Python integers and encoded as fixed-length
-big-endian bytes.  The test suite checks every operation against plain
-big-integer modular arithmetic.
+Values are carried as Python integers.  The test suite checks every
+operation against plain big-integer modular arithmetic.
 
 mod_reduce and mod_mul stay as the paper's reference, checked against the
 oracle and used by the element-level fe_* API.  The group law in the curve
@@ -23,7 +22,7 @@ from __future__ import annotations
 import random
 
 from .counters import counters
-from .errors import BadLength, NonCanonical, ZeroInverse
+from .errors import NonCanonical, ZeroInverse
 
 
 _last_reduce_passes = 0
@@ -35,8 +34,8 @@ def last_reduce_passes() -> int:
     return _last_reduce_passes
 
 
-def _is_probable_prime(m: int, rounds: int = 32) -> bool:
-    """Miller-Rabin with bases drawn from a generator seeded by m itself."""
+def _is_probable_prime(m: int) -> bool:
+    """Miller-Rabin over 32 bases drawn from a generator seeded by m itself."""
     if m < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -47,7 +46,7 @@ def _is_probable_prime(m: int, rounds: int = 32) -> bool:
         d //= 2
         s += 1
     rng = random.Random(m)
-    for _ in range(rounds):
+    for _ in range(32):
         a = rng.randrange(2, m - 1)
         x = pow(a, d, m)
         if x in (1, m - 1):
@@ -85,12 +84,6 @@ class FieldParams:
         self.mask = (1 << n) - 1
         self.byte_length = -(-n // 8)
 
-    def __eq__(self, other):
-        return isinstance(other, FieldParams) and other.p == self.p
-
-    def __hash__(self):
-        return hash(self.p)
-
     def __repr__(self):
         return f"FieldParams(n={self.n}, c={self.c:#x})"
 
@@ -112,12 +105,6 @@ class FieldElement:
             and other.value == self.value
             and other.field.p == self.field.p
         )
-
-    def __hash__(self):
-        return hash((self.value, self.field.p))
-
-    def __int__(self):
-        return self.value
 
     def __repr__(self):
         return f"FieldElement({self.value:#x})"
@@ -164,15 +151,8 @@ def mod_reduce(f: FieldParams, r: int) -> int:
 
 
 def mod_mul(f: FieldParams, x: int, y: int) -> int:
-    # same loop as mod_reduce, inlined; the group law reduces with % instead
     counters().fe_mul += 1
-    r = x * y
-    n, c = f.n, f.c
-    while r >> n:
-        r = (r >> n) * c + (r & f.mask)
-    if r >= f.p:
-        r = (r + c) & f.mask
-    return r
+    return mod_reduce(f, x * y)
 
 
 def mod_inv(f: FieldParams, x: int) -> int:
@@ -213,13 +193,6 @@ def mod_inv_batch(f: FieldParams, xs: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # Element-level API.
 
-def fe_from_int(v: int, params: FieldParams) -> FieldElement:
-    """Canonical residue of any non-negative integer."""
-    if v < 0:
-        raise ValueError("negative value")
-    return FieldElement(v % params.p, params)
-
-
 def fe_add(a: FieldElement, b: FieldElement) -> FieldElement:
     _same_field(a, b)
     return FieldElement(mod_add(a.field, a.value, b.value), a.field)
@@ -241,17 +214,3 @@ def fe_square(a: FieldElement) -> FieldElement:
 
 def fe_inv(a: FieldElement) -> FieldElement:
     return FieldElement(mod_inv(a.field, a.value), a.field)
-
-
-def fe_to_bytes(a: FieldElement) -> bytes:
-    """Fixed-length big-endian encoding, ceil(n/8) bytes."""
-    return a.value.to_bytes(a.field.byte_length, "big")
-
-
-def fe_from_bytes(data: bytes, params: FieldParams) -> FieldElement:
-    if len(data) != params.byte_length:
-        raise BadLength(f"expected {params.byte_length} bytes, got {len(data)}")
-    v = int.from_bytes(data, "big")
-    if v >= params.p:
-        raise NonCanonical("encoded value not below p")
-    return FieldElement(v, params)

@@ -158,13 +158,15 @@ def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
     """Precompute the fixed-base table for (t, w).
 
     Bases are chained doublings of G, normalized together; odd multiples
-    are chained additions, one inversion per track.
+    are chained additions, one inversion per track.  More tracks than the
+    field has bits would only add bases that see zero digits, so t must be
+    in [1, n].
     """
-    if t < 1:
-        raise ValueError("track count must be at least 1")
+    curve = G.curve
+    if not 1 <= t <= curve.field.n:
+        raise ValueError(f"track count {t} outside [1, {curve.field.n}]")
     if w < 2 or w > MAX_RECODING_WIDTH:
         raise UnsupportedWidth(f"width {w} outside [2, {MAX_RECODING_WIDTH}]")
-    curve = G.curve
     chunk = -(-curve.field.n // t)
     shifted = [lift(G)]
     for i in range(1, t):
@@ -285,7 +287,7 @@ def table_from_bytes(data: bytes, curve: CurveParams) -> PrecompTable:
         raise TableMismatch(f"table built for curve {name!r}, not {curve.name!r}")
     if n_bits != curve.field.n:
         raise TableMismatch(f"table designed for {n_bits} bits, curve has {curve.field.n}")
-    if t < 1 or w < 2 or w > MAX_RECODING_WIDTH:
+    if not 1 <= t <= n_bits or w < 2 or w > MAX_RECODING_WIDTH:
         raise BadEncoding("table header has invalid (t, w)")
     expected = t + t * ((1 << (w - 2)) - 1)
     if count != expected:

@@ -296,10 +296,15 @@ def test_setup_and_nodes_account_for_every_operation():
         nodes = sum(getattr(st.ops, f) for st in result.node_stats.values())
         assert getattr(result.setup, f) + nodes == getattr(outer, f), f
     # no node is charged a build (a (4,4) table costs 124 ECDBL): a leaf
-    # runs two 40-step chains, the reader x*R over 160 bits; each node
-    # inverts once, to serialize (leaf, aggregator) or to normalize M (reader)
+    # runs two 40-step chains, an aggregator only adds, the reader x*R over
+    # 160 bits; each node inverts once, to serialize (leaf, aggregator) or
+    # to normalize M (reader)
     for st in result.node_stats.values():
-        assert st.ops.ecdbl < (90 if st.role == "leaf" else 170) and st.ops.fe_inv == 1
+        if st.role == "aggregator":
+            assert st.ops.ecdbl == 0
+        else:
+            assert st.ops.ecdbl < (90 if st.role == "leaf" else 170)
+        assert st.ops.fe_inv == 1
     # the reader's single child leaves its fold affine, so serializing it and
     # normalizing R and S are free, x*(-R) stays Jacobian: one inversion for
     # M, and the sum 63 is a baby-table hit with no giant step

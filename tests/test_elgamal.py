@@ -45,7 +45,6 @@ from ecagg.errors import (
     NotFound,
     OffCurvePoint,
     TableMismatch,
-    ZeroInverse,
 )
 from ecagg.scalarmul import (
     build_table,
@@ -270,11 +269,11 @@ def test_rmap_random_at_default_bound(curve):
         assert rmap(mul_binary(m, curve.G), BOUND24) == m
 
 
-def _oracle_multiples(curve, step, count, start=None):
-    """start + k*step for k = 1..count as oracle tuples, by textbook affine
+def _oracle_multiples(curve, step, count):
+    """k*step for k = 1..count as oracle tuples, by textbook affine
     additions."""
     p, a = o_of(curve)
-    acc, s = (None if start is None else as_tuple(start)), as_tuple(step)
+    acc, s = None, as_tuple(step)
     out = []
     for _ in range(count):
         acc = o_add(acc, s, p, a)
@@ -309,31 +308,6 @@ def test_chain_matches_oracle(curve, count):
     # below one block of 256 lanes, exactly one, and 2 or 3 blocks, the
     # last one partial
     assert list(_chain(curve.G, count)) == _oracle_multiples(curve, curve.G, count)
-
-
-@pytest.mark.parametrize("i, count, doublings", [
-    (5, 600, 10), (40, 100, 7), (255, 257, 10), (1000, 300, 8)])
-def test_chain_from_start_matches_oracle(curve, i, count, doublings):
-    # start = i*step: besides the ladder's doublings (one per full level,
-    # 8 to reach 256 lanes), lane k = i meets the start itself when it is
-    # added, and lane 256 - i meets 256*step in the first advance; both
-    # are doubled in their batch
-    step = to_affine(mul_binary(3, curve.G))
-    start = to_affine(mul_binary(3 * i, curve.G))
-    with tally() as t:
-        got = list(_chain(step, count, start))
-    assert got == _oracle_multiples(curve, step, count, start)
-    assert t.ecdbl == doublings
-
-
-@pytest.mark.parametrize("i", [-5, -259], ids=["start-batch", "advance"])
-def test_chain_raises_at_identity(curve, i):
-    # start + k*G is the identity at k = -i: lane 5 when the start is
-    # added, lane 3 of the first advance (3 + 256 = 259); the identity has
-    # no affine coordinates, so the batch inversion refuses it
-    start = to_affine(mul_binary(i % curve.order_n, curve.G))
-    with pytest.raises(ZeroInverse):
-        list(_chain(curve.G, 600, start))
 
 
 # --- encryption ---------------------------------------------------------------------------

@@ -6,18 +6,15 @@ import pytest
 
 from ecagg import field
 from ecagg.counters import tally
-from ecagg.errors import BadLength, NonCanonical, ZeroInverse
+from ecagg.errors import NonCanonical, ZeroInverse
 from ecagg.field import (
     FieldElement,
     FieldParams,
     fe_add,
-    fe_from_bytes,
-    fe_from_int,
     fe_inv,
     fe_mul,
     fe_square,
     fe_sub,
-    fe_to_bytes,
     mod_inv_batch,
     mod_reduce,
 )
@@ -59,14 +56,6 @@ def test_params_reject_large_c():
 def test_element_rejects_noncanonical(fp160):
     with pytest.raises(NonCanonical):
         FieldElement(P, fp160)
-
-
-def test_from_int_examples(fp160):
-    assert fe_from_int(0, fp160).value == 0
-    assert fe_from_int(P, fp160).value == 0
-    # oracle: 2**n mod (2**n - c) = c
-    assert (1 << N) % P == C
-    assert fe_from_int(1 << N, fp160).value == C
 
 
 # --- addition / subtraction -------------------------------------------------
@@ -230,32 +219,6 @@ def test_inv_batch_zero_raises(fp160, xs):
     with tally() as t, pytest.raises(ZeroInverse):
         mod_inv_batch(fp160, xs)
     assert (t.fe_inv, t.fe_mul) == (0, 0)
-
-
-# --- bytes --------------------------------------------------------------------
-
-def test_bytes_zero(fp160):
-    assert fe_to_bytes(fe(0, fp160)) == b"\x00" * 20
-
-
-def test_bytes_roundtrip(fp160, rng):
-    for _ in range(200):
-        a = fe(rng.randrange(P), fp160)
-        data = fe_to_bytes(a)
-        assert len(data) == 20
-        assert fe_from_bytes(data, fp160) == a
-
-
-def test_bytes_reject_noncanonical(fp160):
-    with pytest.raises(NonCanonical):
-        fe_from_bytes(P.to_bytes(20, "big"), fp160)
-
-
-def test_bytes_reject_bad_length(fp160):
-    with pytest.raises(BadLength):
-        fe_from_bytes(b"\x01" * 19, fp160)
-    with pytest.raises(BadLength):
-        fe_from_bytes(b"\x01" * 21, fp160)
 
 
 # --- algebra ------------------------------------------------------------------

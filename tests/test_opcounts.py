@@ -149,15 +149,15 @@ def test_bsgs_build_counts_small_bound():
 
 def test_bsgs_extension_counts():
     # bound 2**20 - 1 holds 32 giant points at stride 2**14 (the last window,
-    # centered on 2**20, reaches below the bound); 2**22 - 1 needs 128, and
-    # the 96 new ones chain on from the 32nd: 2**15*G by binary doublings
-    # again (124 multiplies, 1 inversion), a ladder of 7 batches to 96
-    # multiples of the step (89 additions, 6 doublings, 555 multiplies),
-    # then the 32nd point added to every lane in one batch, where lane 32
-    # meets it and is doubled (95 additions, 1 doubling, 574 multiplies)
+    # centered on 2**20, reaches below the bound); 2**22 - 1 needs 128, so
+    # the baby table stays and the giant lists are rebuilt: 2**15*G by 15
+    # binary doublings and a normalization (124 multiplies, 1 inversion),
+    # then a ladder of 7 batches of 1, 2, ..., 64 lanes to 128 multiples of
+    # its negative, each batch doubling its top lane (120 additions, 7
+    # doublings, 3*127 + 7 + 3*120 = 748 multiplies, 7 inversions)
     curve = builtin_curve()
     bsgs_cache(curve, 2**20 - 1)
-    assert tally(bsgs_cache, curve, 2**22 - 1)[1] == (184, 22, 1253, 9)
+    assert tally(bsgs_cache, curve, 2**22 - 1)[1] == (120, 22, 872, 8)
     assert bsgs_cache(curve, 2**22 - 1)[2:] == bsgs_cache(builtin_curve(), 2**22 - 1)[2:]
     # either side of the old end: giant step 32 (+j), the window edge
     # shared by steps 32 and 33, step 33's center, and the new last one

@@ -401,6 +401,19 @@ def test_table_header_n_bits_rejected_before_any_work(curve):
     assert (ops.ecadd, ops.ecdbl, ops.fe_mul) == (0, 0, 0)
 
 
+def test_table_header_track_count_rejected_before_any_work(curve):
+    # more tracks than the field has bits is rejected from the header
+    # alone, before the N + 1 points it consistently announces (one base
+    # per track at w = 2) are decoded or built
+    data = bytearray(table_to_bytes(build_table(curve.G, 2, 2)))
+    at = 4 + 1 + len(curve.name)
+    data[at] = N + 1
+    data[at + 4:at + 6] = (N + 1).to_bytes(2, "big")
+    with tally() as ops, pytest.raises(BadEncoding):
+        table_from_bytes(bytes(data), curve)
+    assert (ops.ecadd, ops.ecdbl, ops.fe_mul) == (0, 0, 0)
+
+
 def test_table_bad_magic_rejected(curve):
     data = b"XXXX" + table_to_bytes(build_table(curve.G, 2, 2))[4:]
     with pytest.raises(BadEncoding):

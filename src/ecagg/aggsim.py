@@ -13,7 +13,6 @@ the supplied random source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from .counters import FIELDS, OpCounters, tally
 from .elgamal import (
@@ -29,7 +28,7 @@ from .elgamal import (
 )
 from .errors import BadScenario, MessageTooLarge
 from .scalarmul import default_table, fixed_base_table
-from .textcfg import parse_kv, split_blocks
+from .textcfg import parse_kv, read_text, split_blocks
 
 ROLES = ("leaf", "aggregator", "reader")
 
@@ -44,6 +43,8 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A validated tree; nodes are listed children-first, the order a round
+    runs them in, so the root comes last."""
     nodes: dict[str, NodeSpec]
     root: str
 
@@ -73,13 +74,11 @@ def scenario_from_text(text: str) -> Scenario:
     """Parse and validate a scenario: one key=value block per node."""
     nodes: dict[str, NodeSpec] = {}
     for block in split_blocks(text):
-        try:
-            raw = parse_kv(block)
-        except ValueError as e:
-            raise BadScenario(str(e)) from None
-        if "id" not in raw or "role" not in raw:
-            raise BadScenario("node block needs id= and role=")
+        raw = parse_kv(block, BadScenario, ("id", "role"))
         nid, role = raw["id"], raw["role"]
+        # the report writes whitespace-separated key=value records
+        if not nid or any(ch.isspace() for ch in nid):
+            raise BadScenario(f"node id {nid!r} must be non-empty with no whitespace")
         if role not in ROLES:
             raise BadScenario(f"node {nid!r}: unknown role {role!r}")
         if nid in nodes:
@@ -105,42 +104,27 @@ def scenario_from_text(text: str) -> Scenario:
         raise BadScenario(f"need exactly one reader, found {len(readers)}")
     root = readers[0].id
 
-    seen: set[str] = set()
+    # pre-order, last child first: reversed, children come before parents
+    # in listed order, with no recursion limit on the tree's depth
+    order: dict[str, None] = {}
     stack = [root]
     while stack:
         nid = stack.pop()
-        if nid in seen:
+        if nid in order:
             raise BadScenario(f"node {nid!r} reached twice (cycle or shared child)")
-        seen.add(nid)
         node = nodes.get(nid)
         if node is None:
             raise BadScenario(f"unknown child id {nid!r}")
+        order[nid] = None
         stack.extend(node.children)
-    orphans = set(nodes) - seen
+    orphans = nodes.keys() - order.keys()
     if orphans:
         raise BadScenario(f"nodes unreachable from the reader: {sorted(orphans)}")
-    return Scenario(nodes, root)
+    return Scenario({nid: nodes[nid] for nid in reversed(order)}, root)
 
 
 def load_scenario(path) -> Scenario:
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as e:
-        raise BadScenario(f"cannot read scenario file: {e}") from None
-    return scenario_from_text(text)
-
-
-def _post_order(scenario: Scenario) -> list[str]:
-    # reversed pre-order that visits the last child first: children before
-    # parents in listed order, and no recursion limit on the tree's depth
-    order: list[str] = []
-    stack = [scenario.root]
-    while stack:
-        nid = stack.pop()
-        order.append(nid)
-        stack.extend(scenario.nodes[nid].children)
-    order.reverse()
-    return order
+    return scenario_from_text(read_text(path, BadScenario, "scenario file"))
 
 
 def run_round(tree: Scenario, keys: KeyPair, rng,
@@ -168,15 +152,14 @@ def run_round(tree: Scenario, keys: KeyPair, rng,
     stats: dict[str, NodeStats] = {}
     expected = 0
 
-    for nid in _post_order(tree):
-        node = tree.nodes[nid]
+    for nid, node in tree.nodes.items():
         with tally() as ops:
             if node.role == "leaf":
                 reading = node.reading
                 if reading is None:
                     reading = rng.randrange(256)
                 expected += reading
-                data = ct_to_bytes(encrypt(keys.public_Y, reading, rng, max_bits=max_bits))
+                data = ct_to_bytes(encrypt(keys.public_Y, reading, rng))
             else:
                 folded = ct_identity(curve)
                 for child in node.children:

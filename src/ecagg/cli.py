@@ -19,6 +19,7 @@ from . import aggsim, elgamal, scalarmul
 from .counters import FIELDS, tally
 from .curve import builtin_curve, load_curve
 from .errors import BadConfig, Error, NotFound
+from .textcfg import parse_kv
 
 
 def _make_rng(seed_hex: str | None) -> random.Random:
@@ -102,13 +103,10 @@ def _bench_config(token: str, curve, rng):
     """(t, w, stored points, one-trial callable of k, w defaulted) for a
     token such as binary, mof3, interleave:t=2,w=2 or elgamal:t=1."""
     name, _, params = token.partition(":")
-    given = {}
-    for part in filter(None, (part.strip() for part in params.split(","))):
-        key, _, value = part.partition("=")
-        if key not in ("t", "w") or key in given:
-            raise BadConfig(f"unknown or repeated parameter {key!r} in config {token!r}")
-        given[key] = int(value)
-    t, w = given.get("t", 1), given.get("w", 2)
+    given = parse_kv(params.replace(",", "\n"), BadConfig)
+    if not given.keys() <= {"t", "w"}:
+        raise BadConfig(f"unknown parameter in config {token!r}")
+    t, w = int(given.get("t", 1)), int(given.get("w", 2))
     G = curve.G
     if name == "binary" and not given:
         return 1, 0, 0, lambda k: scalarmul.mul_binary(k, G), False

@@ -19,12 +19,11 @@ madd-2007-bl and 16 for add-2007-bl (hyperelliptic.org/EFD).
 from __future__ import annotations
 
 import importlib.resources
-from pathlib import Path
 
 from .counters import counters
 from .errors import BadConfig, BadEncoding, InvalidCurve, OffCurvePoint
 from .field import FieldParams, mod_inv, mod_inv_batch
-from .textcfg import parse_kv
+from .textcfg import parse_kv, read_text
 
 _CONFIG_KEYS = ("name", "n", "c", "a", "b", "gx", "gy", "order_n")
 
@@ -98,8 +97,10 @@ class CurveParams:
         p = field.p
         if not (0 <= a < p and 0 <= b < p and 0 <= gx < p and 0 <= gy < p):
             raise InvalidCurve("coefficient or coordinate outside [0, p)")
-        if order_n < 2:
-            raise InvalidCurve("group order must exceed 1")
+        # Hasse: the order is below 2**(n+1), which also bounds the doublings
+        # that check order_n * G below
+        if not 2 <= order_n < 1 << (field.n + 1):
+            raise InvalidCurve("group order outside [2, 2**(n+1))")
         disc = (4 * a * a * a + 27 * b * b) % p
         if disc == 0:
             raise InvalidCurve("singular curve: 4a^3 + 27b^2 = 0")
@@ -332,36 +333,18 @@ def decode_point(data: bytes, pos: int, curve: CurveParams) -> tuple[AffinePoint
 
 def curve_from_config(text: str) -> CurveParams:
     """Build validated parameters from key=value text with hex fields."""
-    try:
-        raw = parse_kv(text)
-    except ValueError as e:
-        raise BadConfig(str(e)) from None
-    missing = [k for k in _CONFIG_KEYS if k not in raw]
-    if missing:
-        raise BadConfig(f"missing fields: {', '.join(missing)}")
-    vals = {}
-    for key in _CONFIG_KEYS:
-        if key == "name":
-            continue
-        try:
-            vals[key] = int(raw[key], 16)
-        except ValueError:
-            raise BadConfig(f"field {key!r} is not hexadecimal") from None
+    vals = parse_kv(text, BadConfig, _CONFIG_KEYS, _CONFIG_KEYS[1:])
     try:
         fp = FieldParams(vals["n"], vals["c"])
     except ValueError as e:
         raise InvalidCurve(str(e)) from None
     return CurveParams(fp, vals["a"], vals["b"], vals["gx"], vals["gy"],
-                       vals["order_n"], raw["name"])
+                       vals["order_n"], vals["name"])
 
 
 def load_curve(path) -> CurveParams:
     """Read and validate a curve config file."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as e:
-        raise BadConfig(f"cannot read curve file: {e}") from None
-    return curve_from_config(text)
+    return curve_from_config(read_text(path, BadConfig, "curve file"))
 
 
 def builtin_curve(name: str = "secp160r1") -> CurveParams:

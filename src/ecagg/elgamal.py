@@ -59,7 +59,7 @@ from .scalarmul import (
     mul_interleave,
     mul_signed,
 )
-from .textcfg import parse_kv
+from .textcfg import parse_kv, read_text
 
 DEFAULT_MAX_BITS = 24
 
@@ -289,9 +289,9 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
     raise NotFound(f"no preimage at or below {max_value}")
 
 
-def encrypt(public_Y: AffinePoint, m: int, rng, *, max_bits: int = DEFAULT_MAX_BITS,
+def encrypt(public_Y: AffinePoint, m: int, rng, *,
             g_table: PrecompTable | None = None) -> Ciphertext:
-    """Fresh-randomness encryption of m under the public point.
+    """Fresh-randomness encryption of m < 2**DEFAULT_MAX_BITS under the public point.
 
     Both multiplications run over fixed-base tables: R = k*G over g_table
     (the curve's generator table by default), and S = k*Y + m*G in one
@@ -302,8 +302,8 @@ def encrypt(public_Y: AffinePoint, m: int, rng, *, max_bits: int = DEFAULT_MAX_B
     whose first base is not the curve's generator, such as one built for
     Y, raises TableMismatch before k is drawn.
     """
-    if m < 0 or m.bit_length() > max_bits:
-        raise MessageTooLarge(f"message must be in [0, 2**{max_bits})")
+    if m < 0 or m.bit_length() > DEFAULT_MAX_BITS:
+        raise MessageTooLarge(f"message must be in [0, 2**{DEFAULT_MAX_BITS})")
     curve = public_Y.curve
     if g_table is None:
         g_table = default_table(curve)
@@ -383,25 +383,10 @@ def save_keypair(kp: KeyPair, prefix) -> tuple[Path, Path]:
 
 
 def _read_key_file(path, fields: tuple[str, ...]) -> dict:
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as e:
-        raise BadConfig(f"cannot read key file: {e}") from None
-    try:
-        raw = parse_kv(text)
-    except ValueError as e:
-        raise BadConfig(str(e)) from None
-    if "curve" not in raw:
-        raise BadConfig("key file missing curve name")
-    out = {"curve": builtin_curve(raw["curve"])}
-    for key in fields:
-        if key not in raw:
-            raise BadConfig(f"key file missing field {key!r}")
-        try:
-            out[key] = int(raw[key], 16)
-        except ValueError:
-            raise BadConfig(f"field {key!r} is not hexadecimal") from None
-    return out
+    """The key file's hex fields, and its curve built only once they parse."""
+    raw = parse_kv(read_text(path, BadConfig, "key file"), BadConfig, ("curve",) + fields, fields)
+    raw["curve"] = builtin_curve(raw["curve"])
+    return raw
 
 
 def load_public_key(path) -> AffinePoint:

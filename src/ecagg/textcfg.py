@@ -1,28 +1,53 @@
-"""Shared parser for the flat key=value text formats used by config files."""
+"""The one reader of outside key=value text: curve configs, key files,
+scenario blocks and bench parameters all parse here, and each format passes
+the Error subclass its malformed input raises."""
 
 from __future__ import annotations
 
+from pathlib import Path
 
-def parse_kv(text: str) -> dict[str, str]:
+from .errors import Error
+
+
+def parse_kv(text: str, error: type[Error], required: tuple[str, ...] = (),
+             hex_fields: tuple[str, ...] = ()) -> dict:
     """Parse 'key=value' lines; '#' starts a comment, blank lines are skipped.
 
-    Raises ValueError on a malformed line or a duplicate key.
+    Keys are case-folded, values stripped; hex fields (each also required)
+    come back as ints.  Raises error on a malformed line, an empty or
+    duplicate key, a missing required field or a non-hex hex field.
     """
-    out: dict[str, str] = {}
+    out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
+        key, eq, value = line.partition("=")
         key = key.strip().lower()
+        if not eq:
+            raise error(f"line {lineno}: expected key=value, got {raw!r}")
         if not key:
-            raise ValueError(f"line {lineno}: empty key")
+            raise error(f"line {lineno}: empty key")
         if key in out:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+            raise error(f"line {lineno}: duplicate key {key!r}")
         out[key] = value.strip()
+    missing = [k for k in required if k not in out]
+    if missing:
+        raise error(f"missing fields: {', '.join(missing)}")
+    for key in hex_fields:
+        try:
+            out[key] = int(out[key], 16)
+        except ValueError:
+            raise error(f"field {key!r} is not hexadecimal") from None
     return out
+
+
+def read_text(path, error: type[Error], what: str) -> str:
+    """The file's text; error when it cannot be read or is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise error(f"cannot read {what}: {e}") from None
 
 
 def split_blocks(text: str) -> list[str]:

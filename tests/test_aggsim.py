@@ -127,6 +127,28 @@ def test_leaf_with_children_rejected():
             "id=reader\nrole=reader\nchildren=a\n\nid=a\nrole=leaf\nreading=1\nchildren=b\n\nid=b\nrole=leaf\n")
 
 
+LEAF_UNDER_READER = "id=reader\nrole=reader\nchildren=a\n\nid=a\nrole=leaf\n"
+
+
+@pytest.mark.parametrize("text", [
+    LEAF_UNDER_READER + "reading 4\n",
+    LEAF_UNDER_READER + "=4\n",
+    LEAF_UNDER_READER + "Role=leaf\n",
+    LEAF_UNDER_READER.replace("role=leaf", "reading=4"),
+    LEAF_UNDER_READER + "reading=4x\n",
+    # the report's records are whitespace-separated key=value pairs: these
+    # ids would break its parser or read back as another node
+    "id=reader\nrole=reader\nchildren=my leaf\n\nid=my leaf\nrole=leaf\n",
+    "id=reader\nrole=reader\nchildren=s1 bytes=0\n\nid=s1 bytes=0\nrole=leaf\n",
+    "id=reader\nrole=reader\n\nid=\nrole=leaf\n",
+], ids=["no_equals", "empty_key", "duplicate_key", "missing_field", "bad_integer",
+        "id_with_space", "id_with_record", "empty_id"])
+def test_malformed_node_block_rejected(text):
+    with tally() as t, pytest.raises(BadScenario):
+        scenario_from_text(text)
+    assert [getattr(t, f) for f in FIELDS] == [0, 0, 0, 0]
+
+
 def test_reading_on_aggregator_rejected():
     with pytest.raises(BadScenario):
         scenario_from_text("id=reader\nrole=reader\nchildren=a\n\nid=a\nrole=aggregator\nreading=4\n")
@@ -218,8 +240,11 @@ def test_deep_chain_round(keys):
 
 def test_post_order_children_first_in_listed_order(keys):
     text = DEMO.replace("children=agg", "children=agg,s5") + "\nid=s5\nrole=leaf\nreading=1\n"
-    result = run_round(scenario_from_text(text), keys, random.Random(3), max_bits=16)
-    assert list(result.node_stats) == ["s1", "s2", "s3", "s4", "agg", "s5", "reader"]
+    scenario = scenario_from_text(text)
+    order = ["s1", "s2", "s3", "s4", "agg", "s5", "reader"]
+    assert list(scenario.nodes) == order
+    result = run_round(scenario, keys, random.Random(3), max_bits=16)
+    assert list(result.node_stats) == order
 
 
 @pytest.mark.parametrize("reading", ["reading=255\n", ""])
@@ -342,3 +367,10 @@ def test_empty_round_reports_zero_counts(keys):
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(BadScenario):
         load_scenario(tmp_path / "nope.scenario")
+
+
+def test_load_scenario_not_utf8(tmp_path):
+    path = tmp_path / "bad.scenario"
+    path.write_bytes(DEMO.encode().replace(b"id=s1", b"id=s\xff"))
+    with pytest.raises(BadScenario):
+        load_scenario(path)

@@ -357,11 +357,13 @@ def test_bench_golden_output(workspace, capsys):
 
 def test_bench_unknown_config_exits_2(workspace):
     curve = str(workspace / "test.curve")
-    # a parameter on binary or mofN, or a repeated one, would otherwise be
-    # dropped and its row run another config; a track count above the
-    # field's 160 bits would store bases that only see zero digits
+    # a parameter on binary or mofN, or a repeated one (keys are
+    # case-folded), would otherwise be dropped and its row run another
+    # config; a track count above the field's 160 bits would store bases
+    # that only see zero digits
     for config in ("quantum", "mof3:w=2", "binary:t=4", "interleave:t=2,t=3",
-                   "interleave:t=161"):
+                   "interleave:t=2,T=3", "interleave:t=161", "interleave:t",
+                   "interleave:=2", "interleave:x=2", "interleave:w=2x"):
         assert run_main("bench", "--curve", curve, "--trials", "1",
                         "--configs", config) == 2, config
 

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import as_point, as_tuple, jac_tuple, o_add, o_mul, o_of, oracle_points
-from ecagg.counters import counters
+from ecagg.counters import FIELDS, counters, tally
 from ecagg.curve import (
     AffinePoint,
     JacobianPoint,
@@ -15,6 +15,7 @@ from ecagg.curve import (
     ec_eq,
     ec_neg,
     lift,
+    load_curve,
     on_curve,
     point_to_bytes,
     to_affine,
@@ -318,6 +319,36 @@ def test_load_rejects_non_hex():
     bad = BASE_CONFIG.replace("n = a0", "n = xyz")
     with pytest.raises(BadConfig):
         curve_from_config(bad)
+
+
+@pytest.mark.parametrize("edit", [("n = a0", "n a0"), ("n = a0", "n = a0\n= 5"),
+                                  ("n = a0", "n = a0\nN = a0")],
+                         ids=["no_equals", "empty_key", "duplicate_key"])
+def test_load_rejects_malformed_line(edit):
+    # keys are case-folded, so N repeats n
+    with pytest.raises(BadConfig):
+        curve_from_config(BASE_CONFIG.replace(*edit))
+
+
+@pytest.mark.parametrize("data", [None, BASE_CONFIG.encode() + b"# \xff\n"],
+                         ids=["missing_file", "not_utf8"])
+def test_load_curve_rejects_unreadable_file(tmp_path, data):
+    path = tmp_path / "c.curve"
+    if data is not None:
+        path.write_bytes(data)
+    with pytest.raises(BadConfig):
+        load_curve(path)
+
+
+@pytest.mark.parametrize("bits", [161, 162])
+def test_load_rejects_order_beyond_hasse_bound(bits):
+    # the order of G is at most p + 1 + 2*sqrt(p) < 2**(n+1); checking that
+    # first bounds the doublings that verify order_n * G
+    bad = BASE_CONFIG.replace("order_n = 0100000000000000000001f4c8f927aed3ca752257",
+                              f"order_n = {1 << bits:x}")
+    with tally() as t, pytest.raises(InvalidCurve, match="group order"):
+        curve_from_config(bad)
+    assert [getattr(t, f) for f in FIELDS] == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("n", ["20a", "2001", "ffffffff"])

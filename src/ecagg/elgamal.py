@@ -9,10 +9,10 @@ keeps the scheme practical: aggregated sums are assumed to fit a configured
 number of bits (24 by default, at most MAX_SEARCH_BITS).
 
 The reader's public key Y is as fixed as G, so both encryption
-multiplications run over fixed-base tables: keygen builds Y's table along
-with Y (the reader provisions sensors with both), and S = k*Y + m*G is one
-doubling chain, m's recoding riding on the generator table's first track
-(Shamir's trick).
+multiplications run over the tables fixed_base_table caches: keygen builds
+Y's table along with Y (the reader provisions sensors with both), and
+S = k*Y + m*G is one doubling chain, m's recoding riding on the generator
+table's first track (Shamir's trick).
 
 The search is baby-step/giant-step at every bound, over one baby/giant
 table cached per curve: the one for the largest stride asked for so far,
@@ -49,10 +49,9 @@ from .curve import (
     to_affine,
     to_affine_batch,
 )
-from .errors import BadConfig, BadEncoding, MessageTooLarge, NotFound, TableMismatch
+from .errors import BadConfig, BadEncoding, MessageTooLarge, NotFound
 from .field import mod_inv_batch
 from .scalarmul import (
-    PrecompTable,
     default_table,
     fixed_base_table,
     mul_binary,
@@ -289,26 +288,20 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
     raise NotFound(f"no preimage at or below {max_value}")
 
 
-def encrypt(public_Y: AffinePoint, m: int, rng, *,
-            g_table: PrecompTable | None = None) -> Ciphertext:
+def encrypt(public_Y: AffinePoint, m: int, rng) -> Ciphertext:
     """Fresh-randomness encryption of m < 2**DEFAULT_MAX_BITS under the public point.
 
-    Both multiplications run over fixed-base tables: R = k*G over g_table
-    (the curve's generator table by default), and S = k*Y + m*G in one
-    doubling chain over Y's table, with m's recoding one more row over
-    track 0 of g_table.  Y's table comes from fixed_base_table, so a key
-    from this process's keygen finds it built; any other key, such as one
-    from load_public_key, pays one table build on first use.  A g_table
-    whose first base is not the curve's generator, such as one built for
-    Y, raises TableMismatch before k is drawn.
+    Both multiplications run over the (4, 4) tables that fixed_base_table
+    caches: R = k*G over the curve's generator table, and S = k*Y + m*G in
+    one doubling chain over Y's table, with m's recoding one more row over
+    track 0 of the generator table.  A key from this process's keygen finds
+    its table built; any other key, such as one from load_public_key, pays
+    one table build on first use.
     """
     if m < 0 or m.bit_length() > DEFAULT_MAX_BITS:
         raise MessageTooLarge(f"message must be in [0, 2**{DEFAULT_MAX_BITS})")
     curve = public_Y.curve
-    if g_table is None:
-        g_table = default_table(curve)
-    elif g_table.multiples[0][1] != curve.G:
-        raise TableMismatch("table was built for a base other than the curve's generator")
+    g_table = default_table(curve)
     y_table = fixed_base_table(public_Y)
     k = rng.randrange(1, curve.order_n)
     return Ciphertext(mul_interleave(k, g_table), mul_interleave(k, y_table, m, g_table))

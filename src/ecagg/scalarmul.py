@@ -16,10 +16,10 @@ For a fixed base the interleaved method also cuts doublings: the scalar is
 split into t tracks of n/t bits, one row per track over its own shifted
 base 2**((i-1)*n/t) * G, so the chain is n/t steps long.  The shifted bases
 and the odd multiples needed by widths above 2 are precomputed; beyond the
-generator itself that is (t-1) + t*(2**(w-2) - 1) stored points.  Any fixed
-point can be the base: encryption runs k*G and k*Y over (4, 4) tables from
-fixed_base_table, m*G folded into the k*Y chain as one more row (Shamir's
-trick).
+generator itself that is (t-1) + t*(2**(w-2) - 1) stored points, kept as
+one signed-digit lookup per track.  Any fixed point can be the base: every
+encryption runs k*G and k*Y over the (4, 4) tables fixed_base_table caches,
+m*G folded into the k*Y chain as one more row (Shamir's trick).
 """
 
 from __future__ import annotations
@@ -89,22 +89,19 @@ def wmof_recode(k: int, w: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _odd_multiples(P: AffinePoint, w: int) -> dict[int, AffinePoint]:
-    """{1: P, 3: 3P, ..., 2**(w-1) - 1: ...}: chained additions of a
+def _signed_lookup(P: AffinePoint, w: int) -> dict[int, AffinePoint]:
+    """P's width-w lookup by signed digit: d -> d*P and -d -> -(d*P) for odd
+    d up to 2**(w-1) - 1.  The multiples above P are chained additions of a
     Jacobian 2P, normalized together for one inversion."""
-    multiples = {1: P}
+    odd = [P]
     if w > 2:
         dbl = ec_dbl_jj(lift(P))
         chain = [ec_add_ajj(P, dbl)]
         for _ in range(5, 1 << (w - 1), 2):
             chain.append(ec_add_jjj(dbl, chain[-1]))
-        multiples.update(zip(range(3, 1 << (w - 1), 2), to_affine_batch(chain)))
-    return multiples
-
-
-def _signed(multiples: dict[int, AffinePoint]) -> dict[int, AffinePoint]:
-    """The odd multiples keyed by signed digit: d -> d*P and -d -> -(d*P)."""
-    return {**multiples, **{-d: ec_neg(pt) for d, pt in multiples.items()}}
+        odd += to_affine_batch(chain)
+    lookup = dict(zip(range(1, 1 << (w - 1), 2), odd))
+    return {**lookup, **{-d: ec_neg(pt) for d, pt in lookup.items()}}
 
 
 def split_scalar(k: int, t: int, n_bits: int) -> list[int]:
@@ -126,26 +123,23 @@ def split_scalar(k: int, t: int, n_bits: int) -> list[int]:
 
 
 class PrecompTable:
-    """Fixed-base table: shifted bases per track plus their odd multiples."""
+    """Fixed-base table: per track, the signed lookup of its shifted base."""
 
-    __slots__ = ("curve", "t", "w", "chunk", "multiples", "signed")
+    __slots__ = ("curve", "t", "w", "chunk", "signed")
 
     def __init__(self, curve: CurveParams, t: int, w: int,
-                 multiples: tuple[dict[int, AffinePoint], ...]):
+                 signed: tuple[dict[int, AffinePoint], ...]):
         self.curve = curve
         self.t = t
         self.w = w
         self.chunk = -(-curve.field.n // t)
-        self.multiples = multiples
-        self.signed = tuple(_signed(m) for m in multiples)
+        self.signed = signed
 
     def stored_points(self) -> list[AffinePoint]:
         """Every stored point: bases in track order, then odd multiples."""
-        pts = [self.multiples[i][1] for i in range(self.t)]
-        for i in range(self.t):
-            for d in sorted(self.multiples[i]):
-                if d != 1:
-                    pts.append(self.multiples[i][d])
+        pts = [lookup[1] for lookup in self.signed]
+        for lookup in self.signed:
+            pts += [lookup[d] for d in sorted(lookup) if d > 1]
         return pts
 
     @property
@@ -175,7 +169,7 @@ def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
             R = ec_dbl_jj(R)
         shifted.append(R)
     bases = to_affine_batch(shifted)
-    return PrecompTable(curve, t, w, tuple(_odd_multiples(base, w) for base in bases))
+    return PrecompTable(curve, t, w, tuple(_signed_lookup(base, w) for base in bases))
 
 
 def fixed_base_table(P: AffinePoint) -> PrecompTable:
@@ -248,7 +242,7 @@ def mul_signed(k: int, P: AffinePoint, w: int) -> JacobianPoint:
     their few odd multiples on the fly (normalized for one inversion, which
     shows up in the counters like everything else).
     """
-    return _scan(P.curve, [wmof_recode(k, w)], [_signed(_odd_multiples(P, w))])
+    return _scan(P.curve, [wmof_recode(k, w)], [_signed_lookup(P, w)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Command-line behaviour, including the exit-code contract."""
 
+import random
 import stat
 import subprocess
 import sys
 
 import pytest
 
+from ecagg import cli
 from ecagg.aggsim import parse_report
 from ecagg.cli import main
 from ecagg.counters import FIELDS, tally
+from ecagg.curve import builtin_curve
+from ecagg.errors import BadConfig
 
 CURVE_TEXT = """
 name = secp160r1
@@ -286,10 +290,11 @@ def test_bench_elgamal_mode_and_csv(workspace, capsys):
     curve = str(workspace / "test.curve")
     csv_path = workspace / "rows.csv"
     assert run_main("bench", "--curve", curve, "--trials", "2",
-                    "--configs", "elgamal:t=2,w=2", "--seed", "1", "--csv", str(csv_path)) == 0
+                    "--configs", "elgamal", "--seed", "1", "--csv", str(csv_path)) == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("config,")
-    assert lines[1].startswith("elgamal:t=2,w=2,2,2,1,2,")
+    # the row reports the generator table encryption runs on
+    assert lines[1].startswith("elgamal,4,4,15,2,")
 
 
 def test_bench_reports_inversions(workspace, capsys):
@@ -314,7 +319,7 @@ def test_bench_w2_note_when_defaulted(workspace, capsys):
 
 
 GOLDEN_CONFIGS = ("binary", "mof2", "mof3", "mof4", "interleave:t=2,w=2", "interleave:t=3",
-                  "interleave:t=4,w=4", "elgamal:t=2,w=2", "elgamal:t=1")
+                  "interleave:t=4,w=4", "elgamal")
 
 GOLDEN_TEXT = """\
 config                  t  w prec trials    ecadd     sd    ecdbl     sd    fe_mul      sd fe_inv
@@ -325,8 +330,7 @@ mof4                    1  4    0      3     35.3    1.2    159.0    0.0    1688
 interleave:t=2,w=2      2  2    1      3     53.7    1.2     79.0    0.8    1222.3    20.2    0.0
 interleave:t=3          3  2    2      3     55.3    0.5     54.0    0.0    1040.7     5.2    0.0
 interleave:t=4,w=4      4  4   15      3     33.7    1.2     39.0    0.8     682.3    18.7    0.0
-elgamal:t=2,w=2         2  2    1      3     91.0    2.2    119.7    0.5    1958.3    25.2    0.0
-elgamal:t=1             1  2    0      3     89.7    3.3    197.0    0.8    2562.3    36.9    0.0
+elgamal                 4  4   15      3     69.0    1.4     80.0    0.0    1399.0    15.6    0.0
 note: rows without an explicit w use width 2
 """
 
@@ -339,14 +343,13 @@ mof4,1,4,0,3,35.333,1.247,159.000,0.000,1688.667,13.719,1.000
 interleave:t=2,w=2,2,2,1,3,53.667,1.247,79.000,0.816,1222.333,20.171,0.000
 interleave:t=3,3,2,2,3,55.333,0.471,54.000,0.000,1040.667,5.185,0.000
 interleave:t=4,w=4,4,4,15,3,33.667,1.247,39.000,0.816,682.333,18.661,0.000
-elgamal:t=2,w=2,2,2,1,3,91.000,2.160,119.667,0.471,1958.333,25.250,0.000
-elgamal:t=1,1,2,0,3,89.667,3.300,197.000,0.816,2562.333,36.881,0.000
+elgamal,4,4,15,3,69.000,1.414,80.000,0.000,1399.000,15.556,0.000
 """
 
 
 def test_bench_golden_output(workspace, capsys):
     # a fixed seed pins the counts, the column layout, the CSV and the order
-    # in which the elgamal rows draw from the seeded generator
+    # in which the elgamal row draws from the seeded generator
     curve = str(workspace / "test.curve")
     csv_path = workspace / "golden.csv"
     assert run_main("bench", "--curve", curve, "--trials", "3", "--configs", *GOLDEN_CONFIGS,
@@ -357,15 +360,36 @@ def test_bench_golden_output(workspace, capsys):
 
 def test_bench_unknown_config_exits_2(workspace):
     curve = str(workspace / "test.curve")
-    # a parameter on binary or mofN, or a repeated one (keys are
+    # a parameter on binary, mofN or elgamal, or a repeated one (keys are
     # case-folded), would otherwise be dropped and its row run another
     # config; a track count above the field's 160 bits would store bases
     # that only see zero digits
-    for config in ("quantum", "mof3:w=2", "binary:t=4", "interleave:t=2,t=3",
-                   "interleave:t=2,T=3", "interleave:t=161", "interleave:t",
-                   "interleave:=2", "interleave:x=2", "interleave:w=2x"):
+    for config in ("quantum", "mof3:w=2", "binary:t=4", "elgamal:t=2", "elgamal:w=4", "mof\u00b2",
+                   "interleave:t=2,t=3", "interleave:t=2,T=3", "interleave:t=161",
+                   "interleave:t", "interleave:=2", "interleave:x=2", "interleave:w=2x"):
         assert run_main("bench", "--curve", curve, "--trials", "1",
                         "--configs", config) == 2, config
+
+
+@pytest.mark.parametrize("config", ["interleave:w=2x", "interleave:t=0", "interleave:t=161",
+                                    "mof\u00b2"])
+def test_bench_config_rejects_with_bad_config(config):
+    # bench tokens are outside input: they fail as BadConfig, never as a
+    # ValueError from int() or build_table
+    with pytest.raises(BadConfig):
+        cli._bench_config(config, builtin_curve(), random.Random(1))
+
+
+def test_value_error_in_a_command_escapes_main(workspace, monkeypatch):
+    # main maps the library's own errors to exit codes; anything else is a
+    # bug and keeps its traceback
+    def broken(args):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli, "cmd_bench", broken)
+    with pytest.raises(ValueError, match="bug"):
+        run_main("bench", "--curve", str(workspace / "test.curve"), "--trials", "1",
+                 "--configs", "binary")
 
 
 def test_bench_zero_trials_exits_2(workspace):

@@ -44,15 +44,8 @@ from ecagg.errors import (
     MessageTooLarge,
     NotFound,
     OffCurvePoint,
-    TableMismatch,
 )
-from ecagg.scalarmul import (
-    build_table,
-    fixed_base_table,
-    mul_binary,
-    table_from_bytes,
-    table_to_bytes,
-)
+from ecagg.scalarmul import mul_binary
 
 
 class ForcedK:
@@ -319,30 +312,6 @@ def test_encrypt_decrypt_roundtrip(curve, keys, rng):
         assert decrypt(keys.secret_x, ct, (1 << 16) - 1) == m
 
 
-def test_encrypt_rejects_table_for_another_base(curve, keys):
-    # the table format stores no base point, so a Y-table loads as a G-table
-    # would; encrypt must refuse it before drawing k
-    def loaded(base):
-        return table_from_bytes(table_to_bytes(build_table(base, 2, 2)), curve)
-
-    rng = random.Random(4)
-    ct = encrypt(keys.public_Y, 9, rng, g_table=loaded(curve.G))
-    assert decrypt(keys.secret_x, ct, 100) == 9
-    state = rng.getstate()
-    with pytest.raises(TableMismatch):
-        encrypt(keys.public_Y, 9, rng, g_table=loaded(keys.public_Y))
-    assert rng.getstate() == state
-
-
-def test_encrypt_rejects_public_key_table_as_generator_table(curve, keys):
-    # the key's own cached (4,4) table is no generator table either
-    rng = random.Random(5)
-    state = rng.getstate()
-    with pytest.raises(TableMismatch):
-        encrypt(keys.public_Y, 9, rng, g_table=fixed_base_table(keys.public_Y))
-    assert rng.getstate() == state
-
-
 @pytest.mark.parametrize("m, max_bits", [(0, 24), (1, 24), (2**24 - 1, 24)])
 def test_shamir_edges_round_trip(curve, keys, m, max_bits):
     # S = k*Y + m*G in one chain: the stripped mask must leave exactly m*G
@@ -353,6 +322,62 @@ def test_shamir_edges_round_trip(curve, keys, m, max_bits):
     M = ec_add_jjj(ct.S, lift(ec_neg(to_affine(xR))))
     assert ec_eq(M, mul_binary(m, curve.G))
     assert decrypt(keys.secret_x, ct, (1 << max_bits) - 1) == m
+
+
+def test_hostile_keys_and_randomizers_round_trip():
+    # keys and randomizers at both ends of [1, n-1], messages at both ends
+    # of the bound: every byte round trip decrypts to m.  A fresh curve, so
+    # the shared one keeps its tables
+    c = builtin_curve()
+    n = c.order_n
+    for x in (1, 2, n - 2, n - 1):
+        Y = keygen(ForcedK(x), c).public_Y
+        for k in (1, 2, n - 2, n - 1):
+            for m in (0, 1, 2, 255, 2**24 - 1):
+                data = ct_to_bytes(encrypt(Y, m, ForcedK(k)))
+                assert decrypt(x, ct_from_bytes(data, c), 2**24 - 1) == m, (x, k, m)
+
+
+def test_hostile_key_masks_to_identity():
+    # x = n-1 makes Y = -G, so k = 1 and m = 1 give S = -G + G: the identity,
+    # one tag byte on the wire
+    c = builtin_curve()
+    x = c.order_n - 1
+    Y = keygen(ForcedK(x), c).public_Y
+    data = ct_to_bytes(encrypt(Y, 1, ForcedK(1)))
+    assert len(data) == 42 and data[41:] == b"\x00"
+    assert decrypt(x, ct_from_bytes(data, c), 2**24 - 1) == 1
+
+
+def test_unit_key_and_randomizer_take_the_equal_point_branch():
+    # x = 1 makes Y = G, so S = 1*Y + 1*G adds G to itself within the scan
+    c = builtin_curve()
+    Y = keygen(ForcedK(1), c).public_Y
+    with tally() as ops:
+        ct = encrypt(Y, 1, ForcedK(1))
+    assert [getattr(ops, f) for f in FIELDS] == [0, 1, 12, 0]
+    assert ec_eq(ct.S, mul_binary(2, c.G))
+    assert decrypt(1, ct, 10) == 1
+
+
+def test_hostile_aggregates_on_the_wire(curve, keys, rng):
+    m = 1000 + rng.randrange(1 << 16)
+    data = ct_to_bytes(encrypt(keys.public_Y, m, rng))
+    ct = ct_from_bytes(data, curve)
+    # folded with its own bytes: two decodes, then ct_add doubles both
+    # components
+    with tally() as ops:
+        twice = ct_add(ct_from_bytes(data, curve), ct_from_bytes(data, curve))
+    assert [getattr(ops, f) for f in FIELDS] == [0, 2, 44, 0]
+    assert decrypt(keys.secret_x, twice, 2**24 - 1) == 2 * m
+    # folded with its mirror: both components cancel to the identity
+    mirror = Ciphertext(lift(ec_neg(to_affine(ct.R))), lift(ec_neg(to_affine(ct.S))))
+    cancelled = ct_to_bytes(ct_add(ct, mirror))
+    assert cancelled == b"\x00\x00"
+    assert decrypt(keys.secret_x, ct_from_bytes(cancelled, curve), 2**24 - 1) == 0
+    # the mirror alone hides -m, which no search bound reaches
+    with pytest.raises(NotFound):
+        decrypt(keys.secret_x, mirror, 2**24 - 1)
 
 
 def test_alternating_keys_keep_two_tables(tmp_path):

@@ -154,10 +154,10 @@ def test_table_extra_point_counts(curve):
 
 
 def test_table_points_validated(curve, tiny_curve, tiny_curve_a2, rng):
-    # the builder checks nothing itself: every stored point of every (t, w)
-    # is d * 2**(i*chunk) times its base, against binary multiplication on
-    # secp160r1 (the generator and another base) and against the affine
-    # oracle on both small curves
+    # the builder checks nothing itself: every lookup entry of every (t, w),
+    # the stored points and their mirrors, is d * 2**(i*chunk) times its
+    # base, against binary multiplication on secp160r1 (the generator and
+    # another base) and against the affine oracle on both small curves
     P = to_affine(mul_binary(rng.getrandbits(N), curve.G))
     multipliers = [(B, lambda k, B=B: jac_tuple(mul_binary(k, B))) for B in (curve.G, P)]
     multipliers += [(c.G, lambda k, c=c: o_mul(k, as_tuple(c.G), *o_of(c)))
@@ -166,10 +166,13 @@ def test_table_points_validated(curve, tiny_curve, tiny_curve_a2, rng):
         for t in range(1, 6):
             for w in range(2, 5):
                 table = build_table(base, t, w)
-                for i, track in enumerate(table.multiples):
-                    for d, pt in track.items():
+                for i, lookup in enumerate(table.signed):
+                    assert sorted(lookup) == [d for d in range(1 - (1 << (w - 1)), 1 << (w - 1))
+                                              if d % 2]
+                    for d, pt in lookup.items():
+                        k = (d << (i * table.chunk)) % base.curve.order_n
                         assert on_curve(pt), (base, t, w, i, d)
-                        assert as_tuple(pt) == multiply(d << (i * table.chunk)), (base, t, w, i, d)
+                        assert as_tuple(pt) == multiply(k), (base, t, w, i, d)
 
 
 def test_table_base_shift(curve):

@@ -23,8 +23,10 @@ from .textcfg import parse_kv
 
 
 def _make_rng(seed_hex: str | None) -> random.Random:
+    """A seeded generator for reproducible runs; without a seed, the
+    operating system's, as secret keys and randomizers need."""
     if seed_hex is None:
-        return random.Random()
+        return random.SystemRandom()
     try:
         return random.Random(int(seed_hex, 16))
     except ValueError:
@@ -109,6 +111,9 @@ def _bench_config(token: str, curve, rng):
         return 1, 0, 0, lambda k: scalarmul.mul_binary(k, G), False
     if name.startswith("mof") and name[3:].isdecimal() and not given:
         w = int(name[3:])
+        if not 2 <= w <= scalarmul.MAX_RECODING_WIDTH:
+            raise BadConfig(f"width {w} outside [2, {scalarmul.MAX_RECODING_WIDTH}] "
+                            f"in config {token!r}")
         return 1, w, 0, lambda k: scalarmul.mul_signed(k, G, w), False
     if name == "elgamal" and not given:
         # one encryption as the program runs it, over the cached tables
@@ -134,10 +139,14 @@ def cmd_bench(args) -> int:
         raise BadConfig("trials must be at least 1")
     rng = _make_rng(args.seed)
     scalars = [rng.getrandbits(curve.field.n) for _ in range(args.trials)]
+    if len(set(args.configs)) < len(args.configs):
+        # a second elgamal key would evict the first one's table mid-bench
+        raise BadConfig("a config is listed twice")
+    # every token is checked, and its table or key built, before any trial
+    configs = [(token, *_bench_config(token, curve, rng)) for token in args.configs]
     rows = []
     any_defaulted = False
-    for token in args.configs:
-        t, w, prec, trial, defaulted = _bench_config(token, curve, rng)
+    for token, t, w, prec, trial, defaulted in configs:
         any_defaulted = any_defaulted or defaulted
         samples = []
         for k in scalars:

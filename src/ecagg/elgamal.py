@@ -181,8 +181,11 @@ def bsgs_cache(curve: CurveParams, max_value: int):
     """(stride, baby table, giant x list, giant y list) for searching
     [0, max_value].
 
-    The baby table maps the x of j*G to (j, y) for 1 <= j <= stride; since
-    -j*G shares that x, one entry answers both signs.  Entry i - 1 of the
+    The baby table maps the x of j*G to j << 1 | (y & 1), j and the parity
+    of j*G's y, for 1 <= j <= stride; since -j*G shares that x, one entry
+    answers both signs, and as p is odd its y, p - y, has the other parity
+    (one int per entry, where a (j, y) tuple measured 1.6 MB more at the
+    2**24 bound).  Entry i - 1 of the
     giant lists is -i*2*stride*G for 1 <= i <= _giant_steps(max_value,
     stride), so giant step i covers the window [2*i*stride - stride,
     2*i*stride + stride].  The stride grows with the bound (16 at bound 0,
@@ -201,7 +204,7 @@ def bsgs_cache(curve: CurveParams, max_value: int):
     if cached is None or cached[0] < stride:
         # drop the smaller table before building, so the two never coexist
         cached = curve._rmap_cache = None
-        babies = {x: (j, y) for j, (x, y) in enumerate(_chain(curve.G, stride), 1)}
+        babies = {x: j << 1 | (y & 1) for j, (x, y) in enumerate(_chain(curve.G, stride), 1)}
         cached = curve._rmap_cache = (stride, babies, [], [])
     stride, _, gxs, gys = cached
     steps = _giant_steps(max_value, stride)
@@ -226,14 +229,15 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
     Baby-step/giant-step over bsgs_cache with the negation map: M itself is
     looked up in the baby table, then giant step i is the affine sum
     M + (-c*G) for the center c = 2*i*stride.  A match in the baby table at
-    x3 is checked by its full y: the baby's y gives m = c + j, its negative
-    m = c - j, and either m must lie in [0, max_value] (the last window
-    reaches past the bound).  Steps run in batches of _GIANT_BATCH sharing
-    one inversion (mod_inv_batch over the x differences); a step computes
-    only the slope and x3, and y3 only when x3 is in the table.  Each giant
-    step counts as one ECADD with 2 multiplications plus its share of the
-    batch inversion, and 1 more on an x hit.  A bound below the cached
-    stride is answered by the baby table alone, with no giant step.
+    x3 is told apart by the parity of y3: the baby's gives m = c + j, the
+    other m = c - j, and either m must lie in [0, max_value] (the last
+    window reaches past the bound).  Steps run in batches of _GIANT_BATCH
+    sharing one inversion (mod_inv_batch over the x differences); a step
+    computes only the slope and x3, and y3 only when x3 is in the table.
+    Each giant step counts as one ECADD with 2 multiplications plus its
+    share of the batch inversion, and 1 more on an x hit.  A bound below
+    the cached stride is answered by the baby table alone, with no giant
+    step.
 
     Raises NotFound when no multiple in range matches, which is how a
     corrupted aggregate or a wrong key shows up, and MessageTooLarge for a
@@ -248,8 +252,8 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
     p = f.p
     xM, yM = M_aff.x, M_aff.y
     hit = babies.get(xM)
-    if hit is not None and hit[1] == yM and hit[0] <= max_value:
-        return hit[0]
+    if hit is not None and (hit ^ yM) & 1 == 0 and hit >> 1 <= max_value:
+        return hit >> 1
     c = counters()
     span = 2 * stride
     steps = _giant_steps(max_value, stride)
@@ -275,11 +279,10 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
             hit = babies.get(x3)
             if hit is not None:
                 c.fe_mul += 1
-                j, y = hit
                 y3 = (lam * (xM - x3) - yM) % p
                 center = (t + 1) * span
-                m = center + j if y3 == y else center - j if y3 == p - y else None
-                if m is not None and m <= max_value:
+                m = center + (hit >> 1) if (hit ^ y3) & 1 == 0 else center - (hit >> 1)
+                if m <= max_value:
                     c.ecadd += done
                     c.fe_mul += 2 * done
                     return m
@@ -291,12 +294,14 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
 def encrypt(public_Y: AffinePoint, m: int, rng) -> Ciphertext:
     """Fresh-randomness encryption of m < 2**DEFAULT_MAX_BITS under the public point.
 
-    Both multiplications run over the (4, 4) tables that fixed_base_table
+    Both multiplications run over the (8, 4) tables that fixed_base_table
     caches: R = k*G over the curve's generator table, and S = k*Y + m*G in
     one doubling chain over Y's table, with m's recoding one more row over
-    track 0 of the generator table.  A key from this process's keygen finds
-    its table built; any other key, such as one from load_public_key, pays
-    one table build on first use.
+    track 0 of the generator table.  The two tables share their shape, so k
+    is split and recoded once (mul_interleave keeps the last recoding) and
+    its rows serve both chains.  A key from this process's keygen finds its
+    table built; any other key, such as one from load_public_key, pays one
+    table build on first use.
     """
     if m < 0 or m.bit_length() > DEFAULT_MAX_BITS:
         raise MessageTooLarge(f"message must be in [0, 2**{DEFAULT_MAX_BITS})")

@@ -18,12 +18,15 @@ base 2**((i-1)*n/t) * G, so the chain is n/t steps long.  The shifted bases
 and the odd multiples needed by widths above 2 are precomputed; beyond the
 generator itself that is (t-1) + t*(2**(w-2) - 1) stored points, kept as
 one signed-digit lookup per track.  Any fixed point can be the base: every
-encryption runs k*G and k*Y over the (4, 4) tables fixed_base_table caches,
-m*G folded into the k*Y chain as one more row (Shamir's trick).
+encryption runs k*G and k*Y over the FIXED_BASE_SHAPE tables that
+fixed_base_table caches, m*G folded into the k*Y chain as one more row
+(Shamir's trick).  Both tables have the same shape, so one split and
+recoding of k serves both chains.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
 
 from .curve import (
@@ -42,6 +45,13 @@ from .curve import (
 from .errors import BadEncoding, TableMismatch, UnsupportedWidth
 
 MAX_RECODING_WIDTH = 4
+
+# (t, w) of the tables fixed_base_table builds: 8 tracks of 20 bits on
+# secp160r1, each holding its shifted base and that base's 3, 5 and 7
+# multiples.  That is 32 affine points of 40 bytes per base, 1,280 bytes, or
+# 2,560 bytes for G and the public key together: the RAM an encryption pays
+# for chains of 20 doublings, against 40 at (4, 4) with half the points.
+FIXED_BASE_SHAPE = (8, 4)
 
 _TABLE_MAGIC = b"EPT1"
 
@@ -173,7 +183,8 @@ def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
 
 
 def fixed_base_table(P: AffinePoint) -> PrecompTable:
-    """The (4, 4) table for base P, 16 stored points, built on first use.
+    """The FIXED_BASE_SHAPE table for base P, 32 stored points, built on
+    first use.
 
     A curve caches two such tables: its generator's, and that of the most
     recently used other base (in practice the public key encryption runs
@@ -186,7 +197,7 @@ def fixed_base_table(P: AffinePoint) -> PrecompTable:
         if P != P.curve.G:
             for base in [b for b in tables if b != P.curve.G]:
                 del tables[base]
-        table = tables[P] = build_table(P, 4, 4)
+        table = tables[P] = build_table(P, *FIXED_BASE_SHAPE)
     return table
 
 
@@ -212,6 +223,21 @@ def _scan(curve: CurveParams, rows: list[tuple[int, ...]],
     return R
 
 
+@lru_cache(maxsize=1)
+def _track_rows(k: int, t: int, w: int, n_bits: int) -> tuple[tuple[int, ...], ...]:
+    """k split into the t tracks of an n_bits table, bound-checked, and each
+    track recoded at width w.
+
+    The last result is kept, holding its k until the next call: encrypt
+    multiplies one k over two tables of the same shape (G's and the public
+    key's), and its second multiplication reuses the first one's rows.
+    """
+    parts = split_scalar(k, t, n_bits)
+    if k.bit_length() > t * -(-n_bits // t) + 1:
+        raise TableMismatch(f"{k.bit_length()}-bit scalar exceeds table designed for {n_bits} bits")
+    return tuple(wmof_recode(part, w) for part in parts)
+
+
 def mul_interleave(k: int, table: PrecompTable, m: int = 0,
                    m_table: PrecompTable | None = None) -> JacobianPoint:
     """k * P over P's precomputed table: t recoded tracks, one doubling chain.
@@ -223,11 +249,7 @@ def mul_interleave(k: int, table: PrecompTable, m: int = 0,
     """
     if m and m_table is None:
         raise ValueError("a second scalar needs its table")
-    parts = split_scalar(k, table.t, table.curve.field.n)
-    if k.bit_length() > table.t * table.chunk + 1:
-        raise TableMismatch(
-            f"{k.bit_length()}-bit scalar exceeds table designed for {table.curve.field.n} bits")
-    rows = [wmof_recode(part, table.w) for part in parts]
+    rows = list(_track_rows(k, table.t, table.w, table.curve.field.n))
     lookups = list(table.signed)
     if m_table is not None:
         rows.append(wmof_recode(m, m_table.w))

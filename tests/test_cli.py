@@ -11,8 +11,10 @@ from ecagg import cli
 from ecagg.aggsim import parse_report
 from ecagg.cli import main
 from ecagg.counters import FIELDS, tally
-from ecagg.curve import builtin_curve
+from ecagg.curve import builtin_curve, to_affine
+from ecagg.elgamal import load_public_key, load_secret_key
 from ecagg.errors import BadConfig
+from ecagg.scalarmul import mul_binary
 
 CURVE_TEXT = """
 name = secp160r1
@@ -71,6 +73,18 @@ def test_keygen_deterministic(workspace, capsys):
     assert run_main("keygen", "--curve", curve, "--out", str(workspace / "b"), "--seed", "c0ffee") == 0
     assert (workspace / "a.pub").read_bytes() == (workspace / "b.pub").read_bytes()
     assert (workspace / "a.sec").read_bytes() == (workspace / "b.sec").read_bytes()
+
+
+def test_unseeded_runs_draw_from_the_os(workspace):
+    # secret keys and randomizers come from the OS when no seed is given;
+    # a seed still gives a reproducible generator
+    assert isinstance(cli._make_rng(None), random.SystemRandom)
+    assert type(cli._make_rng("c0ffee")) is random.Random
+    assert run_main("keygen", "--curve", str(workspace / "test.curve"),
+                    "--out", str(workspace / "os")) == 0
+    Y = load_public_key(workspace / "os.pub")
+    x, curve = load_secret_key(workspace / "os.sec")
+    assert Y == to_affine(mul_binary(x, curve.G))
 
 
 def test_keygen_secret_file_mode_0600(workspace):
@@ -211,7 +225,7 @@ def test_simulate_reproducible(workspace, capsys):
 
 
 def test_simulate_records_account_for_every_operation(workspace, capsys):
-    # curve validation and keygen's public-key (4,4) table come before the
+    # curve validation and keygen's public-key (8,4) table come before the
     # round starts; the (setup) record carries them, so setup plus the node
     # records equal everything the command counted
     with tally() as outer:
@@ -222,10 +236,11 @@ def test_simulate_records_account_for_every_operation(workspace, capsys):
         nodes = sum(rec[f] for rec in report["nodes"].values())
         assert report["setup"][f] + nodes == getattr(outer, f), f
     # curve validation (160 doublings for order_n * G), Y itself (159 for
-    # this seed's x * G), the key's and the generator's (4,4) tables (124
-    # each), and the 2**24 search tables (33: 15 for 2**15 * G by binary
+    # this seed's x * G), the key's and the generator's (8,4) tables (148
+    # each: 7 shifted bases by 20 doublings, and 2P on each of 8 tracks),
+    # and the 2**24 search tables (33: 15 for 2**15 * G by binary
     # doublings, 18 in the lane ladders)
-    assert report["setup"]["ecdbl"] == 160 + 159 + 2 * 124 + 33
+    assert report["setup"]["ecdbl"] == 160 + 159 + 2 * 148 + 33
 
 
 def test_simulate_bad_scenario_exits_2(workspace):
@@ -293,8 +308,9 @@ def test_bench_elgamal_mode_and_csv(workspace, capsys):
                     "--configs", "elgamal", "--seed", "1", "--csv", str(csv_path)) == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("config,")
-    # the row reports the generator table encryption runs on
-    assert lines[1].startswith("elgamal,4,4,15,2,")
+    # the row reports the generator table encryption runs on: (8, 4), its
+    # 32 points all but G itself
+    assert lines[1].startswith("elgamal,8,4,31,2,")
 
 
 def test_bench_reports_inversions(workspace, capsys):
@@ -330,7 +346,7 @@ mof4                    1  4    0      3     35.3    1.2    159.0    0.0    1688
 interleave:t=2,w=2      2  2    1      3     53.7    1.2     79.0    0.8    1222.3    20.2    0.0
 interleave:t=3          3  2    2      3     55.3    0.5     54.0    0.0    1040.7     5.2    0.0
 interleave:t=4,w=4      4  4   15      3     33.7    1.2     39.0    0.8     682.3    18.7    0.0
-elgamal                 4  4   15      3     69.0    1.4     80.0    0.0    1399.0    15.6    0.0
+elgamal                 8  4   31      3     70.3    2.1     40.0    0.0    1093.7    22.6    0.0
 note: rows without an explicit w use width 2
 """
 
@@ -343,13 +359,16 @@ mof4,1,4,0,3,35.333,1.247,159.000,0.000,1688.667,13.719,1.000
 interleave:t=2,w=2,2,2,1,3,53.667,1.247,79.000,0.816,1222.333,20.171,0.000
 interleave:t=3,3,2,2,3,55.333,0.471,54.000,0.000,1040.667,5.185,0.000
 interleave:t=4,w=4,4,4,15,3,33.667,1.247,39.000,0.816,682.333,18.661,0.000
-elgamal,4,4,15,3,69.000,1.414,80.000,0.000,1399.000,15.556,0.000
+elgamal,8,4,31,3,70.333,2.055,40.000,0.000,1093.667,22.603,0.000
 """
 
 
 def test_bench_golden_output(workspace, capsys):
     # a fixed seed pins the counts, the column layout, the CSV and the order
-    # in which the elgamal row draws from the seeded generator
+    # in which the elgamal row draws from the seeded generator.  Its
+    # encryptions run over (8,4) tables: two chains of 20 doublings each,
+    # and 11 multiplies a mixed addition, 8 a doubling (70.333*11 + 40*8 =
+    # 1093.667)
     curve = str(workspace / "test.curve")
     csv_path = workspace / "golden.csv"
     assert run_main("bench", "--curve", curve, "--trials", "3", "--configs", *GOLDEN_CONFIGS,
@@ -372,12 +391,36 @@ def test_bench_unknown_config_exits_2(workspace):
 
 
 @pytest.mark.parametrize("config", ["interleave:w=2x", "interleave:t=0", "interleave:t=161",
-                                    "mof\u00b2"])
+                                    "mof\u00b2", "mof0", "mof1", "mof5"])
 def test_bench_config_rejects_with_bad_config(config):
-    # bench tokens are outside input: they fail as BadConfig, never as a
-    # ValueError from int() or build_table
+    # bench tokens are outside input: they fail as BadConfig when resolved,
+    # never as a ValueError from int() or build_table, nor at a mofN
+    # config's first trial
     with pytest.raises(BadConfig):
         cli._bench_config(config, builtin_curve(), random.Random(1))
+
+
+def test_bench_checks_every_config_before_any_trial(workspace, capsys):
+    # a bad width in the last token fails before the first token's trials
+    # run: the command counts only loading the curve, as with the bad token
+    # alone, and prints no row
+    counts = []
+    for configs in (["binary", "mof5"], ["mof5"]):
+        with tally() as ops:
+            assert run_main("bench", "--curve", str(workspace / "test.curve"), "--trials", "2",
+                            "--configs", *configs) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "mof5" in err
+        counts.append([getattr(ops, f) for f in FIELDS])
+    assert counts[0] == counts[1]
+
+
+def test_bench_rejects_a_repeated_config(workspace, capsys):
+    # the configs are set up together, and a second elgamal key would evict
+    # the first one's table before its trials
+    assert run_main("bench", "--curve", str(workspace / "test.curve"), "--trials", "1",
+                    "--configs", "elgamal", "binary", "elgamal") == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_value_error_in_a_command_escapes_main(workspace, monkeypatch):

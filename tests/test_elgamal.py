@@ -2,6 +2,7 @@
 
 import os
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,7 +46,8 @@ from ecagg.errors import (
     NotFound,
     OffCurvePoint,
 )
-from ecagg.scalarmul import mul_binary
+from ecagg import scalarmul
+from ecagg.scalarmul import default_table, fixed_base_table, mul_binary, mul_interleave
 
 
 class ForcedK:
@@ -285,7 +287,8 @@ def test_search_tables_match_oracle_at_bound_1000():
     stride, babies, gxs, gys = bsgs_cache(c, 1000)
     assert stride == 512
     expected = _oracle_multiples(c, c.G, stride)
-    assert babies == {x: (j, y) for j, (x, y) in enumerate(expected, 1)}
+    # each baby packs j with the parity of j*G's y
+    assert babies == {x: j << 1 | (y & 1) for j, (x, y) in enumerate(expected, 1)}
     assert list(zip(gxs, gys)) == [as_tuple(_oracle_neg_multiple(c, 2 * stride))]
 
 
@@ -322,6 +325,39 @@ def test_shamir_edges_round_trip(curve, keys, m, max_bits):
     M = ec_add_jjj(ct.S, lift(ec_neg(to_affine(xR))))
     assert ec_eq(M, mul_binary(m, curve.G))
     assert decrypt(keys.secret_x, ct, (1 << max_bits) - 1) == m
+
+
+@pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "secp160r1"])
+def test_encrypt_shares_one_recoding_of_k(tiny, tiny_curve, monkeypatch):
+    # R and S are, to the Jacobian coordinate, the two interleaved
+    # multiplications k*G and k*Y + m*G, for m with no row, one digit, a
+    # byte, and rows as long as and longer than a 20-step chain; and k is
+    # split once and recoded once per track, m once more
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(scalarmul, "split_scalar", counted(scalarmul.split_scalar))
+    monkeypatch.setattr(scalarmul, "wmof_recode", counted(scalarmul.wmof_recode))
+    c = tiny_curve if tiny else builtin_curve()
+    rng = random.Random(c.order_n)
+    Y = keygen(rng, c).public_Y
+    g_table, y_table = default_table(c), fixed_base_table(Y)
+    for m in (0, 1, 255, 2**20, 2**24 - 1):
+        k = rng.randrange(1, c.order_n)
+        calls.clear()
+        ct = encrypt(Y, m, ForcedK(k))
+        assert calls == {"split_scalar": 1, "wmof_recode": g_table.t + 1}, m
+        # the references recode k afresh
+        scalarmul._track_rows.cache_clear()
+        R, S = mul_interleave(k, g_table), mul_interleave(k, y_table, m, g_table)
+        assert (ct.R.X, ct.R.Y, ct.R.Z) == (R.X, R.Y, R.Z), m
+        assert (ct.S.X, ct.S.Y, ct.S.Z) == (S.X, S.Y, S.Z), m
+        assert ec_eq(S, ec_add_jjj(mul_binary(k, Y), mul_binary(m, c.G))), m
 
 
 def test_hostile_keys_and_randomizers_round_trip():

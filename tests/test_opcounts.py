@@ -10,7 +10,8 @@ again when the search began matching +-j in the baby table (giant steps of
 twice the stride) and decrypt stopped normalizing x*R, and the build once
 more when the tables came to be built by lane-batched affine additions.  The
 encrypt value was taken again when k*Y moved onto a (4,4) public-key table
-with m*G folded into its chain, and the fold value when serializing began
+with m*G folded into its chain, and once more when both tables became
+(8,4) and one recoding of k came to serve both chains, and the fold value when serializing began
 sharing one inversion between R and S.  The table build and import values
 were taken when building stopped re-deriving its points by binary
 multiplication, and import began comparing against a local build.
@@ -45,6 +46,7 @@ from ecagg.elgamal import (
     rmap,
 )
 from ecagg.scalarmul import (
+    FIXED_BASE_SHAPE,
     build_table,
     default_table,
     mul_binary,
@@ -72,22 +74,30 @@ def keys(curve):
 
 
 def test_encrypt_counts(keys):
-    # k*G and k*Y + 200*G, each one 40-step chain over a (4,4) table that
-    # the default table and keygen built beforehand
+    # k*G and k*Y + 200*G over the (8,4) tables that the default table and
+    # keygen built beforehand.  This k's eight 20-bit tracks recode to rows
+    # of at most 21 digits holding 36 nonzero ones, and 200 to the row
+    # -7*2**3 + 2**8 with 2: each chain doubles 20 times (its first
+    # doubling is of the identity, free), and each scan's first addition
+    # lands on the identity, free.  ECADD 35 + 37 = 72, ECDBL 2*20 = 40,
+    # 11 multiplies a mixed addition and 8 a doubling: 72*11 + 40*8 = 1112
     _, ops = tally(encrypt, keys.public_Y, 200, random.Random(7))
-    assert ops == (68, 80, 1388, 0)
+    assert ops == (72, 40, 1112, 0)
 
 
 def test_encrypt_after_keygen_repeats_its_counts():
     # perfbench's set-up on a fresh curve (keygen, then the default table)
     # leaves nothing for the first encrypt to build, so the first and
-    # second calls with the same draws count the same
+    # second calls with the same draws count the same.  k < n < 2**160 +
+    # 2**81 leaves its top track at most 2**20, and 77 is shorter still:
+    # no row exceeds 21 digits, so each of the two chains doubles at most
+    # 20 times
     curve = builtin_curve()
     kp = keygen(random.Random(0x5EE0), curve)
     default_table(curve)
     first = tally(encrypt, kp.public_Y, 77, random.Random(3))[1]
     assert tally(encrypt, kp.public_Y, 77, random.Random(3))[1] == first
-    assert first[1] <= 82 and first[3] == 0
+    assert first[1] <= 40 and first[3] == 0
 
 
 def test_fold_and_serialize_counts(keys, curve):
@@ -174,6 +184,15 @@ def test_table_build_counts(curve):
     table, ops = tally(build_table, curve.G, 4, 4)
     assert ops == (12, 124, 1254, 5)
     assert tally(table_from_bytes, table_to_bytes(table), curve)[1] == (12, 124, 1302, 5)
+    # the (8,4) shape fixed_base_table builds: 7 shifted bases by 20
+    # doublings each and 8 tracks of 2P, 3P, 5P, 7P, so ECADD 8*3 = 24 and
+    # ECDBL 7*20 + 8 = 148.  Multiplies: 148 doublings at 8, 8 mixed
+    # additions (3P) at 11 and 16 Jacobian ones at 16, the 7 bases
+    # normalized at 3*6 + 4*7 and each track's 3 multiples at 3*2 + 4*3:
+    # 1184 + 88 + 256 + 46 + 8*18 = 1718, one inversion for the bases and
+    # one per track
+    assert FIXED_BASE_SHAPE == (8, 4)
+    assert tally(build_table, curve.G, *FIXED_BASE_SHAPE)[1] == (24, 148, 1718, 9)
 
 
 @pytest.fixture(scope="module")

@@ -19,6 +19,7 @@ from ecagg.curve import (
 )
 from ecagg.errors import BadEncoding, OffCurvePoint, TableMismatch, UnsupportedWidth
 from ecagg.scalarmul import (
+    FIXED_BASE_SHAPE,
     build_table,
     default_table,
     fixed_base_table,
@@ -263,8 +264,9 @@ def test_interleave_folds_a_second_scalar(curve, rng):
 def test_fixed_base_table_keeps_the_generator_and_one_other_base(rng):
     c = builtin_curve()
     G_table = fixed_base_table(c.G)
-    assert default_table(c) is G_table and (G_table.t, G_table.w) == (4, 4)
-    assert G_table.extra_points == 15
+    assert default_table(c) is G_table and (G_table.t, G_table.w) == FIXED_BASE_SHAPE
+    # per track its base and 3, 5 and 7 times it: 8*4 points, G among them
+    assert G_table.extra_points == 31
     P, Q = (to_affine(mul_binary(rng.getrandbits(N), c.G)) for _ in range(2))
     P_table = fixed_base_table(P)
     assert fixed_base_table(P) is P_table and c._tables.keys() == {c.G, P}

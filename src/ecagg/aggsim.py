@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .counters import FIELDS, OpCounters, tally
 from .elgamal import (
     DEFAULT_MAX_BITS,
+    MAX_SEARCH_BITS,
     KeyPair,
     bsgs_cache,
     ct_add,
@@ -133,19 +134,20 @@ def run_round(tree: Scenario, keys: KeyPair, rng,
 
     Leaves without a fixed reading draw an 8-bit value from the round's
     random source, so a seeded rng makes the whole round reproducible.
-    A tree whose largest possible sum exceeds 2**max_bits - 1, and a
-    max_bits above the reader's search ceiling, are rejected before any
-    leaf encrypts, since the reader could not recover the sum.
+    A max_bits above the reader's search ceiling, and a tree whose largest
+    possible sum, worst, exceeds 2**max_bits - 1, are rejected before any
+    point work.  The reader searches [0, worst] alone.
     The reader's stats cover its fold and its decryption.
     """
+    if max_bits > MAX_SEARCH_BITS:
+        raise MessageTooLarge(f"max_bits {max_bits} exceeds the search ceiling {MAX_SEARCH_BITS}")
     worst = sum(255 if n.reading is None else n.reading for n in tree.leaves())
     if worst.bit_length() > max_bits:
         raise MessageTooLarge(
             f"worst-case sum {worst} of {len(tree.leaves())} leaves exceeds 2**{max_bits} - 1")
     curve = keys.public_Y.curve
-    bound = (1 << max_bits) - 1
     with tally() as setup:
-        bsgs_cache(curve, bound)
+        bsgs_cache(curve, worst)
         default_table(curve)
         fixed_base_table(keys.public_Y)
     ciphertexts: dict[str, bytes] = {}
@@ -166,7 +168,7 @@ def run_round(tree: Scenario, keys: KeyPair, rng,
                     folded = ct_add(folded, ct_from_bytes(ciphertexts[child], curve))
                 data = ct_to_bytes(folded)
             if nid == tree.root:
-                recovered = decrypt(keys.secret_x, ct_from_bytes(data, curve), bound)
+                recovered = decrypt(keys.secret_x, ct_from_bytes(data, curve), worst)
         ciphertexts[nid] = data
         stats[nid] = NodeStats(node.role, len(data), ops)
 

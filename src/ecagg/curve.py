@@ -11,9 +11,11 @@ points carry an explicit infinity flag instead.
 
 Coordinates are plain integers in [0, p).  Each formula is straight-line
 code reducing with CPython's ``%`` (see the field module for why), and
-adds its fixed multiplication tally to the counters once, squarings counted
-as multiplications: 8 for dbl-2001-b (a = -3; 10 for a general a), 11 for
-madd-2007-bl and 16 for add-2007-bl (hyperelliptic.org/EFD).
+every formula tallies itself: it adds its fixed multiplication count to
+the counters once, squarings counted as multiplications: 8 for dbl-2001-b
+(a = -3; 10 for a general a), 11 for madd-2007-bl and 16 for add-2007-bl
+(hyperelliptic.org/EFD).  scalarmul's scan inlines the first two for its
+common case and hands every special case back to the functions here.
 """
 
 from __future__ import annotations

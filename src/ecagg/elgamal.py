@@ -52,6 +52,7 @@ from .curve import (
 from .errors import BadConfig, BadEncoding, MessageTooLarge, NotFound
 from .field import mod_inv_batch
 from .scalarmul import (
+    _track_rows,
     default_table,
     fixed_base_table,
     mul_binary,
@@ -299,9 +300,10 @@ def encrypt(public_Y: AffinePoint, m: int, rng) -> Ciphertext:
     one doubling chain over Y's table, with m's recoding one more row over
     track 0 of the generator table.  The two tables share their shape, so k
     is split and recoded once (mul_interleave keeps the last recoding) and
-    its rows serve both chains.  A key from this process's keygen finds its
-    table built; any other key, such as one from load_public_key, pays one
-    table build on first use.
+    its rows serve both chains.  The memo is cleared before returning: k
+    strips S to m*G (S - k*Y), so a captured node must hold no k.  A key
+    from this process's keygen finds its table built; any other key, such
+    as one from load_public_key, pays one table build on first use.
     """
     if m < 0 or m.bit_length() > DEFAULT_MAX_BITS:
         raise MessageTooLarge(f"message must be in [0, 2**{DEFAULT_MAX_BITS})")
@@ -309,7 +311,9 @@ def encrypt(public_Y: AffinePoint, m: int, rng) -> Ciphertext:
     g_table = default_table(curve)
     y_table = fixed_base_table(public_Y)
     k = rng.randrange(1, curve.order_n)
-    return Ciphertext(mul_interleave(k, g_table), mul_interleave(k, y_table, m, g_table))
+    ct = Ciphertext(mul_interleave(k, g_table), mul_interleave(k, y_table, m, g_table))
+    _track_rows.cache_clear()
+    return ct
 
 
 def ct_add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:

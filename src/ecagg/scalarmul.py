@@ -5,7 +5,8 @@ keygen, message mapping and curve validation run on it, and the tests
 compare every other multiplier and every table against it.  mul_signed and
 mul_interleave only build rows of signed digits, each over its base's
 signed odd multiples, and return one scan over them: a single shared
-doubling chain and one mixed addition per nonzero digit.
+doubling chain and one mixed addition per nonzero digit, its two hot
+formulas copied from the curve module to run inline on local integers.
 
 Signed recodings cut the number of additions: a width-w recoding has only
 odd digits no larger than 2**(w-1) - 1, at most one nonzero digit in any w
@@ -29,6 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress
 
+from .counters import counters
 from .curve import (
     AffinePoint,
     CurveParams,
@@ -210,17 +212,55 @@ def _scan(curve: CurveParams, rows: list[tuple[int, ...]],
           lookups: list[dict[int, AffinePoint]]) -> JacobianPoint:
     """Sum of each row's little-endian signed digits times its lookup's
     base: additions grouped by position, rows in order within one, zero
-    digits skipped at C speed by compress; the identity doubles for free."""
+    digits and identity entries skipped.  The accumulator is three ints: an
+    a = -3 doubling with Z and Y nonzero (dbl-2001-b) and a mixed addition
+    of distinct x (madd-2007-bl) run inline, tallied once at the end, and
+    every other step goes through ec_dbl_jj or ec_add_ajj."""
     adds = [()] * max(map(len, rows))
     for row, lookup in zip(rows, lookups):
         for i, d in compress(enumerate(row), row):
-            adds[i] += (lookup[d],)
-    R = JacobianPoint.infinity(curve)
+            pt = lookup[d]
+            if not pt.infinity:
+                adds[i] += (pt,)
+    p = curve.field.p
+    inline_dbl = curve.a_is_minus3
+    X, Y, Z = 1, 1, 0
+    n_dbl = n_add = 0
     for points in reversed(adds):
-        R = ec_dbl_jj(R)
+        if inline_dbl and Z and Y:
+            n_dbl += 1
+            yy = Y * Y % p
+            s = (X * yy % p) << 2
+            zz = Z * Z % p
+            m = 3 * (X - zz) * (X + zz) % p
+            X = (m * m - (s << 1)) % p
+            Z = (Y * Z << 1) % p
+            Y = (m * (s - X) - (yy * yy << 3)) % p
+        else:
+            Q = ec_dbl_jj(JacobianPoint(curve, X, Y, Z))
+            X, Y, Z = Q.X, Q.Y, Q.Z
         for pt in points:
-            R = ec_add_ajj(pt, R)
-    return R
+            if Z:
+                zz = Z * Z % p
+                h = pt.x * zz % p - X
+                if h:
+                    n_add += 1
+                    hh = h * h % p
+                    i = hh << 2
+                    j = h * i % p
+                    r = (pt.y * (Z * zz % p) % p - Y) << 1
+                    v = X * i % p
+                    X = (r * r - j - (v << 1)) % p
+                    Y = (r * (v - X) - (Y * j << 1)) % p
+                    Z = ((Z + h) * (Z + h) - zz - hh) % p
+                    continue
+            Q = ec_add_ajj(pt, JacobianPoint(curve, X, Y, Z))
+            X, Y, Z = Q.X, Q.Y, Q.Z
+    c = counters()
+    c.ecdbl += n_dbl
+    c.ecadd += n_add
+    c.fe_mul += 8 * n_dbl + 11 * n_add
+    return JacobianPoint(curve, X, Y, Z)
 
 
 @lru_cache(maxsize=1)
@@ -228,9 +268,9 @@ def _track_rows(k: int, t: int, w: int, n_bits: int) -> tuple[tuple[int, ...], .
     """k split into the t tracks of an n_bits table, bound-checked, and each
     track recoded at width w.
 
-    The last result is kept, holding its k until the next call: encrypt
-    multiplies one k over two tables of the same shape (G's and the public
-    key's), and its second multiplication reuses the first one's rows.
+    The last result is kept until the next call, or until encrypt clears it:
+    encrypt multiplies one k over two tables of the same shape (G's and the
+    public key's), and its second multiplication reuses the first one's rows.
     """
     parts = split_scalar(k, t, n_bits)
     if k.bit_length() > t * -(-n_bits // t) + 1:

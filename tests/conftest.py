@@ -81,6 +81,16 @@ def oracle_points(curve, count, rng, start_bits=48):
     return pts
 
 
+class ForcedK:
+    """Random source whose randrange always yields a fixed value."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def randrange(self, *args):
+        return self.k
+
+
 # ---------------------------------------------------------------------------
 # Fixtures.
 

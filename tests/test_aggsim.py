@@ -311,12 +311,16 @@ def test_setup_and_nodes_account_for_every_operation():
     keys = keygen(random.Random(0xACC), builtin_curve())
     with tally() as outer:
         result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
-    # 9 inversions for the generator's (8,4) table (one for the 7 shifted
-    # bases, one per track for its odd multiples), 23 for the 4096 baby
-    # points (8 to seed the first 256 lanes, 15 to advance them), one for
-    # -8192*G and 3 to seed the 8 giant points; keygen already built the
-    # public key's table
-    assert result.setup.ecadd > 4000 and result.setup.fe_inv == 9 + 27
+    # the generator's (8,4) table, (24, 148, 1718, 9): one inversion for the
+    # 7 shifted bases, one per track for its odd multiples; keygen already
+    # built the public key's table.  The reader searches [0, 63], the sum
+    # of the fixed readings: stride 2**7 (2**min(14, (6 + 1) // 2 + 4) for
+    # the 6-bit bound) and (63 + 128) // 256 = 0 giant steps, so the search
+    # tables are the 128 baby points alone, a ladder of 7 levels of 1, 2,
+    # ..., 64 lanes, one inversion and one doubling each: 127 - 7 = 120
+    # additions and 3*127 + 7 + 3*(127 - 7) = 748 multiplications with the
+    # batch inversions' share, (120, 7, 748, 7)
+    assert [getattr(result.setup, f) for f in FIELDS] == [24 + 120, 148 + 7, 1718 + 748, 9 + 7]
     for f in FIELDS:
         nodes = sum(getattr(st.ops, f) for st in result.node_stats.values())
         assert getattr(result.setup, f) + nodes == getattr(outer, f), f
@@ -347,8 +351,9 @@ def test_setup_builds_an_evicted_public_key_table():
     keys = keygen(random.Random(0xACC), curve)
     fixed_base_table(to_affine(mul_binary(2, curve.G)))
     result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
-    # the round's usual 9 + 27 inversions, plus 9 for the key's (8,4) table
-    assert result.setup.fe_inv == 9 + 27 + 9
+    # the round's usual (144, 155, 2466, 16), plus the key's (8,4) table,
+    # (24, 148, 1718, 9)
+    assert [getattr(result.setup, f) for f in FIELDS] == [144 + 24, 155 + 148, 2466 + 1718, 16 + 9]
     assert all(st.ops.ecdbl <= 40 for st in result.node_stats.values() if st.role == "leaf")
     assert keys.public_Y in curve._tables and len(curve._tables) == 2
 

@@ -238,9 +238,10 @@ def test_simulate_records_account_for_every_operation(workspace, capsys):
     # curve validation (160 doublings for order_n * G), Y itself (159 for
     # this seed's x * G), the key's and the generator's (8,4) tables (148
     # each: 7 shifted bases by 20 doublings, and 2P on each of 8 tracks),
-    # and the 2**24 search tables (33: 15 for 2**15 * G by binary
-    # doublings, 18 in the lane ladders)
-    assert report["setup"]["ecdbl"] == 160 + 159 + 2 * 148 + 33
+    # and the search tables for the demo's worst-case sum 63 (7: 128 baby
+    # points from a ladder of 7 levels, one doubling each, and no giant
+    # step)
+    assert report["setup"]["ecdbl"] == 160 + 159 + 2 * 148 + 7
 
 
 def test_simulate_bad_scenario_exits_2(workspace):

@@ -6,7 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import as_tuple, o_add, o_mul, o_of
+from conftest import ForcedK, as_tuple, o_add, o_mul, o_of
 
 import ecagg
 from ecagg.curve import (
@@ -48,16 +48,6 @@ from ecagg.errors import (
 )
 from ecagg import scalarmul
 from ecagg.scalarmul import default_table, fixed_base_table, mul_binary, mul_interleave
-
-
-class ForcedK:
-    """Random source whose randrange always yields a fixed value."""
-
-    def __init__(self, k):
-        self.k = k
-
-    def randrange(self, *args):
-        return self.k
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +348,13 @@ def test_encrypt_shares_one_recoding_of_k(tiny, tiny_curve, monkeypatch):
         assert (ct.R.X, ct.R.Y, ct.R.Z) == (R.X, R.Y, R.Z), m
         assert (ct.S.X, ct.S.Y, ct.S.Z) == (S.X, S.Y, S.Z), m
         assert ec_eq(S, ec_add_jjj(mul_binary(k, Y), mul_binary(m, c.G))), m
+
+
+def test_encrypt_keeps_no_recoding_of_k(curve, keys):
+    # S - k*Y = m*G: whoever holds k reads m, so once encrypt returns, the
+    # memo that shared k's rows between its two chains holds nothing
+    encrypt(keys.public_Y, 200, ForcedK(0xC0FFEE))
+    assert scalarmul._track_rows.cache_info().currsize == 0
 
 
 def test_hostile_keys_and_randomizers_round_trip():

@@ -1,0 +1,163 @@
+"""Mutation gate: the oracles below catch every named mutant of the group
+law, the scan, the recoding and the search.
+
+A mutant replaces one node of one function's syntax tree: the expression
+or statement whose source reads ``old`` becomes ``new``.  The edited
+function is compiled against its module's own globals and patched, with
+monkeypatch, over the original in every ecagg module that holds it.  The
+sub-suite must then fail, by a failed check or by an error, and it must pass
+on the unmutated program.  It builds its own curves, so no table or search
+cache that the unmutated code built can hide a mutant.
+
+A mutant that survives is a gap in the checks: make them stronger, never
+drop the mutant.
+"""
+
+import ast
+import inspect
+import random
+import textwrap
+import types
+
+import pytest
+from conftest import TINY, TINY_A2, as_tuple, jac_tuple, o_mul, o_of
+
+from ecagg import aggsim, cli, curve, elgamal, scalarmul
+from ecagg.counters import FIELDS, tally
+from ecagg.curve import AffinePoint, CurveParams, builtin_curve, to_affine
+from ecagg.elgamal import ct_from_bytes, ct_to_bytes, decrypt, encrypt, keygen
+from ecagg.errors import OffCurvePoint
+from ecagg.field import FieldParams
+from ecagg.scalarmul import (
+    _signed_lookup,
+    build_table,
+    default_table,
+    mul_binary,
+    mul_interleave,
+    mul_signed,
+    wmof_recode,
+)
+
+MODULES = (curve, scalarmul, elgamal, aggsim, cli)
+
+# name: (module, function, old, new)
+MUTANTS = {
+    "scan-dbl-8yyyy-as-4yyyy": (scalarmul, "_scan", "yy * yy << 3", "yy * yy << 2"),
+    "scan-dbl-z3-unshifted": (scalarmul, "_scan", "Y * Z << 1", "Y * Z"),
+    "scan-madd-z3-minus-h": (scalarmul, "_scan", "(Z + h) * (Z + h)", "(Z - h) * (Z + h)"),
+    "scan-madd-r-unshifted": (scalarmul, "_scan", "pt.y * (Z * zz % p) % p - Y << 1",
+                              "pt.y * (Z * zz % p) % p - Y"),
+    "scan-lowest-position-first": (scalarmul, "_scan", "reversed(adds)", "adds"),
+    "scan-dbl-tally-7": (scalarmul, "_scan", "8 * n_dbl", "7 * n_dbl"),
+    "scan-keeps-identity-entries": (scalarmul, "_scan", "not pt.infinity", "True"),
+    "curve-dbl-8yyyy-as-4yyyy": (curve, "ec_dbl_jj", "yy * yy << 3", "yy * yy << 2"),
+    "curve-madd-equal-x-is-identity": (curve, "ec_add_ajj", "ec_dbl_jj(Q)",
+                                       "JacobianPoint.infinity(cur)"),
+    "recode-wraps-by-half": (scalarmul, "wmof_recode", "d -= full", "d -= half"),
+    "rmap-center-plus-j": (elgamal, "rmap", "center - (hit >> 1)", "center + (hit >> 1)"),
+    "lanes-tangent-without-a": (elgamal, "_lanes_plus", "3 * qx * qx + curve.a", "3 * qx * qx"),
+    "decode-skips-on-curve": (curve, "decode_point", "not on_curve(P)", "False"),
+}
+
+
+def mutate(module, name, old, new):
+    """module.name with its one node that reads old replaced by new."""
+    original = getattr(module, name)
+    lines, first = inspect.getsourcelines(original)
+    tree = ast.parse(textwrap.dedent("".join(lines)))
+    ast.increment_lineno(tree, first - 1)
+    targets = [node for node in ast.walk(tree) if ast.unparse(node) == old]
+    assert len(targets) == 1, (name, old, len(targets))
+    target = targets[0]
+    if isinstance(target, ast.expr):
+        replacement = ast.parse(new, mode="eval").body
+    else:
+        replacement = ast.parse(new).body[0]
+
+    class Swap(ast.NodeTransformer):
+        def visit(self, node):
+            if node is target:
+                return ast.copy_location(replacement, node)
+            return self.generic_visit(node)
+
+    tree = ast.fix_missing_locations(Swap().visit(tree))
+    code = compile(tree, inspect.getsourcefile(module), "exec")
+    body = next(c for c in code.co_consts if isinstance(c, types.CodeType) and c.co_name == name)
+    return types.FunctionType(body, vars(module), name, original.__defaults__)
+
+
+def _tiny(params, name):
+    return CurveParams(FieldParams(params["n"], params["c"]), params["a"], params["b"],
+                       params["gx"], params["gy"], params["order"], name)
+
+
+def _secp160r1_round_trip():
+    # the encrypt count pin of test_opcounts, (72, 40, 1112, 0), on a fresh
+    # curve with both tables built; then a reading the search finds one
+    # giant step up, at 2048 - 5 (stride 2**10 at the bound 4000)
+    c = builtin_curve()
+    keys = keygen(random.Random(0x5EED), c)
+    default_table(c)
+    with tally() as ops:
+        encrypt(keys.public_Y, 200, random.Random(7))
+    assert [getattr(ops, f) for f in FIELDS] == [72, 40, 1112, 0]
+    data = ct_to_bytes(encrypt(keys.public_Y, 2043, random.Random(8)))
+    assert decrypt(keys.secret_x, ct_from_bytes(data, c), 4000) == 2043
+    bad = bytearray(data)
+    bad[-1] ^= 1
+    try:
+        ct_from_bytes(bytes(bad), c)
+    except OffCurvePoint:
+        pass
+    else:
+        raise AssertionError("a point off the curve decoded")
+
+
+def _identity_lookup(c):
+    # a row over the identity beside a row over G adds nothing
+    p, a = o_of(c)
+    rows = [wmof_recode(1000, 2), wmof_recode(77, 2)]
+    lookups = [_signed_lookup(c.G, 2), _signed_lookup(AffinePoint.identity(c), 2)]
+    assert jac_tuple(scalarmul._scan(c, rows, lookups)) == o_mul(1000, as_tuple(c.G), p, a)
+    assert mul_signed(77, AffinePoint.identity(c), 2).is_infinity
+
+
+def _tiny_sweep(c):
+    # k across the group order: the chain meets the added point (a
+    # doubling) and its negative (the identity)
+    p, a = o_of(c)
+    g = as_tuple(c.G)
+    p_table = build_table(to_affine(mul_binary(2, c.G)), 4, 4)
+    g_table = build_table(c.G, 4, 4)
+    for k in range(c.order_n - 64, c.order_n + 64):
+        want = o_mul(k, g, p, a)
+        for w in (2, 3, 4):
+            assert jac_tuple(mul_signed(k, c.G, w)) == want, (k, w)
+        m = k % 256
+        got = mul_interleave(k, p_table, m, g_table)
+        assert jac_tuple(got) == o_mul(2 * k + m, g, p, a), k
+
+
+def oracle_sub_suite():
+    scalarmul._track_rows.cache_clear()
+    _secp160r1_round_trip()
+    for c in (_tiny(TINY, "tiny13"), _tiny(TINY_A2, "tiny13a2")):
+        _identity_lookup(c)
+        _tiny_sweep(c)
+
+
+def test_sub_suite_passes_on_the_program():
+    oracle_sub_suite()
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_is_killed(name, monkeypatch):
+    module, function, old, new = MUTANTS[name]
+    original = getattr(module, function)
+    mutant = mutate(module, function, old, new)
+    holders = [mod for mod in MODULES if getattr(mod, function, None) is original]
+    assert module in holders
+    for mod in holders:
+        monkeypatch.setattr(mod, function, mutant)
+    with pytest.raises(Exception):
+        oracle_sub_suite()

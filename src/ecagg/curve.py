@@ -3,8 +3,9 @@
 Point addition takes its first operand in affine and its second in Jacobian
 coordinates and yields Jacobian (the cheapest mixed form); doubling is
 Jacobian in and out.  The sensing path never inverts: equality and special
-cases are decided by cross-multiplication, and conversion back to affine is
-reserved for the reader side and for serialization.
+cases are decided by cross-multiplication.  Conversion back to affine is
+for table builds, serialization and the reader, and to_affine_batch is the
+one routine that does it, sharing one inversion across its points.
 
 A point with Z = 0 is the group identity in Jacobian coordinates; affine
 points carry an explicit infinity flag instead.
@@ -24,7 +25,7 @@ import importlib.resources
 
 from .counters import counters
 from .errors import BadConfig, BadEncoding, InvalidCurve, OffCurvePoint
-from .field import FieldParams, mod_inv, mod_inv_batch
+from .field import FieldParams, mod_inv_batch
 from .textcfg import parse_kv, read_text
 
 _CONFIG_KEYS = ("name", "n", "c", "a", "b", "gx", "gy", "order_n")
@@ -267,30 +268,31 @@ def ec_eq(Q1: JacobianPoint, Q2: JacobianPoint) -> bool:
     return Q1.Y * (Z2 * z2z2 % p) % p == Q2.Y * (Z1 * z1z1 % p) % p
 
 
-def _scaled(Q: JacobianPoint, zinv: int) -> AffinePoint:
-    """The affine image of Q given 1/Z."""
-    p = Q.curve.field.p
-    zi2 = zinv * zinv % p
-    counters().fe_mul += 4
-    return AffinePoint(Q.curve, Q.X * zi2 % p, Q.Y * (zi2 * zinv % p) % p)
-
-
 def to_affine(Q: JacobianPoint) -> AffinePoint:
-    """Normalize with a single inversion, or none when Z = 1 (a decoded
-    point); reader-side or serialization only."""
-    if not Q.Z:
-        return AffinePoint.identity(Q.curve)
-    if Q.Z == 1:
-        return AffinePoint(Q.curve, Q.X, Q.Y)
-    return _scaled(Q, mod_inv(Q.curve.field, Q.Z))
+    """to_affine_batch of Q alone."""
+    return to_affine_batch([Q])[0]
 
 
 def to_affine_batch(Qs: list[JacobianPoint]) -> list[AffinePoint]:
-    """to_affine of every point for at most one inversion: the points with
-    Z other than 0 and 1 share it (mod_inv_batch), the rest need none."""
+    """The affine image of every point for at most one inversion: the points
+    with Z other than 0 and 1 share it (mod_inv_batch) and cost 4
+    multiplications each to scale, the rest need none."""
+    curve = Qs[0].curve
+    p = curve.field.p
     pending = [Q.Z for Q in Qs if Q.Z not in (0, 1)]
-    zinvs = iter(mod_inv_batch(Qs[0].curve.field, pending))
-    return [to_affine(Q) if Q.Z in (0, 1) else _scaled(Q, next(zinvs)) for Q in Qs]
+    zinvs = iter(mod_inv_batch(curve.field, pending))
+    counters().fe_mul += 4 * len(pending)
+    out = []
+    for Q in Qs:
+        if not Q.Z:
+            out.append(AffinePoint.identity(curve))
+        elif Q.Z == 1:
+            out.append(AffinePoint(curve, Q.X, Q.Y))
+        else:
+            zinv = next(zinvs)
+            zi2 = zinv * zinv % p
+            out.append(AffinePoint(curve, Q.X * zi2 % p, Q.Y * (zi2 * zinv % p) % p))
+    return out
 
 
 # ---------------------------------------------------------------------------

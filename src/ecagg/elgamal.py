@@ -297,10 +297,10 @@ def encrypt(public_Y: AffinePoint, m: int, rng) -> Ciphertext:
 
     Both multiplications run over the (8, 4) tables that fixed_base_table
     caches: R = k*G over the curve's generator table, and S = k*Y + m*G in
-    one doubling chain over Y's table, with m's recoding one more row over
-    track 0 of the generator table.  The two tables share their shape, so k
-    is split and recoded once (mul_interleave keeps the last recoding) and
-    its rows serve both chains.  The memo is cleared before returning: k
+    one doubling chain over Y's table, m's row over the generator table's
+    first track.  The two tables share their shape, so k is split and
+    recoded once (mul_interleave keeps the last recoding) and its rows
+    serve both chains.  The memo is cleared before returning: k
     strips S to m*G (S - k*Y), so a captured node must hold no k.  A key
     from this process's keygen finds its table built; any other key, such
     as one from load_public_key, pays one table build on first use.
@@ -308,10 +308,9 @@ def encrypt(public_Y: AffinePoint, m: int, rng) -> Ciphertext:
     if m < 0 or m.bit_length() > DEFAULT_MAX_BITS:
         raise MessageTooLarge(f"message must be in [0, 2**{DEFAULT_MAX_BITS})")
     curve = public_Y.curve
-    g_table = default_table(curve)
     y_table = fixed_base_table(public_Y)
     k = rng.randrange(1, curve.order_n)
-    ct = Ciphertext(mul_interleave(k, g_table), mul_interleave(k, y_table, m, g_table))
+    ct = Ciphertext(mul_interleave(k, default_table(curve)), mul_interleave(k, y_table, m))
     _track_rows.cache_clear()
     return ct
 

@@ -20,9 +20,10 @@ and the odd multiples needed by widths above 2 are precomputed; beyond the
 generator itself that is (t-1) + t*(2**(w-2) - 1) stored points, kept as
 one signed-digit lookup per track.  Any fixed point can be the base: every
 encryption runs k*G and k*Y over the FIXED_BASE_SHAPE tables that
-fixed_base_table caches, m*G folded into the k*Y chain as one more row
-(Shamir's trick).  Both tables have the same shape, so one split and
-recoding of k serves both chains.
+fixed_base_table caches.  mul_interleave folds m*G into the k*Y chain as one
+more row over the first track of the generator's table (Shamir's trick).
+Both tables have the same shape, so one split and recoding of k serves both
+chains.
 """
 
 from __future__ import annotations
@@ -278,22 +279,17 @@ def _track_rows(k: int, t: int, w: int, n_bits: int) -> tuple[tuple[int, ...], .
     return tuple(wmof_recode(part, w) for part in parts)
 
 
-def mul_interleave(k: int, table: PrecompTable, m: int = 0,
-                   m_table: PrecompTable | None = None) -> JacobianPoint:
-    """k * P over P's precomputed table: t recoded tracks, one doubling chain.
-
-    Given m_table, the result is k*P + m*Q with Q the first base of m_table
-    (Shamir's trick): m's recoding is one more row over track 0 of m_table,
-    sharing the chain, so a short m adds its nonzero digits and no
-    doubling.
-    """
-    if m and m_table is None:
-        raise ValueError("a second scalar needs its table")
+def mul_interleave(k: int, table: PrecompTable, m: int = 0) -> JacobianPoint:
+    """k*P + m*G over P's precomputed table: t recoded tracks, one doubling
+    chain.  A nonzero m is one more row over the first track of the
+    generator's table (Shamir's trick), sharing the chain, so a short m adds
+    its nonzero digits and no doubling."""
     rows = list(_track_rows(k, table.t, table.w, table.curve.field.n))
     lookups = list(table.signed)
-    if m_table is not None:
-        rows.append(wmof_recode(m, m_table.w))
-        lookups.append(m_table.signed[0])
+    if m:
+        g_table = default_table(table.curve)
+        rows.append(wmof_recode(m, g_table.w))
+        lookups.append(g_table.signed[0])
     return _scan(table.curve, rows, lookups)
 
 

@@ -106,6 +106,12 @@ TINY = {"n": 13, "c": 1, "a": 8188, "b": 3, "gx": 1, "gy": 1, "order": 8221}
 TINY_A2 = {"n": 13, "c": 1, "a": 2, "b": 15, "gx": 1, "gy": 7807, "order": 8167}
 
 
+def make_tiny(params, name):
+    """A fresh curve, with empty table and search caches, from TINY or TINY_A2."""
+    return CurveParams(FieldParams(params["n"], params["c"]), params["a"], params["b"],
+                       params["gx"], params["gy"], params["order"], name)
+
+
 @pytest.fixture(scope="session")
 def curve():
     return builtin_curve()
@@ -113,16 +119,12 @@ def curve():
 
 @pytest.fixture(scope="session")
 def tiny_curve():
-    fp = FieldParams(TINY["n"], TINY["c"])
-    return CurveParams(fp, TINY["a"], TINY["b"], TINY["gx"], TINY["gy"],
-                       TINY["order"], "tiny13")
+    return make_tiny(TINY, "tiny13")
 
 
 @pytest.fixture(scope="session")
 def tiny_curve_a2():
-    fp = FieldParams(TINY_A2["n"], TINY_A2["c"])
-    return CurveParams(fp, TINY_A2["a"], TINY_A2["b"], TINY_A2["gx"], TINY_A2["gy"],
-                       TINY_A2["order"], "tiny13a2")
+    return make_tiny(TINY_A2, "tiny13a2")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,5 @@
 """Mutation gate: the oracles below catch every named mutant of the group
-law, the scan, the recoding and the search.
+law, normalization, the scan, the recoding, the search and table import.
 
 A mutant replaces one node of one function's syntax tree: the expression
 or statement whose source reads ``old`` becomes ``new``.  The edited
@@ -20,14 +20,13 @@ import textwrap
 import types
 
 import pytest
-from conftest import TINY, TINY_A2, as_tuple, jac_tuple, o_mul, o_of
+from conftest import TINY, TINY_A2, as_tuple, jac_tuple, make_tiny, o_mul, o_of
 
 from ecagg import aggsim, cli, curve, elgamal, scalarmul
 from ecagg.counters import FIELDS, tally
-from ecagg.curve import AffinePoint, CurveParams, builtin_curve, to_affine
-from ecagg.elgamal import ct_from_bytes, ct_to_bytes, decrypt, encrypt, keygen
-from ecagg.errors import OffCurvePoint
-from ecagg.field import FieldParams
+from ecagg.curve import AffinePoint, builtin_curve, point_to_bytes, to_affine
+from ecagg.elgamal import ct_add, ct_from_bytes, ct_to_bytes, decrypt, encrypt, keygen
+from ecagg.errors import OffCurvePoint, TableMismatch
 from ecagg.scalarmul import (
     _signed_lookup,
     build_table,
@@ -35,6 +34,7 @@ from ecagg.scalarmul import (
     mul_binary,
     mul_interleave,
     mul_signed,
+    table_to_bytes,
     wmof_recode,
 )
 
@@ -57,6 +57,17 @@ MUTANTS = {
     "rmap-center-plus-j": (elgamal, "rmap", "center - (hit >> 1)", "center + (hit >> 1)"),
     "lanes-tangent-without-a": (elgamal, "_lanes_plus", "3 * qx * qx + curve.a", "3 * qx * qx"),
     "decode-skips-on-curve": (curve, "decode_point", "not on_curve(P)", "False"),
+    "jjj-z3-without-h": (curve, "ec_add_jjj", "((Z1 + Z2) * (Z1 + Z2) - z1z1 - z2z2) * h",
+                         "(Z1 + Z2) * (Z1 + Z2) - z1z1 - z2z2"),
+    "jjj-equal-x-is-identity": (curve, "ec_add_jjj", "ec_dbl_jj(Q1)",
+                                "JacobianPoint.infinity(cur)"),
+    "normalize-y-by-z-squared": (curve, "to_affine_batch", "zi2 * zinv", "zi2"),
+    "giants-one-stride-apart": (elgamal, "bsgs_cache", "2 * stride", "stride"),
+    "babies-lose-parity": (elgamal, "bsgs_cache", "j << 1 | y & 1", "j << 1"),
+    "table-import-skips-comparison": (scalarmul, "table_from_bytes",
+                                      "table.stored_points() != points", "False"),
+    "m-row-over-track-1": (scalarmul, "mul_interleave", "g_table.signed[0]",
+                           "g_table.signed[1]"),
 }
 
 
@@ -86,23 +97,28 @@ def mutate(module, name, old, new):
     return types.FunctionType(body, vars(module), name, original.__defaults__)
 
 
-def _tiny(params, name):
-    return CurveParams(FieldParams(params["n"], params["c"]), params["a"], params["b"],
-                       params["gx"], params["gy"], params["order"], name)
-
-
 def _secp160r1_round_trip():
     # the encrypt count pin of test_opcounts, (72, 40, 1112, 0), on a fresh
-    # curve with both tables built; then a reading the search finds one
-    # giant step up, at 2048 - 5 (stride 2**10 at the bound 4000)
+    # curve with both tables built; then readings the search finds one
+    # giant step up, at 2048 - 10 and 2048 + 10 (stride 2**10 at the bound
+    # 4000): one match on each side of the window's center, and as 10*G has
+    # an odd y, the search tells them apart only by the parity its baby
+    # entry stores
     c = builtin_curve()
     keys = keygen(random.Random(0x5EED), c)
     default_table(c)
     with tally() as ops:
         encrypt(keys.public_Y, 200, random.Random(7))
     assert [getattr(ops, f) for f in FIELDS] == [72, 40, 1112, 0]
-    data = ct_to_bytes(encrypt(keys.public_Y, 2043, random.Random(8)))
-    assert decrypt(keys.secret_x, ct_from_bytes(data, c), 4000) == 2043
+    cts = {m: ct_from_bytes(ct_to_bytes(encrypt(keys.public_Y, m, random.Random(m))), c)
+           for m in (2038, 2058, 7)}
+    for m, ct in cts.items():
+        assert decrypt(keys.secret_x, ct, 4000) == m
+    # folds of two general-Z sums, and of a ciphertext with itself (ec_add_jjj's
+    # equal-x doubling)
+    folded = ct_add(ct_add(cts[2038], cts[7]), ct_add(cts[7], cts[7]))
+    assert decrypt(keys.secret_x, folded, 4000) == 2038 + 3 * 7
+    data = ct_to_bytes(cts[2038])
     bad = bytearray(data)
     bad[-1] ^= 1
     try:
@@ -128,22 +144,37 @@ def _tiny_sweep(c):
     p, a = o_of(c)
     g = as_tuple(c.G)
     p_table = build_table(to_affine(mul_binary(2, c.G)), 4, 4)
-    g_table = build_table(c.G, 4, 4)
     for k in range(c.order_n - 64, c.order_n + 64):
         want = o_mul(k, g, p, a)
         for w in (2, 3, 4):
             assert jac_tuple(mul_signed(k, c.G, w)) == want, (k, w)
         m = k % 256
-        got = mul_interleave(k, p_table, m, g_table)
+        got = mul_interleave(k, p_table, m)
         assert jac_tuple(got) == o_mul(2 * k + m, g, p, a), k
+
+
+def _forged_table(c):
+    # a table file whose last stored multiple is swapped for another curve
+    # point imports as a mismatch, and the untouched file imports
+    data = table_to_bytes(build_table(c.G, 2, 3))
+    two_g = to_affine(mul_binary(2, c.G))
+    assert scalarmul.table_from_bytes(data, c).stored_points()[-1] != two_g
+    forged = point_to_bytes(two_g)
+    try:
+        scalarmul.table_from_bytes(data[:-len(forged)] + forged, c)
+    except TableMismatch:
+        pass
+    else:
+        raise AssertionError("a forged table imported")
 
 
 def oracle_sub_suite():
     scalarmul._track_rows.cache_clear()
     _secp160r1_round_trip()
-    for c in (_tiny(TINY, "tiny13"), _tiny(TINY_A2, "tiny13a2")):
+    for c in (make_tiny(TINY, "tiny13"), make_tiny(TINY_A2, "tiny13a2")):
         _identity_lookup(c)
         _tiny_sweep(c)
+        _forged_table(c)
 
 
 def test_sub_suite_passes_on_the_program():

@@ -247,18 +247,14 @@ def test_interleave_accepts_order_sized_scalar(curve):
 
 
 def test_interleave_folds_a_second_scalar(curve, rng):
-    # k*P + m*G in one chain, for m shorter and longer than the chain and
-    # over generator tables of other shapes
+    # k*P + m*G in one chain, for m shorter and longer than the chain
     P = to_affine(mul_binary(rng.getrandbits(N), curve.G))
     p_table = build_table(P, 4, 4)
-    for g_table in (default_table(curve), build_table(curve.G, 1, 2), build_table(curve.G, 8, 3)):
-        for m in (0, 1, 7, 2**24 - 1, 2**32 - 1, 2**60 + 3):
-            k = rng.getrandbits(N)
-            expected = ec_add_jjj(mul_binary(k, P), mul_binary(m, curve.G))
-            assert ec_eq(mul_interleave(k, p_table, m, g_table), expected)
-    assert ec_eq(mul_interleave(0, p_table, 5, default_table(curve)), mul_binary(5, curve.G))
-    with pytest.raises(ValueError):
-        mul_interleave(3, p_table, 5)
+    for m in (0, 1, 7, 2**24 - 1, 2**32 - 1, 2**60 + 3):
+        k = rng.getrandbits(N)
+        expected = ec_add_jjj(mul_binary(k, P), mul_binary(m, curve.G))
+        assert ec_eq(mul_interleave(k, p_table, m), expected)
+    assert ec_eq(mul_interleave(0, p_table, 5), mul_binary(5, curve.G))
 
 
 def test_fixed_base_table_keeps_the_generator_and_one_other_base(rng):
@@ -309,7 +305,7 @@ def test_negative_scalars_rejected(curve):
     with pytest.raises(ValueError):
         mul_interleave(-1, table)
     with pytest.raises(ValueError):
-        mul_interleave(3, table, -1, table)
+        mul_interleave(3, table, -1)
 
 
 def test_scan_matches_oracle_across_the_tiny_group_order(tiny_curve, monkeypatch):
@@ -319,7 +315,8 @@ def test_scan_matches_oracle_across_the_tiny_group_order(tiny_curve, monkeypatch
     p, a = o_of(tiny_curve)
     g = as_tuple(tiny_curve.G)
     P = to_affine(mul_binary(2, tiny_curve.G))
-    p_table, g_table = build_table(P, 4, 4), build_table(tiny_curve.G, 4, 4)
+    p_table = build_table(P, 4, 4)
+    default_table(tiny_curve)  # the m row's table, built before the wrapper counts
     meets = Counter()
 
     def counting_add(A, Q):
@@ -332,7 +329,7 @@ def test_scan_matches_oracle_across_the_tiny_group_order(tiny_curve, monkeypatch
     ks = range(8221 - 256, 8221 + 256)
     runs = [(f"w={w}", lambda k, w=w: mul_signed(k, tiny_curve.G, w), lambda k: k)
             for w in (2, 3, 4)]
-    runs.append(("interleave", lambda k: mul_interleave(k, p_table, k % 256, g_table),
+    runs.append(("interleave", lambda k: mul_interleave(k, p_table, k % 256),
                  lambda k: 2 * k + k % 256))
     for name, multiply, scalar in runs:
         meets.clear()

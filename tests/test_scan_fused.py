@@ -96,9 +96,10 @@ def test_sweep_across_the_tiny_group_order(name, request, monkeypatch):
     p, a = o_of(c)
     g = as_tuple(c.G)
     P = to_affine(mul_binary(2, c.G))
-    p_table, g_table = build_table(P, 4, 4), build_table(c.G, 4, 4)
+    p_table = build_table(P, 4, 4)
+    default_table(c)  # the m row's table, built outside the compared tallies
     runs = [(lambda k, w=w: [mul_signed(k, c.G, w)], lambda k: k) for w in (2, 3, 4)]
-    runs.append((lambda k: [mul_interleave(k, p_table, k % 256, g_table)],
+    runs.append((lambda k: [mul_interleave(k, p_table, k % 256)],
                  lambda k: 2 * k + k % 256))
     steps = Steps()
     for multiply, scalar in runs:

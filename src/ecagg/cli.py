@@ -139,9 +139,6 @@ def cmd_bench(args) -> int:
         raise BadConfig("trials must be at least 1")
     rng = _make_rng(args.seed)
     scalars = [rng.getrandbits(curve.field.n) for _ in range(args.trials)]
-    if len(set(args.configs)) < len(args.configs):
-        # a second elgamal key would evict the first one's table mid-bench
-        raise BadConfig("a config is listed twice")
     # every token is checked, and its table or key built, before any trial
     configs = [(token, *_bench_config(token, curve, rng)) for token in args.configs]
     rows = []

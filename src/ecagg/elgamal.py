@@ -186,33 +186,41 @@ def bsgs_cache(curve: CurveParams, max_value: int):
     of j*G's y, for 1 <= j <= stride; since -j*G shares that x, one entry
     answers both signs, and as p is odd its y, p - y, has the other parity
     (one int per entry, where a (j, y) tuple measured 1.6 MB more at the
-    2**24 bound).  Entry i - 1 of the
-    giant lists is -i*2*stride*G for 1 <= i <= _giant_steps(max_value,
-    stride), so giant step i covers the window [2*i*stride - stride,
-    2*i*stride + stride].  The stride grows with the bound (16 at bound 0,
-    512 at 1000, 2**14 from 2**18 up).  A curve caches one entry, the one
-    with the largest stride asked for so far: a smaller bound reuses it with
-    fewer giant steps, a larger stride replaces it, and a bound that needs
-    more giant steps keeps the baby table and rebuilds the giant lists at
-    the new length.  The giant table grows with the bound (2**17 points,
-    about 14 MB, at 32 bits), so a bound outside [0, 2**MAX_SEARCH_BITS)
-    raises MessageTooLarge before any point work.
+    2**24 bound).  Entry i - 1 of the giant lists is -i*2*stride*G for
+    1 <= i <= _giant_steps(max_value, stride), so giant step i covers the
+    window [2*i*stride - stride, 2*i*stride + stride].  The stride grows
+    with the bound (16 at bound 0, 512 at 1000, 2**14 from 2**18 up).  A
+    curve caches one entry, the one with the largest stride asked for so
+    far: a smaller bound reuses it with fewer giant steps, a larger stride
+    replaces it, and a bound that needs more giant steps keeps the baby
+    table and rebuilds the giant lists at the new length.
+
+    Before any point work, MessageTooLarge rejects a bound outside
+    [0, 2**MAX_SEARCH_BITS), as the giant table grows with it (2**17 points,
+    about 14 MB, at 32 bits), and one too close to the group order for the
+    stride the search runs at: the giant spacing 2*stride and the bound
+    plus the last window's center must both lie below the order, or a baby
+    or giant point could be the identity, or a giant point's own log lie
+    within the bound.  Only a small-order curve can fail that.
     """
     if not 0 <= max_value < 1 << MAX_SEARCH_BITS:
         raise MessageTooLarge(f"search bound must be in [0, 2**{MAX_SEARCH_BITS})")
-    stride = 1 << min(14, (max_value.bit_length() + 1) // 2 + 4)
     cached = curve._rmap_cache
+    stride = max(1 << min(14, (max_value.bit_length() + 1) // 2 + 4), cached[0] if cached else 0)
+    span = 2 * stride
+    steps = _giant_steps(max_value, stride)
+    if span >= curve.order_n or max_value + span * steps >= curve.order_n:
+        raise MessageTooLarge(f"search bound {max_value} too close to the group order")
     if cached is None or cached[0] < stride:
         # drop the smaller table before building, so the two never coexist
         cached = curve._rmap_cache = None
         babies = {x: j << 1 | (y & 1) for j, (x, y) in enumerate(_chain(curve.G, stride), 1)}
         cached = curve._rmap_cache = (stride, babies, [], [])
-    stride, _, gxs, gys = cached
-    steps = _giant_steps(max_value, stride)
+    _, _, gxs, gys = cached
     if len(gxs) < steps:
         gxs.clear()
         gys.clear()
-        for x, y in _chain(ec_neg(to_affine(mul_binary(2 * stride, curve.G))), steps):
+        for x, y in _chain(ec_neg(to_affine(mul_binary(span, curve.G))), steps):
             gxs.append(x)
             gys.append(y)
     return cached
@@ -242,7 +250,7 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
 
     Raises NotFound when no multiple in range matches, which is how a
     corrupted aggregate or a wrong key shows up, and MessageTooLarge for a
-    bound outside [0, 2**MAX_SEARCH_BITS).
+    bound bsgs_cache rejects.
     """
     curve = M.curve
     stride, babies, gxs, gys = bsgs_cache(curve, max_value)
@@ -269,9 +277,9 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
                 # M = (t + 1)*span*G: the step lands on the identity
                 return (t + 1) * span
             # M is (t + 1)*span*G above the bound, or the giant point
-            # -(t + 1)*span*G itself, whose log lies far above it: either way
-            # no m in range is left, and the step (a doubling or the
-            # identity) is skipped
+            # -(t + 1)*span*G itself, whose log bsgs_cache keeps above it:
+            # either way no m in range is left, and the step (a doubling or
+            # the identity) is skipped
             del dxs[t - lo]
             batch = [s for s in batch if s != t]
         for done, (t, inv) in enumerate(zip(batch, mod_inv_batch(f, dxs)), 1):

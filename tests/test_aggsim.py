@@ -17,9 +17,9 @@ from ecagg.aggsim import (
 )
 from ecagg.counters import FIELDS, tally
 from ecagg.curve import builtin_curve, to_affine
-from ecagg.elgamal import keygen
+from ecagg.elgamal import KeyPair, keygen
 from ecagg.errors import BadScenario, Error, MessageTooLarge
-from ecagg.scalarmul import fixed_base_table, mul_binary
+from ecagg.scalarmul import mul_binary
 
 DEMO = """
 id=reader
@@ -344,18 +344,19 @@ def test_setup_and_nodes_account_for_every_operation():
     assert result.node_stats["reader"].ops.fe_inv == 1
 
 
-def test_setup_builds_an_evicted_public_key_table():
-    # a curve keeps one table besides the generator's: once another base
-    # has displaced the key's, the round's setup rebuilds it, not a leaf
+def test_setup_builds_a_missing_public_key_table():
+    # a key made without keygen, such as one read from a .pub file, has no
+    # table yet: the round's setup builds it, not a leaf
     curve = builtin_curve()
-    keys = keygen(random.Random(0xACC), curve)
-    fixed_base_table(to_affine(mul_binary(2, curve.G)))
+    x = random.Random(0xACC).randrange(1, curve.order_n)
+    keys = KeyPair(x, to_affine(mul_binary(x, curve.G)))
+    assert keys.public_Y not in curve._tables
     result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
     # the round's usual (144, 155, 2466, 16), plus the key's (8,4) table,
     # (24, 148, 1718, 9)
     assert [getattr(result.setup, f) for f in FIELDS] == [144 + 24, 155 + 148, 2466 + 1718, 16 + 9]
     assert all(st.ops.ecdbl <= 40 for st in result.node_stats.values() if st.role == "leaf")
-    assert keys.public_Y in curve._tables and len(curve._tables) == 2
+    assert curve._tables.keys() == {curve.G, keys.public_Y}
 
 
 def test_round_rejects_bound_above_search_ceiling(keys):

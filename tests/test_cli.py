@@ -87,6 +87,13 @@ def test_unseeded_runs_draw_from_the_os(workspace):
     assert Y == to_affine(mul_binary(x, curve.G))
 
 
+def test_non_hex_seed_exits_2(workspace, capsys):
+    assert run_main("keygen", "--curve", str(workspace / "test.curve"),
+                    "--out", str(workspace / "k"), "--seed", "0xyz") == 2
+    assert "not hexadecimal" in capsys.readouterr().err
+    assert not (workspace / "k.pub").exists() and not (workspace / "k.sec").exists()
+
+
 def test_keygen_secret_file_mode_0600(workspace):
     curve = str(workspace / "test.curve")
     assert run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "1") == 0
@@ -416,12 +423,16 @@ def test_bench_checks_every_config_before_any_trial(workspace, capsys):
     assert counts[0] == counts[1]
 
 
-def test_bench_rejects_a_repeated_config(workspace, capsys):
-    # the configs are set up together, and a second elgamal key would evict
-    # the first one's table before its trials
-    assert run_main("bench", "--curve", str(workspace / "test.curve"), "--trials", "1",
-                    "--configs", "elgamal", "binary", "elgamal") == 2
-    assert capsys.readouterr().out == ""
+def test_bench_runs_a_repeated_config(workspace, capsys):
+    # every config's key and table are set up before any trial, and a curve
+    # keeps both elgamal keys' tables: no trial pays a build (148 doublings
+    # beside an encryption's two 20-doubling chains)
+    assert run_main("bench", "--curve", str(workspace / "test.curve"), "--trials", "3",
+                    "--configs", "elgamal", "binary", "elgamal") == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["elgamal", "binary", "elgamal"]
+    for row in (rows[0], rows[2]):
+        assert float(row.split()[7]) <= 40
 
 
 def test_value_error_in_a_command_escapes_main(workspace, monkeypatch):

@@ -301,6 +301,14 @@ def test_load_rejects_composite_prime():
         curve_from_config(bad)
 
 
+@pytest.mark.parametrize("c", ["0", "-1"])
+def test_load_rejects_c_below_one(c):
+    # 2**160 - 0 and 2**160 + 1 are composite too, so the message tells
+    # the field constructor's own check on c from its primality test
+    with pytest.raises(InvalidCurve, match="c must be positive"):
+        curve_from_config(BASE_CONFIG.replace("c = 80000001", f"c = {c}"))
+
+
 def test_load_rejects_singular():
     bad = BASE_CONFIG.replace(
         "a = ffffffffffffffffffffffffffffffff7ffffffc", "a = 0").replace(
@@ -394,6 +402,22 @@ def test_tampered_point_rejected(curve):
     data[5] ^= 0x01
     with pytest.raises(OffCurvePoint):
         decode_point(bytes(data), 0, curve)
+
+
+@pytest.mark.parametrize("coordinate", ["x", "y"])
+def test_coordinate_not_below_p_rejected(tiny_curve, coordinate):
+    # on tiny13 (p = 2**13 - 1) a coordinate plus p still fits the encoding's
+    # two bytes and, reduced mod p, satisfies the curve equation
+    p = tiny_curve.field.p
+    x, y = tiny_curve.G.x, tiny_curve.G.y
+    if coordinate == "x":
+        x += p
+    else:
+        y += p
+    assert x < 1 << 16 and y < 1 << 16 and on_curve(AffinePoint(tiny_curve, x, y))
+    data = bytes([0x04]) + x.to_bytes(2, "big") + y.to_bytes(2, "big")
+    with pytest.raises(OffCurvePoint, match="not below p"):
+        decode_point(data, 0, tiny_curve)
 
 
 def test_bad_tag_rejected(curve):

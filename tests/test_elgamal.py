@@ -6,7 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import ForcedK, as_tuple, o_add, o_mul, o_of
+from conftest import TINY, ForcedK, as_tuple, make_tiny, o_add, o_mul, o_of
 
 import ecagg
 from ecagg.curve import (
@@ -164,6 +164,21 @@ def test_search_bound_ceiling_rejected_before_any_work(curve, keys, rng):
             with pytest.raises(MessageTooLarge):
                 decrypt(keys.secret_x, ct, bound)
     assert [getattr(t, f) for f in FIELDS] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("m, bound", [(4125, 8219), (5, 2**20)])
+def test_search_bound_near_the_group_order_rejected_before_any_work(m, bound):
+    # tiny13's order is 8221.  At 8219 the giant points are 4096 apart and
+    # the last window is centered on 8192, so the bound reaches the log of
+    # -4096*G = 4125*G, a giant point, which the search skips as beyond it.
+    # At 2**20 the giant spacing, 2**15, exceeds the order, and the baby
+    # lanes would reach the identity
+    c = make_tiny(TINY, "tiny13")
+    M = mul_binary(m, c.G)
+    with tally() as t, pytest.raises(MessageTooLarge):
+        rmap(M, bound)
+    assert [getattr(t, f) for f in FIELDS] == [0, 0, 0, 0]
+    assert c._rmap_cache is None
 
 
 def test_one_search_table_serves_smaller_bounds():
@@ -416,7 +431,9 @@ def test_hostile_aggregates_on_the_wire(curve, keys, rng):
 def test_alternating_keys_keep_two_tables(tmp_path):
     # one key from this process's keygen, the other read back from a .pub
     # file (its own curve object) and also placed on the first key's curve,
-    # which must then drop the first key's table to build the other's
+    # which then keeps both keys' tables: each is built once, and after the
+    # first round every encryption is its two 20-doubling chains alone (a
+    # table build is 148 more)
     curve = builtin_curve()
     mine = keygen(random.Random(21), curve)
     theirs = keygen(random.Random(22), builtin_curve())
@@ -425,14 +442,19 @@ def test_alternating_keys_keep_two_tables(tmp_path):
     assert loaded.curve is not curve
     rehomed = AffinePoint(curve, loaded.x, loaded.y)
     rng = random.Random(23)
-    for _ in range(2):
+    built = {}
+    for first_round in (True, False):
         for Y, x in ((mine.public_Y, mine.secret_x), (loaded, theirs.secret_x),
                      (rehomed, theirs.secret_x)):
             m = rng.randrange(1000)
-            assert decrypt(x, encrypt(Y, m, rng), 1000) == m
-            # the key's curve holds G's table and this key's, nothing more
-            assert Y.curve._tables.keys() == {Y.curve.G, Y}
-            assert len(curve._tables) <= 2 and len(loaded.curve._tables) <= 2
+            with tally() as ops:
+                ct = encrypt(Y, m, rng)
+            assert decrypt(x, ct, 1000) == m
+            assert first_round or ops.ecdbl <= 40
+            # loaded and rehomed are equal points on two curves
+            assert built.setdefault((Y.curve, Y), fixed_base_table(Y)) is fixed_base_table(Y)
+    assert curve._tables.keys() == {curve.G, mine.public_Y, rehomed}
+    assert loaded.curve._tables.keys() == {loaded.curve.G, loaded}
 
 
 def test_ct_to_bytes_shares_one_inversion(curve, keys, rng):

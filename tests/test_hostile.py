@@ -20,10 +20,22 @@ from itertools import product
 import pytest
 from conftest import TINY, TINY_A2, as_tuple, jac_tuple, make_tiny, o_add, o_mul, o_of
 
+from ecagg import elgamal
 from ecagg.counters import tally
 from ecagg.curve import JacobianPoint, builtin_curve, to_affine, to_affine_batch
-from ecagg.elgamal import Ciphertext, bsgs_cache, ct_add, ct_from_bytes, ct_to_bytes, decrypt
-from ecagg.errors import Error
+from ecagg.elgamal import (
+    _GIANT_BATCH,
+    Ciphertext,
+    _giant_steps,
+    bsgs_cache,
+    ct_add,
+    ct_from_bytes,
+    ct_to_bytes,
+    decrypt,
+    encrypt,
+    rmap,
+)
+from ecagg.errors import Error, MessageTooLarge, NotFound
 from ecagg.scalarmul import mul_binary
 
 TARGETS = ("bound", "bound + 1", "n - 1", "-first giant", "-last giant", "+giant",
@@ -31,11 +43,11 @@ TARGETS = ("bound", "bound + 1", "n - 1", "-first giant", "-last giant", "+giant
 # children are one to four groups of these, then one child that sets the total
 GROUPS = ("plain", "identical", "opposite", "identity R", "identity S")
 
-# name: (fresh curve, search bounds); the bounds stay below half the group
-# order, as on every real curve
+# name: (fresh curve, search bounds); on the tiny curves the last bound is
+# the largest that bsgs_cache accepts (test_largest_accepted_bound_decrypts)
 CURVES = {
-    "tiny13": (lambda: make_tiny(TINY, "tiny13"), (0, 1, 100, 4000)),
-    "tiny13a2": (lambda: make_tiny(TINY_A2, "tiny13a2"), (0, 100, 4000)),
+    "tiny13": (lambda: make_tiny(TINY, "tiny13"), (0, 1, 100, 4000, 4124)),
+    "tiny13a2": (lambda: make_tiny(TINY_A2, "tiny13a2"), (0, 100, 4000, 4070)),
     "secp160r1": (builtin_curve, (4000,)),
 }
 
@@ -160,6 +172,65 @@ def test_hostile_aggregates_decrypt_to_the_sum_or_fail(name):
             ("bound", "found"), ("bound + 1", "refused"),
             ("above the bound", "refused")} <= outcomes
     assert case.seen == {*GROUPS, "group", "itself", "mirror"}
+
+
+def largest_bound(c):
+    """The largest search bound bsgs_cache accepts on a fresh curve c: every
+    bound from the group order down is refused until that one is built."""
+    for bound in range(c.order_n, -1, -1):
+        try:
+            bsgs_cache(c, bound)
+        except MessageTooLarge:
+            continue
+        return bound
+
+
+@pytest.mark.parametrize("name", ["tiny13", "tiny13a2"])
+def test_largest_accepted_bound_decrypts(name):
+    # the bound, its window edges and a sample below it decrypt; neither
+    # the first giant point nor n - 1 does, nor the bound + 1, which at this
+    # bound is the log of the last giant point -steps*2*stride*G: the gate
+    # stops where a giant point's own log would enter the bound
+    c = CURVES[name][0]()
+    bound = largest_bound(c)
+    assert bound == CURVES[name][1][-1]
+    stride = bsgs_cache(c, bound)[0]
+    assert bound + 1 == c.order_n - _giant_steps(bound, stride) * 2 * stride
+    rng = seeded(name + " largest")
+    x = rng.randrange(1, c.order_n)
+    Y = to_affine(mul_binary(x, c.G))
+    found = {0, 1, stride - 1, stride, stride + 1, 2 * stride - 1, 2 * stride, 2 * stride + 1,
+             bound - 1, bound, *(rng.randint(0, bound) for _ in range(24))}
+    for m in sorted(found):
+        assert decrypt(x, encrypt(Y, m, rng), bound) == m
+    for m in (bound + 1, c.order_n - 2 * stride, c.order_n - 1):
+        with pytest.raises(NotFound):
+            decrypt(x, encrypt(Y, m, rng), bound)
+
+
+@pytest.mark.parametrize("bound", [4000, 2**24 - 1])
+def test_not_found_costs_at_most_the_full_search(bound, monkeypatch):
+    # under the wrong key the search runs to its end, and no further: at
+    # most one addition per giant step, and one inversion per batch of
+    # _GIANT_BATCH steps plus M's normalization
+    c = builtin_curve()
+    rng = seeded(f"wrong key {bound}")
+    x = rng.randrange(1, c.order_n)
+    ct = encrypt(to_affine(mul_binary(x, c.G)), 7, rng)
+    spent = []
+
+    def counted(M, max_value):
+        with tally() as ops:
+            spent.append(ops)
+            return rmap(M, max_value)
+
+    monkeypatch.setattr(elgamal, "rmap", counted)
+    with pytest.raises(NotFound):
+        decrypt(x % (c.order_n - 1) + 1, ct, bound)
+    steps = _giant_steps(bound, bsgs_cache(c, bound)[0])
+    assert steps == {4000: 2, 2**24 - 1: 512}[bound]
+    [ops] = spent
+    assert ops.ecadd <= steps and ops.fe_inv <= -(-steps // _GIANT_BATCH) + 1
 
 
 @pytest.mark.parametrize("name", ["tiny13", "secp160r1"])

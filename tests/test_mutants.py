@@ -57,6 +57,8 @@ MUTANTS = {
     "rmap-center-plus-j": (elgamal, "rmap", "center - (hit >> 1)", "center + (hit >> 1)"),
     "lanes-tangent-without-a": (elgamal, "_lanes_plus", "3 * qx * qx + curve.a", "3 * qx * qx"),
     "decode-skips-on-curve": (curve, "decode_point", "not on_curve(P)", "False"),
+    "decode-skips-range-check": (curve, "decode_point",
+                                 "x >= curve.field.p or y >= curve.field.p", "False"),
     "jjj-z3-without-h": (curve, "ec_add_jjj", "((Z1 + Z2) * (Z1 + Z2) - z1z1 - z2z2) * h",
                          "(Z1 + Z2) * (Z1 + Z2) - z1z1 - z2z2"),
     "jjj-equal-x-is-identity": (curve, "ec_add_jjj", "ec_dbl_jj(Q1)",
@@ -168,6 +170,20 @@ def _forged_table(c):
         raise AssertionError("a forged table imported")
 
 
+def _wide_coordinate(c):
+    # a ciphertext whose R carries x + p: it fits the tiny curves' two-byte
+    # coordinates and meets the curve equation mod p, yet must not decode
+    p = c.field.p
+    x, y = c.G.x + p, c.G.y
+    wide = bytes([0x04]) + x.to_bytes(2, "big") + y.to_bytes(2, "big")
+    try:
+        ct_from_bytes(wide + point_to_bytes(c.G), c)
+    except OffCurvePoint:
+        pass
+    else:
+        raise AssertionError("a coordinate not below p decoded")
+
+
 def oracle_sub_suite():
     scalarmul._track_rows.cache_clear()
     _secp160r1_round_trip()
@@ -175,6 +191,7 @@ def oracle_sub_suite():
         _identity_lookup(c)
         _tiny_sweep(c)
         _forged_table(c)
+        _wide_coordinate(c)
 
 
 def test_sub_suite_passes_on_the_program():

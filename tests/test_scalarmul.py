@@ -8,6 +8,7 @@ from conftest import as_tuple, jac_tuple, o_add, o_mul, o_of
 from ecagg import scalarmul
 from ecagg.counters import tally
 from ecagg.curve import (
+    AffinePoint,
     builtin_curve,
     ec_add_ajj,
     ec_add_jjj,
@@ -257,7 +258,7 @@ def test_interleave_folds_a_second_scalar(curve, rng):
     assert ec_eq(mul_interleave(0, p_table, 5), mul_binary(5, curve.G))
 
 
-def test_fixed_base_table_keeps_the_generator_and_one_other_base(rng):
+def test_fixed_base_table_keeps_one_table_per_base(rng):
     c = builtin_curve()
     G_table = fixed_base_table(c.G)
     assert default_table(c) is G_table and (G_table.t, G_table.w) == FIXED_BASE_SHAPE
@@ -265,10 +266,9 @@ def test_fixed_base_table_keeps_the_generator_and_one_other_base(rng):
     assert G_table.extra_points == 31
     P, Q = (to_affine(mul_binary(rng.getrandbits(N), c.G)) for _ in range(2))
     P_table = fixed_base_table(P)
-    assert fixed_base_table(P) is P_table and c._tables.keys() == {c.G, P}
-    fixed_base_table(Q)
-    assert c._tables.keys() == {c.G, Q}
-    assert fixed_base_table(P) is not P_table and c._tables.keys() == {c.G, P}
+    Q_table = fixed_base_table(Q)
+    assert fixed_base_table(P) is P_table and fixed_base_table(Q) is Q_table
+    assert c._tables.keys() == {c.G, P, Q}
     assert fixed_base_table(c.G) is G_table
 
 
@@ -414,6 +414,26 @@ def test_table_header_track_count_rejected_before_any_work(curve):
     with tally() as ops, pytest.raises(BadEncoding):
         table_from_bytes(bytes(data), curve)
     assert (ops.ecadd, ops.ecdbl, ops.fe_mul) == (0, 0, 0)
+
+
+def test_table_of_identities_rejected(curve):
+    # the local build of an identity base is all identities as well, so
+    # only the identity check refuses a (2, 3) file of four identities
+    head = table_to_bytes(build_table(curve.G, 2, 3))[:4 + 1 + len(curve.name) + 6]
+    with pytest.raises(BadEncoding, match="identity"):
+        table_from_bytes(head + point_to_bytes(AffinePoint.identity(curve)) * 4, curve)
+
+
+@pytest.mark.parametrize("t", [0, N + 1])
+def test_build_table_rejects_track_count(curve, t):
+    with pytest.raises(ValueError, match="track count"):
+        build_table(curve.G, t, 2)
+
+
+@pytest.mark.parametrize("w", [1, scalarmul.MAX_RECODING_WIDTH + 1])
+def test_build_table_rejects_width(curve, w):
+    with pytest.raises(UnsupportedWidth):
+        build_table(curve.G, 2, w)
 
 
 def test_table_bad_magic_rejected(curve):

@@ -338,6 +338,9 @@ def decode_point(data: bytes, pos: int, curve: CurveParams) -> tuple[AffinePoint
 def curve_from_config(text: str) -> CurveParams:
     """Build validated parameters from key=value text with hex fields."""
     vals = parse_kv(text, BadConfig, _CONFIG_KEYS, _CONFIG_KEYS[1:])
+    if len(vals["name"].encode()) > 255:
+        # a table file spends one byte on the name's length
+        raise BadConfig("curve name longer than 255 UTF-8 bytes")
     try:
         fp = FieldParams(vals["n"], vals["c"])
     except ValueError as e:

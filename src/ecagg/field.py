@@ -2,9 +2,9 @@
 
 The prime's shape makes reduction cheap: 2**n is congruent to c, so the high
 half of any value can be folded into the low half (r_h*2**n + r_l becomes
-r_h*c + r_l) until the result fits in n bits.  Modular addition uses the same
-idea: instead of subtracting p after an overflow, add c and drop the carry
-bit.  Neither ever divides by p.
+r_h*c + r_l), and for c below 2**(n/2) two folds leave less than 2p.
+Modular addition uses the same idea: instead of subtracting p after an
+overflow, add c and drop the carry bit.  Neither ever divides by p.
 
 Values are carried as Python integers.  The test suite checks every
 operation against plain big-integer modular arithmetic.
@@ -23,15 +23,6 @@ import random
 
 from .counters import counters
 from .errors import NonCanonical, ZeroInverse
-
-
-_last_reduce_passes = 0
-
-
-def last_reduce_passes() -> int:
-    """Substitution passes taken by the most recent mod_reduce, so the
-    two-pass bound behind FieldParams' c < 2**(n/2) rule can be checked."""
-    return _last_reduce_passes
 
 
 def _is_probable_prime(m: int) -> bool:
@@ -72,8 +63,8 @@ class FieldParams:
         if c < 1:
             raise ValueError("c must be positive")
         if c >= 1 << (n // 2):
-            # two substitution passes only fold the high half fast enough
-            # when c stays below 2**(n/2)
+            # mod_reduce's two substitution passes are exact only while c
+            # stays below 2**(n/2)
             raise ValueError("c must be below 2**(n/2)")
         p = (1 << n) - c
         if not _is_probable_prime(p):
@@ -122,8 +113,9 @@ def _same_field(a: FieldElement, b: FieldElement):
 def mod_add(f: FieldParams, x: int, y: int) -> int:
     """(x + y) mod p via the add-c correction; never subtracts p."""
     r = x + y
-    if (r >> f.n) or r >= f.p:
-        # overflow of the n-bit word or r >= p: add c, drop the 2**n carry
+    if r >= f.p:
+        # r >= p, which covers an overflow of the n-bit word: add c, drop
+        # the 2**n carry
         r = (r + f.c) & f.mask
     return r
 
@@ -137,16 +129,17 @@ def mod_sub(f: FieldParams, x: int, y: int) -> int:
 
 
 def mod_reduce(f: FieldParams, r: int) -> int:
-    """Reduce a value below 2**(2n) by substituting 2**n -> c."""
-    global _last_reduce_passes
+    """Reduce a value below 2**(2n) by substituting 2**n -> c twice.
+
+    With c < 2**(n/2), (c + 1)**2 <= 2**n: the first pass leaves r below
+    (c + 1) * 2**n, the second below 2**n + c**2, which is at most 2*p, so
+    one conditional add of c, dropping the carry, finishes.
+    """
     n, c, mask = f.n, f.c, f.mask
-    passes = 0
-    while r >> n:
-        r = (r >> n) * c + (r & mask)
-        passes += 1
+    r = (r >> n) * c + (r & mask)
+    r = (r >> n) * c + (r & mask)
     if r >= f.p:
         r = (r + c) & mask
-    _last_reduce_passes = passes
     return r
 
 

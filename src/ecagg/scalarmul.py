@@ -56,7 +56,7 @@ MAX_RECODING_WIDTH = 4
 # for chains of 20 doublings, against 40 at (4, 4) with half the points.
 FIXED_BASE_SHAPE = (8, 4)
 
-_TABLE_MAGIC = b"EPT1"
+_TABLE_MAGIC = b"EPT3"
 
 
 def mul_binary(k: int, P: AffinePoint) -> JacobianPoint:
@@ -297,55 +297,39 @@ def mul_signed(k: int, P: AffinePoint, w: int) -> JacobianPoint:
 
 
 # ---------------------------------------------------------------------------
-# Table files: magic, curve name, (t, w, n_bits), point count, then the
-# stored points in wire encoding.  The format stores no base point: import
-# builds the table of the first stored base and accepts the file only if
-# every stored point equals the local build's.
+# Table files: magic, curve name, n_bits (2 bytes), t (2 bytes), w (1 byte),
+# then the base point in wire encoding.  Every stored point follows from the
+# base, so the file holds none of them: import checks the header, decodes
+# the base and builds its table.
 
 def table_to_bytes(table: PrecompTable) -> bytes:
     name = table.curve.name.encode()
-    if len(name) > 255:
-        raise ValueError("curve name too long")
-    pts = table.stored_points()
-    head = (_TABLE_MAGIC + bytes([len(name)]) + name
-            + bytes([table.t, table.w])
-            + table.curve.field.n.to_bytes(2, "big")
-            + len(pts).to_bytes(2, "big"))
-    return head + b"".join(point_to_bytes(p) for p in pts)
+    return (_TABLE_MAGIC + bytes([len(name)]) + name
+            + table.curve.field.n.to_bytes(2, "big") + table.t.to_bytes(2, "big")
+            + bytes([table.w]) + point_to_bytes(table.signed[0][1]))
 
 
 def table_from_bytes(data: bytes, curve: CurveParams) -> PrecompTable:
-    if len(data) < 4 or data[:4] != _TABLE_MAGIC:
+    if data[:4] != _TABLE_MAGIC:
         raise BadEncoding("not a precomputation table")
-    pos = 4
     try:
-        nlen = data[pos]
-        name = data[pos + 1:pos + 1 + nlen].decode()
-        pos += 1 + nlen
-        t, w = data[pos], data[pos + 1]
-        n_bits = int.from_bytes(data[pos + 2:pos + 4], "big")
-        count = int.from_bytes(data[pos + 4:pos + 6], "big")
-        pos += 6
-    except (IndexError, UnicodeDecodeError):
+        pos = 5 + data[4]
+        n_bits = int.from_bytes(data[pos:pos + 2], "big")
+        t = int.from_bytes(data[pos + 2:pos + 4], "big")
+        w = data[pos + 4]
+    except IndexError:
         raise BadEncoding("truncated table header") from None
-    if name != curve.name:
-        raise TableMismatch(f"table built for curve {name!r}, not {curve.name!r}")
+    name = data[5:pos]
+    if name != curve.name.encode():
+        raise TableMismatch(f"table built for curve {name.decode(errors='replace')!r}, "
+                            f"not {curve.name!r}")
     if n_bits != curve.field.n:
         raise TableMismatch(f"table designed for {n_bits} bits, curve has {curve.field.n}")
     if not 1 <= t <= n_bits or w < 2 or w > MAX_RECODING_WIDTH:
         raise BadEncoding("table header has invalid (t, w)")
-    expected = t + t * ((1 << (w - 2)) - 1)
-    if count != expected:
-        raise BadEncoding(f"table should hold {expected} points, header says {count}")
-    points = []
-    for _ in range(count):
-        P, pos = decode_point(data, pos, curve)
-        if P.infinity:
-            raise BadEncoding("table may not contain the identity")
-        points.append(P)
+    base, pos = decode_point(data, pos + 5, curve)
+    if base.infinity:
+        raise BadEncoding("table base may not be the identity")
     if pos != len(data):
         raise BadEncoding("trailing bytes after table")
-    table = build_table(points[0], t, w)
-    if table.stored_points() != points:
-        raise TableMismatch("stored points disagree with the table of the first stored base")
-    return table
+    return build_table(base, t, w)

@@ -1,9 +1,11 @@
 """Command-line behaviour, including the exit-code contract."""
 
+import os
 import random
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -457,14 +459,18 @@ def test_bench_zero_trials_exits_2(workspace):
 def test_exit_codes_via_subprocess(workspace):
     curve = str(workspace / "test.curve")
     env_cmd = [sys.executable, "-m", "ecagg"]
+    # the child imports the package under test, installed or not
+    root = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
     ok = subprocess.run(env_cmd + ["keygen", "--curve", curve, "--out",
                                    str(workspace / "sk"), "--seed", "aa"],
-                        capture_output=True, text=True)
+                        capture_output=True, text=True, env=env)
     assert ok.returncode == 0
     bad = subprocess.run(env_cmd + ["keygen", "--curve", str(workspace / "none.curve"),
                                     "--out", str(workspace / "x")],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert bad.returncode == 2
     assert bad.stderr
-    usage = subprocess.run(env_cmd + ["decrypt"], capture_output=True, text=True)
+    usage = subprocess.run(env_cmd + ["decrypt"], capture_output=True, text=True, env=env)
     assert usage.returncode == 2

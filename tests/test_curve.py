@@ -21,6 +21,7 @@ from ecagg.curve import (
     to_affine,
 )
 from ecagg.errors import BadConfig, BadEncoding, InvalidCurve, OffCurvePoint
+from ecagg.scalarmul import build_table, table_from_bytes, table_to_bytes
 
 
 def scale(Q, lam):
@@ -372,6 +373,23 @@ def test_load_rejects_wrong_order():
         "order_n = 0100000000000000000001f4c8f927aed3ca752259")
     with pytest.raises(InvalidCurve):
         curve_from_config(bad)
+
+
+@pytest.mark.parametrize("name", ["x" * 256, "é" * 128], ids=["ascii", "two_byte"])
+def test_load_rejects_name_over_255_bytes(name):
+    # a table file stores the name's length in one byte; 128 two-byte
+    # characters are 256 UTF-8 bytes
+    with tally() as t, pytest.raises(BadConfig, match="255"):
+        curve_from_config(BASE_CONFIG.replace("name = secp160r1", f"name = {name}"))
+    assert [getattr(t, f) for f in FIELDS] == [0, 0, 0, 0]
+
+
+def test_name_of_255_bytes_loads_and_its_table_round_trips():
+    name = "é" * 127 + "x"
+    curve = curve_from_config(BASE_CONFIG.replace("name = secp160r1", f"name = {name}"))
+    data = table_to_bytes(build_table(curve.G, 2, 2))
+    assert data[4] == 255 and data[5:260].decode() == name
+    assert table_to_bytes(table_from_bytes(data, curve)) == data
 
 
 def test_tiny_curve_validates(tiny_curve):

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from ecagg import field
 from ecagg.counters import tally
 from ecagg.errors import NonCanonical, ZeroInverse
 from ecagg.field import (
@@ -126,24 +125,53 @@ def test_reduce_random_wide(fp160, rng):
         assert out < P
 
 
+def _two_folds(f, r):
+    for _ in range(2):
+        r = (r >> f.n) * f.c + (r & f.mask)
+    return r
+
+
 def test_reduce_products_take_two_passes(fp160, rng):
-    # products of canonical operands fold flat in at most two substitutions
+    # products of canonical operands, reduced by the two fixed folds
     for _ in range(300):
         a, b = rng.randrange(P), rng.randrange(P)
-        mod_reduce(fp160, a * b)
-        assert field.last_reduce_passes() <= 2
-    mod_reduce(fp160, (P - 1) ** 2)
-    assert field.last_reduce_passes() <= 2
+        assert mod_reduce(fp160, a * b) == a * b % P
+    assert mod_reduce(fp160, (P - 1) ** 2) == 1
 
 
 def test_reduce_adversarial_three_pass_input(fp160):
     # crafted below (p-1)^2 so that the second substitution still overflows
-    # by one bit; the loop must keep going and stay correct
+    # by one bit: only the final conditional add of c brings it below p
     r = ((1 << N) - 2 * C - 3) * (1 << N) + (2 * C + 3) * C - 1
     assert r < (P - 1) ** 2
-    out = mod_reduce(fp160, r)
-    assert out == r % P
-    assert field.last_reduce_passes() <= 3
+    assert _two_folds(fp160, r) >> N
+    assert mod_reduce(fp160, r) == r % P
+
+
+# the largest c below 2**80 for which 2**160 - c is prime, at the edge of
+# FieldParams' c < 2**(n/2) rule
+EDGE_C = 2**80 - 157
+
+
+def test_edge_c_is_the_largest_allowed_below_2_80():
+    FieldParams(160, EDGE_C)
+    for c in range(EDGE_C + 1, 2**80):
+        with pytest.raises(ValueError, match="not prime"):
+            FieldParams(160, c)
+    with pytest.raises(ValueError, match="below"):
+        FieldParams(160, 2**80)
+
+
+def test_reduce_at_the_edge_of_the_c_rule():
+    f = FieldParams(160, EDGE_C)
+    p = f.p
+    # the crafted input folds once to c*2**n - 1, whose second fold
+    # overflows the n-bit word, as 2**320 - 1's does
+    crafted = ((1 << N) - 1) * (1 << N) + EDGE_C - 1
+    for r in (crafted, 2**320 - 1):
+        assert _two_folds(f, r) >> N
+    for r in ((p - 1) ** 2, 2**320 - 1, crafted):
+        assert mod_reduce(f, r) == r % p
 
 
 def test_mul_examples(fp160, rng):

@@ -14,7 +14,8 @@ with m*G folded into its chain, and once more when both tables became
 (8,4) and one recoding of k came to serve both chains, and the fold value when serializing began
 sharing one inversion between R and S.  The table build and import values
 were taken when building stopped re-deriving its points by binary
-multiplication, and import began comparing against a local build.
+multiplication, and import began comparing against a local build; the
+import value once more when table files came to store only their base.
 """
 
 import random
@@ -179,11 +180,11 @@ def test_table_build_counts(curve):
     # a (4,4) table: 3 shifted bases by 40 doublings each, normalized
     # together (1 inversion); then per track 2P by one doubling and 3P, 5P,
     # 7P by three additions, normalized together (1 inversion each).
-    # Importing its bytes decodes the 16 points (3 multiplies each for the
-    # curve check) and builds the same table from the first one
+    # Importing its bytes decodes the base (3 multiplies for the curve
+    # check) and builds the same table from it
     table, ops = tally(build_table, curve.G, 4, 4)
     assert ops == (12, 124, 1254, 5)
-    assert tally(table_from_bytes, table_to_bytes(table), curve)[1] == (12, 124, 1302, 5)
+    assert tally(table_from_bytes, table_to_bytes(table), curve)[1] == (12, 124, 1257, 5)
     # the (8,4) shape fixed_base_table builds: 7 shifted bases by 20
     # doublings each and 8 tracks of 2P, 3P, 5P, 7P, so ECADD 8*3 = 24 and
     # ECDBL 7*20 + 8 = 148.  Multiplies: 148 doublings at 8, 8 mixed

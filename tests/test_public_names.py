@@ -18,7 +18,6 @@ USERS = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acce
 # name: why it stays without a caller in those sources
 ALLOWED = {
     "parse_report": "the parser of the report emit_report writes; its round trip is tested",
-    "last_reduce_passes": "test_field's probe of the two-pass reduction bound",
 }
 
 

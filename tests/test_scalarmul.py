@@ -10,6 +10,7 @@ from ecagg.counters import tally
 from ecagg.curve import (
     AffinePoint,
     builtin_curve,
+    curve_from_config,
     ec_add_ajj,
     ec_add_jjj,
     ec_eq,
@@ -350,14 +351,61 @@ def test_multiplication_homomorphism(curve, rng):
 
 # --- table serialization -----------------------------------------------------------------------
 
+def header(curve):
+    """Offset of a table file's (n_bits, t, w) fields: magic, name length, name."""
+    return 4 + 1 + len(curve.name)
+
+
 def test_table_file_roundtrip(curve, tmp_path):
     table = build_table(curve.G, 3, 3)
     data = table_to_bytes(table)
     loaded = table_from_bytes(data, curve)
     assert table_to_bytes(loaded) == data
     assert loaded.t == 3 and loaded.w == 3 and loaded.chunk == table.chunk
+    assert loaded.stored_points() == table.stored_points()
     k = 0x1234567890ABCDEF1234567890ABCDEF12345678
     assert ec_eq(mul_interleave(k, loaded), mul_binary(k, curve.G))
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (3, 3), FIXED_BASE_SHAPE, (N, 4)])
+def test_table_file_is_header_and_base(curve, shape):
+    # 4 + 1 + 9 name bytes + 2 + 2 + 1, then the 41-byte base: 60 bytes on
+    # secp160r1 whatever the shape
+    data = table_to_bytes(build_table(curve.G, *shape))
+    at = header(curve)
+    assert len(data) == 60
+    assert data[at:at + 5] == N.to_bytes(2, "big") + shape[0].to_bytes(2, "big") + bytes([shape[1]])
+    assert data[at + 5:] == point_to_bytes(curve.G)
+
+
+SECP256K1 = """
+name = secp256k1
+n = 100
+c = 1000003d1
+a = 0
+b = 7
+gx = 79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798
+gy = 483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8
+order_n = fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141
+"""
+
+
+def test_table_of_256_tracks_round_trips():
+    # t takes two bytes: 256 tracks of one bit each on a 256-bit field
+    curve = curve_from_config(SECP256K1)
+    table = build_table(curve.G, 256, 2)
+    data = table_to_bytes(table)
+    loaded = table_from_bytes(data, curve)
+    assert loaded.t == 256 and table_to_bytes(loaded) == data
+    k = curve.order_n - 12345
+    assert ec_eq(mul_interleave(k, loaded), mul_binary(k, curve.G))
+
+
+def test_table_of_another_base_loads_as_that_base(curve):
+    P = to_affine(mul_binary(0xABCDEF, curve.G))
+    loaded = table_from_bytes(table_to_bytes(build_table(P, 2, 3)), curve)
+    assert loaded.stored_points()[0] == P
+    assert ec_eq(mul_interleave(1000, loaded), mul_binary(1000, P))
 
 
 def test_table_tampered_point_rejected(curve):
@@ -367,25 +415,9 @@ def test_table_tampered_point_rejected(curve):
         table_from_bytes(bytes(data), curve)
 
 
-def test_table_forged_multiple_rejected(curve):
-    # (2, 3) stores G, 2**80 G, 3 G, 3 * 2**80 G; the last becomes 3 G, which
-    # is on the curve and decodes cleanly
-    data = table_to_bytes(build_table(curve.G, 2, 3))
-    three = point_to_bytes(to_affine(mul_binary(3, curve.G)))
-    with pytest.raises(TableMismatch):
-        table_from_bytes(data[:-len(three)] + three, curve)
-    # the two stored multiples of 3 swapped: every point is still a valid
-    # table point, only at the wrong place
-    size = len(three)
-    swapped = data[:-2 * size] + data[-size:] + data[-2 * size:-size]
-    assert swapped != data
-    with pytest.raises(TableMismatch):
-        table_from_bytes(swapped, curve)
-
-
 def test_table_altered_n_bits_rejected(curve):
     data = bytearray(table_to_bytes(build_table(curve.G, 2, 2)))
-    at = 4 + 1 + len(curve.name) + 2
+    at = header(curve)
     assert int.from_bytes(data[at:at + 2], "big") == N
     data[at:at + 2] = (100).to_bytes(2, "big")
     with pytest.raises(TableMismatch):
@@ -393,10 +425,10 @@ def test_table_altered_n_bits_rejected(curve):
 
 
 def test_table_header_n_bits_rejected_before_any_work(curve):
-    # a wrong n_bits is rejected from the header alone, before any point
-    # is decoded or any table is built
+    # a wrong n_bits is rejected from the header alone, before the base is
+    # decoded or any table is built
     data = bytearray(table_to_bytes(build_table(curve.G, 2, 2)))
-    at = 4 + 1 + len(curve.name) + 2
+    at = header(curve)
     data[at:at + 2] = (0xFFFF).to_bytes(2, "big")
     with tally() as ops, pytest.raises(TableMismatch):
         table_from_bytes(bytes(data), curve)
@@ -404,24 +436,38 @@ def test_table_header_n_bits_rejected_before_any_work(curve):
 
 
 def test_table_header_track_count_rejected_before_any_work(curve):
-    # more tracks than the field has bits is rejected from the header
-    # alone, before the N + 1 points it consistently announces (one base
-    # per track at w = 2) are decoded or built
+    # no tracks, or more tracks than the field has bits, is rejected from
+    # the header alone, before the base is decoded or any table is built
     data = bytearray(table_to_bytes(build_table(curve.G, 2, 2)))
-    at = 4 + 1 + len(curve.name)
-    data[at] = N + 1
-    data[at + 4:at + 6] = (N + 1).to_bytes(2, "big")
-    with tally() as ops, pytest.raises(BadEncoding):
-        table_from_bytes(bytes(data), curve)
-    assert (ops.ecadd, ops.ecdbl, ops.fe_mul) == (0, 0, 0)
+    at = header(curve) + 2
+    for t in (0, N + 1, 0xFFFF):
+        data[at:at + 2] = t.to_bytes(2, "big")
+        with tally() as ops, pytest.raises(BadEncoding):
+            table_from_bytes(bytes(data), curve)
+        assert (ops.ecadd, ops.ecdbl, ops.fe_mul) == (0, 0, 0)
+
+
+def test_table_header_width_rejected_before_any_work(curve):
+    data = bytearray(table_to_bytes(build_table(curve.G, 2, 2)))
+    for w in (0, 1, scalarmul.MAX_RECODING_WIDTH + 1, 0xFF):
+        data[header(curve) + 4] = w
+        with tally() as ops, pytest.raises(BadEncoding):
+            table_from_bytes(bytes(data), curve)
+        assert (ops.ecadd, ops.ecdbl, ops.fe_mul) == (0, 0, 0)
 
 
 def test_table_of_identities_rejected(curve):
-    # the local build of an identity base is all identities as well, so
-    # only the identity check refuses a (2, 3) file of four identities
-    head = table_to_bytes(build_table(curve.G, 2, 3))[:4 + 1 + len(curve.name) + 6]
+    # a file whose base is the identity: the build of an identity base is
+    # all identities, so only the identity check refuses it
+    head = table_to_bytes(build_table(curve.G, 2, 3))[:header(curve) + 5]
     with pytest.raises(BadEncoding, match="identity"):
-        table_from_bytes(head + point_to_bytes(AffinePoint.identity(curve)) * 4, curve)
+        table_from_bytes(head + point_to_bytes(AffinePoint.identity(curve)), curve)
+
+
+def test_table_trailing_bytes_rejected(curve):
+    data = table_to_bytes(build_table(curve.G, 2, 2))
+    with pytest.raises(BadEncoding, match="trailing"):
+        table_from_bytes(data + point_to_bytes(curve.G), curve)
 
 
 @pytest.mark.parametrize("t", [0, N + 1])
@@ -443,9 +489,11 @@ def test_table_bad_magic_rejected(curve):
 
 
 def test_table_truncation_rejected(curve):
+    # every proper prefix, inside the header or the base
     data = table_to_bytes(build_table(curve.G, 2, 2))
-    with pytest.raises(BadEncoding):
-        table_from_bytes(data[:-5], curve)
+    for end in range(len(data)):
+        with pytest.raises(BadEncoding):
+            table_from_bytes(data[:end], curve)
 
 
 def test_table_curve_mismatch(curve, tiny_curve):

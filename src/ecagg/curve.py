@@ -14,9 +14,10 @@ Coordinates are plain integers in [0, p).  Each formula is straight-line
 code reducing with CPython's ``%`` (see the field module for why), and
 every formula tallies itself: it adds its fixed multiplication count to
 the counters once, squarings counted as multiplications: 8 for dbl-2001-b
-(a = -3; 10 for a general a), 11 for madd-2007-bl and 16 for add-2007-bl
-(hyperelliptic.org/EFD).  scalarmul's scan inlines the first two for its
-common case and hands every special case back to the functions here.
+(a = -3; 10 for a general a), 6 for mmadd-2007-bl (both operands at Z = 1),
+11 for madd-2007-bl and 16 for add-2007-bl (hyperelliptic.org/EFD).
+scalarmul's scan inlines dbl-2001-b and madd-2007-bl for its common case
+and hands every special case back to the functions here.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import importlib.resources
 
 from .counters import counters
 from .errors import BadConfig, BadEncoding, InvalidCurve, OffCurvePoint
-from .field import FieldParams, mod_inv_batch
+from .field import FieldParams, is_probable_prime, mod_inv_batch
 from .textcfg import parse_kv, read_text
 
 _CONFIG_KEYS = ("name", "n", "c", "a", "b", "gx", "gy", "order_n")
@@ -49,6 +50,10 @@ class AffinePoint:
     def __eq__(self, other):
         if not isinstance(other, AffinePoint):
             return NotImplemented
+        c1, c2 = self.curve, other.curve
+        # the same curve loaded twice is two objects with one group
+        if c1 is not c2 and (c1.field.p, c1.a, c1.b) != (c2.field.p, c2.a, c2.b):
+            return False
         if self.infinity or other.infinity:
             return self.infinity and other.infinity
         return self.x == other.x and self.y == other.y
@@ -100,10 +105,16 @@ class CurveParams:
         p = field.p
         if not (0 <= a < p and 0 <= b < p and 0 <= gx < p and 0 <= gy < p):
             raise InvalidCurve("coefficient or coordinate outside [0, p)")
-        # Hasse: the order is below 2**(n+1), which also bounds the doublings
-        # that check order_n * G below
-        if not 2 <= order_n < 1 << (field.n + 1):
-            raise InvalidCurve("group order outside [2, 2**(n+1))")
+        # SEC 1 v2.0, 3.1.1.2.1: order_n prime and in Hasse's interval
+        # |p + 1 - order_n| <= 2*sqrt(p).  The curve's order is a multiple of
+        # order_n in that interval, and for p > 33 the next multiple lies
+        # beyond it, so the cofactor is 1: every point decode_point accepts
+        # lies in <G>.  The interval also bounds the doublings that check
+        # order_n * G below, and both checks come before any point work.
+        if (p + 1 - order_n) ** 2 > 4 * p:
+            raise InvalidCurve("group order outside Hasse's interval")
+        if not is_probable_prime(order_n):
+            raise InvalidCurve("group order is not prime")
         disc = (4 * a * a * a + 27 * b * b) % p
         if disc == 0:
             raise InvalidCurve("singular curve: 4a^3 + 27b^2 = 0")
@@ -176,15 +187,21 @@ def ec_add_ajj(P: AffinePoint, Q: JacobianPoint) -> JacobianPoint:
     """
     if P.infinity:
         return Q
-    X1, Y1, Z1 = Q.X, Q.Y, Q.Z
-    if not Z1:
+    if not Q.Z:
         return lift(P)
+    return _madd(P.x, P.y, Q)
+
+
+def _madd(x2: int, y2: int, Q: JacobianPoint) -> JacobianPoint:
+    """(x2, y2) + Q by madd-2007-bl, for an affine point and a Q that is not
+    the identity: 11 multiplications, or 4 to find equal x."""
+    X1, Y1, Z1 = Q.X, Q.Y, Q.Z
     cur = Q.curve
     p = cur.field.p
     c = counters()
     z1z1 = Z1 * Z1 % p
-    u2 = P.x * z1z1 % p
-    s2 = P.y * (Z1 * z1z1 % p) % p
+    u2 = x2 * z1z1 % p
+    s2 = y2 * (Z1 * z1z1 % p) % p
     if u2 == X1:
         c.fe_mul += 4
         if s2 == Y1:
@@ -206,11 +223,15 @@ def ec_add_ajj(P: AffinePoint, Q: JacobianPoint) -> JacobianPoint:
 
 
 def ec_add_jjj(Q1: JacobianPoint, Q2: JacobianPoint) -> JacobianPoint:
-    """Full Jacobian addition, for folding two projective results.
+    """Q1 + Q2 in Jacobian coordinates, for folding ciphertexts.
 
-    The multiplication chain only ever adds affine operands into a Jacobian
-    accumulator, but ciphertext aggregation must add two accumulators; this
-    keeps that path inversion-free.
+    Aggregation adds accumulators and points fresh off the wire, which sit
+    at Z = 1, so the formula follows the operands' Z: mmadd-2007-bl when
+    both are at Z = 1 (6 multiplications; equal x shows in X and Y at no
+    cost), madd-2007-bl with the Z = 1 operand as its affine one when just
+    one is (ec_add_ajj's _madd: 11, or 4 at equal x), and add-2007-bl
+    otherwise (16, or 8 at equal x).  Equal points double and opposite ones
+    give the identity, with no inversion on any path.
     """
     X1, Y1, Z1 = Q1.X, Q1.Y, Q1.Z
     X2, Y2, Z2 = Q2.X, Q2.Y, Q2.Z
@@ -221,6 +242,21 @@ def ec_add_jjj(Q1: JacobianPoint, Q2: JacobianPoint) -> JacobianPoint:
     cur = Q1.curve
     p = cur.field.p
     c = counters()
+    if Z1 == 1 and Z2 == 1:
+        if X1 == X2:
+            return ec_dbl_jj(Q1) if Y1 == Y2 else JacobianPoint.infinity(cur)
+        c.ecadd += 1
+        c.fe_mul += 6
+        h = X2 - X1
+        hh = h * h % p
+        i = hh << 2
+        j = h * i % p
+        r = (Y2 - Y1) << 1
+        v = X1 * i % p
+        x3 = (r * r - j - (v << 1)) % p
+        return JacobianPoint(cur, x3, (r * (v - x3) - (Y1 * j << 1)) % p, (h << 1) % p)
+    if Z1 == 1 or Z2 == 1:
+        return _madd(X1, Y1, Q2) if Z1 == 1 else _madd(X2, Y2, Q1)
     z1z1 = Z1 * Z1 % p
     z2z2 = Z2 * Z2 % p
     u1 = X1 * z2z2 % p
@@ -229,9 +265,7 @@ def ec_add_jjj(Q1: JacobianPoint, Q2: JacobianPoint) -> JacobianPoint:
     s2 = Y2 * (Z1 * z1z1 % p) % p
     if u1 == u2:
         c.fe_mul += 8
-        if s1 == s2:
-            return ec_dbl_jj(Q1)
-        return JacobianPoint.infinity(cur)
+        return ec_dbl_jj(Q1) if s1 == s2 else JacobianPoint.infinity(cur)
     c.ecadd += 1
     c.fe_mul += 16
     h = u2 - u1
@@ -309,13 +343,18 @@ def point_to_bytes(P: AffinePoint) -> bytes:
     return bytes([_UNCOMPRESSED]) + P.x.to_bytes(blen, "big") + P.y.to_bytes(blen, "big")
 
 
-def decode_point(data: bytes, pos: int, curve: CurveParams) -> tuple[AffinePoint, int]:
-    """Decode one point starting at pos; returns (point, next position)."""
+def decode_point(data: bytes, pos: int, curve: CurveParams) -> tuple[JacobianPoint, int]:
+    """Decode one point starting at pos; returns (point, next position).
+
+    The point comes lifted, as aggregation adds it: Z = 1, or Z = 0 for the
+    identity.  Coordinates must lie below p and meet the curve equation,
+    checked as on_curve does at 3 multiplications.
+    """
     if pos >= len(data):
         raise BadEncoding("truncated point")
     tag = data[pos]
     if tag == _IDENTITY:
-        return AffinePoint.identity(curve), pos + 1
+        return JacobianPoint.infinity(curve), pos + 1
     if tag != _UNCOMPRESSED:
         raise BadEncoding(f"unknown point tag {tag:#04x}")
     blen = curve.field.byte_length
@@ -324,12 +363,13 @@ def decode_point(data: bytes, pos: int, curve: CurveParams) -> tuple[AffinePoint
         raise BadEncoding("truncated point payload")
     x = int.from_bytes(data[pos + 1:pos + 1 + blen], "big")
     y = int.from_bytes(data[pos + 1 + blen:end], "big")
-    if x >= curve.field.p or y >= curve.field.p:
+    p = curve.field.p
+    if x >= p or y >= p:
         raise OffCurvePoint("coordinate not below p")
-    P = AffinePoint(curve, x, y)
-    if not on_curve(P):
+    counters().fe_mul += 3
+    if y * y % p != ((x * x + curve.a) * x + curve.b) % p:
         raise OffCurvePoint("coordinates fail the curve equation")
-    return P, end
+    return JacobianPoint(curve, x, y, 1), end
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .counters import counters
 from .errors import NonCanonical, ZeroInverse
 
 
-def _is_probable_prime(m: int) -> bool:
+def is_probable_prime(m: int) -> bool:
     """Miller-Rabin over 32 bases drawn from a generator seeded by m itself."""
     if m < 2:
         return False
@@ -67,7 +67,7 @@ class FieldParams:
             # stays below 2**(n/2)
             raise ValueError("c must be below 2**(n/2)")
         p = (1 << n) - c
-        if not _is_probable_prime(p):
+        if not is_probable_prime(p):
             raise ValueError(f"2**{n} - {c} is not prime")
         self.n = n
         self.c = c

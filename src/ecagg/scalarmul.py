@@ -43,6 +43,7 @@ from .curve import (
     ec_neg,
     lift,
     point_to_bytes,
+    to_affine,
     to_affine_batch,
 )
 from .errors import BadEncoding, TableMismatch, UnsupportedWidth
@@ -138,14 +139,13 @@ def split_scalar(k: int, t: int, n_bits: int) -> list[int]:
 class PrecompTable:
     """Fixed-base table: per track, the signed lookup of its shifted base."""
 
-    __slots__ = ("curve", "t", "w", "chunk", "signed")
+    __slots__ = ("curve", "t", "w", "signed")
 
     def __init__(self, curve: CurveParams, t: int, w: int,
                  signed: tuple[dict[int, AffinePoint], ...]):
         self.curve = curve
         self.t = t
         self.w = w
-        self.chunk = -(-curve.field.n // t)
         self.signed = signed
 
     def stored_points(self) -> list[AffinePoint]:
@@ -328,8 +328,8 @@ def table_from_bytes(data: bytes, curve: CurveParams) -> PrecompTable:
     if not 1 <= t <= n_bits or w < 2 or w > MAX_RECODING_WIDTH:
         raise BadEncoding("table header has invalid (t, w)")
     base, pos = decode_point(data, pos + 5, curve)
-    if base.infinity:
+    if base.is_infinity:
         raise BadEncoding("table base may not be the identity")
     if pos != len(data):
         raise BadEncoding("trailing bytes after table")
-    return build_table(base, t, w)
+    return build_table(to_affine(base), t, w)

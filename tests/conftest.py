@@ -9,10 +9,14 @@ what makes them usable as a second route for every group-law check.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
-from ecagg.curve import AffinePoint, CurveParams, builtin_curve, to_affine
+import ecagg.curve
+import ecagg.elgamal
+from ecagg.counters import tally
+from ecagg.curve import AffinePoint, CurveParams, JacobianPoint, builtin_curve, to_affine
 from ecagg.field import FieldParams
 
 # ---------------------------------------------------------------------------
@@ -79,6 +83,49 @@ def oracle_points(curve, count, rng, start_bits=48):
     while len(pts) < count:
         pts.append(o_add(pts[-1], g, p, a))
     return pts
+
+
+def at_z(T, curve, z):
+    """Oracle tuple -> JacobianPoint at Z = z; the identity gets Z = 0."""
+    if T is None:
+        return JacobianPoint.infinity(curve)
+    p = curve.field.p
+    return JacobianPoint(curve, T[0] * z * z % p, T[1] * z ** 3 % p, z)
+
+
+# The two checks below look their target up on its module at call time, so
+# the mutation gate's patched functions are the ones they test.
+
+def check_add_jjj_over_z_classes(curve, rng):
+    """ec_add_jjj against o_add for each operand at Z = 0 (the identity),
+    Z = 1 or another Z, the two operands equal, opposite or distinct."""
+    p, a = o_of(curve)
+    A, B = oracle_points(curve, 2, rng)
+    pairs = [(A, A), (A, (A[0], -A[1] % p)), (A, B), (A, None), (None, B), (None, None)]
+    z1s, z2s = (1, rng.randrange(2, p)), (1, rng.randrange(2, p))
+    for (T1, T2), z1, z2 in product(pairs, z1s, z2s):
+        got = ecagg.curve.ec_add_jjj(at_z(T1, curve, z1), at_z(T2, curve, z2))
+        assert jac_tuple(got) == o_add(T1, T2, p, a), (T1, T2, z1, z2)
+
+
+def check_ct_to_bytes_over_z_classes(curve, rng):
+    """ct_to_bytes for R and S each at Z = 0, 1 or another Z (two different
+    ones): the oracle's points encoded, as point_to_bytes(to_affine(.))
+    encodes them, for one inversion of the general Z and 3 multiplications
+    when both share it, plus 4 per point scaled."""
+    p = curve.field.p
+    A, B = oracle_points(curve, 2, rng)
+    zr = rng.randrange(2, p - 1)
+    zs = zr + 1
+    for (TR, z1), (TS, z2) in product(((None, 1), (A, 1), (A, zr)), ((None, 1), (B, 1), (B, zs))):
+        R, S = at_z(TR, curve, z1), at_z(TS, curve, z2)
+        with tally() as ops:
+            got = ecagg.elgamal.ct_to_bytes(ecagg.elgamal.Ciphertext(R, S))
+        want = [ecagg.curve.point_to_bytes(as_point(T, curve)) for T in (TR, TS)]
+        assert want == [ecagg.curve.point_to_bytes(to_affine(Q)) for Q in (R, S)]
+        assert got == b"".join(want), (TR, z1, TS, z2)
+        general = sum(Q.Z > 1 for Q in (R, S))
+        assert (ops.fe_mul, ops.fe_inv) == (4 * general + 3 * (general == 2), min(general, 1))
 
 
 class ForcedK:

@@ -1,11 +1,25 @@
 """Group law against the textbook affine-formula oracle."""
 
+import random
+
 import pytest
 
-from conftest import as_point, as_tuple, jac_tuple, o_add, o_mul, o_of, oracle_points
+from conftest import (
+    TINY,
+    TINY_A2,
+    as_point,
+    as_tuple,
+    check_add_jjj_over_z_classes,
+    jac_tuple,
+    o_add,
+    o_mul,
+    o_of,
+    oracle_points,
+)
 from ecagg.counters import FIELDS, counters, tally
 from ecagg.curve import (
     AffinePoint,
+    CurveParams,
     JacobianPoint,
     curve_from_config,
     decode_point,
@@ -21,6 +35,7 @@ from ecagg.curve import (
     to_affine,
 )
 from ecagg.errors import BadConfig, BadEncoding, InvalidCurve, OffCurvePoint
+from ecagg.field import FieldParams
 from ecagg.scalarmul import build_table, table_from_bytes, table_to_bytes
 
 
@@ -236,6 +251,25 @@ def test_neg_gives_inverse(curve, rng):
         assert ec_add_ajj(P, lift(ec_neg(P))).is_infinity
 
 
+@pytest.mark.parametrize("name", ["tiny_curve", "tiny_curve_a2", "curve"])
+def test_add_jjj_over_z_classes(name, request):
+    # each operand the identity (Z = 0), at Z = 1 or at another Z, and the
+    # two equal, opposite or distinct: mmadd, madd either way round and
+    # add-2007-bl, each with its equal-x branches
+    check_add_jjj_over_z_classes(request.getfixturevalue(name), random.Random(name))
+
+
+def test_affine_eq_needs_the_same_group(curve, tiny_curve, tiny_curve_a2):
+    # equal coordinates on two curves are two points, whether the fields
+    # differ or only a and b do; the same curve loaded twice is one group
+    assert AffinePoint(curve, 1, 1) != tiny_curve.G and tiny_curve.G != AffinePoint(curve, 1, 1)
+    assert AffinePoint(tiny_curve_a2, 1, 1) != tiny_curve.G
+    assert AffinePoint.identity(curve) != AffinePoint.identity(tiny_curve)
+    twin = curve_from_config(BASE_CONFIG)
+    assert twin is not curve and twin.G == curve.G
+    assert AffinePoint.identity(twin) == AffinePoint.identity(curve)
+
+
 def test_eq_reflexive_and_infinity(curve):
     Q = lift(curve.G)
     assert ec_eq(Q, Q)
@@ -397,6 +431,30 @@ def test_tiny_curve_validates(tiny_curve):
     assert tiny_curve.order_n == 8221
 
 
+# Curves over GF(2**13 - 1) whose G satisfies order_n * G = O, found by
+# point counting as the tiny test curves were: (a, b, gx, gy, order_n)
+BAD_ORDERS = {
+    # tiny13a2 with twice G's order: G's order divides it, so only the
+    # domain checks can tell
+    "double": (TINY_A2["a"], TINY_A2["b"], TINY_A2["gx"], TINY_A2["gy"], 2 * TINY_A2["order"]),
+    # y^2 = x^3 - 3x + 4 has 8,210 = 2 * 5 * 821 points, all multiples of G
+    "composite": (8188, 4, 3, 5225, 8210),
+    # y^2 = x^3 - 3x + 8 has 8,198 = 2 * 4,099 points; G generates the
+    # subgroup of prime order 4,099, below Hasse's interval
+    "cofactor 2": (8188, 8, 1841, 942, 4099),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ORDERS)
+def test_order_must_be_prime_with_cofactor_1(name):
+    # SEC 1 v2.0, 3.1.1.2.1; each order passed the order_n * G check alone
+    a, b, gx, gy, order_n = BAD_ORDERS[name]
+    field = FieldParams(TINY["n"], TINY["c"])
+    with tally() as t, pytest.raises(InvalidCurve, match="group order"):
+        CurveParams(field, a, b, gx, gy, order_n, name)
+    assert [getattr(t, f) for f in FIELDS] == [0, 0, 0, 0]
+
+
 # --- wire encoding -------------------------------------------------------------------
 
 def test_point_roundtrip(curve, rng):
@@ -405,14 +463,15 @@ def test_point_roundtrip(curve, rng):
         data = point_to_bytes(P)
         assert len(data) == 41
         assert data[0] == 0x04
-        assert decode_point(data, 0, curve) == (P, 41)
+        Q, end = decode_point(data, 0, curve)
+        assert (Q.X, Q.Y, Q.Z, end) == (P.x, P.y, 1, 41)
 
 
 def test_identity_encoding(curve):
     data = point_to_bytes(AffinePoint.identity(curve))
     assert data == b"\x00"
-    P, end = decode_point(data, 0, curve)
-    assert P.infinity and end == 1
+    Q, end = decode_point(data, 0, curve)
+    assert Q.Z == 0 and end == 1
 
 
 def test_tampered_point_rejected(curve):

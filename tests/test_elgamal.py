@@ -6,7 +6,16 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import TINY, ForcedK, as_tuple, make_tiny, o_add, o_mul, o_of
+from conftest import (
+    TINY,
+    ForcedK,
+    as_tuple,
+    check_ct_to_bytes_over_z_classes,
+    make_tiny,
+    o_add,
+    o_mul,
+    o_of,
+)
 
 import ecagg
 from ecagg.curve import (
@@ -412,11 +421,12 @@ def test_hostile_aggregates_on_the_wire(curve, keys, rng):
     m = 1000 + rng.randrange(1 << 16)
     data = ct_to_bytes(encrypt(keys.public_Y, m, rng))
     ct = ct_from_bytes(data, curve)
-    # folded with its own bytes: two decodes, then ct_add doubles both
-    # components
+    # folded with its own bytes: four point decodes at 3 multiplies, then
+    # ct_add finds both components equal at Z = 1 for free and doubles
+    # each at 8
     with tally() as ops:
         twice = ct_add(ct_from_bytes(data, curve), ct_from_bytes(data, curve))
-    assert [getattr(ops, f) for f in FIELDS] == [0, 2, 44, 0]
+    assert [getattr(ops, f) for f in FIELDS] == [0, 2, 28, 0]
     assert decrypt(keys.secret_x, twice, 2**24 - 1) == 2 * m
     # folded with its mirror: both components cancel to the identity
     mirror = Ciphertext(lift(ec_neg(to_affine(ct.R))), lift(ec_neg(to_affine(ct.S))))
@@ -470,6 +480,13 @@ def test_ct_to_bytes_shares_one_inversion(curve, keys, rng):
         with tally() as ops:
             data = ct_to_bytes(c)
         assert data == each(c) and ops.fe_inv == invs
+
+
+@pytest.mark.parametrize("name", ["tiny_curve", "tiny_curve_a2", "curve"])
+def test_ct_to_bytes_over_z_classes(name, request):
+    # all nine (Z_R, Z_S) classes among 0, 1 and another Z, byte-equal to
+    # each component encoded on its own
+    check_ct_to_bytes_over_z_classes(request.getfixturevalue(name), random.Random(name))
 
 
 def test_encrypt_zero(curve, keys, rng):

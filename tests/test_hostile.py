@@ -10,7 +10,8 @@ search's edges: exactly the bound, the bound + 1, n - 1, plus or minus a
 giant step's point (rmap's equal-x branch), and a match above the bound in
 the baby table or the last window.  Every intermediate R and S must equal
 the affine oracle's, and the decryption must return the true sum when it
-lies within the bound and raise an ecagg.errors.Error otherwise.
+lies within the bound and raise an ecagg.errors.Error otherwise.  On the
+tiny curves the folds must take every branch of ec_add_jjj (FOLD_PATHS).
 """
 
 import random
@@ -43,6 +44,14 @@ TARGETS = ("bound", "bound + 1", "n - 1", "-first giant", "-last giant", "+giant
 # children are one to four groups of these, then one child that sets the total
 GROUPS = ("plain", "identical", "opposite", "identity R", "identity S")
 
+# What ec_add_jjj's branches see, per component: (class of the left Z,
+# class of the right Z, how the points relate), a class being Z itself or 2
+# for any Z above 1.  An identity operand, then mmadd, madd with its affine
+# operand on either side, and add-2007-bl, each at distinct, equal and
+# opposite points.
+FOLD_PATHS = {(0, 0, "equal"), (0, 1, "distinct"), (0, 2, "distinct"), (1, 0, "distinct"),
+              (2, 0, "distinct"), *product((1, 2), (1, 2), ("distinct", "equal", "opposite"))}
+
 # name: (fresh curve, search bounds); on the tiny curves the last bound is
 # the largest that bsgs_cache accepts (test_largest_accepted_bound_decrypts)
 CURVES = {
@@ -74,6 +83,8 @@ class Case:
         self.g = as_tuple(c.G)
         self.n = c.order_n
         self.seen = set()
+        # the FOLD_PATHS that the folds took
+        self.paths = set()
 
     def child(self, k, m):
         k, m = k % self.n, m % self.n
@@ -89,6 +100,12 @@ class Case:
         return node
 
     def fold(self, left, right):
+        for l, r, oL, oR in ((left.ct.R, right.ct.R, left.oR, right.oR),
+                             (left.ct.S, right.ct.S, left.oS, right.oS)):
+            relation = ("equal" if oL == oR else
+                        "opposite" if None not in (oL, oR) and o_add(oL, oR, self.p, self.a) is None
+                        else "distinct")
+            self.paths.add((min(l.Z, 2), min(r.Z, 2), relation))
         ct = ct_add(left.ct, right.ct)
         node = Node(ct, (left.k + right.k) % self.n, (left.m + right.m) % self.n,
                     o_add(left.oR, right.oR, self.p, self.a),
@@ -172,6 +189,10 @@ def test_hostile_aggregates_decrypt_to_the_sum_or_fail(name):
             ("bound", "found"), ("bound + 1", "refused"),
             ("above the bound", "refused")} <= outcomes
     assert case.seen == {*GROUPS, "group", "itself", "mirror"}
+    assert case.paths <= FOLD_PATHS
+    if len(bounds) > 1:
+        # the tiny curves' 32 or more aggregates reach every path
+        assert case.paths == FOLD_PATHS
 
 
 def largest_bound(c):

@@ -20,7 +20,17 @@ import textwrap
 import types
 
 import pytest
-from conftest import TINY, TINY_A2, as_tuple, jac_tuple, make_tiny, o_mul, o_of
+from conftest import (
+    TINY,
+    TINY_A2,
+    as_tuple,
+    check_add_jjj_over_z_classes,
+    check_ct_to_bytes_over_z_classes,
+    jac_tuple,
+    make_tiny,
+    o_mul,
+    o_of,
+)
 
 from ecagg import aggsim, cli, curve, elgamal, scalarmul
 from ecagg.counters import FIELDS, tally
@@ -51,23 +61,36 @@ MUTANTS = {
     "scan-dbl-tally-7": (scalarmul, "_scan", "8 * n_dbl", "7 * n_dbl"),
     "scan-keeps-identity-entries": (scalarmul, "_scan", "not pt.infinity", "True"),
     "curve-dbl-8yyyy-as-4yyyy": (curve, "ec_dbl_jj", "yy * yy << 3", "yy * yy << 2"),
-    "curve-madd-equal-x-is-identity": (curve, "ec_add_ajj", "ec_dbl_jj(Q)",
+    "curve-madd-equal-x-is-identity": (curve, "_madd", "ec_dbl_jj(Q)",
                                        "JacobianPoint.infinity(cur)"),
     "recode-wraps-by-half": (scalarmul, "wmof_recode", "d -= full", "d -= half"),
     "rmap-center-plus-j": (elgamal, "rmap", "center - (hit >> 1)", "center + (hit >> 1)"),
     "lanes-tangent-without-a": (elgamal, "_lanes_plus", "3 * qx * qx + curve.a", "3 * qx * qx"),
-    "decode-skips-on-curve": (curve, "decode_point", "not on_curve(P)", "False"),
-    "decode-skips-range-check": (curve, "decode_point",
-                                 "x >= curve.field.p or y >= curve.field.p", "False"),
+    "decode-skips-on-curve": (curve, "decode_point",
+                              "y * y % p != ((x * x + curve.a) * x + curve.b) % p", "False"),
+    "decode-skips-range-check": (curve, "decode_point", "x >= p or y >= p", "False"),
     "jjj-z3-without-h": (curve, "ec_add_jjj", "((Z1 + Z2) * (Z1 + Z2) - z1z1 - z2z2) * h",
                          "(Z1 + Z2) * (Z1 + Z2) - z1z1 - z2z2"),
-    "jjj-equal-x-is-identity": (curve, "ec_add_jjj", "ec_dbl_jj(Q1)",
+    "jjj-equal-x-is-identity": (curve, "ec_add_jjj",
+                                "ec_dbl_jj(Q1) if s1 == s2 else JacobianPoint.infinity(cur)",
                                 "JacobianPoint.infinity(cur)"),
+    "mmadd-z3-is-h": (curve, "ec_add_jjj", "(h << 1) % p", "h % p"),
+    "mmadd-y3-without-y1j": (
+        curve, "ec_add_jjj",
+        "return JacobianPoint(cur, x3, (r * (v - x3) - (Y1 * j << 1)) % p, (h << 1) % p)",
+        "return JacobianPoint(cur, x3, r * (v - x3) % p, (h << 1) % p)"),
+    "mmadd-equal-x-is-identity": (curve, "ec_add_jjj",
+                                  "ec_dbl_jj(Q1) if Y1 == Y2 else JacobianPoint.infinity(cur)",
+                                  "JacobianPoint.infinity(cur)"),
+    "madd-keeps-operand-order": (curve, "ec_add_jjj",
+                                 "_madd(X1, Y1, Q2) if Z1 == 1 else _madd(X2, Y2, Q1)",
+                                 "_madd(X2, Y2, Q1)"),
+    "ct-scales-s-by-r-inverse": (elgamal, "ct_to_bytes", "zr * inv % p", "zs * inv % p"),
     "normalize-y-by-z-squared": (curve, "to_affine_batch", "zi2 * zinv", "zi2"),
     "giants-one-stride-apart": (elgamal, "bsgs_cache", "2 * stride", "stride"),
     "babies-lose-parity": (elgamal, "bsgs_cache", "j << 1 | y & 1", "j << 1"),
     "table-import-skips-identity-check": (scalarmul, "table_from_bytes",
-                                          "base.infinity", "False"),
+                                          "base.is_infinity", "False"),
     "m-row-over-track-1": (scalarmul, "mul_interleave", "g_table.signed[0]",
                            "g_table.signed[1]"),
 }
@@ -116,8 +139,8 @@ def _secp160r1_round_trip():
            for m in (2038, 2058, 7)}
     for m, ct in cts.items():
         assert decrypt(keys.secret_x, ct, 4000) == m
-    # folds of two general-Z sums, and of a ciphertext with itself (ec_add_jjj's
-    # equal-x doubling)
+    # folds of two general-Z sums, and of a ciphertext with itself (the
+    # equal-x doubling of ec_add_jjj's mmadd branch)
     folded = ct_add(ct_add(cts[2038], cts[7]), ct_add(cts[7], cts[7]))
     assert decrypt(keys.secret_x, folded, 4000) == 2038 + 3 * 7
     data = ct_to_bytes(cts[2038])
@@ -187,6 +210,8 @@ def oracle_sub_suite():
     scalarmul._track_rows.cache_clear()
     _secp160r1_round_trip()
     for c in (make_tiny(TINY, "tiny13"), make_tiny(TINY_A2, "tiny13a2")):
+        check_add_jjj_over_z_classes(c, random.Random(c.name))
+        check_ct_to_bytes_over_z_classes(c, random.Random(c.name))
         _identity_lookup(c)
         _tiny_sweep(c)
         _identity_base_table(c)

@@ -12,7 +12,8 @@ more when the tables came to be built by lane-batched affine additions.  The
 encrypt value was taken again when k*Y moved onto a (4,4) public-key table
 with m*G folded into its chain, and once more when both tables became
 (8,4) and one recoding of k came to serve both chains, and the fold value when serializing began
-sharing one inversion between R and S.  The table build and import values
+sharing one inversion between R and S, and again when ec_add_jjj began
+taking mixed additions for operands at Z = 1.  The table build and import values
 were taken when building stopped re-deriving its points by binary
 multiplication, and import began comparing against a local build; the
 import value once more when table files came to store only their base.
@@ -112,9 +113,12 @@ def test_fold_and_serialize_counts(keys, curve):
         return ct_to_bytes(acc)
 
     root, ops = tally(fold)
-    # 8 decodes at 3 multiplies, 3 real additions per component at 16,
-    # 2 normalizations at 4 multiplies sharing 1 inversion (3 multiplies)
-    assert ops == (6, 0, 131, 1)
+    # 8 decodes at 3 multiplies (24); per component, the first child lands
+    # on the identity, free, the second meets it at Z = 1 (mmadd, 6) and
+    # the third and fourth add at Z = 1 into the sum (madd, 11 each), 56 in
+    # all; 2 normalizations at 4 multiplies sharing 1 inversion (3
+    # multiplies): 24 + 56 + 11 = 91
+    assert ops == (6, 0, 91, 1)
     assert decrypt(keys.secret_x, ct_from_bytes(root, curve), 1000) == 63
 
 
@@ -216,11 +220,28 @@ def test_ajj_branches(curve, operands):
 
 def test_jjj_branches(curve, operands):
     Q, P, Q7 = operands
+    p = curve.field.p
     inf = JacobianPoint.infinity(curve)
+    A, A7 = lift(P), lift(to_affine(Q7))
     assert tally(ec_add_jjj, inf, Q)[1] == (0, 0, 0, 0)
     assert tally(ec_add_jjj, Q, inf)[1] == (0, 0, 0, 0)
-    assert tally(ec_add_jjj, Q, lift(P))[1] == (0, 1, 16, 0)
+    # both at Z = 1 (mmadd): equal x shows in X and Y for free, then the
+    # 8-multiply doubling; distinct x costs 6
+    assert tally(ec_add_jjj, A, A)[1] == (0, 1, 8, 0)
+    out, ops = tally(ec_add_jjj, A, lift(ec_neg(P)))
+    assert out.is_infinity and ops == (0, 0, 0, 0)
+    assert tally(ec_add_jjj, A, A7)[1] == (1, 0, 6, 0)
+    # one at Z = 1, either side (madd, as ec_add_ajj): 4 multiplies to find
+    # equal x, 11 for distinct x
+    assert tally(ec_add_jjj, Q, A)[1] == (0, 1, 12, 0)
+    assert tally(ec_add_jjj, A, Q)[1] == (0, 1, 12, 0)
     out, ops = tally(ec_add_jjj, Q, lift(ec_neg(P)))
+    assert out.is_infinity and ops == (0, 0, 4, 0)
+    assert tally(ec_add_jjj, Q, A7)[1] == (1, 0, 11, 0)
+    assert tally(ec_add_jjj, A7, Q)[1] == (1, 0, 11, 0)
+    # neither (add-2007-bl): 8 multiplies to find equal x, 16 for distinct x
+    assert tally(ec_add_jjj, Q, Q)[1] == (0, 1, 16, 0)
+    out, ops = tally(ec_add_jjj, Q, JacobianPoint(curve, Q.X, p - Q.Y, Q.Z))
     assert out.is_infinity and ops == (0, 0, 8, 0)
     assert tally(ec_add_jjj, Q, Q7)[1] == (1, 0, 16, 0)
 

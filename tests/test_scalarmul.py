@@ -173,7 +173,8 @@ def test_table_points_validated(curve, tiny_curve, tiny_curve_a2, rng):
                     assert sorted(lookup) == [d for d in range(1 - (1 << (w - 1)), 1 << (w - 1))
                                               if d % 2]
                     for d, pt in lookup.items():
-                        k = (d << (i * table.chunk)) % base.curve.order_n
+                        chunk = -(-base.curve.field.n // t)
+                        k = (d << (i * chunk)) % base.curve.order_n
                         assert on_curve(pt), (base, t, w, i, d)
                         assert as_tuple(pt) == multiply(k), (base, t, w, i, d)
 
@@ -361,7 +362,8 @@ def test_table_file_roundtrip(curve, tmp_path):
     data = table_to_bytes(table)
     loaded = table_from_bytes(data, curve)
     assert table_to_bytes(loaded) == data
-    assert loaded.t == 3 and loaded.w == 3 and loaded.chunk == table.chunk
+    # the track width follows from the curve and t, as _track_rows derives it
+    assert (loaded.curve.field.n, loaded.t, loaded.w) == (160, 3, 3)
     assert loaded.stored_points() == table.stored_points()
     k = 0x1234567890ABCDEF1234567890ABCDEF12345678
     assert ec_eq(mul_interleave(k, loaded), mul_binary(k, curve.G))

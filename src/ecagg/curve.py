@@ -69,6 +69,16 @@ class AffinePoint:
         return f"AffinePoint({self.x:#x}, {self.y:#x})"
 
 
+class _class_only(classmethod):
+    """A classmethod an instance cannot read: Q.infinity on a JacobianPoint
+    would be a bound method, always truthy, where AffinePoint's is a flag."""
+
+    def __get__(self, obj, cls=None):
+        if obj is not None:
+            raise AttributeError("JacobianPoint.infinity builds the identity; test is_infinity")
+        return super().__get__(obj, cls)
+
+
 class JacobianPoint:
     """Curve point (X, Y, Z) with affine image (X/Z**2, Y/Z**3); Z = 0 is the identity."""
 
@@ -80,7 +90,7 @@ class JacobianPoint:
         self.Y = Y
         self.Z = Z
 
-    @classmethod
+    @_class_only
     def infinity(cls, curve):
         return cls(curve, 1, 1, 0)
 

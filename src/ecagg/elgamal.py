@@ -19,9 +19,10 @@ table cached per curve: the one for the largest stride asked for so far,
 which also serves every smaller bound.  It uses the negation map: j*G and
 -j*G share an x, so one baby entry matches both signs and each giant step
 covers twice the stride.  It shares inversions wherever it can (Montgomery's
-trick, mod_inv_batch): both tables are built in lanes of affine points that
-advance together, a block of affine additions per inversion, and giant steps
-are affine additions batched to one inversion.
+trick, mod_inv_batch): both tables are built around centres spaced 2K + 1
+multiples apart, each reaching the K multiples on either side through one
+inversion shared by its K differences, each inverse serving a +- pair of
+affine sums; and giant steps are affine additions batched to one inversion.
 
 Only the holder of the secret key ever inverts a field element or recovers a
 plaintext; aggregation itself needs nothing but point additions.
@@ -62,10 +63,10 @@ DEFAULT_MAX_BITS = 24
 
 # Widest search bound: the giant table holds about bound // 2**15 points.
 MAX_SEARCH_BITS = 32
-# Lanes of affine points advanced together when the tables are built, one
-# shared inversion per block; a bounded block keeps the memory a build holds
-# beyond its tables flat (normalizing all 2**14 baby points at once measured
-# 4.3 MB more peak memory).
+# Offsets K on either side of each centre of a table build: one inversion
+# per centre, shared by its K differences; a bounded batch keeps the memory
+# a build holds beyond its tables flat (28 KB by tracemalloc at the 2**24
+# bound, where normalizing all 2**14 baby points at once measured 4.3 MB).
 _NORMALIZE_CHUNK = 256
 # Giant steps sharing one inversion.
 _GIANT_BATCH = 32
@@ -143,41 +144,78 @@ def _lanes_plus(curve: CurveParams, xs: list[int], ys: list[int], qx: int, qy: i
     return out_x, out_y
 
 
-def _chain(step: AffinePoint, count: int):
-    """Yield (x, y) of step, 2*step, ..., count*step.
+def _ladder(curve: CurveParams, x: int, y: int, count: int):
+    """(x, y) lists of k*P for k = 1..count, P = (x, y): k*P for k <= n plus
+    n*P gives n < k <= 2n (k = 2n a doubling), one batch per level."""
+    xs, ys = [x], [y]
+    while len(xs) < count:
+        more = min(len(xs), count - len(xs))
+        nx, ny = _lanes_plus(curve, xs[:more], ys[:more], xs[-1], ys[-1])
+        xs += nx
+        ys += ny
+    return xs, ys
 
-    The points are computed in L = _NORMALIZE_CHUNK lanes of affine points
-    that all advance by L*step, one batch of affine additions (_lanes_plus)
-    per block, so only two lists of L coordinates are alive at a time and
-    peak memory stays flat whatever the count.  The first block comes from a
-    ladder: k*step for k <= n plus n*step gives n < k <= 2n (k = 2n a
-    doubling), one batch per level; on the first advance lane L holds
-    L*step itself and is doubled.  Lane k only ever holds a multiple of step
-    no larger than count, so none sums to the identity while count stays
-    below the step's order.
+
+def _multiples(step: AffinePoint, count: int):
+    """Yield (j, x, y) of j*step once for every 1 <= j <= count, in no
+    particular order of j.
+
+    The K = min(count, _NORMALIZE_CHUNK) offsets k*step come from a ladder
+    and are yielded first.  Then centres C = c*step, spaced B = 2K + 1
+    apart (B*step is K*step doubled plus step, and the count / B centres a
+    ladder over it), each reach c and c -+ k for 1 <= k <= K.  C + Q and
+    C - Q for an offset Q = k*step share the denominator x_C - x_Q
+    (Montgomery), so one mod_inv_batch over K differences serves 2K points,
+    the slopes being (y_C - y_Q) and (y_C + y_Q) times the inverse.  A
+    point is its slope, x3 and y3 at one multiplication each plus half of
+    its inverse's 3 in the batch: 4.5 where a lone affine addition in a
+    batch takes 6.  The last centre computes only the points at or below
+    count.  Beyond the centres, only the offsets and one batch of K
+    inverses are alive at a time, so peak memory stays flat whatever the
+    count.  No c + k reaches count + 2K, so no difference is zero while
+    that stays below the step's order.
     """
     if count <= 0:
         return
     curve = step.curve
-    first = min(count, _NORMALIZE_CHUNK)
-    xs, ys = [step.x], [step.y]
-    while len(xs) < first:
-        more = min(len(xs), first - len(xs))
-        nx, ny = _lanes_plus(curve, xs[:more], ys[:more], xs[-1], ys[-1])
-        xs += nx
-        ys += ny
-    # first*step, the advance of a whole block when count exceeds one
-    dx, dy = xs[-1], ys[-1]
-    yield from zip(xs, ys)
-    for done in range(first, count, first):
-        more = min(first, count - done)
-        xs, ys = _lanes_plus(curve, xs[:more], ys[:more], dx, dy)
-        yield from zip(xs, ys)
+    qxs, qys = _ladder(curve, step.x, step.y, min(count, _NORMALIZE_CHUNK))
+    yield from zip(range(1, len(qxs) + 1), qxs, qys)
+    k_max = len(qxs)
+    if count <= k_max:
+        return
+    span = 2 * k_max + 1
+    p = curve.field.p
+    c = counters()
+    # B*step: K*step doubled, plus step
+    (dx,), (dy,) = _lanes_plus(curve, qxs[-1:], qys[-1:], qxs[-1], qys[-1])
+    (bx,), (by,) = _lanes_plus(curve, [dx], [dy], step.x, step.y)
+    cxs, cys = _ladder(curve, bx, by, (count - k_max + span - 1) // span)
+    for centre, xc, yc in zip(range(span, count + span, span), cxs, cys):
+        if centre <= count:
+            yield centre, xc, yc
+        # C - Q for the offsets k >= first, and C + Q too for k <= top
+        first = max(1, centre - count)
+        top = count - centre
+        qx, qy = qxs[first - 1:], qys[first - 1:]
+        n = len(qx) + max(0, min(k_max, top))
+        c.ecadd += n
+        c.fe_mul += 3 * n
+        invs = mod_inv_batch(curve.field, [xc - x for x in qx])
+        for k, x, y, inv in zip(range(first, k_max + 1), qx, qy, invs):
+            lam = (yc + y) * inv % p
+            sx = xc + x
+            x3 = (lam * lam - sx) % p
+            yield centre - k, x3, (lam * (xc - x3) - yc) % p
+            if k <= top:
+                lam = (yc - y) * inv % p
+                x3 = (lam * lam - sx) % p
+                yield centre + k, x3, (lam * (xc - x3) - yc) % p
 
 
 def bsgs_cache(curve: CurveParams, max_value: int):
     """(stride, baby table, giant x list, giant y list) for searching
-    [0, max_value].
+    [0, max_value].  Both tables are filled from _multiples, the giant lists
+    by index.
 
     The baby table maps the x of j*G to j << 1 | (y & 1), j and the parity
     of j*G's y, for 1 <= j <= stride; since -j*G shares that x, one entry
@@ -211,15 +249,14 @@ def bsgs_cache(curve: CurveParams, max_value: int):
     if cached is None or cached[0] < stride:
         # drop the smaller table before building, so the two never coexist
         cached = curve._rmap_cache = None
-        babies = {x: j << 1 | (y & 1) for j, (x, y) in enumerate(_chain(curve.G, stride), 1)}
+        babies = {x: j << 1 | (y & 1) for j, x, y in _multiples(curve.G, stride)}
         cached = curve._rmap_cache = (stride, babies, [], [])
     _, _, gxs, gys = cached
     if len(gxs) < steps:
-        gxs.clear()
-        gys.clear()
-        for x, y in _chain(ec_neg(to_affine(mul_binary(span, curve.G))), steps):
-            gxs.append(x)
-            gys.append(y)
+        gxs[:] = gys[:] = [0] * steps
+        for j, x, y in _multiples(ec_neg(to_affine(mul_binary(span, curve.G))), steps):
+            gxs[j - 1] = x
+            gys[j - 1] = y
     return cached
 
 

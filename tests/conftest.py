@@ -128,6 +128,23 @@ def check_ct_to_bytes_over_z_classes(curve, rng):
         assert (ops.fe_mul, ops.fe_inv) == (4 * general + 3 * (general == 2), min(general, 1))
 
 
+# Counts around the +- build's edges: below, at and just past its K
+# offsets, one centre's reach of 2K + 1, and a partial second centre.
+K = ecagg.elgamal._NORMALIZE_CHUNK
+MULTIPLES_COUNTS = (1, K - 1, K, K + 1, 2 * K, 2 * K + 1, 2 * K + 2, 3 * K + 5)
+
+
+def check_multiples(curve, count):
+    """elgamal._multiples(G, count) against o_add: every j in [1, count]
+    exactly once, carrying the oracle's j*G."""
+    p, a = o_of(curve)
+    g, acc, want = as_tuple(curve.G), None, []
+    for j in range(1, count + 1):
+        acc = o_add(acc, g, p, a)
+        want.append((j, *acc))
+    assert sorted(ecagg.elgamal._multiples(curve.G, count)) == want, (curve.name, count)
+
+
 class ForcedK:
     """Random source whose randrange always yields a fixed value."""
 

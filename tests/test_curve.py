@@ -474,6 +474,22 @@ def test_identity_encoding(curve):
     assert Q.Z == 0 and end == 1
 
 
+def test_jacobian_infinity_is_not_a_point_flag(curve):
+    # JacobianPoint.infinity builds the identity; read on a point, where a
+    # bound method would always be truthy, it raises.  decode_point returns
+    # Jacobian points, so the affine encoder cannot write one as the
+    # identity by mistake
+    Q = JacobianPoint.infinity(curve)
+    assert Q.is_infinity and not lift(curve.G).is_infinity
+    with pytest.raises(AttributeError):
+        Q.infinity
+    with pytest.raises(AttributeError):
+        lift(curve.G).infinity
+    with pytest.raises(AttributeError):
+        point_to_bytes(decode_point(point_to_bytes(curve.G), 0, curve)[0])
+    assert AffinePoint.identity(curve).infinity and not curve.G.infinity
+
+
 def test_tampered_point_rejected(curve):
     data = bytearray(point_to_bytes(curve.G))
     data[5] ^= 0x01

@@ -1,16 +1,21 @@
 """Encryption round trips, the additive property, and the wire format."""
 
+import gc
+import hashlib
 import os
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from conftest import (
+    MULTIPLES_COUNTS,
     TINY,
     ForcedK,
     as_tuple,
     check_ct_to_bytes_over_z_classes,
+    check_multiples,
     make_tiny,
     o_add,
     o_mul,
@@ -32,7 +37,7 @@ from ecagg.curve import (
 )
 from ecagg.elgamal import (
     Ciphertext,
-    _chain,
+    _multiples,
     bsgs_cache,
     ct_add,
     ct_from_bytes,
@@ -315,9 +320,53 @@ def test_giant_lists_match_oracle_across_blocks(curve):
 
 @pytest.mark.parametrize("count", [1, 2, 100, 255, 256, 257, 600])
 def test_chain_matches_oracle(curve, count):
-    # below one block of 256 lanes, exactly one, and 2 or 3 blocks, the
-    # last one partial
-    assert list(_chain(curve.G, count)) == _oracle_multiples(curve, curve.G, count)
+    # below the 256 offsets, exactly them, and one or two centres, the last
+    # one partial
+    want = [(j, *T) for j, T in enumerate(_oracle_multiples(curve, curve.G, count), 1)]
+    assert sorted(_multiples(curve.G, count)) == want
+
+
+@pytest.mark.parametrize("count", MULTIPLES_COUNTS)
+@pytest.mark.parametrize("name", ["tiny_curve", "tiny_curve_a2"])
+def test_multiples_match_oracle_on_tiny_curves(name, count, request):
+    check_multiples(request.getfixturevalue(name), count)
+
+
+# sha256 of repr(sorted(babies.items())) and of repr((gxs, gys)) for the
+# default bound on a fresh curve, taken from the lane build that the +-
+# build replaced: the tables are the same, not just the same size
+DEFAULT_TABLE_DIGESTS = (
+    "097d70b87a74188705e035de7abc29b0d4365df00361b81ddd58dfc4aab2651c",
+    "f8854980f93e7186ac082aaeae2bef577924889d88ad31cc845521330f5127ff",
+)
+
+
+def test_default_search_tables_match_pinned_digests():
+    stride, babies, gxs, gys = bsgs_cache(builtin_curve(), BOUND24)
+    assert (stride, len(babies), len(gxs)) == (STRIDE, STRIDE, LAST)
+    digests = tuple(hashlib.sha256(repr(t).encode()).hexdigest()
+                    for t in (sorted(babies.items()), (gxs, gys)))
+    assert digests == DEFAULT_TABLE_DIGESTS
+
+
+# What a cold build of the default bound's tables allocates beyond the
+# tables it keeps (tracemalloc's peak less what is still allocated after
+# the build, 1,955,304 bytes): 28,160 bytes for the +- build, 40,372 for
+# the lane build it replaced, which is the bound.
+BUILD_MARGIN_BYTES = 40_372
+
+
+def test_cold_default_build_holds_little_beyond_its_tables():
+    c = builtin_curve()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        bsgs_cache(c, BOUND24)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept > 1_900_000
+    assert peak - kept <= BUILD_MARGIN_BYTES
 
 
 # --- encryption ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Mutation gate: the oracles below catch every named mutant of the group
-law, normalization, the scan, the recoding, the search and table import.
+law, normalization, the scan, the recoding, the search, the search tables'
++- build and table import.
 
 A mutant replaces one node of one function's syntax tree: the expression
 or statement whose source reads ``old`` becomes ``new``.  The edited
@@ -21,11 +22,13 @@ import types
 
 import pytest
 from conftest import (
+    MULTIPLES_COUNTS,
     TINY,
     TINY_A2,
     as_tuple,
     check_add_jjj_over_z_classes,
     check_ct_to_bytes_over_z_classes,
+    check_multiples,
     jac_tuple,
     make_tiny,
     o_mul,
@@ -66,6 +69,15 @@ MUTANTS = {
     "recode-wraps-by-half": (scalarmul, "wmof_recode", "d -= full", "d -= half"),
     "rmap-center-plus-j": (elgamal, "rmap", "center - (hit >> 1)", "center + (hit >> 1)"),
     "lanes-tangent-without-a": (elgamal, "_lanes_plus", "3 * qx * qx + curve.a", "3 * qx * qx"),
+    "pm-minus-slope-y-difference": (elgamal, "_multiples", "yc + y", "yc - y"),
+    "pm-minus-y-is-centre-y": (elgamal, "_multiples", "(centre - k, x3, (lam * (xc - x3) - yc) % p)",
+                               "(centre - k, x3, yc)"),
+    "pm-skips-centre-entry": (elgamal, "_multiples", "centre <= count", "False"),
+    "pm-offset-index-off-by-one": (elgamal, "_multiples", "qxs[first - 1:]", "qxs[first:]"),
+    "pm-last-centre-drops-top-plus": (elgamal, "_multiples", "k <= top", "k < top"),
+    "pm-one-centre-short": (elgamal, "_multiples", "(count - k_max + span - 1) // span",
+                            "(count - k_max) // span"),
+    "pm-centres-2k-apart": (elgamal, "_multiples", "2 * k_max + 1", "2 * k_max"),
     "decode-skips-on-curve": (curve, "decode_point",
                               "y * y % p != ((x * x + curve.a) * x + curve.b) % p", "False"),
     "decode-skips-range-check": (curve, "decode_point", "x >= p or y >= p", "False"),
@@ -210,6 +222,8 @@ def oracle_sub_suite():
     scalarmul._track_rows.cache_clear()
     _secp160r1_round_trip()
     for c in (make_tiny(TINY, "tiny13"), make_tiny(TINY_A2, "tiny13a2")):
+        for count in MULTIPLES_COUNTS:
+            check_multiples(c, count)
         check_add_jjj_over_z_classes(c, random.Random(c.name))
         check_ct_to_bytes_over_z_classes(c, random.Random(c.name))
         _identity_lookup(c)

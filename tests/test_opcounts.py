@@ -8,7 +8,8 @@ values were taken again when the reader's search began sharing inversions,
 the decrypt once more when normalizing an affine R became free, and both
 again when the search began matching +-j in the baby table (giant steps of
 twice the stride) and decrypt stopped normalizing x*R, and the build once
-more when the tables came to be built by lane-batched affine additions.  The
+more when the tables came to be built by lane-batched affine additions, and
+again when each inversion of that build came to serve a +- pair of sums.  The
 encrypt value was taken again when k*Y moved onto a (4,4) public-key table
 with m*G folded into its chain, and once more when both tables became
 (8,4) and one recoding of k came to serve both chains, and the fold value when serializing began
@@ -134,32 +135,48 @@ def test_decrypt_counts(keys, curve):
     assert ops == (400, 159, 3604, 12)
 
 
-# A search table is built in lanes of 256 affine points.  The first 256
-# multiples of the step come from a ladder of 8 batches (n*step added to
-# the lanes 1..n, the last of them a doubling): 247 additions, 8 doublings,
-# 3*255 + 8 + 3*(255 - 8) = 1,514 multiplies and 8 inversions.  Each later
-# block advances every lane by 256*step in one batch of 256 sums, 3*256 +
-# 3*255 = 1,533 multiplies and 1 inversion; in the first such block lane
-# 256 meets 256*step itself and is doubled, 1 multiply more.
+# A search table's multiples of its step start with 256 offsets from a
+# ladder of 8 batches (n*step added to the lanes 1..n, the last of them a
+# doubling): 247 additions, 8 doublings, 3*255 + 8 + 3*(255 - 8) = 1,514
+# multiplies and 8 inversions.  Beyond 256 multiples, 513*step is 256*step
+# doubled (4 multiplies, 1 inversion) plus step (3, 1), and the centres
+# c*513*step come from a ladder over it.  A centre reaches the 512
+# multiples around it with one batch of 256 inverses (3*255 = 765
+# multiplies, 1 inversion), each shared by the sum and the difference of
+# the centre and an offset at 3 multiplies each: 765 + 3*512 = 2,301 for a
+# full centre, against 2*1,533 for the two blocks of 256 lanes that the
+# lane build advanced per 512 points.
 
 
 def test_bsgs_build_counts():
-    # a fresh curve's one-off build for the default bound: 2**14 baby points,
-    # the ladder plus 63 blocks (98,094 multiplies, 71 inversions); 2**15*G
-    # by 15 binary doublings and one normalization (124 multiplies, 1
-    # inversion); and 512 giant points, -2**15*G to -2**24*G, the ladder
-    # plus 1 block (3,048 multiplies, 9 inversions)
+    # a fresh curve's one-off build for the default bound, old (16876, 33,
+    # 101266, 81).  2**14 baby points: the offsets (1,514 multiplies, 8
+    # inversions), 513*G (7, 2), 32 centres by a ladder of 5 batches of 1 to
+    # 16 lanes (26 additions, 5 doublings, 3*31 + 5 + 3*26 = 176 multiplies,
+    # 5 inversions), 31 full centres (15,872 sums, 31*2,301 = 71,331
+    # multiplies, 31 inversions) and the last, 16,416*G, reaching down to
+    # 16,160..16,384 only (225 sums, 3*224 + 3*225 = 1,347 multiplies, 1
+    # inversion): 16,371 additions, 14 doublings, 74,375 multiplies and 47
+    # inversions.  2**15*G by 15 binary doublings and one normalization (124
+    # multiplies, 1 inversion).  512 giant points, -2**15*G to -2**24*G: the
+    # offsets, 513 times the step, and one centre reaching down to 257..512
+    # (256 sums, 765 + 768 = 1,533 multiplies, 1 inversion): 504
+    # additions, 9 doublings, 3,054 multiplies, 11 inversions
     table, ops = tally(bsgs_cache, builtin_curve(), BOUND)
-    assert ops == (16876, 33, 101266, 81)
+    assert ops == (16875, 38, 77553, 59)
     assert table[0] == 2**14 and len(table[1]) == 2**14
     assert len(table[2]) == len(table[3]) == 512
 
 
 def test_bsgs_build_counts_small_bound():
-    # bound 1000 takes stride 512: 512 baby points, the ladder plus 1 block
-    # (3,048 multiplies, 9 inversions), 1024*G by 10 binary doublings and a
-    # normalization (84 multiplies, 1 inversion), and 1 giant point, itself
-    assert tally(bsgs_cache, builtin_curve(), 1000)[1] == (502, 19, 3132, 10)
+    # bound 1000 takes stride 512, old (502, 19, 3132, 10): 512 baby points,
+    # the offsets, 513*G and one centre reaching down to 257..512 (504
+    # additions, 9 doublings, 1,514 + 7 + 1,533 = 3,054 multiplies, 11
+    # inversions: 6 multiplies and 2 inversions more than the lane build,
+    # which advanced 256 lanes by 256*G, for the two steps to 513*G); 1024*G
+    # by 10 binary doublings and a normalization (84 multiplies, 1
+    # inversion); and 1 giant point, itself
+    assert tally(bsgs_cache, builtin_curve(), 1000)[1] == (504, 19, 3138, 12)
 
 
 def test_bsgs_extension_counts():

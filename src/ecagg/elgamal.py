@@ -18,11 +18,13 @@ The search is baby-step/giant-step at every bound, over one baby/giant
 table cached per curve: the one for the largest stride asked for so far,
 which also serves every smaller bound.  It uses the negation map: j*G and
 -j*G share an x, so one baby entry matches both signs and each giant step
-covers twice the stride.  It shares inversions wherever it can (Montgomery's
-trick, mod_inv_batch): both tables are built around centres spaced 2K + 1
-multiples apart, each reaching the K multiples on either side through one
-inversion shared by its K differences, each inverse serving a +- pair of
-affine sums; and giant steps are affine additions batched to one inversion.
+covers twice the stride.  The giant steps walk outward from the middle of
+the range, so the search too is symmetric about a centre (Galbraith-Ruprai).
+It shares inversions wherever it can (Montgomery's trick, mod_inv_batch):
+both tables are built around centres spaced 2K + 1 multiples apart, each
+reaching the K multiples on either side through one inversion shared by its
+K differences, and the giant steps are batched to one inversion per 32
+giant points; in both, each inverse serves a +- pair of affine sums.
 
 Only the holder of the secret key ever inverts a field element or recovers a
 plaintext; aggregation itself needs nothing but point additions.
@@ -46,6 +48,7 @@ from .curve import (
     ec_neg,
     on_curve,
     to_affine,
+    to_affine_batch,
 )
 from .errors import BadConfig, BadEncoding, MessageTooLarge, NotFound
 from .field import mod_inv, mod_inv_batch
@@ -223,7 +226,9 @@ def bsgs_cache(curve: CurveParams, max_value: int):
     (one int per entry, where a (j, y) tuple measured 1.6 MB more at the
     2**24 bound).  Entry i - 1 of the giant lists is -i*2*stride*G for
     1 <= i <= _giant_steps(max_value, stride), so giant step i covers the
-    window [2*i*stride - stride, 2*i*stride + stride].  The stride grows
+    window [2*i*stride - stride, 2*i*stride + stride]; rmap, which walks
+    from the middle window outward, reads only entries up to about half of
+    them.  The stride grows
     with the bound (16 at bound 0, 512 at 1000, 2**14 from 2**18 up).  A
     curve caches one entry, the one with the largest stride asked for so
     far: a smaller bound reuses it with fewer giant steps, a larger stride
@@ -266,21 +271,36 @@ def _giant_steps(max_value: int, stride: int) -> int:
     return (max_value + stride) // (2 * stride)
 
 
+def _baby_log(hit: int, y: int) -> int:
+    """The signed j with j*G = (x, y), for the baby entry hit stored at x:
+    the entry's j when y has the parity it packs, else -j."""
+    return hit >> 1 if (hit ^ y) & 1 == 0 else -(hit >> 1)
+
+
 def rmap(M: JacobianPoint, max_value: int) -> int:
     """Recover the m in [0, max_value] with m*G = M.
 
-    Baby-step/giant-step over bsgs_cache with the negation map: M itself is
-    looked up in the baby table, then giant step i is the affine sum
-    M + (-c*G) for the center c = 2*i*stride.  A match in the baby table at
-    x3 is told apart by the parity of y3: the baby's gives m = c + j, the
-    other m = c - j, and either m must lie in [0, max_value] (the last
-    window reaches past the bound).  Steps run in batches of _GIANT_BATCH
-    sharing one inversion (mod_inv_batch over the x differences); a step
-    computes only the slope and x3, and y3 only when x3 is in the table.
-    Each giant step counts as one ECADD with 2 multiplications plus its
-    share of the batch inversion, and 1 more on an x hit.  A bound below
-    the cached stride is answered by the baby table alone, with no giant
-    step.
+    Baby-step/giant-step over bsgs_cache with the negation map: a baby
+    entry at the x of M - c*G gives m = c + j or c - j (_baby_log), so the
+    window centred on c covers [c - stride, c + stride].  M itself is
+    window 0 (+j only), and N = _giant_steps(max_value, stride) windows
+    centred on span .. N*span, span = 2*stride, cover the rest, the last
+    reaching past the bound; every m is checked against the bound.
+
+    The giant windows are walked outward from the middle one, h = half*span
+    for half = (N + 1) // 2 (Galbraith-Ruprai): M' = M - h*G is one mixed
+    addition, normalized along with M for one inversion.  For k = 1 ..
+    N // 2, giant point Q = -k*span*G gives window h + k*span as M' + Q
+    and, for k < half, window h - k*span as M' - Q; the two share the
+    denominator x_Q - x_M', so each inverse of a batch of _GIANT_BATCH
+    (mod_inv_batch) serves two windows, and each window is visited once.
+    A window computes its slope and x3, and y3 only when x3 is in the
+    table: one ECADD and 2 multiplications, 1 more on an x hit.  A walk
+    to the end takes N ECADDs (the shift and N - 1 windows) and
+    1 + ceil((N // 2) / _GIANT_BATCH) inversions.  M' at the x of a giant
+    point Q is +-Q, which puts M's log at h - k*span (M' = Q) or h + k*span:
+    that m is returned when in range, and otherwise no window holds one.
+    A bound below the cached stride is answered by the baby table alone.
 
     Raises NotFound when no multiple in range matches, which is how a
     corrupted aggregate or a wrong key shows up, and MessageTooLarge for a
@@ -288,49 +308,74 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
     """
     curve = M.curve
     stride, babies, gxs, gys = bsgs_cache(curve, max_value)
-    M_aff = to_affine(M)
-    if M_aff.infinity:
+    if M.is_infinity:
         return 0
-    f = curve.field
-    p = f.p
-    xM, yM = M_aff.x, M_aff.y
-    hit = babies.get(xM)
-    if hit is not None and (hit ^ yM) & 1 == 0 and hit >> 1 <= max_value:
-        return hit >> 1
-    c = counters()
     span = 2 * stride
     steps = _giant_steps(max_value, stride)
-    # entry t of the giant lists is giant step t + 1, centered on (t + 1)*span
-    for lo in range(0, steps, _GIANT_BATCH):
-        hi = min(lo + _GIANT_BATCH, steps)
-        batch = range(lo, hi)
-        dxs = [x - xM for x in gxs[lo:hi]]
-        if 0 in dxs:
-            t = lo + dxs.index(0)
-            if gys[t] != yM and (t + 1) * span <= max_value:
-                # M = (t + 1)*span*G: the step lands on the identity
-                return (t + 1) * span
-            # M is (t + 1)*span*G above the bound, or the giant point
-            # -(t + 1)*span*G itself, whose log bsgs_cache keeps above it:
-            # either way no m in range is left, and the step (a doubling or
-            # the identity) is skipped
-            del dxs[t - lo]
-            batch = [s for s in batch if s != t]
-        for done, (t, inv) in enumerate(zip(batch, mod_inv_batch(f, dxs)), 1):
-            lam = (gys[t] - yM) * inv % p
-            x3 = (lam * lam - xM - gxs[t]) % p
-            hit = babies.get(x3)
-            if hit is not None:
-                c.fe_mul += 1
-                y3 = (lam * (xM - x3) - yM) % p
-                center = (t + 1) * span
-                m = center + (hit >> 1) if (hit ^ y3) & 1 == 0 else center - (hit >> 1)
+    half = (steps + 1) // 2
+    h = half * span
+    points = [M]
+    if steps:
+        # M' = M - h*G: giant entry half - 1 is -h*G
+        points.append(ec_add_ajj(AffinePoint(curve, gxs[half - 1], gys[half - 1]), M))
+    P, *shifted = to_affine_batch(points)
+    hit = babies.get(P.x)
+    if hit is not None and 0 < _baby_log(hit, P.y) <= max_value:
+        return hit >> 1
+    if steps and shifted[0].infinity:
+        # M = h*G
+        if h <= max_value:
+            return h
+    elif steps:
+        f = curve.field
+        p = f.p
+        xC, yC = shifted[0].x, shifted[0].y
+        hit = babies.get(xC)
+        if hit is not None and (m := h + _baby_log(hit, yC)) <= max_value:
+            return m
+        c = counters()
+        pairs = steps // 2
+        # every pair before the last has both windows, so 2*lo windows
+        # precede batch lo, and 2*k - 1 the window h + k*span
+        for lo in range(0, pairs, _GIANT_BATCH):
+            hi = min(lo + _GIANT_BATCH, pairs)
+            dxs = [x - xC for x in gxs[lo:hi]]
+            if 0 in dxs:
+                k = lo + dxs.index(0) + 1
+                m = h - k * span if gys[k - 1] == yC else h + k * span
+                c.ecadd += 2 * lo
+                c.fe_mul += 4 * lo
                 if m <= max_value:
-                    c.ecadd += done
-                    c.fe_mul += 2 * done
                     return m
-        c.ecadd += len(dxs)
-        c.fe_mul += 2 * len(dxs)
+                break
+            for k, gx, gy, inv in zip(range(lo + 1, hi + 1), gxs[lo:hi], gys[lo:hi],
+                                      mod_inv_batch(f, dxs)):
+                sx = xC + gx
+                lam = (gy - yC) * inv % p
+                x3 = (lam * lam - sx) % p
+                hit = babies.get(x3)
+                if hit is not None:
+                    c.fe_mul += 1
+                    y3 = (lam * (xC - x3) - yC) % p
+                    m = h + k * span + _baby_log(hit, y3)
+                    if m <= max_value:
+                        c.ecadd += 2 * k - 1
+                        c.fe_mul += 4 * k - 2
+                        return m
+                if k < half:
+                    # the mirror sum M' - Q over the same inverse; its m,
+                    # below h, is always in range
+                    lam = (-gy - yC) * inv % p
+                    x3 = (lam * lam - sx) % p
+                    hit = babies.get(x3)
+                    if hit is not None:
+                        c.ecadd += 2 * k
+                        c.fe_mul += 4 * k + 1
+                        y3 = (lam * (xC - x3) - yC) % p
+                        return h - k * span + _baby_log(hit, y3)
+        else:
+            c.ecadd += steps - 1
+            c.fe_mul += 2 * (steps - 1)
     raise NotFound(f"no preimage at or below {max_value}")
 
 
@@ -375,8 +420,8 @@ def decrypt(secret_x: int, c: Ciphertext, max_value: int) -> int:
     binary and, unlike wider recodings, no odd multiples to normalize.  The
     product stays Jacobian and S is the affine operand of the mixed
     addition; R and S as decoded from the wire are affine already, so the
-    only inversion besides the giant-step batches is rmap's normalization
-    of M.
+    only inversion besides the giant-step batches is the one rmap shares
+    between M and its shift to the middle of the range.
     """
     bsgs_cache(c.R.curve, max_value)
     return rmap(ec_add_ajj(to_affine(c.S), mul_signed(secret_x, ec_neg(to_affine(c.R)), 2)),

@@ -8,7 +8,9 @@ the identity in one component.  It folds them the way aggregators do, some
 through the wire and some still Jacobian, and aims the total at the
 search's edges: exactly the bound, the bound + 1, n - 1, plus or minus a
 giant step's point (rmap's equal-x branch), and a match above the bound in
-the baby table or the last window.  Every intermediate R and S must equal
+the baby table or the last window; and, at several bounds, at the middle
+window that rmap's walk starts from and at the giant windows either side of
+it.  Every intermediate R and S must equal
 the affine oracle's, and the decryption must return the true sum when it
 lies within the bound and raise an ecagg.errors.Error otherwise.  On the
 tiny curves the folds must take every branch of ec_add_jjj (FOLD_PATHS).
@@ -163,6 +165,19 @@ def target(kind, rng, n, bound, stride):
             "within": rng.randint(0, bound)}[kind]
 
 
+def settle(case, total, bound):
+    """Decrypt a hostile aggregate of total: "found" when it returns the
+    true sum within the bound, "refused" when it raises an ecagg error."""
+    node = case.aggregate(total)
+    assert node.m == total % case.n
+    if node.m <= bound:
+        assert decrypt(case.x, node.ct, bound) == node.m, (total, bound)
+        return "found"
+    with pytest.raises(Error):
+        decrypt(case.x, node.ct, bound)
+    return "refused"
+
+
 @pytest.mark.parametrize("name", CURVES)
 def test_hostile_aggregates_decrypt_to_the_sum_or_fail(name):
     make, bounds = CURVES[name]
@@ -174,15 +189,7 @@ def test_hostile_aggregates_decrypt_to_the_sum_or_fail(name):
     for kind, bound in product(TARGETS, bounds):
         stride = bsgs_cache(c, bound)[0]
         total = target(kind, rng, c.order_n, bound, stride)
-        node = case.aggregate(total)
-        assert node.m == total % c.order_n
-        if node.m <= bound:
-            assert decrypt(x, node.ct, bound) == node.m, (kind, bound)
-            outcomes.add((kind, "found"))
-        else:
-            with pytest.raises(Error):
-                decrypt(x, node.ct, bound)
-            outcomes.add((kind, "refused"))
+        outcomes.add((kind, settle(case, total, bound)))
     # both sides of the giant branch: a landing within the bound and a
     # giant point whose log is above it
     assert {("-first giant", "found"), ("-last giant", "refused"), ("+giant", "refused"),
@@ -193,6 +200,33 @@ def test_hostile_aggregates_decrypt_to_the_sum_or_fail(name):
     if len(bounds) > 1:
         # the tiny curves' 32 or more aggregates reach every path
         assert case.paths == FOLD_PATHS
+
+
+def test_centre_targets_decrypt_to_the_sum_or_fail():
+    # the search walks outward from the middle window h = half*2*stride.
+    # Aggregates of h make M' = M - h*G the identity, and of h +- k*2*stride
+    # make M' a giant point or its negative (rmap's equal-x branch) for
+    # every pair k with that window; h - (half + 1)*2*stride lies below 0.
+    # Fresh secp160r1 tables with 1 giant step (h = 1024 above the bound
+    # 1000), 2 (the one pair's window at 4096, above the bound 4000) and 5
+    # (the last pair has both windows)
+    outcomes = set()
+    for bound in (1000, 4000, 80000):
+        c = builtin_curve()
+        stride = bsgs_cache(c, bound)[0]
+        span = 2 * stride
+        steps = _giant_steps(bound, stride)
+        half = (steps + 1) // 2
+        h = half * span
+        rng = seeded(f"centre {bound}")
+        case = Case(c, rng.randrange(1, c.order_n), rng)
+        totals = [("centre", h)]
+        totals += [("centre + giant", h + k * span) for k in range(1, steps // 2 + 1)]
+        totals += [("centre - giant", h - k * span) for k in (*range(1, half), half + 1)]
+        for kind, total in totals:
+            outcomes.add((kind, settle(case, total, bound)))
+    assert outcomes == set(product(("centre", "centre + giant", "centre - giant"),
+                                   ("found", "refused")))
 
 
 def largest_bound(c):
@@ -231,9 +265,12 @@ def test_largest_accepted_bound_decrypts(name):
 
 @pytest.mark.parametrize("bound", [4000, 2**24 - 1])
 def test_not_found_costs_at_most_the_full_search(bound, monkeypatch):
-    # under the wrong key the search runs to its end, and no further: at
-    # most one addition per giant step, and one inversion per batch of
-    # _GIANT_BATCH steps plus M's normalization
+    # under the wrong key the search walks to its end, and no further.  The
+    # shift M' = M - h*G is one mixed addition (1 ECADD, 11 multiplies) and
+    # M and M' share one inversion (3 + 2*4 multiplies); then steps // 2
+    # pairs of windows in batches of _GIANT_BATCH, one inversion and
+    # 3*(size - 1) multiplies each, and steps - 1 windows at one ECADD and
+    # 2 multiplies: steps ECADDs in all.  No window's x is in the baby table
     c = builtin_curve()
     rng = seeded(f"wrong key {bound}")
     x = rng.randrange(1, c.order_n)
@@ -250,8 +287,12 @@ def test_not_found_costs_at_most_the_full_search(bound, monkeypatch):
         decrypt(x % (c.order_n - 1) + 1, ct, bound)
     steps = _giant_steps(bound, bsgs_cache(c, bound)[0])
     assert steps == {4000: 2, 2**24 - 1: 512}[bound]
+    pairs = steps // 2
+    batches = -(-pairs // _GIANT_BATCH)
     [ops] = spent
-    assert ops.ecadd <= steps and ops.fe_inv <= -(-steps // _GIANT_BATCH) + 1
+    assert (ops.ecadd, ops.ecdbl, ops.fe_mul, ops.fe_inv) == (
+        steps, 0, 22 + 3 * (pairs - batches) + 2 * (steps - 1), 1 + batches)
+    assert ops.fe_mul == {4000: 24, 2**24 - 1: 1788}[bound]
 
 
 @pytest.mark.parametrize("name", ["tiny13", "secp160r1"])

@@ -39,7 +39,7 @@ from ecagg import aggsim, cli, curve, elgamal, scalarmul
 from ecagg.counters import FIELDS, tally
 from ecagg.curve import AffinePoint, builtin_curve, point_to_bytes, to_affine
 from ecagg.elgamal import ct_add, ct_from_bytes, ct_to_bytes, decrypt, encrypt, keygen
-from ecagg.errors import BadEncoding, OffCurvePoint
+from ecagg.errors import BadEncoding, NotFound, OffCurvePoint
 from ecagg.scalarmul import (
     _signed_lookup,
     build_table,
@@ -67,7 +67,15 @@ MUTANTS = {
     "curve-madd-equal-x-is-identity": (curve, "_madd", "ec_dbl_jj(Q)",
                                        "JacobianPoint.infinity(cur)"),
     "recode-wraps-by-half": (scalarmul, "wmof_recode", "d -= full", "d -= half"),
-    "rmap-center-plus-j": (elgamal, "rmap", "center - (hit >> 1)", "center + (hit >> 1)"),
+    "rmap-center-plus-j": (elgamal, "_baby_log", "-(hit >> 1)", "hit >> 1"),
+    "walk-mirror-slope-sign": (elgamal, "rmap", "-gy - yC", "gy + yC"),
+    "walk-mirror-slope-is-plus-slope": (elgamal, "rmap", "-gy - yC", "gy - yC"),
+    "walk-minus-candidate-sign": (elgamal, "rmap", "h - k * span + _baby_log(hit, y3)",
+                                  "h - k * span - _baby_log(hit, y3)"),
+    "walk-centre-one-window-low": (elgamal, "rmap", "(steps + 1) // 2", "(steps + 1) // 2 - 1"),
+    "walk-centre-one-window-high": (elgamal, "rmap", "(steps + 1) // 2", "(steps + 1) // 2 + 1"),
+    "walk-drops-last-pair": (elgamal, "rmap", "steps // 2", "steps // 2 - 1"),
+    "walk-equal-x-wrong-side": (elgamal, "rmap", "gys[k - 1] == yC", "gys[k - 1] != yC"),
     "lanes-tangent-without-a": (elgamal, "_lanes_plus", "3 * qx * qx + curve.a", "3 * qx * qx"),
     "pm-minus-slope-y-difference": (elgamal, "_multiples", "yc + y", "yc - y"),
     "pm-minus-y-is-centre-y": (elgamal, "_multiples", "(centre - k, x3, (lam * (xc - x3) - yc) % p)",
@@ -166,6 +174,40 @@ def _secp160r1_round_trip():
         raise AssertionError("a point off the curve decoded")
 
 
+def _secp160r1_walk():
+    # a fresh search at 2**16 - 1: stride 4096 and 8 giant steps, walked
+    # from the middle window h = 4*8192 by pairs k = 1..4 (pair 4 has only
+    # its plus window, 65536).  Every centre h +- k*8192, where M' is a
+    # giant point or its negative (equal x), and m 9 either side of it,
+    # told apart only by the parity of the sum's y; h itself (M' the
+    # identity) and window 0.  Two exact costs: 65527 in the last window,
+    # the shift and 7 windows, the last an x hit (1 + 7 ECADDs, 11 + 11 +
+    # 3*3 for the batch of 4 + 2*7 + 1 multiplies, 2 inversions), and a
+    # walk to its end with no hit
+    c = builtin_curve()
+    bound, span, h = 2**16 - 1, 8192, 32768
+    found = {0, 1, 4095, h - 9, h, h + 9, bound}
+    for centre in [h + k * span for k in range(1, 5)] + [h - k * span for k in range(1, 4)]:
+        found |= {m for m in (centre - 9, centre, centre + 9) if m <= bound}
+    for m in sorted(found):
+        assert elgamal.rmap(mul_binary(m, c.G), bound) == m, m
+    for m in (bound + 1, h + 4 * span + 9):
+        try:
+            elgamal.rmap(mul_binary(m, c.G), bound)
+        except NotFound:
+            pass
+        else:
+            raise AssertionError(f"{m} found above the bound")
+    for m, cost in ((65527, [8, 0, 46, 2]), (3**90 % c.order_n, [8, 0, 45, 2])):
+        M = mul_binary(m, c.G)
+        with tally() as ops:
+            try:
+                assert elgamal.rmap(M, bound) == m
+            except NotFound:
+                assert m > bound
+        assert [getattr(ops, f) for f in FIELDS] == cost, m
+
+
 def _identity_lookup(c):
     # a row over the identity beside a row over G adds nothing
     p, a = o_of(c)
@@ -221,6 +263,7 @@ def _wide_coordinate(c):
 def oracle_sub_suite():
     scalarmul._track_rows.cache_clear()
     _secp160r1_round_trip()
+    _secp160r1_walk()
     for c in (make_tiny(TINY, "tiny13"), make_tiny(TINY_A2, "tiny13a2")):
         for count in MULTIPLES_COUNTS:
             check_multiples(c, count)

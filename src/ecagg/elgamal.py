@@ -18,8 +18,9 @@ The search is baby-step/giant-step at every bound, over one baby/giant
 table cached per curve: the one for the largest stride asked for so far,
 which also serves every smaller bound.  It uses the negation map: j*G and
 -j*G share an x, so one baby entry matches both signs and each giant step
-covers twice the stride.  The giant steps walk outward from the middle of
-the range, so the search too is symmetric about a centre (Galbraith-Ruprai).
+covers twice the stride.  The giant steps are paired about the middle of
+the range, so the search too is symmetric about a centre (Galbraith-Ruprai),
+and walked inward from both ends.
 It shares inversions wherever it can (Montgomery's trick, mod_inv_batch):
 both tables are built around centres spaced 2K + 1 multiples apart, each
 reaching the K multiples on either side through one inversion shared by its
@@ -226,9 +227,9 @@ def bsgs_cache(curve: CurveParams, max_value: int):
     (one int per entry, where a (j, y) tuple measured 1.6 MB more at the
     2**24 bound).  Entry i - 1 of the giant lists is -i*2*stride*G for
     1 <= i <= _giant_steps(max_value, stride), so giant step i covers the
-    window [2*i*stride - stride, 2*i*stride + stride]; rmap, which walks
-    from the middle window outward, reads only entries up to about half of
-    them.  The stride grows
+    window [2*i*stride - stride, 2*i*stride + stride]; rmap, which pairs
+    the windows about the middle one, reads only entries up to about half
+    of them.  The stride grows
     with the bound (16 at bound 0, 512 at 1000, 2**14 from 2**18 up).  A
     curve caches one entry, the one with the largest stride asked for so
     far: a smaller bound reuses it with fewer giant steps, a larger stride
@@ -287,19 +288,23 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
     centred on span .. N*span, span = 2*stride, cover the rest, the last
     reaching past the bound; every m is checked against the bound.
 
-    The giant windows are walked outward from the middle one, h = half*span
-    for half = (N + 1) // 2 (Galbraith-Ruprai): M' = M - h*G is one mixed
+    The giant windows are paired about the middle one, h = half*span for
+    half = (N + 1) // 2 (Galbraith-Ruprai): M' = M - h*G is one mixed
     addition, normalized along with M for one inversion.  For k = 1 ..
     N // 2, giant point Q = -k*span*G gives window h + k*span as M' + Q
     and, for k < half, window h - k*span as M' - Q; the two share the
     denominator x_Q - x_M', so each inverse of a batch of _GIANT_BATCH
     (mod_inv_batch) serves two windows, and each window is visited once.
-    A window computes its slope and x3, and y3 only when x3 is in the
-    table: one ECADD and 2 multiplications, 1 more on an x hit.  A walk
-    to the end takes N ECADDs (the shift and N - 1 windows) and
-    1 + ceil((N // 2) / _GIANT_BATCH) inversions.  M' at the x of a giant
-    point Q is +-Q, which puts M's log at h - k*span (M' = Q) or h + k*span:
-    that m is returned when in range, and otherwise no window holds one.
+    The pairs run inward, from k = N // 2 (the last window and the first)
+    to k = 1 beside the middle: window w or N - w is reached after w pairs
+    at 7 multiplications each, where a walk up from 0 spends 5*w on window
+    w, and only m near the middle waits for the whole walk.  A window computes
+    its slope and x3, and y3 only when x3 is in the table: one ECADD and 2
+    multiplications, 1 more on an x hit.  A walk to the end takes N ECADDs
+    (the shift and N - 1 windows) and 1 + ceil((N // 2) / _GIANT_BATCH)
+    inversions.  M' at the x of a giant point Q is +-Q, which puts M's log
+    at h - k*span (M' = Q) or h + k*span: that m is returned when in range,
+    and otherwise no window holds one.
     A bound below the cached stride is answered by the baby table alone.
 
     Raises NotFound when no multiple in range matches, which is how a
@@ -335,21 +340,27 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
             return m
         c = counters()
         pairs = steps // 2
-        # every pair before the last has both windows, so 2*lo windows
-        # precede batch lo, and 2*k - 1 the window h + k*span
-        for lo in range(0, pairs, _GIANT_BATCH):
-            hi = min(lo + _GIANT_BATCH, pairs)
-            dxs = [x - xC for x in gxs[lo:hi]]
+        # pairs run from k = pairs down to 1; each has both windows but pair
+        # `pairs` when steps is even (its minus side is window 0), so
+        # walked(k) windows precede pair k
+        lone = 1 - steps % 2
+
+        def walked(k):
+            return max(2 * (pairs - k) - lone, 0)
+
+        for hi in range(pairs, 0, -_GIANT_BATCH):
+            lo = max(hi - _GIANT_BATCH, 0)
+            xs, ys = gxs[lo:hi][::-1], gys[lo:hi][::-1]
+            dxs = [x - xC for x in xs]
             if 0 in dxs:
-                k = lo + dxs.index(0) + 1
+                k = hi - dxs.index(0)
                 m = h - k * span if gys[k - 1] == yC else h + k * span
-                c.ecadd += 2 * lo
-                c.fe_mul += 4 * lo
+                c.ecadd += walked(hi)
+                c.fe_mul += 2 * walked(hi)
                 if m <= max_value:
                     return m
                 break
-            for k, gx, gy, inv in zip(range(lo + 1, hi + 1), gxs[lo:hi], gys[lo:hi],
-                                      mod_inv_batch(f, dxs)):
+            for k, gx, gy, inv in zip(range(hi, lo, -1), xs, ys, mod_inv_batch(f, dxs)):
                 sx = xC + gx
                 lam = (gy - yC) * inv % p
                 x3 = (lam * lam - sx) % p
@@ -359,8 +370,8 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
                     y3 = (lam * (xC - x3) - yC) % p
                     m = h + k * span + _baby_log(hit, y3)
                     if m <= max_value:
-                        c.ecadd += 2 * k - 1
-                        c.fe_mul += 4 * k - 2
+                        c.ecadd += walked(k) + 1
+                        c.fe_mul += 2 * walked(k) + 2
                         return m
                 if k < half:
                     # the mirror sum M' - Q over the same inverse; its m,
@@ -369,8 +380,8 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
                     x3 = (lam * lam - sx) % p
                     hit = babies.get(x3)
                     if hit is not None:
-                        c.ecadd += 2 * k
-                        c.fe_mul += 4 * k + 1
+                        c.ecadd += walked(k) + 2
+                        c.fe_mul += 2 * walked(k) + 5
                         y3 = (lam * (xC - x3) - yC) % p
                         return h - k * span + _baby_log(hit, y3)
         else:

@@ -151,8 +151,9 @@ STRIDE = 1 << 14  # the baby-step stride at that bound; giant steps batch by 32
 @pytest.mark.parametrize("m", [i * STRIDE + d for i in (1, 31, 32, 33, 1023) for d in (-1, 0, 1)]
                          + [BOUND24, 0, 1, 512 * STRIDE])
 def test_rmap_giant_batch_edges(curve, m):
-    # even i*STRIDE lands a giant step on the identity (equal x, opposite
-    # y), odd i*STRIDE sits on the edge two windows share; 0 and 1 are
+    # even i*STRIDE is a window's centre, where M - 2**23*G is a giant point
+    # or its negative (equal x), odd i*STRIDE sits on the edge two windows
+    # share; 0 and 1 are
     # window 0, and 512*STRIDE = 2**23 the walk's middle window, where
     # M - 2**23*G is the identity
     assert rmap(map_message(m, curve), BOUND24) == m
@@ -251,17 +252,18 @@ def test_rmap_window_center_both_signs(curve, i):
         rmap(mul_binary(curve.order_n - c, curve.G), BOUND24)
 
 
-# The walk starts from the middle window, centred on H = 256*2*STRIDE =
-# 2**23; pair k then reaches H + 2k*STRIDE and H - 2k*STRIDE, pair 256 only
-# the plus side (2**24, the last window) and pair 255 the last minus one
-# (2*STRIDE, the first giant window).
+# The walk pairs the windows about the middle one, centred on H =
+# 256*2*STRIDE = 2**23: pair k reaches H + 2k*STRIDE and H - 2k*STRIDE, pair
+# 256 only the plus side (2**24, the last window) and pair 255 the lowest
+# minus one (2*STRIDE, the first giant window).  The pairs run inward in
+# batches of 32, 256..225 first and 32..1 last.
 H = LAST // 2 * 2 * STRIDE
 
 
 @pytest.mark.parametrize("k", [1, 31, 32, 33, "last"])
 @pytest.mark.parametrize("side", [1, -1], ids=["plus", "minus"])
 def test_rmap_centred_walk_window_edges(curve, k, side):
-    # pairs 32 and 33 sit on either side of the first batch edge; every
+    # pairs 32 and 33 sit on either side of the last batch edge; every
     # centre, its neighbours and its window's edges on both sides
     if k == "last":
         k = LAST // 2 if side == 1 else LAST // 2 - 1

@@ -6,12 +6,12 @@ curve points encrypt some sum.  The generator below draws, as a fixed
 function of the curve's name, children that are identical, opposite, or
 the identity in one component.  It folds them the way aggregators do, some
 through the wire and some still Jacobian, and aims the total at the
-search's edges: exactly the bound, the bound + 1, n - 1, plus or minus a
-giant step's point (rmap's equal-x branch), and a match above the bound in
-the baby table or the last window; and, at several bounds, at the middle
-window that rmap's walk starts from and at the giant windows either side of
-it.  Every intermediate R and S must equal
-the affine oracle's, and the decryption must return the true sum when it
+search's edges: exactly the bound, the bound + 1, n - 1, the centres of
+the first and last giant windows, a giant point itself, and a match above
+the bound in the baby table or the last window; and, at several bounds, at
+the middle window that rmap pairs the others about and at every giant
+window's centre either side of it (rmap's equal-x branch).  Every
+intermediate R and S must equal the affine oracle's, and the decryption must return the true sum when it
 lies within the bound and raise an ecagg.errors.Error otherwise.  On the
 tiny curves the folds must take every branch of ec_add_jjj (FOLD_PATHS).
 """
@@ -158,9 +158,13 @@ def target(kind, rng, n, bound, stride):
         # the baby table and the last window reach this far
         return rng.randint(bound + 1, steps * span + stride)
     return {"bound": bound, "bound + 1": bound + 1, "n - 1": n - 1,
-            # M = -(giant point i): the step that lands on the identity
+            # the first and last giant windows' centres, M = -(giant point
+            # i): M - h*G, h the middle window's centre, is the identity or
+            # +-(giant point |i - N/2|), rmap's equal-x branch
             "-first giant": span, "-last giant": max(steps, 1) * span,
-            # M is giant point i itself, whose log lies far above the bound
+            # M is giant point i itself, whose log lies far above the bound:
+            # M - h*G is a giant point beyond those the walk reads, so no
+            # window matches and the search runs to its end
             "+giant": n - rng.randint(1, max(steps, 1)) * span,
             "within": rng.randint(0, bound)}[kind]
 
@@ -190,8 +194,9 @@ def test_hostile_aggregates_decrypt_to_the_sum_or_fail(name):
         stride = bsgs_cache(c, bound)[0]
         total = target(kind, rng, c.order_n, bound, stride)
         outcomes.add((kind, settle(case, total, bound)))
-    # both sides of the giant branch: a landing within the bound and a
-    # giant point whose log is above it
+    # the first window's centre found, the last one's above the bound and
+    # a giant point's own log refused; test_centre_targets_decrypt_to_the_
+    # sum_or_fail takes the equal-x branch at every pair, both ways
     assert {("-first giant", "found"), ("-last giant", "refused"), ("+giant", "refused"),
             ("bound", "found"), ("bound + 1", "refused"),
             ("above the bound", "refused")} <= outcomes
@@ -203,13 +208,13 @@ def test_hostile_aggregates_decrypt_to_the_sum_or_fail(name):
 
 
 def test_centre_targets_decrypt_to_the_sum_or_fail():
-    # the search walks outward from the middle window h = half*2*stride.
+    # the search pairs its windows about the middle one, h = half*2*stride.
     # Aggregates of h make M' = M - h*G the identity, and of h +- k*2*stride
     # make M' a giant point or its negative (rmap's equal-x branch) for
     # every pair k with that window; h - (half + 1)*2*stride lies below 0.
     # Fresh secp160r1 tables with 1 giant step (h = 1024 above the bound
     # 1000), 2 (the one pair's window at 4096, above the bound 4000) and 5
-    # (the last pair has both windows)
+    # (pair 2, the first one walked, has both windows)
     outcomes = set()
     for bound in (1000, 4000, 80000):
         c = builtin_curve()

@@ -76,6 +76,7 @@ MUTANTS = {
     "walk-centre-one-window-high": (elgamal, "rmap", "(steps + 1) // 2", "(steps + 1) // 2 + 1"),
     "walk-drops-last-pair": (elgamal, "rmap", "steps // 2", "steps // 2 - 1"),
     "walk-equal-x-wrong-side": (elgamal, "rmap", "gys[k - 1] == yC", "gys[k - 1] != yC"),
+    "walk-counts-lone-pair-twice": (elgamal, "rmap", "lone = 1 - steps % 2", "lone = 0"),
     "lanes-tangent-without-a": (elgamal, "_lanes_plus", "3 * qx * qx + curve.a", "3 * qx * qx"),
     "pm-minus-slope-y-difference": (elgamal, "_multiples", "yc + y", "yc - y"),
     "pm-minus-y-is-centre-y": (elgamal, "_multiples", "(centre - k, x3, (lam * (xc - x3) - yc) % p)",
@@ -175,15 +176,19 @@ def _secp160r1_round_trip():
 
 
 def _secp160r1_walk():
-    # a fresh search at 2**16 - 1: stride 4096 and 8 giant steps, walked
-    # from the middle window h = 4*8192 by pairs k = 1..4 (pair 4 has only
-    # its plus window, 65536).  Every centre h +- k*8192, where M' is a
-    # giant point or its negative (equal x), and m 9 either side of it,
-    # told apart only by the parity of the sum's y; h itself (M' the
-    # identity) and window 0.  Two exact costs: 65527 in the last window,
-    # the shift and 7 windows, the last an x hit (1 + 7 ECADDs, 11 + 11 +
-    # 3*3 for the batch of 4 + 2*7 + 1 multiplies, 2 inversions), and a
-    # walk to its end with no hit
+    # a fresh search at 2**16 - 1: stride 4096 and 8 giant steps, paired
+    # about the middle window h = 4*8192 and walked inward by pairs k = 4..1
+    # (pair 4 has only its plus window, 65536).  Every centre h +- k*8192,
+    # where M' is a giant point or its negative (equal x), and m 9 either
+    # side of it, told apart only by the parity of the sum's y; h itself
+    # (M' the identity) and window 0.  Exact costs, each with the shift (1
+    # ECADD, 11 multiplies) and M, M' normalized (1 inversion, 11
+    # multiplies): 65527, the plus window of pair 4, walked first (1 window
+    # at 2 multiplies + 1 for its y3, the batch of 4 inverses 3*3 + 1
+    # inversion); 8201, the minus window of pair 3, third (3 windows);
+    # 40969, the plus window of pair 1, sixth (6 windows); 57344 = h +
+    # 3*8192, where M' = -(giant point 3) answers before any inverse; and a
+    # walk to its end, 7 windows with no hit
     c = builtin_curve()
     bound, span, h = 2**16 - 1, 8192, 32768
     found = {0, 1, 4095, h - 9, h, h + 9, bound}
@@ -198,7 +203,9 @@ def _secp160r1_walk():
             pass
         else:
             raise AssertionError(f"{m} found above the bound")
-    for m, cost in ((65527, [8, 0, 46, 2]), (3**90 % c.order_n, [8, 0, 45, 2])):
+    costs = {65527: [2, 0, 34, 2], 8201: [4, 0, 38, 2], 40969: [7, 0, 44, 2],
+             57344: [1, 0, 22, 1], 3**90 % c.order_n: [8, 0, 45, 2]}
+    for m, cost in costs.items():
         M = mul_binary(m, c.G)
         with tally() as ops:
             try:

@@ -10,8 +10,9 @@ again when the search began matching +-j in the baby table (giant steps of
 twice the stride) and decrypt stopped normalizing x*R, and the build once
 more when the tables came to be built by lane-batched affine additions, and
 again when each inversion of that build came to serve a +- pair of sums, and
-the decrypt value once more when the giant steps began walking outward from
-the middle of the range, each inverse serving a +- pair of windows.  The
+the decrypt value once more when the giant steps came to walk in +- pairs of
+windows about the middle of the range, inward from both ends, each inverse
+serving both windows of a pair.  The
 encrypt value was taken again when k*Y moved onto a (4,4) public-key table
 with m*G folded into its chain, and once more when both tables became
 (8,4) and one recoding of k came to serve both chains, and the fold value when serializing began
@@ -133,15 +134,16 @@ def test_decrypt_counts(keys, curve):
     # signed x*(-R), left Jacobian for the mixed addition with S (R and S
     # from the wire are affine, so normalizing them is free): (56, 159,
     # 1888, 0).  Then the search, old (344, 0, 1716, 12) for 344 giant
-    # steps in 11 batches.  The walk starts from the middle of the 512
+    # steps in 11 batches.  The walk is centred on the middle of the 512
     # windows, h = 256*2**15 = 2**23: M' = M - h*G is one mixed addition
     # (1 ECADD, 11 multiplies), normalized with M for one inversion (3 + 2*4
     # = 11 multiplies).  0xABCDEF - h = 2,870,767 = 88*2**15 - 12817 is a
-    # -j match in window h + 88*2**15, the plus side of pair 88: pairs 1
-    # to 87 with both windows and that one, 175 windows at 2 multiplies
-    # plus 1 for its y3, in 3 batches of 32 inverses (3*93 multiplies, 3
-    # inversions).  Search: (176, 0, 11 + 11 + 350 + 1 + 279 = 652, 4)
-    assert ops == (232, 159, 2540, 4)
+    # -j match in window h + 88*2**15, the plus side of pair 88.  Pairs run
+    # inward from pair 256 (its plus window only) down to 89, both windows
+    # each, then that one: 1 + 2*167 + 1 = 336 windows at 2 multiplies plus
+    # 1 for its y3, in 6 batches of 32 inverses (6*93 multiplies, 6
+    # inversions).  Search: (337, 0, 11 + 11 + 672 + 1 + 558 = 1253, 7)
+    assert ops == (393, 159, 3141, 7)
 
 
 # A search table's multiples of its step start with 256 offsets from a

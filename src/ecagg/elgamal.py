@@ -20,7 +20,10 @@ which also serves every smaller bound.  It uses the negation map: j*G and
 -j*G share an x, so one baby entry matches both signs and each giant step
 covers twice the stride.  The giant steps are paired about the middle of
 the range, so the search too is symmetric about a centre (Galbraith-Ruprai),
-and walked inward from both ends.
+and walked inward from both ends.  Each table keeps only what the search
+reads (after Bernstein-Lange): the baby table maps x to j, the sign of a hit
+coming from a few hundred stored points, and the giant table holds the half
+of the giant points that the paired walk reads.
 It shares inversions wherever it can (Montgomery's trick, mod_inv_batch):
 both tables are built around centres spaced 2K + 1 multiples apart, each
 reaching the K multiples on either side through one inversion shared by its
@@ -65,7 +68,7 @@ from .textcfg import parse_kv, read_text
 
 DEFAULT_MAX_BITS = 24
 
-# Widest search bound: the giant table holds about bound // 2**15 points.
+# Widest search bound: the giant table holds about bound // 2**16 points.
 MAX_SEARCH_BITS = 32
 # Offsets K on either side of each centre of a table build: one inversion
 # per centre, shared by its K differences; a bounded batch keeps the memory
@@ -160,40 +163,57 @@ def _ladder(curve: CurveParams, x: int, y: int, count: int):
     return xs, ys
 
 
-def _multiples(step: AffinePoint, count: int):
-    """Yield (j, x, y) of j*step once for every 1 <= j <= count, in no
-    particular order of j.
+def _anchors(step: AffinePoint, count: int):
+    """(qxs, qys, cxs, cys): the x and y lists of the points that the +-
+    build of count multiples of step (_multiples) adds up.
 
-    The K = min(count, _NORMALIZE_CHUNK) offsets k*step come from a ladder
-    and are yielded first.  Then centres C = c*step, spaced B = 2K + 1
-    apart (B*step is K*step doubled plus step, and the count / B centres a
-    ladder over it), each reach c and c -+ k for 1 <= k <= K.  C + Q and
-    C - Q for an offset Q = k*step share the denominator x_C - x_Q
-    (Montgomery), so one mod_inv_batch over K differences serves 2K points,
-    the slopes being (y_C - y_Q) and (y_C + y_Q) times the inverse.  A
-    point is its slope, x3 and y3 at one multiplication each plus half of
-    its inverse's 3 in the batch: 4.5 where a lone affine addition in a
-    batch takes 6.  The last centre computes only the points at or below
-    count.  Beyond the centres, only the offsets and one batch of K
-    inverses are alive at a time, so peak memory stays flat whatever the
-    count.  No c + k reaches count + 2K, so no difference is zero while
-    that stays below the step's order.
+    The K = min(count, _NORMALIZE_CHUNK) offsets k*step, 1 <= k <= K, come
+    from a ladder.  Past K, the centres c*step for c = B, 2B, ..., spaced
+    B = 2K + 1 apart (B*step is K*step doubled plus step, and the centres a
+    ladder over it), as many as it takes for the last, c - K, to reach
+    count: 256 offsets and 32 centres at a count of 2**14.
     """
-    if count <= 0:
-        return
     curve = step.curve
     qxs, qys = _ladder(curve, step.x, step.y, min(count, _NORMALIZE_CHUNK))
-    yield from zip(range(1, len(qxs) + 1), qxs, qys)
     k_max = len(qxs)
     if count <= k_max:
-        return
+        return qxs, qys, [], []
     span = 2 * k_max + 1
-    p = curve.field.p
-    c = counters()
     # B*step: K*step doubled, plus step
     (dx,), (dy,) = _lanes_plus(curve, qxs[-1:], qys[-1:], qxs[-1], qys[-1])
     (bx,), (by,) = _lanes_plus(curve, [dx], [dy], step.x, step.y)
-    cxs, cys = _ladder(curve, bx, by, (count - k_max + span - 1) // span)
+    return (qxs, qys, *_ladder(curve, bx, by, (count - k_max + span - 1) // span))
+
+
+def _multiples(step: AffinePoint, count: int, anchors=None):
+    """Yield (j, x, y) of j*step once for every 1 <= j <= count, in no
+    particular order of j, from _anchors(step, count) or the anchors given.
+
+    The K offsets k*step are yielded first.  Then each centre C = c*step
+    reaches c and c -+ k for 1 <= k <= K.  C + Q and C - Q for an offset
+    Q = k*step share the denominator x_C - x_Q (Montgomery), so one
+    mod_inv_batch over K differences serves 2K points, the slopes being
+    (y_C - y_Q) and (y_C + y_Q) times the inverse.  A point is its slope,
+    x3 and y3 at one multiplication each plus half of its inverse's 3 in
+    the batch: 4.5 where a lone affine addition in a batch takes 6.  A
+    caller that passes the anchors in keeps them, and tells j*step from
+    -j*step by them (_baby_log), so each C +- Q comes with y None and the
+    build skips its y3: 3.5 multiplications a point.  The last centre
+    computes only the points at or below count.  Beyond the anchors, only
+    one batch of K inverses is alive at a time, so peak memory stays flat
+    whatever the count.  No c + k reaches count + 2K, so no difference is
+    zero while that stays below the step's order.
+    """
+    if count <= 0:
+        return
+    ys = anchors is None
+    qxs, qys, cxs, cys = anchors or _anchors(step, count)
+    yield from zip(range(1, len(qxs) + 1), qxs, qys)
+    k_max = len(qxs)
+    span = 2 * k_max + 1
+    f = step.curve.field
+    p = f.p
+    c = counters()
     for centre, xc, yc in zip(range(span, count + span, span), cxs, cys):
         if centre <= count:
             yield centre, xc, yc
@@ -203,46 +223,51 @@ def _multiples(step: AffinePoint, count: int):
         qx, qy = qxs[first - 1:], qys[first - 1:]
         n = len(qx) + max(0, min(k_max, top))
         c.ecadd += n
-        c.fe_mul += 3 * n
-        invs = mod_inv_batch(curve.field, [xc - x for x in qx])
+        c.fe_mul += (2 + ys) * n
+        invs = mod_inv_batch(f, [xc - x for x in qx])
         for k, x, y, inv in zip(range(first, k_max + 1), qx, qy, invs):
             lam = (yc + y) * inv % p
             sx = xc + x
             x3 = (lam * lam - sx) % p
-            yield centre - k, x3, (lam * (xc - x3) - yc) % p
+            yield centre - k, x3, (lam * (xc - x3) - yc) % p if ys else None
             if k <= top:
                 lam = (yc - y) * inv % p
                 x3 = (lam * lam - sx) % p
-                yield centre + k, x3, (lam * (xc - x3) - yc) % p
+                yield centre + k, x3, (lam * (xc - x3) - yc) % p if ys else None
 
 
 def bsgs_cache(curve: CurveParams, max_value: int):
-    """(stride, baby table, giant x list, giant y list) for searching
-    [0, max_value].  Both tables are filled from _multiples, the giant lists
-    by index.
+    """(stride, baby table, anchors, giant x list, giant y list) for
+    searching [0, max_value].  Both tables are filled from _multiples, the
+    giant lists by index.
 
-    The baby table maps the x of j*G to j << 1 | (y & 1), j and the parity
-    of j*G's y, for 1 <= j <= stride; since -j*G shares that x, one entry
-    answers both signs, and as p is odd its y, p - y, has the other parity
-    (one int per entry, where a (j, y) tuple measured 1.6 MB more at the
-    2**24 bound).  Entry i - 1 of the giant lists is -i*2*stride*G for
-    1 <= i <= _giant_steps(max_value, stride), so giant step i covers the
-    window [2*i*stride - stride, 2*i*stride + stride]; rmap, which pairs
-    the windows about the middle one, reads only entries up to about half
-    of them.  The stride grows
-    with the bound (16 at bound 0, 512 at 1000, 2**14 from 2**18 up).  A
-    curve caches one entry, the one with the largest stride asked for so
-    far: a smaller bound reuses it with fewer giant steps, a larger stride
-    replaces it, and a bound that needs more giant steps keeps the baby
-    table and rebuilds the giant lists at the new length.
+    The baby table maps the x of j*G to j for 1 <= j <= stride, and nothing
+    else: -j*G shares that x, so one entry answers both signs, and the
+    anchors, the _anchors of the baby build (256 offsets and 32 centres,
+    about 32 KB at the 2**24 bound), tell the two apart on a hit
+    (_baby_log); so the build never computes the y of a centre +- offset.
+    Entry i - 1 of the giant lists is -i*2*stride*G for 1 <= i <=
+    ceil(N/2), N = _giant_steps(max_value, stride), the entries that
+    rmap's walk reads: giant step i covers the window [2*i*stride - stride,
+    2*i*stride + stride], and rmap pairs the N windows about the middle
+    one, ceil(N/2) steps up.  The stride grows with the bound (16 at bound
+    0, 512 at 1000, 2**14 from 2**18 up).  A curve caches one entry, the
+    one with the largest stride asked for so far: a smaller bound reuses it
+    with fewer giant steps, a larger stride replaces it, and a bound that
+    needs more giant steps keeps the baby table and rebuilds the giant
+    lists at the new length.
 
     Before any point work, MessageTooLarge rejects a bound outside
-    [0, 2**MAX_SEARCH_BITS), as the giant table grows with it (2**17 points,
-    about 14 MB, at 32 bits), and one too close to the group order for the
-    stride the search runs at: the giant spacing 2*stride and the bound
-    plus the last window's center must both lie below the order, or a baby
-    or giant point could be the identity, or a giant point's own log lie
-    within the bound.  Only a small-order curve can fail that.
+    [0, 2**MAX_SEARCH_BITS), as the giant table grows with it (2**16
+    points, about 7 MB, at 32 bits), and one too close to the group order
+    for the stride the search runs at.  The giant spacing 2*stride must lie
+    below the order, or a baby point or a stored giant point could be the
+    identity or two baby entries share an x.  And the bound plus the last
+    window's centre N*2*stride must too: the walk forms every window up to
+    that centre from the stored half, and a log it names there must be the
+    point's only log within the bound, not one that wraps past the order
+    (a giant point's own log, n - i*2*stride, must stay above the bound).
+    Only a small-order curve can fail that.
     """
     if not 0 <= max_value < 1 << MAX_SEARCH_BITS:
         raise MessageTooLarge(f"search bound must be in [0, 2**{MAX_SEARCH_BITS})")
@@ -255,12 +280,14 @@ def bsgs_cache(curve: CurveParams, max_value: int):
     if cached is None or cached[0] < stride:
         # drop the smaller table before building, so the two never coexist
         cached = curve._rmap_cache = None
-        babies = {x: j << 1 | (y & 1) for j, x, y in _multiples(curve.G, stride)}
-        cached = curve._rmap_cache = (stride, babies, [], [])
-    _, _, gxs, gys = cached
-    if len(gxs) < steps:
-        gxs[:] = gys[:] = [0] * steps
-        for j, x, y in _multiples(ec_neg(to_affine(mul_binary(span, curve.G))), steps):
+        anchors = _anchors(curve.G, stride)
+        babies = {x: j for j, x, _ in _multiples(curve.G, stride, anchors)}
+        cached = curve._rmap_cache = (stride, babies, anchors, [], [])
+    *_, gxs, gys = cached
+    stored = (steps + 1) // 2
+    if len(gxs) < stored:
+        gxs[:] = gys[:] = [0] * stored
+        for j, x, y in _multiples(ec_neg(to_affine(mul_binary(span, curve.G))), stored):
             gxs[j - 1] = x
             gys[j - 1] = y
     return cached
@@ -272,26 +299,53 @@ def _giant_steps(max_value: int, stride: int) -> int:
     return (max_value + stride) // (2 * stride)
 
 
-def _baby_log(hit: int, y: int) -> int:
-    """The signed j with j*G = (x, y), for the baby entry hit stored at x:
-    the entry's j when y has the parity it packs, else -j."""
-    return hit >> 1 if (hit ^ y) & 1 == 0 else -(hit >> 1)
+def _baby_log(anchors, j: int, x: int, y: int, p: int) -> int:
+    """The signed j with j*G = (x, y), for the baby entry j at x: j*G and
+    -j*G share that x, and the baby build's anchors tell them apart.
+
+    An offset (j <= K) or a centre is an anchor, stored with its y.  Any
+    other j is c + k or c - k, the sum C + Q or C - Q of the centre C =
+    c*G and the offset Q = k*G, whose y the build skipped; but that y
+    meets the build's slope, y + y_C = lam*(x_C - x) for lam = (y_C -+ y_Q)
+    / (x_C - x_Q), so (y + y_C)(x_C - x_Q) = (y_C -+ y_Q)(x_C - x) holds
+    for j*G and fails for -j*G (whose y differs, as no point of odd order
+    has y = 0): 2 multiplications, no inversion.
+    """
+    qxs, qys, cxs, cys = anchors
+    k_max = len(qxs)
+    if j <= k_max:
+        plus = y == qys[j - 1]
+    else:
+        span = 2 * k_max + 1
+        i = (j + k_max) // span
+        k = j - i * span
+        xc, yc = cxs[i - 1], cys[i - 1]
+        if k:
+            xq, yq = qxs[abs(k) - 1], qys[abs(k) - 1]
+            counters().fe_mul += 2
+            plus = (y + yc) * (xc - xq) % p == (yc - yq if k > 0 else yc + yq) * (xc - x) % p
+        else:
+            plus = y == yc
+    return j if plus else -j
 
 
 def rmap(M: JacobianPoint, max_value: int) -> int:
     """Recover the m in [0, max_value] with m*G = M.
 
     Baby-step/giant-step over bsgs_cache with the negation map: a baby
-    entry at the x of M - c*G gives m = c + j or c - j (_baby_log), so the
-    window centred on c covers [c - stride, c + stride].  M itself is
-    window 0 (+j only), and N = _giant_steps(max_value, stride) windows
-    centred on span .. N*span, span = 2*stride, cover the rest, the last
-    reaching past the bound; every m is checked against the bound.
+    entry j at the x of M - c*G gives m = c + j or c - j, as _baby_log
+    tells from M - c*G's y (2 multiplications when j is a centre +-
+    offset, none for an anchor), so the window centred on c covers
+    [c - stride, c + stride].  M itself is window 0 (+j only), and N =
+    _giant_steps(max_value, stride) windows centred on span .. N*span,
+    span = 2*stride, cover the rest, the last reaching past the bound;
+    every m is checked against the bound.
 
     The giant windows are paired about the middle one, h = half*span for
     half = (N + 1) // 2 (Galbraith-Ruprai): M' = M - h*G is one mixed
-    addition, normalized along with M for one inversion.  For k = 1 ..
-    N // 2, giant point Q = -k*span*G gives window h + k*span as M' + Q
+    addition, normalized along with M for one inversion (giant entries 1
+    .. half, the ones bsgs_cache stores, are all the walk reads).  For k =
+    1 .. N // 2, giant point Q = -k*span*G gives window h + k*span as M' + Q
     and, for k < half, window h - k*span as M' - Q; the two share the
     denominator x_Q - x_M', so each inverse of a batch of _GIANT_BATCH
     (mod_inv_batch) serves two windows, and each window is visited once.
@@ -312,9 +366,11 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
     bound bsgs_cache rejects.
     """
     curve = M.curve
-    stride, babies, gxs, gys = bsgs_cache(curve, max_value)
+    stride, babies, anchors, gxs, gys = bsgs_cache(curve, max_value)
     if M.is_infinity:
         return 0
+    f = curve.field
+    p = f.p
     span = 2 * stride
     steps = _giant_steps(max_value, stride)
     half = (steps + 1) // 2
@@ -325,18 +381,16 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
         points.append(ec_add_ajj(AffinePoint(curve, gxs[half - 1], gys[half - 1]), M))
     P, *shifted = to_affine_batch(points)
     hit = babies.get(P.x)
-    if hit is not None and 0 < _baby_log(hit, P.y) <= max_value:
-        return hit >> 1
+    if hit is not None and 0 < _baby_log(anchors, hit, P.x, P.y, p) <= max_value:
+        return hit
     if steps and shifted[0].infinity:
         # M = h*G
         if h <= max_value:
             return h
     elif steps:
-        f = curve.field
-        p = f.p
         xC, yC = shifted[0].x, shifted[0].y
         hit = babies.get(xC)
-        if hit is not None and (m := h + _baby_log(hit, yC)) <= max_value:
+        if hit is not None and (m := h + _baby_log(anchors, hit, xC, yC, p)) <= max_value:
             return m
         c = counters()
         pairs = steps // 2
@@ -368,7 +422,7 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
                 if hit is not None:
                     c.fe_mul += 1
                     y3 = (lam * (xC - x3) - yC) % p
-                    m = h + k * span + _baby_log(hit, y3)
+                    m = h + k * span + _baby_log(anchors, hit, x3, y3, p)
                     if m <= max_value:
                         c.ecadd += walked(k) + 1
                         c.fe_mul += 2 * walked(k) + 2
@@ -383,7 +437,7 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
                         c.ecadd += walked(k) + 2
                         c.fe_mul += 2 * walked(k) + 5
                         y3 = (lam * (xC - x3) - yC) % p
-                        return h - k * span + _baby_log(hit, y3)
+                        return h - k * span + _baby_log(anchors, hit, x3, y3, p)
         else:
             c.ecadd += steps - 1
             c.fe_mul += 2 * (steps - 1)

@@ -136,13 +136,46 @@ MULTIPLES_COUNTS = (1, K - 1, K, K + 1, 2 * K, 2 * K + 1, 2 * K + 2, 3 * K + 5)
 
 def check_multiples(curve, count):
     """elgamal._multiples(G, count) against o_add: every j in [1, count]
-    exactly once, carrying the oracle's j*G."""
+    exactly once, carrying the oracle's j*G; and given the anchors, as the
+    baby table builds, the same j and x, with the anchors' own y and None
+    for every other point."""
     p, a = o_of(curve)
     g, acc, want = as_tuple(curve.G), None, []
     for j in range(1, count + 1):
         acc = o_add(acc, g, p, a)
         want.append((j, *acc))
     assert sorted(ecagg.elgamal._multiples(curve.G, count)) == want, (curve.name, count)
+    anchors = ecagg.elgamal._anchors(curve.G, count)
+    stored = {x: y for xs, ys in (anchors[:2], anchors[2:]) for x, y in zip(xs, ys)}
+    got = sorted(ecagg.elgamal._multiples(curve.G, count, anchors))
+    assert got == [(j, x, stored.get(x)) for j, x, _ in want], (curve.name, count)
+
+
+# Baby logs whose sign the secp160r1 checks resolve at stride 2**14: the
+# first and last offsets, centre 513 and either side of it, both ends of
+# centre 513's reach, and the last centre, 16416, reaching down to 16160
+# and, within the stride, 16384.
+SECP_BABY_LOGS = (1, 256, 257, 512, 513, 514, 769, 16160, 16384)
+
+
+def check_baby_log(curve, count, js):
+    """elgamal._baby_log over the anchors of count multiples of G against
+    o_add: for every j in js, the oracle's j*G resolves to j and -j*G to -j,
+    at 2 multiplications for a centre +- offset and none for an anchor."""
+    p, a = o_of(curve)
+    g = as_tuple(curve.G)
+    anchors = ecagg.elgamal._anchors(curve.G, count)
+    k_max = len(anchors[0])
+    acc, last = None, 0
+    for j in sorted(js):
+        acc = o_add(acc, o_mul(j - last, g, p, a), p, a)
+        last = j
+        x, y = acc
+        anchor = j <= k_max or j % (2 * k_max + 1) == 0
+        for signed, sy in ((j, y), (-j, -y % p)):
+            with tally() as ops:
+                assert ecagg.elgamal._baby_log(anchors, j, x, sy, p) == signed, (curve.name, signed)
+            assert (ops.fe_mul, ops.fe_inv) == (0 if anchor else 2, 0), (curve.name, signed)
 
 
 class ForcedK:

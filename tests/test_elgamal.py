@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 from conftest import (
     MULTIPLES_COUNTS,
+    SECP_BABY_LOGS,
     TINY,
     ForcedK,
     as_tuple,
+    check_baby_log,
     check_ct_to_bytes_over_z_classes,
     check_multiples,
     make_tiny,
@@ -281,9 +283,11 @@ def test_rmap_fresh_curve_bounds(bound):
     c = builtin_curve()
     G = c.G
     assert rmap(mul_binary(bound, G), bound) == bound
-    stride, babies, gxs, gys = c._rmap_cache
-    assert len(babies) == stride and len(gxs) == len(gys) == (bound + stride) // (2 * stride)
-    reach = 2 * len(gxs) * stride + stride
+    stride, babies, _, gxs, gys = c._rmap_cache
+    steps = (bound + stride) // (2 * stride)
+    # the walk reads the giant entries 1 .. ceil(steps/2), and only they are built
+    assert len(babies) == stride and len(gxs) == len(gys) == (steps + 1) // 2
+    reach = 2 * steps * stride + stride
     assert reach > bound
     for m in (bound + 1, reach):
         with pytest.raises(NotFound):
@@ -291,7 +295,7 @@ def test_rmap_fresh_curve_bounds(bound):
     if bound <= 1000:
         checked = range(bound + 1)
     elif bound <= STRIDE + 1:
-        edges = {2 * i * stride + d for i in range(len(gxs) + 1)
+        edges = {2 * i * stride + d for i in range(steps + 1)
                  for d in (-stride, 1 - stride, -1, 0, 1, stride - 1, stride)}
         checked = sorted(m for m in edges if m >= 0)
     else:
@@ -327,19 +331,25 @@ def _oracle_neg_multiple(curve, k):
 
 def test_search_tables_match_oracle_at_bound_1000():
     c = builtin_curve()
-    stride, babies, gxs, gys = bsgs_cache(c, 1000)
+    stride, babies, anchors, gxs, gys = bsgs_cache(c, 1000)
     assert stride == 512
-    expected = _oracle_multiples(c, c.G, stride)
-    # each baby packs j with the parity of j*G's y
-    assert babies == {x: j << 1 | (y & 1) for j, (x, y) in enumerate(expected, 1)}
+    expected = _oracle_multiples(c, c.G, 2 * stride)
+    # each baby maps j*G's x to j, and nothing else
+    assert babies == {x: j for j, (x, _) in enumerate(expected[:stride], 1)}
+    # the anchors: the 256 offsets and the one centre 513*G, both with y
+    assert [list(zip(*anchors[:2])), list(zip(*anchors[2:]))] == [expected[:256], [expected[512]]]
+    # 1 giant step, and its one point stored
     assert list(zip(gxs, gys)) == [as_tuple(_oracle_neg_multiple(c, 2 * stride))]
 
 
-def test_giant_lists_match_oracle_across_blocks(curve):
-    # the 512 giant points of the default bound fill two blocks of lanes
-    _, _, gxs, gys = bsgs_cache(curve, BOUND24)
-    expected = _oracle_multiples(curve, _oracle_neg_multiple(curve, 2 * STRIDE), LAST)
-    assert list(zip(gxs[:LAST], gys[:LAST])) == expected
+def test_giant_lists_match_oracle_across_blocks():
+    # at 2**25 - 1, twice the default bound, the 1024 giant steps store
+    # 512 points: the 256 offsets and one centre reaching 257..512
+    c = builtin_curve()
+    stride, _, _, gxs, gys = bsgs_cache(c, (1 << 25) - 1)
+    assert stride == STRIDE
+    expected = _oracle_multiples(c, _oracle_neg_multiple(c, 2 * STRIDE), LAST)
+    assert list(zip(gxs, gys)) == expected
 
 
 @pytest.mark.parametrize("count", [1, 2, 100, 255, 256, 257, 600])
@@ -356,18 +366,34 @@ def test_multiples_match_oracle_on_tiny_curves(name, count, request):
     check_multiples(request.getfixturevalue(name), count)
 
 
+# The sign of a baby hit at stride 2048 on the tiny curves: the 256
+# offsets, the centres 513, 1026, 1539 and the last, 2052, past the
+# stride, each with every offset on either side that the stride holds;
+# on secp160r1, SECP_BABY_LOGS at stride 2**14.
+@pytest.mark.parametrize("name", ["tiny_curve", "tiny_curve_a2"])
+def test_baby_log_matches_oracle_on_tiny_curves(name, request):
+    check_baby_log(request.getfixturevalue(name), 2048, range(1, 2049))
+
+
+def test_baby_log_matches_oracle_on_secp160r1(curve):
+    check_baby_log(curve, STRIDE, SECP_BABY_LOGS)
+
+
 # sha256 of repr(sorted(babies.items())) and of repr((gxs, gys)) for the
-# default bound on a fresh curve, taken from the lane build that the +-
-# build replaced: the tables are the same, not just the same size
+# default bound on a fresh curve.  Both were derived from the tables the
+# lane build and the +- build with y made, pinned as 097d70b8...2651c and
+# f8854980...127ff: the first from sorted (x, v >> 1), dropping the parity
+# bit each value v = j << 1 | (y & 1) carried, the second from the first
+# 256 of the 512 giant points, the ones the walk reads
 DEFAULT_TABLE_DIGESTS = (
-    "097d70b87a74188705e035de7abc29b0d4365df00361b81ddd58dfc4aab2651c",
-    "f8854980f93e7186ac082aaeae2bef577924889d88ad31cc845521330f5127ff",
+    "baba245f2f429369f29c1e3d01434c8418de210cba7be51635cbac0fa7a54789",
+    "8e9ec3c4d8b1f20f75fc1df57d4a2520a1361a2d492ea7300f953ca52570208a",
 )
 
 
 def test_default_search_tables_match_pinned_digests():
-    stride, babies, gxs, gys = bsgs_cache(builtin_curve(), BOUND24)
-    assert (stride, len(babies), len(gxs)) == (STRIDE, STRIDE, LAST)
+    stride, babies, _, gxs, gys = bsgs_cache(builtin_curve(), BOUND24)
+    assert (stride, len(babies), len(gxs)) == (STRIDE, STRIDE, LAST // 2)
     digests = tuple(hashlib.sha256(repr(t).encode()).hexdigest()
                     for t in (sorted(babies.items()), (gxs, gys)))
     assert digests == DEFAULT_TABLE_DIGESTS
@@ -375,8 +401,10 @@ def test_default_search_tables_match_pinned_digests():
 
 # What a cold build of the default bound's tables allocates beyond the
 # tables it keeps (tracemalloc's peak less what is still allocated after
-# the build, 1,955,304 bytes): 28,160 bytes for the +- build, 40,372 for
-# the lane build it replaced, which is the bound.
+# the build, 1,941,264 bytes with the anchors and half the giant points,
+# 1,955,304 before): 22,792 bytes for the x-only build, 28,160 for the
+# +- build that made every y, 40,372 for the lane build before it, which
+# is the bound.
 BUILD_MARGIN_BYTES = 40_372
 
 

@@ -6,9 +6,10 @@ curve points encrypt some sum.  The generator below draws, as a fixed
 function of the curve's name, children that are identical, opposite, or
 the identity in one component.  It folds them the way aggregators do, some
 through the wire and some still Jacobian, and aims the total at the
-search's edges: exactly the bound, the bound + 1, n - 1, the centres of
-the first and last giant windows, a giant point itself, and a match above
-the bound in the baby table or the last window; and, at several bounds, at
+search's edges: exactly the bound, the bound + 1, n - 1, the centre of
+the first giant window, the negative of the last giant point the table
+stores, a stored giant point itself, and a match above the bound in the
+baby table or the last window; and, at several bounds, at
 the middle window that rmap pairs the others about and at every giant
 window's centre either side of it (rmap's equal-x branch).  Every
 intermediate R and S must equal the affine oracle's, and the decryption must return the true sum when it
@@ -154,18 +155,23 @@ class Case:
 def target(kind, rng, n, bound, stride):
     span = 2 * stride
     steps = (bound + stride) // span
+    # the giant points the table stores, -i*span*G for 1 <= i <= ceil(N/2),
+    # N = steps: the ones the walk reads
+    stored = max((steps + 1) // 2, 1)
     if kind == "above the bound":
         # the baby table and the last window reach this far
         return rng.randint(bound + 1, steps * span + stride)
     return {"bound": bound, "bound + 1": bound + 1, "n - 1": n - 1,
-            # the first and last giant windows' centres, M = -(giant point
-            # i): M - h*G, h the middle window's centre, is the identity or
-            # +-(giant point |i - N/2|), rmap's equal-x branch
-            "-first giant": span, "-last giant": max(steps, 1) * span,
-            # M is giant point i itself, whose log lies far above the bound:
-            # M - h*G is a giant point beyond those the walk reads, so no
-            # window matches and the search runs to its end
-            "+giant": n - rng.randint(1, max(steps, 1)) * span,
+            # M = -(giant point i), the centre of window i*span.  For the
+            # first, M - h*G (h = ceil(N/2)*span, the middle window's centre)
+            # is stored point ceil(N/2) - 1 itself, rmap's equal-x branch,
+            # or the identity when that is 0; for the last stored
+            # one, ceil(N/2), it is the identity: M is h*G
+            "-first giant": span, "-last giant": stored * span,
+            # M is a stored giant point itself, whose log lies far above the
+            # bound: M - h*G is -(i + ceil(N/2))*span*G, past every stored
+            # point, so no window matches and the search runs to its end
+            "+giant": n - rng.randint(1, stored) * span,
             "within": rng.randint(0, bound)}[kind]
 
 
@@ -194,10 +200,10 @@ def test_hostile_aggregates_decrypt_to_the_sum_or_fail(name):
         stride = bsgs_cache(c, bound)[0]
         total = target(kind, rng, c.order_n, bound, stride)
         outcomes.add((kind, settle(case, total, bound)))
-    # the first window's centre found, the last one's above the bound and
-    # a giant point's own log refused; test_centre_targets_decrypt_to_the_
-    # sum_or_fail takes the equal-x branch at every pair, both ways
-    assert {("-first giant", "found"), ("-last giant", "refused"), ("+giant", "refused"),
+    # the first window's centre and the middle one's found, a giant point's
+    # own log refused; test_centre_targets_decrypt_to_the_sum_or_fail takes
+    # the equal-x branch at every pair, both ways, and reaches the last window
+    assert {("-first giant", "found"), ("-last giant", "found"), ("+giant", "refused"),
             ("bound", "found"), ("bound + 1", "refused"),
             ("above the bound", "refused")} <= outcomes
     assert case.seen == {*GROUPS, "group", "itself", "mirror"}

@@ -1,6 +1,6 @@
 """Mutation gate: the oracles below catch every named mutant of the group
-law, normalization, the scan, the recoding, the search, the search tables'
-+- build and table import.
+law, normalization, the scan, the recoding, the search, the sign of a baby
+hit, the search tables' +- build and table import.
 
 A mutant replaces one node of one function's syntax tree: the expression
 or statement whose source reads ``old`` becomes ``new``.  The edited
@@ -23,10 +23,12 @@ import types
 import pytest
 from conftest import (
     MULTIPLES_COUNTS,
+    SECP_BABY_LOGS,
     TINY,
     TINY_A2,
     as_tuple,
     check_add_jjj_over_z_classes,
+    check_baby_log,
     check_ct_to_bytes_over_z_classes,
     check_multiples,
     jac_tuple,
@@ -67,11 +69,17 @@ MUTANTS = {
     "curve-madd-equal-x-is-identity": (curve, "_madd", "ec_dbl_jj(Q)",
                                        "JacobianPoint.infinity(cur)"),
     "recode-wraps-by-half": (scalarmul, "wmof_recode", "d -= full", "d -= half"),
-    "rmap-center-plus-j": (elgamal, "_baby_log", "-(hit >> 1)", "hit >> 1"),
+    "rmap-center-plus-j": (elgamal, "_baby_log", "-j", "j"),
+    "sign-centre-index-one-off": (elgamal, "_baby_log", "(j + k_max) // span",
+                                  "(j + k_max) // span + 1"),
+    "sign-centre-offset-sign-swapped": (elgamal, "_baby_log", "yc - yq if k > 0 else yc + yq",
+                                        "yc + yq if k > 0 else yc - yq"),
+    "sign-ladder-boundary-exclusive": (elgamal, "_baby_log", "j <= k_max", "j < k_max"),
     "walk-mirror-slope-sign": (elgamal, "rmap", "-gy - yC", "gy + yC"),
     "walk-mirror-slope-is-plus-slope": (elgamal, "rmap", "-gy - yC", "gy - yC"),
-    "walk-minus-candidate-sign": (elgamal, "rmap", "h - k * span + _baby_log(hit, y3)",
-                                  "h - k * span - _baby_log(hit, y3)"),
+    "walk-minus-candidate-sign": (elgamal, "rmap",
+                                  "h - k * span + _baby_log(anchors, hit, x3, y3, p)",
+                                  "h - k * span - _baby_log(anchors, hit, x3, y3, p)"),
     "walk-centre-one-window-low": (elgamal, "rmap", "(steps + 1) // 2", "(steps + 1) // 2 - 1"),
     "walk-centre-one-window-high": (elgamal, "rmap", "(steps + 1) // 2", "(steps + 1) // 2 + 1"),
     "walk-drops-last-pair": (elgamal, "rmap", "steps // 2", "steps // 2 - 1"),
@@ -79,12 +87,13 @@ MUTANTS = {
     "walk-counts-lone-pair-twice": (elgamal, "rmap", "lone = 1 - steps % 2", "lone = 0"),
     "lanes-tangent-without-a": (elgamal, "_lanes_plus", "3 * qx * qx + curve.a", "3 * qx * qx"),
     "pm-minus-slope-y-difference": (elgamal, "_multiples", "yc + y", "yc - y"),
-    "pm-minus-y-is-centre-y": (elgamal, "_multiples", "(centre - k, x3, (lam * (xc - x3) - yc) % p)",
+    "pm-minus-y-is-centre-y": (elgamal, "_multiples",
+                               "(centre - k, x3, (lam * (xc - x3) - yc) % p if ys else None)",
                                "(centre - k, x3, yc)"),
     "pm-skips-centre-entry": (elgamal, "_multiples", "centre <= count", "False"),
     "pm-offset-index-off-by-one": (elgamal, "_multiples", "qxs[first - 1:]", "qxs[first:]"),
     "pm-last-centre-drops-top-plus": (elgamal, "_multiples", "k <= top", "k < top"),
-    "pm-one-centre-short": (elgamal, "_multiples", "(count - k_max + span - 1) // span",
+    "pm-one-centre-short": (elgamal, "_anchors", "(count - k_max + span - 1) // span",
                             "(count - k_max) // span"),
     "pm-centres-2k-apart": (elgamal, "_multiples", "2 * k_max + 1", "2 * k_max"),
     "decode-skips-on-curve": (curve, "decode_point",
@@ -109,7 +118,7 @@ MUTANTS = {
     "ct-scales-s-by-r-inverse": (elgamal, "ct_to_bytes", "zr * inv % p", "zs * inv % p"),
     "normalize-y-by-z-squared": (curve, "to_affine_batch", "zi2 * zinv", "zi2"),
     "giants-one-stride-apart": (elgamal, "bsgs_cache", "2 * stride", "stride"),
-    "babies-lose-parity": (elgamal, "bsgs_cache", "j << 1 | y & 1", "j << 1"),
+    "giants-floor-half": (elgamal, "bsgs_cache", "(steps + 1) // 2", "steps // 2"),
     "table-import-skips-identity-check": (scalarmul, "table_from_bytes",
                                           "base.is_infinity", "False"),
     "m-row-over-track-1": (scalarmul, "mul_interleave", "g_table.signed[0]",
@@ -147,9 +156,8 @@ def _secp160r1_round_trip():
     # the encrypt count pin of test_opcounts, (72, 40, 1112, 0), on a fresh
     # curve with both tables built; then readings the search finds one
     # giant step up, at 2048 - 10 and 2048 + 10 (stride 2**10 at the bound
-    # 4000): one match on each side of the window's center, and as 10*G has
-    # an odd y, the search tells them apart only by the parity its baby
-    # entry stores
+    # 4000): one match on each side of the window's center, which the
+    # search tells apart only by the y stored with offset 10
     c = builtin_curve()
     keys = keygen(random.Random(0x5EED), c)
     default_table(c)
@@ -180,12 +188,14 @@ def _secp160r1_walk():
     # about the middle window h = 4*8192 and walked inward by pairs k = 4..1
     # (pair 4 has only its plus window, 65536).  Every centre h +- k*8192,
     # where M' is a giant point or its negative (equal x), and m 9 either
-    # side of it, told apart only by the parity of the sum's y; h itself
+    # side of it, told apart only by the y stored with offset 9; h itself
     # (M' the identity) and window 0.  Exact costs, each with the shift (1
     # ECADD, 11 multiplies) and M, M' normalized (1 inversion, 11
     # multiplies): 65527, the plus window of pair 4, walked first (1 window
     # at 2 multiplies + 1 for its y3, the batch of 4 inverses 3*3 + 1
-    # inversion); 8201, the minus window of pair 3, third (3 windows);
+    # inversion); 64936, in that window too, but 600 = 513 + 87 is a
+    # centre + offset, whose sign takes _baby_log's 2 multiplies;
+    # 8201, the minus window of pair 3, third (3 windows);
     # 40969, the plus window of pair 1, sixth (6 windows); 57344 = h +
     # 3*8192, where M' = -(giant point 3) answers before any inverse; and a
     # walk to its end, 7 windows with no hit
@@ -203,7 +213,8 @@ def _secp160r1_walk():
             pass
         else:
             raise AssertionError(f"{m} found above the bound")
-    costs = {65527: [2, 0, 34, 2], 8201: [4, 0, 38, 2], 40969: [7, 0, 44, 2],
+    costs = {65527: [2, 0, 34, 2], 64936: [2, 0, 36, 2], 8201: [4, 0, 38, 2],
+             40969: [7, 0, 44, 2],
              57344: [1, 0, 22, 1], 3**90 % c.order_n: [8, 0, 45, 2]}
     for m, cost in costs.items():
         M = mul_binary(m, c.G)
@@ -213,6 +224,21 @@ def _secp160r1_walk():
             except NotFound:
                 assert m > bound
         assert [getattr(ops, f) for f in FIELDS] == cost, m
+
+
+def _tiny_odd_walk(c):
+    # bound 3000 on a fresh tiny curve: stride 1024 and one giant step, so
+    # the table stores ceil(1/2) = 1 giant point, the one that shifts M to
+    # the middle window, 2048; the windows' baby hits reach both centres,
+    # 513 and 1026, either side
+    bound = 3000
+    for m in [*range(0, bound, 7), bound, bound + 1]:
+        try:
+            assert elgamal.rmap(mul_binary(m, c.G), bound) == m, m
+        except NotFound:
+            assert m > bound
+        else:
+            assert m <= bound
 
 
 def _identity_lookup(c):
@@ -271,9 +297,12 @@ def oracle_sub_suite():
     scalarmul._track_rows.cache_clear()
     _secp160r1_round_trip()
     _secp160r1_walk()
+    check_baby_log(builtin_curve(), 2**14, SECP_BABY_LOGS)
     for c in (make_tiny(TINY, "tiny13"), make_tiny(TINY_A2, "tiny13a2")):
         for count in MULTIPLES_COUNTS:
             check_multiples(c, count)
+        check_baby_log(c, 2048, range(1, 2049))
+        _tiny_odd_walk(c)
         check_add_jjj_over_z_classes(c, random.Random(c.name))
         check_ct_to_bytes_over_z_classes(c, random.Random(c.name))
         _identity_lookup(c)

@@ -12,7 +12,10 @@ more when the tables came to be built by lane-batched affine additions, and
 again when each inversion of that build came to serve a +- pair of sums, and
 the decrypt value once more when the giant steps came to walk in +- pairs of
 windows about the middle of the range, inward from both ends, each inverse
-serving both windows of a pair.  The
+serving both windows of a pair, and both the decrypt and the build once
+more when the baby table came to store x -> j alone, a hit's sign told
+by the build's offsets and centres, and the giant table only the half of
+the giant points the walk reads.  The
 encrypt value was taken again when k*Y moved onto a (4,4) public-key table
 with m*G folded into its chain, and once more when both tables became
 (8,4) and one recoding of k came to serve both chains, and the fold value when serializing began
@@ -142,8 +145,11 @@ def test_decrypt_counts(keys, curve):
     # inward from pair 256 (its plus window only) down to 89, both windows
     # each, then that one: 1 + 2*167 + 1 = 336 windows at 2 multiplies plus
     # 1 for its y3, in 6 batches of 32 inverses (6*93 multiplies, 6
-    # inversions).  Search: (337, 0, 11 + 11 + 672 + 1 + 558 = 1253, 7)
-    assert ops == (393, 159, 3141, 7)
+    # inversions).  j = 12817 = 25*513 - 8 is centre 25*513 less offset 8,
+    # whose sign costs the 2 multiplies of _baby_log's check.  Search:
+    # (337, 0, 11 + 11 + 672 + 1 + 2 + 558 = 1255, 7), old 1253 when the
+    # baby entry carried y's parity
+    assert ops == (393, 159, 3143, 7)
 
 
 # A search table's multiples of its step start with 256 offsets from a
@@ -156,51 +162,57 @@ def test_decrypt_counts(keys, curve):
 # multiplies, 1 inversion), each shared by the sum and the difference of
 # the centre and an offset at 3 multiplies each: 765 + 3*512 = 2,301 for a
 # full centre, against 2*1,533 for the two blocks of 256 lanes that the
-# lane build advanced per 512 points.
+# lane build advanced per 512 points.  The baby table skips each sum's y3,
+# 2 multiplies a sum: 765 + 2*512 = 1,789 for a full centre.
 
 
 def test_bsgs_build_counts():
     # a fresh curve's one-off build for the default bound, old (16876, 33,
-    # 101266, 81).  2**14 baby points: the offsets (1,514 multiplies, 8
-    # inversions), 513*G (7, 2), 32 centres by a ladder of 5 batches of 1 to
-    # 16 lanes (26 additions, 5 doublings, 3*31 + 5 + 3*26 = 176 multiplies,
-    # 5 inversions), 31 full centres (15,872 sums, 31*2,301 = 71,331
-    # multiplies, 31 inversions) and the last, 16,416*G, reaching down to
-    # 16,160..16,384 only (225 sums, 3*224 + 3*225 = 1,347 multiplies, 1
-    # inversion): 16,371 additions, 14 doublings, 74,375 multiplies and 47
-    # inversions.  2**15*G by 15 binary doublings and one normalization (124
-    # multiplies, 1 inversion).  512 giant points, -2**15*G to -2**24*G: the
-    # offsets, 513 times the step, and one centre reaching down to 257..512
-    # (256 sums, 765 + 768 = 1,533 multiplies, 1 inversion): 504
-    # additions, 9 doublings, 3,054 multiplies, 11 inversions
+    # 101266, 81) and (16875, 38, 77553, 59) when the baby sums carried y and
+    # all 512 giant points were built.  2**14 baby points: the offsets
+    # (1,514 multiplies, 8 inversions), 513*G (7, 2), 32 centres by a ladder
+    # of 5 batches of 1 to 16 lanes (26 additions, 5 doublings, 3*31 + 5 +
+    # 3*26 = 176 multiplies, 5 inversions), 31 full centres (15,872 sums,
+    # 31*1,789 = 55,459 multiplies, 31 inversions) and the last, 16,416*G,
+    # reaching down to 16,160..16,384 only (225 sums, 3*224 + 2*225 = 1,122
+    # multiplies, 1 inversion): 16,371 additions, 14 doublings, 58,278
+    # multiplies and 47 inversions, 16,097 sums times 1 multiply fewer.
+    # 2**15*G by 15 binary doublings and one normalization (124 multiplies,
+    # 1 inversion).  256 of the 512 giant steps' points, -2**15*G to
+    # -2**23*G, the ones the walk reads: the offsets alone (247 additions,
+    # 8 doublings, 1,514 multiplies, 8 inversions), where all 512 took 513
+    # times the step and a centre as well (504, 9, 3,054, 11)
     table, ops = tally(bsgs_cache, builtin_curve(), BOUND)
-    assert ops == (16875, 38, 77553, 59)
+    assert ops == (16618, 37, 59916, 56)
     assert table[0] == 2**14 and len(table[1]) == 2**14
-    assert len(table[2]) == len(table[3]) == 512
+    assert [len(anchor) for anchor in table[2]] == [256, 256, 32, 32]
+    assert len(table[3]) == len(table[4]) == 256
 
 
 def test_bsgs_build_counts_small_bound():
-    # bound 1000 takes stride 512, old (502, 19, 3132, 10): 512 baby points,
-    # the offsets, 513*G and one centre reaching down to 257..512 (504
-    # additions, 9 doublings, 1,514 + 7 + 1,533 = 3,054 multiplies, 11
-    # inversions: 6 multiplies and 2 inversions more than the lane build,
-    # which advanced 256 lanes by 256*G, for the two steps to 513*G); 1024*G
-    # by 10 binary doublings and a normalization (84 multiplies, 1
-    # inversion); and 1 giant point, itself
-    assert tally(bsgs_cache, builtin_curve(), 1000)[1] == (504, 19, 3138, 12)
+    # bound 1000 takes stride 512, old (502, 19, 3132, 10), and (504, 19,
+    # 3138, 12) when the baby sums carried y: 512 baby points, the offsets,
+    # 513*G and one centre reaching down to 257..512 (504 additions, 9
+    # doublings, 1,514 + 7 + 765 + 2*256 = 2,798 multiplies, 11 inversions:
+    # 2 inversions more than the lane build, which advanced 256 lanes by
+    # 256*G, for the two steps to 513*G); 1024*G by 10 binary doublings and
+    # a normalization (84 multiplies, 1 inversion); and 1 giant step,
+    # ceil(1/2) = 1 point, itself
+    assert tally(bsgs_cache, builtin_curve(), 1000)[1] == (504, 19, 2882, 12)
 
 
 def test_bsgs_extension_counts():
-    # bound 2**20 - 1 holds 32 giant points at stride 2**14 (the last window,
-    # centered on 2**20, reaches below the bound); 2**22 - 1 needs 128, so
-    # the baby table stays and the giant lists are rebuilt: 2**15*G by 15
-    # binary doublings and a normalization (124 multiplies, 1 inversion),
-    # then a ladder of 7 batches of 1, 2, ..., 64 lanes to 128 multiples of
-    # its negative, each batch doubling its top lane (120 additions, 7
-    # doublings, 3*127 + 7 + 3*120 = 748 multiplies, 7 inversions)
+    # bound 2**20 - 1 takes 32 giant steps at stride 2**14 (the last window,
+    # centered on 2**20, reaches below the bound) and stores the 16 the walk
+    # reads; 2**22 - 1 takes 128 and reads 64, so the baby table stays and
+    # the giant lists are rebuilt: 2**15*G by 15 binary doublings and a
+    # normalization (124 multiplies, 1 inversion), then a ladder of 6
+    # batches of 1, 2, ..., 32 lanes to 64 multiples of its negative, each
+    # batch doubling its top lane (57 additions, 6 doublings, 3*63 + 6 +
+    # 3*57 = 366 multiplies, 6 inversions).  All 128 took (120, 22, 872, 8)
     curve = builtin_curve()
     bsgs_cache(curve, 2**20 - 1)
-    assert tally(bsgs_cache, curve, 2**22 - 1)[1] == (120, 22, 872, 8)
+    assert tally(bsgs_cache, curve, 2**22 - 1)[1] == (57, 21, 490, 7)
     assert bsgs_cache(curve, 2**22 - 1)[2:] == bsgs_cache(builtin_curve(), 2**22 - 1)[2:]
     # either side of the old end: giant step 32 (+j), the window edge
     # shared by steps 32 and 33, step 33's center, and the new last one

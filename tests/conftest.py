@@ -15,6 +15,7 @@ import pytest
 
 import ecagg.curve
 import ecagg.elgamal
+import ecagg.scalarmul
 from ecagg.counters import tally
 from ecagg.curve import AffinePoint, CurveParams, JacobianPoint, builtin_curve, to_affine
 from ecagg.field import FieldParams
@@ -42,6 +43,8 @@ def o_add(P, Q, p, a):
 
 
 def o_mul(k, P, p, a):
+    if k < 0:
+        raise ValueError("negative scalar")  # k >>= 1 would stop at -1, never 0
     R = None
     while k:
         if k & 1:
@@ -93,7 +96,7 @@ def at_z(T, curve, z):
     return JacobianPoint(curve, T[0] * z * z % p, T[1] * z ** 3 % p, z)
 
 
-# The two checks below look their target up on its module at call time, so
+# The checks below look their target up on its module at call time, so
 # the mutation gate's patched functions are the ones they test.
 
 def check_add_jjj_over_z_classes(curve, rng):
@@ -176,6 +179,28 @@ def check_baby_log(curve, count, js):
             with tally() as ops:
                 assert ecagg.elgamal._baby_log(anchors, j, x, sy, p) == signed, (curve.name, signed)
             assert (ops.fe_mul, ops.fe_inv) == (0 if anchor else 2, 0), (curve.name, signed)
+
+
+def cut_edges(t, n_bits, order):
+    """Scalars at the edges of the t-track cut of an n_bits table: 0 and 1,
+    either side of the first track boundary, the group order less one, and
+    the widest scalar the bound check admits."""
+    chunk = -(-n_bits // t)
+    return (0, 1, (1 << chunk) - 1, 1 << chunk, order - 1, (1 << (t * chunk + 1)) - 1)
+
+
+def check_track_cut(curve, t, w, ks):
+    """mul_interleave over curve's generator table at (t, w) against o_add:
+    k*G for every k in ks, a k past the group order wrapping around it."""
+    p, a = o_of(curve)
+    g = as_tuple(curve.G)
+    table = ecagg.scalarmul.build_table(curve.G, t, w)
+    acc, last = None, 0
+    for k in sorted(set(ks)):
+        acc = o_add(acc, o_mul(k - last, g, p, a), p, a)
+        last = k
+        got = ecagg.scalarmul.mul_interleave(k, table)
+        assert jac_tuple(got) == acc, (curve.name, t, w, k)
 
 
 class ForcedK:

@@ -325,9 +325,10 @@ def test_setup_and_nodes_account_for_every_operation():
         nodes = sum(getattr(st.ops, f) for st in result.node_stats.values())
         assert getattr(result.setup, f) + nodes == getattr(outer, f), f
     # no node is charged a build (an (8,4) table costs 148 ECDBL): a leaf
-    # runs two chains of at most 20 doublings (k < n < 2**160 + 2**81 leaves
-    # each 20-bit track at most 2**20, 21 digits, and the readings are
-    # shorter), an aggregator only adds, the reader x*R over 160 bits; each
+    # runs two chains of at most 20 doublings (k < n < 2**160 + 2**81
+    # recodes to at most 161 digits, so its last 20-digit row holds at most
+    # 21, and the readings are shorter), an aggregator only adds, the
+    # reader x*R over 160 bits; each
     # node inverts once, to serialize (leaf, aggregator) or to normalize M
     # (reader)
     for st in result.node_stats.values():

@@ -251,6 +251,20 @@ def test_simulate_records_account_for_every_operation(workspace, capsys):
     # points from a ladder of 7 levels, one doubling each, and no giant
     # step)
     assert report["setup"]["ecdbl"] == 160 + 159 + 2 * 148 + 7
+    # the demo's four encryptions, each serialized: 11 multiplies a mixed
+    # addition, 8 a doubling, and 11 more normalize R and S (4 each at a
+    # general Z, 3 for the shared inversion).  ECADD is twice k's nonzero
+    # digits (34, 32, 31 and 32) plus the reading's 2, less each chain's
+    # free first addition.  A chain doubles once per position below the
+    # highest at which any of k's eight 20-digit rows holds a nonzero digit:
+    # 19 for s1 and s3, 18 for s2 (k recodes to 156 digits), and 20 for s4,
+    # whose carry digit makes the last row 21 long.  The aggregator, the
+    # reader and the setup run no encryption
+    records = {node: tuple(rec[f] for f in FIELDS) for node, rec in report["nodes"].items()}
+    assert records == {"s1": (68, 38, 1063, 1), "s2": (63, 36, 992, 1), "s3": (62, 38, 997, 1),
+                       "s4": (63, 40, 1024, 1), "agg": (6, 0, 91, 1),
+                       "reader": (54, 160, 1890, 1)}
+    assert tuple(report["setup"][f] for f in FIELDS) == (293, 622, 8122, 26)
 
 
 def test_simulate_bad_scenario_exits_2(workspace):
@@ -353,10 +367,10 @@ binary                  1  0    0      3     79.0    4.3    158.3    0.9    2135
 mof2                    1  2    0      3     53.0    0.8    159.0    0.8    1855.0    13.5    0.0
 mof3                    1  3    0      3     40.3    0.9    159.0    1.6    1719.7    16.7    1.0
 mof4                    1  4    0      3     35.3    1.2    159.0    0.0    1688.7    13.7    1.0
-interleave:t=2,w=2      2  2    1      3     53.7    1.2     79.0    0.8    1222.3    20.2    0.0
-interleave:t=3          3  2    2      3     55.3    0.5     54.0    0.0    1040.7     5.2    0.0
-interleave:t=4,w=4      4  4   15      3     33.7    1.2     39.0    0.8     682.3    18.7    0.0
-elgamal                 8  4   31      3     70.3    2.1     40.0    0.0    1093.7    22.6    0.0
+interleave:t=2,w=2      2  2    1      3     53.0    0.8     79.0    0.8    1215.0    13.5    0.0
+interleave:t=3          3  2    2      3     53.0    0.8     53.0    0.0    1007.0     9.0    0.0
+interleave:t=4,w=4      4  4   15      3     32.3    1.2     38.3    0.5     662.3    17.3    0.0
+elgamal                 8  4   31      3     65.7    2.4     36.7    1.9    1015.7    35.9    0.0
 note: rows without an explicit w use width 2
 """
 
@@ -366,19 +380,22 @@ binary,1,0,0,3,79.000,4.320,158.333,0.943,2135.667,54.950,0.000
 mof2,1,2,0,3,53.000,0.816,159.000,0.816,1855.000,13.491,0.000
 mof3,1,3,0,3,40.333,0.943,159.000,1.633,1719.667,16.680,1.000
 mof4,1,4,0,3,35.333,1.247,159.000,0.000,1688.667,13.719,1.000
-interleave:t=2,w=2,2,2,1,3,53.667,1.247,79.000,0.816,1222.333,20.171,0.000
-interleave:t=3,3,2,2,3,55.333,0.471,54.000,0.000,1040.667,5.185,0.000
-interleave:t=4,w=4,4,4,15,3,33.667,1.247,39.000,0.816,682.333,18.661,0.000
-elgamal,8,4,31,3,70.333,2.055,40.000,0.000,1093.667,22.603,0.000
+interleave:t=2,w=2,2,2,1,3,53.000,0.816,79.000,0.816,1215.000,13.491,0.000
+interleave:t=3,3,2,2,3,53.000,0.816,53.000,0.000,1007.000,8.981,0.000
+interleave:t=4,w=4,4,4,15,3,32.333,1.247,38.333,0.471,662.333,17.327,0.000
+elgamal,8,4,31,3,65.667,2.357,36.667,1.886,1015.667,35.929,0.000
 """
 
 
 def test_bench_golden_output(workspace, capsys):
     # a fixed seed pins the counts, the column layout, the CSV and the order
     # in which the elgamal row draws from the seeded generator.  Its
-    # encryptions run over (8,4) tables: two chains of 20 doublings each,
-    # and 11 multiplies a mixed addition, 8 a doubling (70.333*11 + 40*8 =
-    # 1093.667)
+    # encryptions run over (8,4) tables, k's recoding cut into rows of 20
+    # digits: two chains of at most 19 doublings each (the first doubling,
+    # of the identity, is free; 18 when k's top digit is zero), and 11
+    # multiplies a mixed addition, 8 a doubling (65.667*11 + 36.667*8 =
+    # 1015.667).  An interleave row adds the same nonzero digits as one
+    # recoding of k at its width: 53.0 at t=2, w=2, as mof2
     curve = str(workspace / "test.curve")
     csv_path = workspace / "golden.csv"
     assert run_main("bench", "--curve", curve, "--trials", "3", "--configs", *GOLDEN_CONFIGS,

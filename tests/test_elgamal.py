@@ -5,7 +5,6 @@ import hashlib
 import os
 import random
 import tracemalloc
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -447,26 +446,24 @@ def test_encrypt_shares_one_recoding_of_k(tiny, tiny_curve, monkeypatch):
     # R and S are, to the Jacobian coordinate, the two interleaved
     # multiplications k*G and k*Y + m*G, for m with no row, one digit, a
     # byte, and rows as long as and longer than a 20-step chain; and k is
-    # split once and recoded once per track, a nonzero m once more
-    calls = Counter()
+    # recoded once, whole, with no split into tracks, a nonzero m once more
+    recoded = []
+    recode = scalarmul.wmof_recode
 
-    def counted(fn):
-        def wrapper(*args):
-            calls[fn.__name__] += 1
-            return fn(*args)
-        return wrapper
+    def counted(k, w):
+        recoded.append(k)
+        return recode(k, w)
 
-    monkeypatch.setattr(scalarmul, "split_scalar", counted(scalarmul.split_scalar))
-    monkeypatch.setattr(scalarmul, "wmof_recode", counted(scalarmul.wmof_recode))
+    monkeypatch.setattr(scalarmul, "wmof_recode", counted)
     c = tiny_curve if tiny else builtin_curve()
     rng = random.Random(c.order_n)
     Y = keygen(rng, c).public_Y
     g_table, y_table = default_table(c), fixed_base_table(Y)
     for m in (0, 1, 255, 2**20, 2**24 - 1):
         k = rng.randrange(1, c.order_n)
-        calls.clear()
+        recoded.clear()
         ct = encrypt(Y, m, ForcedK(k))
-        assert calls == {"split_scalar": 1, "wmof_recode": g_table.t + (m > 0)}, m
+        assert recoded == [k] + [m] * (m > 0), m
         # the references recode k afresh
         scalarmul._track_rows.cache_clear()
         R, S = mul_interleave(k, g_table), mul_interleave(k, y_table, m)

@@ -84,22 +84,22 @@ def keys(curve):
 
 def test_encrypt_counts(keys):
     # k*G and k*Y + 200*G over the (8,4) tables that the default table and
-    # keygen built beforehand.  This k's eight 20-bit tracks recode to rows
-    # of at most 21 digits holding 36 nonzero ones, and 200 to the row
-    # -7*2**3 + 2**8 with 2: each chain doubles 20 times (its first
-    # doubling is of the identity, free), and each scan's first addition
-    # lands on the identity, free.  ECADD 35 + 37 = 72, ECDBL 2*20 = 40,
-    # 11 multiplies a mixed addition and 8 a doubling: 72*11 + 40*8 = 1112
+    # keygen built beforehand.  This 160-bit k recodes to 160 digits, no
+    # carry, cut into eight rows of 20 holding 33 nonzero ones, and 200 to
+    # the row -7*2**3 + 2**8 with 2: each chain doubles 19 times (its first
+    # doubling, of the identity, is free), and each scan's first addition
+    # lands on the identity, free.  ECADD 32 + 34 = 66, ECDBL 2*19 = 38,
+    # 11 multiplies a mixed addition and 8 a doubling: 66*11 + 38*8 = 1030
     _, ops = tally(encrypt, keys.public_Y, 200, random.Random(7))
-    assert ops == (72, 40, 1112, 0)
+    assert ops == (66, 38, 1030, 0)
 
 
 def test_encrypt_after_keygen_repeats_its_counts():
     # perfbench's set-up on a fresh curve (keygen, then the default table)
     # leaves nothing for the first encrypt to build, so the first and
     # second calls with the same draws count the same.  k < n < 2**160 +
-    # 2**81 leaves its top track at most 2**20, and 77 is shorter still:
-    # no row exceeds 21 digits, so each of the two chains doubles at most
+    # 2**81 recodes to at most 161 digits, so its last row holds at most
+    # 21, and 77 is shorter still: each of the two chains doubles at most
     # 20 times
     curve = builtin_curve()
     kp = keygen(random.Random(0x5EE0), curve)

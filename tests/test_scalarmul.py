@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import as_tuple, jac_tuple, o_add, o_mul, o_of
+from conftest import as_tuple, check_track_cut, cut_edges, jac_tuple, o_add, o_mul, o_of
 from ecagg import scalarmul
 from ecagg.counters import tally
 from ecagg.curve import (
@@ -28,7 +28,6 @@ from ecagg.scalarmul import (
     mul_binary,
     mul_interleave,
     mul_signed,
-    split_scalar,
     table_from_bytes,
     table_to_bytes,
     wmof_recode,
@@ -119,32 +118,49 @@ def test_wmof_density_quick(rng):
     assert abs(total / samples / N - 1 / 3) < 0.015
 
 
-# --- scalar splitting ---------------------------------------------------------------
+# --- the cut of k's recoding into tracks ------------------------------------------------
 
-def test_split_single_track(rng):
-    k = rng.getrandbits(N)
-    assert split_scalar(k, 1, N) == [k]
-
-
-def test_split_zero():
-    assert split_scalar(0, 4, N) == [0, 0, 0, 0]
-
-
-def test_split_recombines(rng):
-    for t in (2, 3, 4, 5):
-        chunk = -(-N // t)
-        for _ in range(200):
-            k = rng.getrandbits(N)
-            parts = split_scalar(k, t, N)
-            assert len(parts) == t
-            assert all(part < (1 << chunk) for part in parts)
-            assert sum(part << (i * chunk) for i, part in enumerate(parts)) == k
+CUT_SHAPES = [(t, w) for t in (1, 2, 3, 4, 5) for w in (2, 3, 4)] + [(8, 4), (N, 4)]
 
 
 def test_split_chunk_widths():
     # 160 padded to a multiple of t: chunks 160, 80, 54, 40, 32
     for t, chunk in ((1, 160), (2, 80), (3, 54), (4, 40), (5, 32)):
         assert -(-N // t) == chunk
+
+
+@pytest.mark.parametrize("t, w", CUT_SHAPES)
+def test_cut_rows_sum_to_k(curve, rng, t, w):
+    # k recoded once and cut into t rows of chunk digits, the last keeping
+    # the rest: digit j of row i weighs 2**(chunk*i + j), so the rows sum
+    # to k exactly, at the track edges, at n - 1, at the widest k the bound
+    # check admits, whose carry digit past t*chunk the last row holds, and
+    # at random 160-bit k
+    chunk = -(-N // t)
+    for k in [*cut_edges(t, N, curve.order_n), *(rng.getrandbits(N) for _ in range(20))]:
+        rows = scalarmul._track_rows(k, t, w, N)
+        assert len(rows) == t
+        assert all(len(row) <= chunk for row in rows[:-1]), (t, w, k)
+        assert sum(d << (chunk * i + j) for i, row in enumerate(rows)
+                   for j, d in enumerate(row)) == k, (t, w, k)
+    with pytest.raises(TableMismatch):
+        scalarmul._track_rows(1 << (t * chunk + 1), t, w, N)
+
+
+@pytest.mark.parametrize("t", [1, 3, 13])
+def test_interleave_cut_matches_oracle_on_tiny_curves(t, tiny_curve, tiny_curve_a2):
+    # one track (chunk 13), three (chunk 5, where a floored chunk of 4
+    # would misplace every row past the first) and thirteen (chunk 1), at
+    # every width: k from 0 up, across the group order, around each track
+    # boundary and up to the widest k the bound check admits
+    chunk = -(-13 // t)
+    top = 1 << (t * chunk + 1)
+    for c in (tiny_curve, tiny_curve_a2):
+        ks = [*cut_edges(t, 13, c.order_n), *range(256),
+              *range(c.order_n - 128, c.order_n + 128), *range(top - 256, top)]
+        ks += [(1 << (i * chunk)) + d for i in range(1, t) for d in range(-2, 3)]
+        for w in (2, 3, 4):
+            check_track_cut(c, t, w, ks)
 
 
 # --- precomputation table --------------------------------------------------------------

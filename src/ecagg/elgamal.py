@@ -447,12 +447,12 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
 def encrypt(public_Y: AffinePoint, m: int, rng) -> Ciphertext:
     """Fresh-randomness encryption of m < 2**DEFAULT_MAX_BITS under the public point.
 
-    Both multiplications run over the (8, 4) tables that fixed_base_table
+    Both multiplications run over the (16, 4) tables that fixed_base_table
     caches: R = k*G over the curve's generator table, and S = k*Y + m*G in
     one doubling chain over Y's table, m's row over the generator table's
     first track.  The two tables share their shape, so k is recoded once
-    and cut once into eight rows (mul_interleave keeps the last cut), which
-    serve both chains.  The memo is cleared before returning: k
+    and cut once into sixteen rows (mul_interleave keeps the last cut),
+    which serve both chains.  The memo is cleared before returning: k
     strips S to m*G (S - k*Y), so a captured node must hold no k.  A key
     from this process's keygen finds its table built; any other key, such
     as one from load_public_key, pays one table build on first use.

@@ -51,12 +51,16 @@ from .errors import BadEncoding, TableMismatch, UnsupportedWidth
 
 MAX_RECODING_WIDTH = 4
 
-# (t, w) of the tables fixed_base_table builds: 8 tracks of 20 bits on
-# secp160r1, each holding its shifted base and that base's 3, 5 and 7
-# multiples.  That is 32 affine points of 40 bytes per base, 1,280 bytes, or
-# 2,560 bytes for G and the public key together: the RAM an encryption pays
-# for chains of 20 doublings, against 40 at (4, 4) with half the points.
-FIXED_BASE_SHAPE = (8, 4)
+# (t, w) of the tables fixed_base_table builds, chosen by a flash budget:
+# 16 tracks of 10 bits on secp160r1, each holding its shifted base and that
+# base's 3, 5 and 7 multiples.  That is 64 affine points of 40 bytes per
+# base, 2,560 bytes, or 5,120 bytes for G and the public key together.  Both
+# tables are read-only after keygen, so a mote keeps them in flash: about 4%
+# of a MicaZ's 128 KB, where its 4 KB of SRAM could not hold them.  They buy
+# chains of 10 doublings, against 20 at (8, 4); the additions are fixed by
+# the width-4 recoding, so wider shapes save little more (32 tracks, twice
+# the points, cut another 8% of an encryption's multiplications).
+FIXED_BASE_SHAPE = (16, 4)
 
 _TABLE_MAGIC = b"EPT3"
 
@@ -169,14 +173,16 @@ def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
 
 
 def fixed_base_table(P: AffinePoint) -> PrecompTable:
-    """The FIXED_BASE_SHAPE table for base P, 32 stored points, built on
+    """The FIXED_BASE_SHAPE table for base P, 64 stored points, built on
     first use and kept on P's curve, one per base: each key beyond G costs
-    about 12 KB for as long as its curve lives (11,952 bytes by tracemalloc
-    on secp160r1)."""
+    about 24 KB for as long as its curve lives (23,780 bytes by tracemalloc
+    on secp160r1).  A curve narrower than the shape's track count gets one
+    track per field bit."""
     tables = P.curve._tables
     table = tables.get(P)
     if table is None:
-        table = tables[P] = build_table(P, *FIXED_BASE_SHAPE)
+        t, w = FIXED_BASE_SHAPE
+        table = tables[P] = build_table(P, min(t, P.curve.field.n), w)
     return table
 
 

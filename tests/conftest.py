@@ -203,6 +203,18 @@ def check_track_cut(curve, t, w, ks):
         assert jac_tuple(got) == acc, (curve.name, t, w, k)
 
 
+def x_equal_p_bytes(curve):
+    """The point encoding 04 || p || sqrt(b), for a curve with p = 3 mod 4
+    and b a square mod p: reduced mod p, (p, sqrt(b)) is the on-curve point
+    (0, sqrt(b)), so only the range check on x can refuse it."""
+    p = curve.field.p
+    assert p % 4 == 3
+    y = pow(curve.b, (p + 1) // 4, p)
+    assert y * y % p == curve.b
+    blen = curve.field.byte_length
+    return bytes([0x04]) + p.to_bytes(blen, "big") + y.to_bytes(blen, "big")
+
+
 class ForcedK:
     """Random source whose randrange always yields a fixed value."""
 
@@ -227,9 +239,14 @@ TINY = {"n": 13, "c": 1, "a": 8188, "b": 3, "gx": 1, "gy": 1, "order": 8221}
 # (1, 7807), group order 8167 (prime), also re-validated by CurveParams.
 TINY_A2 = {"n": 13, "c": 1, "a": 2, "b": 15, "gx": 1, "gy": 7807, "order": 8167}
 
+# A 7-bit curve, narrower than FIXED_BASE_SHAPE has tracks: p = 2**7 - 1,
+# a = p - 3, b = 57, generator (6, 1), group order 109 (prime).
+SMALL7 = {"n": 7, "c": 1, "a": 124, "b": 57, "gx": 6, "gy": 1, "order": 109}
+
 
 def make_tiny(params, name):
-    """A fresh curve, with empty table and search caches, from TINY or TINY_A2."""
+    """A fresh curve, with empty table and search caches, from TINY, TINY_A2
+    or SMALL7."""
     return CurveParams(FieldParams(params["n"], params["c"]), params["a"], params["b"],
                        params["gx"], params["gy"], params["order"], name)
 

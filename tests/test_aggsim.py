@@ -311,8 +311,8 @@ def test_setup_and_nodes_account_for_every_operation():
     keys = keygen(random.Random(0xACC), builtin_curve())
     with tally() as outer:
         result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
-    # the generator's (8,4) table, (24, 148, 1718, 9): one inversion for the
-    # 7 shifted bases, one per track for its odd multiples; keygen already
+    # the generator's (16,4) table, (48, 166, 2406, 17): one inversion for
+    # the 15 shifted bases, one per track for its odd multiples; keygen already
     # built the public key's table.  The reader searches [0, 63], the sum
     # of the fixed readings: stride 2**7 (2**min(14, (6 + 1) // 2 + 4) for
     # the 6-bit bound) and (63 + 128) // 256 = 0 giant steps, so the search
@@ -320,14 +320,14 @@ def test_setup_and_nodes_account_for_every_operation():
     # ..., 64 lanes, one inversion and one doubling each: 127 - 7 = 120
     # additions and 3*127 + 7 + 3*(127 - 7) = 748 multiplications with the
     # batch inversions' share, (120, 7, 748, 7)
-    assert [getattr(result.setup, f) for f in FIELDS] == [24 + 120, 148 + 7, 1718 + 748, 9 + 7]
+    assert [getattr(result.setup, f) for f in FIELDS] == [48 + 120, 166 + 7, 2406 + 748, 17 + 7]
     for f in FIELDS:
         nodes = sum(getattr(st.ops, f) for st in result.node_stats.values())
         assert getattr(result.setup, f) + nodes == getattr(outer, f), f
-    # no node is charged a build (an (8,4) table costs 148 ECDBL): a leaf
-    # runs two chains of at most 20 doublings (k < n < 2**160 + 2**81
-    # recodes to at most 161 digits, so its last 20-digit row holds at most
-    # 21, and the readings are shorter), an aggregator only adds, the
+    # no node is charged a build (a (16,4) table costs 166 ECDBL): a leaf
+    # runs two chains of at most 10 doublings (k < n < 2**160 + 2**81
+    # recodes to at most 161 digits, so its last 10-digit row holds at most
+    # 11, and the readings are shorter), an aggregator only adds, the
     # reader x*R over 160 bits; each
     # node inverts once, to serialize (leaf, aggregator) or to normalize M
     # (reader)
@@ -335,7 +335,7 @@ def test_setup_and_nodes_account_for_every_operation():
         if st.role == "aggregator":
             assert st.ops.ecdbl == 0
         elif st.role == "leaf":
-            assert st.ops.ecdbl <= 40
+            assert st.ops.ecdbl <= 20
         else:
             assert st.ops.ecdbl < 170
         assert st.ops.fe_inv == 1
@@ -353,10 +353,10 @@ def test_setup_builds_a_missing_public_key_table():
     keys = KeyPair(x, to_affine(mul_binary(x, curve.G)))
     assert keys.public_Y not in curve._tables
     result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
-    # the round's usual (144, 155, 2466, 16), plus the key's (8,4) table,
-    # (24, 148, 1718, 9)
-    assert [getattr(result.setup, f) for f in FIELDS] == [144 + 24, 155 + 148, 2466 + 1718, 16 + 9]
-    assert all(st.ops.ecdbl <= 40 for st in result.node_stats.values() if st.role == "leaf")
+    # the round's usual (168, 173, 3154, 24), plus the key's (16,4) table,
+    # (48, 166, 2406, 17)
+    assert [getattr(result.setup, f) for f in FIELDS] == [168 + 48, 173 + 166, 3154 + 2406, 24 + 17]
+    assert all(st.ops.ecdbl <= 20 for st in result.node_stats.values() if st.role == "leaf")
     assert curve._tables.keys() == {curve.G, keys.public_Y}
 
 

@@ -234,7 +234,7 @@ def test_simulate_reproducible(workspace, capsys):
 
 
 def test_simulate_records_account_for_every_operation(workspace, capsys):
-    # curve validation and keygen's public-key (8,4) table come before the
+    # curve validation and keygen's public-key (16,4) table come before the
     # round starts; the (setup) record carries them, so setup plus the node
     # records equal everything the command counted
     with tally() as outer:
@@ -245,26 +245,28 @@ def test_simulate_records_account_for_every_operation(workspace, capsys):
         nodes = sum(rec[f] for rec in report["nodes"].values())
         assert report["setup"][f] + nodes == getattr(outer, f), f
     # curve validation (160 doublings for order_n * G), Y itself (159 for
-    # this seed's x * G), the key's and the generator's (8,4) tables (148
-    # each: 7 shifted bases by 20 doublings, and 2P on each of 8 tracks),
+    # this seed's x * G), the key's and the generator's (16,4) tables (166
+    # each: 15 shifted bases by 10 doublings, and 2P on each of 16 tracks),
     # and the search tables for the demo's worst-case sum 63 (7: 128 baby
     # points from a ladder of 7 levels, one doubling each, and no giant
     # step)
-    assert report["setup"]["ecdbl"] == 160 + 159 + 2 * 148 + 7
+    assert report["setup"]["ecdbl"] == 160 + 159 + 2 * 166 + 7
     # the demo's four encryptions, each serialized: 11 multiplies a mixed
     # addition, 8 a doubling, and 11 more normalize R and S (4 each at a
     # general Z, 3 for the shared inversion).  ECADD is twice k's nonzero
     # digits (34, 32, 31 and 32) plus the reading's 2, less each chain's
     # free first addition.  A chain doubles once per position below the
-    # highest at which any of k's eight 20-digit rows holds a nonzero digit:
-    # 19 for s1 and s3, 18 for s2 (k recodes to 156 digits), and 20 for s4,
-    # whose carry digit makes the last row 21 long.  The aggregator, the
-    # reader and the setup run no encryption
+    # highest at which any of k's sixteen 10-digit rows holds a nonzero
+    # digit: 9 for s1, s2 and s3, and 10 for s4, whose carry digit makes the
+    # last row 11 long.  So s1 is 68*11 + 18*8 + 11 = 903.  The aggregator,
+    # the reader and the setup run no encryption.  The setup is curve
+    # validation, Y and the search tables, (245, 326, 4686, 8), plus the two
+    # (16,4) table builds, (48, 166, 2406, 17) each
     records = {node: tuple(rec[f] for f in FIELDS) for node, rec in report["nodes"].items()}
-    assert records == {"s1": (68, 38, 1063, 1), "s2": (63, 36, 992, 1), "s3": (62, 38, 997, 1),
-                       "s4": (63, 40, 1024, 1), "agg": (6, 0, 91, 1),
+    assert records == {"s1": (68, 18, 903, 1), "s2": (63, 18, 848, 1), "s3": (62, 18, 837, 1),
+                       "s4": (63, 20, 864, 1), "agg": (6, 0, 91, 1),
                        "reader": (54, 160, 1890, 1)}
-    assert tuple(report["setup"][f] for f in FIELDS) == (293, 622, 8122, 26)
+    assert tuple(report["setup"][f] for f in FIELDS) == (341, 658, 9498, 42)
 
 
 def test_simulate_bad_scenario_exits_2(workspace):
@@ -332,9 +334,22 @@ def test_bench_elgamal_mode_and_csv(workspace, capsys):
                     "--configs", "elgamal", "--seed", "1", "--csv", str(csv_path)) == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("config,")
-    # the row reports the generator table encryption runs on: (8, 4), its
-    # 32 points all but G itself
-    assert lines[1].startswith("elgamal,8,4,31,2,")
+    # the row reports the generator table encryption runs on: (16, 4), its
+    # 64 points all but G itself
+    assert lines[1].startswith("elgamal,16,4,63,2,")
+
+
+def test_bench_elgamal_on_a_curve_narrower_than_the_shape(workspace):
+    # a valid 7-bit curve (conftest's SMALL7), fewer bits than
+    # FIXED_BASE_SHAPE has tracks: keygen and encryption run over tables of
+    # one track per bit, 7 * 4 points, all but G itself reported
+    small = workspace / "small7.curve"
+    small.write_text("name = small7\nn = 7\nc = 1\na = 7c\nb = 39\ngx = 6\ngy = 1\n"
+                     "order_n = 6d\n")
+    csv_path = workspace / "small7.csv"
+    assert run_main("bench", "--curve", str(small), "--trials", "3", "--configs", "elgamal",
+                    "--seed", "7", "--csv", str(csv_path)) == 0
+    assert csv_path.read_text().splitlines()[1].startswith("elgamal,7,4,27,3,")
 
 
 def test_bench_reports_inversions(workspace, capsys):
@@ -370,7 +385,7 @@ mof4                    1  4    0      3     35.3    1.2    159.0    0.0    1688
 interleave:t=2,w=2      2  2    1      3     53.0    0.8     79.0    0.8    1215.0    13.5    0.0
 interleave:t=3          3  2    2      3     53.0    0.8     53.0    0.0    1007.0     9.0    0.0
 interleave:t=4,w=4      4  4   15      3     32.3    1.2     38.3    0.5     662.3    17.3    0.0
-elgamal                 8  4   31      3     65.7    2.4     36.7    1.9    1015.7    35.9    0.0
+elgamal                16  4   63      3     65.7    2.4     18.0    0.0     866.3    25.9    0.0
 note: rows without an explicit w use width 2
 """
 
@@ -383,19 +398,19 @@ mof4,1,4,0,3,35.333,1.247,159.000,0.000,1688.667,13.719,1.000
 interleave:t=2,w=2,2,2,1,3,53.000,0.816,79.000,0.816,1215.000,13.491,0.000
 interleave:t=3,3,2,2,3,53.000,0.816,53.000,0.000,1007.000,8.981,0.000
 interleave:t=4,w=4,4,4,15,3,32.333,1.247,38.333,0.471,662.333,17.327,0.000
-elgamal,8,4,31,3,65.667,2.357,36.667,1.886,1015.667,35.929,0.000
+elgamal,16,4,63,3,65.667,2.357,18.000,0.000,866.333,25.927,0.000
 """
 
 
 def test_bench_golden_output(workspace, capsys):
     # a fixed seed pins the counts, the column layout, the CSV and the order
     # in which the elgamal row draws from the seeded generator.  Its
-    # encryptions run over (8,4) tables, k's recoding cut into rows of 20
-    # digits: two chains of at most 19 doublings each (the first doubling,
-    # of the identity, is free; 18 when k's top digit is zero), and 11
-    # multiplies a mixed addition, 8 a doubling (65.667*11 + 36.667*8 =
-    # 1015.667).  An interleave row adds the same nonzero digits as one
-    # recoding of k at its width: 53.0 at t=2, w=2, as mof2
+    # encryptions run over (16,4) tables, k's recoding cut into rows of 10
+    # digits: two chains of 9 doublings each in all three trials (the first
+    # doubling, of the identity, is free; 10 when a carry digit makes the
+    # last row 11 long), and 11 multiplies a mixed addition, 8 a doubling
+    # (65.667*11 + 18*8 = 866.333).  An interleave row adds the same nonzero
+    # digits as one recoding of k at its width: 53.0 at t=2, w=2, as mof2
     curve = str(workspace / "test.curve")
     csv_path = workspace / "golden.csv"
     assert run_main("bench", "--curve", curve, "--trials", "3", "--configs", *GOLDEN_CONFIGS,

@@ -15,6 +15,7 @@ from conftest import (
     o_mul,
     o_of,
     oracle_points,
+    x_equal_p_bytes,
 )
 from ecagg.counters import FIELDS, counters, tally
 from ecagg.curve import (
@@ -511,6 +512,13 @@ def test_coordinate_not_below_p_rejected(tiny_curve, coordinate):
     data = bytes([0x04]) + x.to_bytes(2, "big") + y.to_bytes(2, "big")
     with pytest.raises(OffCurvePoint, match="not below p"):
         decode_point(data, 0, tiny_curve)
+
+
+def test_x_equal_to_p_rejected(curve):
+    # on secp160r1 b is a square mod p, so x = p with y = sqrt(b) meets the
+    # curve equation once x is reduced: only x < p, strictly, refuses it
+    with pytest.raises(OffCurvePoint, match="not below p"):
+        decode_point(x_equal_p_bytes(curve), 0, curve)
 
 
 def test_bad_tag_rejected(curve):

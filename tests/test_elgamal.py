@@ -12,6 +12,7 @@ from conftest import (
     MULTIPLES_COUNTS,
     SECP_BABY_LOGS,
     TINY,
+    TINY_A2,
     ForcedK,
     as_tuple,
     check_baby_log,
@@ -21,6 +22,7 @@ from conftest import (
     o_add,
     o_mul,
     o_of,
+    x_equal_p_bytes,
 )
 
 import ecagg
@@ -445,8 +447,9 @@ def test_shamir_edges_round_trip(curve, keys, m, max_bits):
 def test_encrypt_shares_one_recoding_of_k(tiny, tiny_curve, monkeypatch):
     # R and S are, to the Jacobian coordinate, the two interleaved
     # multiplications k*G and k*Y + m*G, for m with no row, one digit, a
-    # byte, and rows as long as and longer than a 20-step chain; and k is
-    # recoded once, whole, with no split into tracks, a nonzero m once more
+    # byte, and rows as long as and longer than secp160r1's 10-step chain;
+    # and k is recoded once, whole, with no split into tracks, a nonzero m
+    # once more
     recoded = []
     recode = scalarmul.wmof_recode
 
@@ -459,7 +462,7 @@ def test_encrypt_shares_one_recoding_of_k(tiny, tiny_curve, monkeypatch):
     rng = random.Random(c.order_n)
     Y = keygen(rng, c).public_Y
     g_table, y_table = default_table(c), fixed_base_table(Y)
-    for m in (0, 1, 255, 2**20, 2**24 - 1):
+    for m in (0, 1, 255, 2**9, 2**20, 2**24 - 1):
         k = rng.randrange(1, c.order_n)
         recoded.clear()
         ct = encrypt(Y, m, ForcedK(k))
@@ -470,6 +473,24 @@ def test_encrypt_shares_one_recoding_of_k(tiny, tiny_curve, monkeypatch):
         assert (ct.R.X, ct.R.Y, ct.R.Z) == (R.X, R.Y, R.Z), m
         assert (ct.S.X, ct.S.Y, ct.S.Z) == (S.X, S.Y, S.Z), m
         assert ec_eq(S, ec_add_jjj(mul_binary(k, Y), mul_binary(m, c.G))), m
+
+
+@pytest.mark.parametrize("name", ["tiny13", "tiny13a2"])
+def test_encrypt_decrypt_on_curves_narrower_than_the_shape(name):
+    # 13 bits, fewer than FIXED_BASE_SHAPE has tracks: keygen and encrypt
+    # run over tables of one track per bit, and every sum comes back
+    c = make_tiny(TINY if name == "tiny13" else TINY_A2, name)
+    rng = random.Random(13)
+    keys = keygen(rng, c)
+    assert default_table(c).t == fixed_base_table(keys.public_Y).t == 13
+    ms = (0, 1, 200, 799)
+    cts = [encrypt(keys.public_Y, m, rng) for m in ms]
+    for m, ct in zip(ms, cts):
+        assert decrypt(keys.secret_x, ct, 1000) == m
+    total = ct_identity(c)
+    for ct in cts:
+        total = ct_add(total, ct)
+    assert decrypt(keys.secret_x, ct_from_bytes(ct_to_bytes(total), c), 1000) == 1000
 
 
 def test_encrypt_keeps_no_recoding_of_k(curve, keys):
@@ -706,6 +727,16 @@ def test_ct_tampered_rejected(curve, keys, rng):
     data[3] ^= 0x40
     with pytest.raises(OffCurvePoint):
         ct_from_bytes(bytes(data), curve)
+
+
+@pytest.mark.parametrize("component", ["R", "S"])
+def test_ct_x_equal_to_p_rejected(curve, component):
+    # x = p with y = sqrt(b), on the curve once x is reduced mod p, in
+    # either component of an otherwise valid ciphertext
+    bad, good = x_equal_p_bytes(curve), point_to_bytes(curve.G)
+    data = bad + good if component == "R" else good + bad
+    with pytest.raises(OffCurvePoint, match="not below p"):
+        ct_from_bytes(data, curve)
 
 
 def test_ct_trailing_rejected(curve, keys, rng):

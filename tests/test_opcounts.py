@@ -17,8 +17,9 @@ more when the baby table came to store x -> j alone, a hit's sign told
 by the build's offsets and centres, and the giant table only the half of
 the giant points the walk reads.  The
 encrypt value was taken again when k*Y moved onto a (4,4) public-key table
-with m*G folded into its chain, and once more when both tables became
-(8,4) and one recoding of k came to serve both chains, and the fold value when serializing began
+with m*G folded into its chain, once more when both tables became
+(8,4) and one recoding of k came to serve both chains, and again when they
+became (16,4), and the fold value when serializing began
 sharing one inversion between R and S, and again when ec_add_jjj began
 taking mixed additions for operands at Z = 1.  The table build and import values
 were taken when building stopped re-deriving its points by binary
@@ -83,15 +84,16 @@ def keys(curve):
 
 
 def test_encrypt_counts(keys):
-    # k*G and k*Y + 200*G over the (8,4) tables that the default table and
+    # k*G and k*Y + 200*G over the (16,4) tables that the default table and
     # keygen built beforehand.  This 160-bit k recodes to 160 digits, no
-    # carry, cut into eight rows of 20 holding 33 nonzero ones, and 200 to
-    # the row -7*2**3 + 2**8 with 2: each chain doubles 19 times (its first
-    # doubling, of the identity, is free), and each scan's first addition
-    # lands on the identity, free.  ECADD 32 + 34 = 66, ECDBL 2*19 = 38,
-    # 11 multiplies a mixed addition and 8 a doubling: 66*11 + 38*8 = 1030
+    # carry, cut into sixteen rows of 10 holding 33 nonzero ones, and 200
+    # to the row -7*2**3 + 2**8 with 2, nine digits long: each chain
+    # doubles 9 times (its first doubling, of the identity, is free), and
+    # each scan's first addition lands on the identity, free.  ECADD
+    # 32 + 34 = 66, ECDBL 2*9 = 18, 11 multiplies a mixed addition and 8 a
+    # doubling: 66*11 + 18*8 = 870
     _, ops = tally(encrypt, keys.public_Y, 200, random.Random(7))
-    assert ops == (66, 38, 1030, 0)
+    assert ops == (66, 18, 870, 0)
 
 
 def test_encrypt_after_keygen_repeats_its_counts():
@@ -99,14 +101,14 @@ def test_encrypt_after_keygen_repeats_its_counts():
     # leaves nothing for the first encrypt to build, so the first and
     # second calls with the same draws count the same.  k < n < 2**160 +
     # 2**81 recodes to at most 161 digits, so its last row holds at most
-    # 21, and 77 is shorter still: each of the two chains doubles at most
-    # 20 times
+    # 11, and 77 is shorter still: each of the two chains doubles at most
+    # 10 times
     curve = builtin_curve()
     kp = keygen(random.Random(0x5EE0), curve)
     default_table(curve)
     first = tally(encrypt, kp.public_Y, 77, random.Random(3))[1]
     assert tally(encrypt, kp.public_Y, 77, random.Random(3))[1] == first
-    assert first[1] <= 40 and first[3] == 0
+    assert first[1] <= 20 and first[3] == 0
 
 
 def test_fold_and_serialize_counts(keys, curve):
@@ -229,15 +231,15 @@ def test_table_build_counts(curve):
     table, ops = tally(build_table, curve.G, 4, 4)
     assert ops == (12, 124, 1254, 5)
     assert tally(table_from_bytes, table_to_bytes(table), curve)[1] == (12, 124, 1257, 5)
-    # the (8,4) shape fixed_base_table builds: 7 shifted bases by 20
-    # doublings each and 8 tracks of 2P, 3P, 5P, 7P, so ECADD 8*3 = 24 and
-    # ECDBL 7*20 + 8 = 148.  Multiplies: 148 doublings at 8, 8 mixed
-    # additions (3P) at 11 and 16 Jacobian ones at 16, the 7 bases
-    # normalized at 3*6 + 4*7 and each track's 3 multiples at 3*2 + 4*3:
-    # 1184 + 88 + 256 + 46 + 8*18 = 1718, one inversion for the bases and
-    # one per track
-    assert FIXED_BASE_SHAPE == (8, 4)
-    assert tally(build_table, curve.G, *FIXED_BASE_SHAPE)[1] == (24, 148, 1718, 9)
+    # the (16,4) shape fixed_base_table builds: 15 shifted bases by 10
+    # doublings each and 16 tracks of 2P, 3P, 5P, 7P, so ECADD 16*3 = 48
+    # and ECDBL 15*10 + 16 = 166.  Multiplies: 166 doublings at 8, 16 mixed
+    # additions (3P) at 11 and 32 Jacobian ones at 16, the 15 bases
+    # normalized at 3*14 + 4*15 and each track's 3 multiples at 3*2 + 4*3:
+    # 1328 + 176 + 512 + 102 + 16*18 = 2406, one inversion for the bases
+    # and one per track
+    assert FIXED_BASE_SHAPE == (16, 4)
+    assert tally(build_table, curve.G, *FIXED_BASE_SHAPE)[1] == (48, 166, 2406, 17)
 
 
 @pytest.fixture(scope="module")

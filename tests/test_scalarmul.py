@@ -4,7 +4,19 @@ from collections import Counter
 
 import pytest
 
-from conftest import as_tuple, check_track_cut, cut_edges, jac_tuple, o_add, o_mul, o_of
+from conftest import (
+    SMALL7,
+    TINY,
+    TINY_A2,
+    as_tuple,
+    check_track_cut,
+    cut_edges,
+    jac_tuple,
+    make_tiny,
+    o_add,
+    o_mul,
+    o_of,
+)
 from ecagg import scalarmul
 from ecagg.counters import tally
 from ecagg.curve import (
@@ -280,14 +292,32 @@ def test_fixed_base_table_keeps_one_table_per_base(rng):
     c = builtin_curve()
     G_table = fixed_base_table(c.G)
     assert default_table(c) is G_table and (G_table.t, G_table.w) == FIXED_BASE_SHAPE
-    # per track its base and 3, 5 and 7 times it: 8*4 points, G among them
-    assert G_table.extra_points == 31
+    # per track its base and 3, 5 and 7 times it: 16*4 points, G among them
+    assert G_table.extra_points == 63
     P, Q = (to_affine(mul_binary(rng.getrandbits(N), c.G)) for _ in range(2))
     P_table = fixed_base_table(P)
     Q_table = fixed_base_table(Q)
     assert fixed_base_table(P) is P_table and fixed_base_table(Q) is Q_table
     assert c._tables.keys() == {c.G, P, Q}
     assert fixed_base_table(c.G) is G_table
+
+
+@pytest.mark.parametrize("name", ["tiny13", "tiny13a2", "small7"])
+def test_fixed_base_table_clamps_tracks_to_the_field_width(name):
+    # a curve with fewer bits than the shape has tracks gets one track per
+    # bit, at the shape's width, and its table multiplies as the oracle
+    # does: every k below the group order on small7, the first 600 on the
+    # 13-bit curves
+    c = make_tiny({"tiny13": TINY, "tiny13a2": TINY_A2, "small7": SMALL7}[name], name)
+    t, w = FIXED_BASE_SHAPE
+    table = fixed_base_table(c.G)
+    assert (table.t, table.w) == (min(t, c.field.n), w)
+    assert table.extra_points == table.t * 2 ** (w - 2) - 1
+    p, a = o_of(c)
+    g, acc = as_tuple(c.G), None
+    for k in range(1, min(c.order_n, 600)):
+        acc = o_add(acc, g, p, a)
+        assert jac_tuple(mul_interleave(k, table)) == acc, (name, k)
 
 
 # --- signed multiplication -----------------------------------------------------------------

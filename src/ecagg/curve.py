@@ -16,8 +16,9 @@ every formula tallies itself: it adds its fixed multiplication count to
 the counters once, squarings counted as multiplications: 8 for dbl-2001-b
 (a = -3; 10 for a general a), 6 for mmadd-2007-bl (both operands at Z = 1),
 11 for madd-2007-bl and 16 for add-2007-bl (hyperelliptic.org/EFD).
-scalarmul's scan inlines dbl-2001-b and madd-2007-bl for its common case
-and hands every special case back to the functions here.
+scalarmul's scan inlines dbl-2001-b, madd-2007-bl and, for an odd multiple
+whose Z**2 and Z**3 it caches, add-2007-bl at 14 for its common case, and
+hands every special case back to the functions here.
 """
 
 from __future__ import annotations

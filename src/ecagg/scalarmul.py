@@ -5,8 +5,12 @@ keygen, message mapping and curve validation run on it, and the tests
 compare every other multiplier and every table against it.  mul_signed and
 mul_interleave only build rows of signed digits, each over its base's
 signed odd multiples, and return one scan over them: a single shared
-doubling chain and one mixed addition per nonzero digit, its two hot
-formulas copied from the curve module to run inline on local integers.
+doubling chain and one addition per nonzero digit, its hot formulas
+copied from the curve module to run inline on local integers.  A table's
+multiples are affine, normalized once at build time, and take a mixed
+addition; mul_signed builds its few on every call and keeps them
+Jacobian with their Z**2 and Z**3 cached, so it never inverts, and each
+takes add-2007-bl at 14 multiplications.
 
 Signed recodings cut the number of additions: a width-w recoding has only
 odd digits no larger than 2**(w-1) - 1, at most one nonzero digit in any w
@@ -17,11 +21,12 @@ For a fixed base the interleaved method also cuts doublings: the scalar is
 recoded once and its digits are cut into t rows of n/t, one row per track
 over its own shifted base 2**((i-1)*n/t) * G, so the chain is n/t steps
 long (Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 3.42).  The shifted
-bases and the odd multiples needed by widths above 2 are precomputed;
-beyond the generator itself that is (t-1) + t*(2**(w-2) - 1) stored points,
-kept as one signed-digit lookup per track.  Any fixed point can be the
-base: every encryption runs k*G and k*Y over the FIXED_BASE_SHAPE tables
-that fixed_base_table caches.  mul_interleave folds m*G into the k*Y chain
+bases and the odd multiples needed by widths above 2 are precomputed, the
+bases normalized together and then the multiples of every track; beyond
+the generator itself that is (t-1) + t*(2**(w-2) - 1) stored points, kept
+as one signed-digit lookup per track.  Any fixed point can be the base:
+every encryption runs k*G and k*Y over the FIXED_BASE_SHAPE tables that
+fixed_base_table caches.  mul_interleave folds m*G into the k*Y chain
 as one more row over the first track of the generator's table (Shamir's
 trick).  Both tables have the same shape, so one recoding of k, cut once,
 serves both chains.
@@ -108,19 +113,35 @@ def wmof_recode(k: int, w: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _signed_lookup(P: AffinePoint, w: int) -> dict[int, AffinePoint]:
-    """P's width-w lookup by signed digit: d -> d*P and -d -> -(d*P) for odd
-    d up to 2**(w-1) - 1.  The multiples above P are chained additions of a
-    Jacobian 2P, normalized together for one inversion."""
-    odd = [P]
-    if w > 2:
-        dbl = ec_dbl_jj(lift(P))
-        chain = [ec_add_ajj(P, dbl)]
-        for _ in range(5, 1 << (w - 1), 2):
-            chain.append(ec_add_jjj(dbl, chain[-1]))
-        odd += to_affine_batch(chain)
-    lookup = dict(zip(range(1, 1 << (w - 1), 2), odd))
-    return {**lookup, **{-d: ec_neg(pt) for d, pt in lookup.items()}}
+def _odd_chain(P: AffinePoint, w: int) -> list[JacobianPoint]:
+    """3P, 5P, ..., (2**(w-1) - 1)P, left Jacobian for no inversion: 2P by
+    one doubling, 3P = P + 2P by a mixed addition and each next multiple
+    2P further by add-2007-bl.  Empty at width 2."""
+    if w == 2:
+        return []
+    dbl = ec_dbl_jj(lift(P))
+    chain = [ec_add_ajj(P, dbl)]
+    for _ in range(5, 1 << (w - 1), 2):
+        chain.append(ec_add_jjj(dbl, chain[-1]))
+    return chain
+
+
+def _signed_lookup(P: AffinePoint, w: int) -> dict:
+    """P's width-w lookup by signed digit, as mul_signed scans it: d -> d*P
+    and -d -> -(d*P) for odd d up to 2**(w-1) - 1.  P itself stays affine;
+    the multiples above it stay Jacobian, each with its Z**2 and Z**3
+    cached at 2 multiplications, so no inversion is spent and each scan
+    addition of one costs 14 multiplications."""
+    p = P.curve.field.p
+    lookup = {1: P, -1: ec_neg(P)}
+    chain = _odd_chain(P, w)
+    counters().fe_mul += 2 * len(chain)
+    for d, Q in zip(range(3, 1 << (w - 1), 2), chain):
+        zz = Q.Z * Q.Z % p
+        zzz = zz * Q.Z % p
+        lookup[d] = (Q.X, Q.Y, Q.Z, zz, zzz)
+        lookup[-d] = (Q.X, -Q.Y % p, Q.Z, zz, zzz)
+    return lookup
 
 
 class PrecompTable:
@@ -151,8 +172,9 @@ class PrecompTable:
 def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
     """Precompute the fixed-base table for (t, w).
 
-    Bases are chained doublings of G, normalized together; odd multiples
-    are chained additions, one inversion per track.  More tracks than the
+    Bases are chained doublings of G, normalized together; then every
+    track's odd multiples, chained as mul_signed chains them, are
+    normalized together too: two inversions in all.  More tracks than the
     field has bits would only add bases that see zero digits, so t must be
     in [1, n].
     """
@@ -169,7 +191,13 @@ def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
             R = ec_dbl_jj(R)
         shifted.append(R)
     bases = to_affine_batch(shifted)
-    return PrecompTable(curve, t, w, tuple(_signed_lookup(base, w) for base in bases))
+    per = (1 << (w - 2)) - 1
+    odd = to_affine_batch([Q for base in bases for Q in _odd_chain(base, w)]) if per else []
+    signed = []
+    for i, base in enumerate(bases):
+        lookup = dict(zip(range(1, 1 << (w - 1), 2), [base, *odd[i * per:(i + 1) * per]]))
+        signed.append({**lookup, **{-d: ec_neg(pt) for d, pt in lookup.items()}})
+    return PrecompTable(curve, t, w, tuple(signed))
 
 
 def fixed_base_table(P: AffinePoint) -> PrecompTable:
@@ -192,24 +220,35 @@ def default_table(curve: CurveParams) -> PrecompTable:
 
 
 def _scan(curve: CurveParams, rows: list[tuple[int, ...]],
-          lookups: list[dict[int, AffinePoint]]) -> JacobianPoint:
+          lookups: list[dict]) -> JacobianPoint:
     """Sum of each row's little-endian signed digits times its lookup's
-    base: additions grouped by position, rows in order within one, zero
-    digits and identity entries skipped.  The accumulator is three ints: an
-    a = -3 doubling with Z and Y nonzero (dbl-2001-b) and a mixed addition
-    of distinct x (madd-2007-bl) run inline, tallied once at the end, and
-    every other step goes through ec_dbl_jj or ec_add_ajj."""
+    base: additions grouped by position, zero digits and identity entries
+    skipped.  A lookup entry is an AffinePoint or, for mul_signed's odd
+    multiples, a Jacobian tuple (X, Y, Z, Z**2, Z**3); a position adds its
+    affine entries first, then its Jacobian ones, each kind in row order.
+    The accumulator is three ints: an a = -3 doubling with Z and Y nonzero
+    (dbl-2001-b), a mixed addition of distinct x (madd-2007-bl) and an
+    add-2007-bl of distinct x over a Jacobian entry's cached Z powers (14
+    multiplications, against 16) run inline, tallied once at the end, and
+    every other step goes through ec_dbl_jj, ec_add_ajj or ec_add_jjj.  An
+    accumulator at Z = 1 meeting a Jacobian entry also takes ec_add_jjj,
+    whose mixed addition gives it other coordinates than the general
+    formula would."""
     adds = [()] * max(map(len, rows))
+    jadds = adds.copy()
     for row, lookup in zip(rows, lookups):
         for i, d in compress(enumerate(row), row):
             pt = lookup[d]
-            if not pt.infinity:
+            if pt.__class__ is tuple:
+                if pt[2]:
+                    jadds[i] += (pt,)
+            elif not pt.infinity:
                 adds[i] += (pt,)
     p = curve.field.p
     inline_dbl = curve.a_is_minus3
     X, Y, Z = 1, 1, 0
-    n_dbl = n_add = 0
-    for points in reversed(adds):
+    n_dbl = n_add = n_jadd = 0
+    for points, jpoints in zip(reversed(adds), reversed(jadds)):
         if inline_dbl and Z and Y:
             n_dbl += 1
             yy = Y * Y % p
@@ -239,10 +278,29 @@ def _scan(curve: CurveParams, rows: list[tuple[int, ...]],
                     continue
             Q = ec_add_ajj(pt, JacobianPoint(curve, X, Y, Z))
             X, Y, Z = Q.X, Q.Y, Q.Z
+        for X2, Y2, Z2, zz2, zzz2 in jpoints:
+            if Z > 1:
+                zz = Z * Z % p
+                u1 = X * zz2 % p
+                u2 = X2 * zz % p
+                if u1 != u2:
+                    n_jadd += 1
+                    h = u2 - u1
+                    i = (h * h << 2) % p
+                    j = h * i % p
+                    s1 = Y * zzz2 % p
+                    r = (Y2 * (Z * zz % p) % p - s1) << 1
+                    v = u1 * i % p
+                    X = (r * r - j - (v << 1)) % p
+                    Y = (r * (v - X) - (s1 * j << 1)) % p
+                    Z = ((Z + Z2) * (Z + Z2) - zz - zz2) * h % p
+                    continue
+            Q = ec_add_jjj(JacobianPoint(curve, X, Y, Z), JacobianPoint(curve, X2, Y2, Z2))
+            X, Y, Z = Q.X, Q.Y, Q.Z
     c = counters()
     c.ecdbl += n_dbl
-    c.ecadd += n_add
-    c.fe_mul += 8 * n_dbl + 11 * n_add
+    c.ecadd += n_add + n_jadd
+    c.fe_mul += 8 * n_dbl + 11 * n_add + 14 * n_jadd
     return JacobianPoint(curve, X, Y, Z)
 
 
@@ -287,8 +345,8 @@ def mul_signed(k: int, P: AffinePoint, w: int) -> JacobianPoint:
     """k * P scanned over its width-w recoding; no stored precomputation.
 
     Width 2 needs nothing beyond P and its mirror; wider recodings build
-    their few odd multiples on the fly (normalized for one inversion, which
-    shows up in the counters like everything else).
+    their few odd multiples on the fly and scan them in Jacobian form, so
+    no width spends an inversion.
     """
     return _scan(P.curve, [wmof_recode(k, w)], [_signed_lookup(P, w)])
 

@@ -311,16 +311,16 @@ def test_setup_and_nodes_account_for_every_operation():
     keys = keygen(random.Random(0xACC), builtin_curve())
     with tally() as outer:
         result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
-    # the generator's (16,4) table, (48, 166, 2406, 17): one inversion for
-    # the 15 shifted bases, one per track for its odd multiples; keygen already
-    # built the public key's table.  The reader searches [0, 63], the sum
+    # the generator's (16,4) table, (48, 166, 2451, 2): one inversion for
+    # the 15 shifted bases, one for the 48 odd multiples of all 16 tracks;
+    # keygen already built the public key's table.  The reader searches [0, 63], the sum
     # of the fixed readings: stride 2**7 (2**min(14, (6 + 1) // 2 + 4) for
     # the 6-bit bound) and (63 + 128) // 256 = 0 giant steps, so the search
     # tables are the 128 baby points alone, a ladder of 7 levels of 1, 2,
     # ..., 64 lanes, one inversion and one doubling each: 127 - 7 = 120
     # additions and 3*127 + 7 + 3*(127 - 7) = 748 multiplications with the
     # batch inversions' share, (120, 7, 748, 7)
-    assert [getattr(result.setup, f) for f in FIELDS] == [48 + 120, 166 + 7, 2406 + 748, 17 + 7]
+    assert [getattr(result.setup, f) for f in FIELDS] == [48 + 120, 166 + 7, 2451 + 748, 2 + 7]
     for f in FIELDS:
         nodes = sum(getattr(st.ops, f) for st in result.node_stats.values())
         assert getattr(result.setup, f) + nodes == getattr(outer, f), f
@@ -353,9 +353,9 @@ def test_setup_builds_a_missing_public_key_table():
     keys = KeyPair(x, to_affine(mul_binary(x, curve.G)))
     assert keys.public_Y not in curve._tables
     result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
-    # the round's usual (168, 173, 3154, 24), plus the key's (16,4) table,
-    # (48, 166, 2406, 17)
-    assert [getattr(result.setup, f) for f in FIELDS] == [168 + 48, 173 + 166, 3154 + 2406, 24 + 17]
+    # the round's usual (168, 173, 3199, 9), plus the key's (16,4) table,
+    # (48, 166, 2451, 2)
+    assert [getattr(result.setup, f) for f in FIELDS] == [168 + 48, 173 + 166, 3199 + 2451, 9 + 2]
     assert all(st.ops.ecdbl <= 20 for st in result.node_stats.values() if st.role == "leaf")
     assert curve._tables.keys() == {curve.G, keys.public_Y}
 

@@ -259,14 +259,21 @@ def test_simulate_records_account_for_every_operation(workspace, capsys):
     # highest at which any of k's sixteen 10-digit rows holds a nonzero
     # digit: 9 for s1, s2 and s3, and 10 for s4, whose carry digit makes the
     # last row 11 long.  So s1 is 68*11 + 18*8 + 11 = 903.  The aggregator,
-    # the reader and the setup run no encryption.  The setup is curve
-    # validation, Y and the search tables, (245, 326, 4686, 8), plus the two
-    # (16,4) table builds, (48, 166, 2406, 17) each
+    # the reader and the setup run no encryption.  The reader's x*(-R) runs
+    # at width 4, old (53, 160, 1863, 0) at width 2: 2P, 3P, 5P, 7P and
+    # their cached Z powers (3 ECADD, 1 ECDBL, 57 multiplies), then this
+    # x's 159 digits, 32 nonzero, the top one a 3 that lands on the
+    # identity, free: 158 doublings, 8 mixed additions of +-R (11 each)
+    # and 23 over a cached multiple (14 each), so (34, 159, 57 + 1264 + 88
+    # + 322 = 1731, 0); S's mixed addition (1, 0, 11, 0); and the search
+    # normalizing M, a baby-table hit (0, 0, 16, 1).  The setup is curve
+    # validation, Y and the search tables, (245, 326, 4686, 8), plus the
+    # two (16,4) table builds, (48, 166, 2451, 2) each
     records = {node: tuple(rec[f] for f in FIELDS) for node, rec in report["nodes"].items()}
     assert records == {"s1": (68, 18, 903, 1), "s2": (63, 18, 848, 1), "s3": (62, 18, 837, 1),
                        "s4": (63, 20, 864, 1), "agg": (6, 0, 91, 1),
-                       "reader": (54, 160, 1890, 1)}
-    assert tuple(report["setup"][f] for f in FIELDS) == (341, 658, 9498, 42)
+                       "reader": (35, 159, 1758, 1)}
+    assert tuple(report["setup"][f] for f in FIELDS) == (341, 658, 9588, 12)
 
 
 def test_simulate_bad_scenario_exits_2(workspace):
@@ -353,17 +360,18 @@ def test_bench_elgamal_on_a_curve_narrower_than_the_shape(workspace):
 
 
 def test_bench_reports_inversions(workspace, capsys):
-    # mof3 normalizes 3*P on the fly, one inversion; binary never inverts
+    # the column in both forms: mof3 keeps 3*P Jacobian and binary never
+    # inverts, so both read 0 (mof3 read 1 when it normalized 3*P)
     curve = str(workspace / "test.curve")
     csv_path = workspace / "inv.csv"
     assert run_main("bench", "--curve", curve, "--trials", "2", "--configs", "binary", "mof3",
                     "--seed", "f00d", "--csv", str(csv_path)) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     col = header.split().index("fe_inv")
-    assert [float(r.split()[col]) for r in rows[:2]] == [0.0, 1.0]
+    assert [float(r.split()[col]) for r in rows[:2]] == [0.0, 0.0]
     header, *rows = csv_path.read_text().splitlines()
     col = header.split(",").index("feinv_mean")
-    assert [r.split(",")[col] for r in rows] == ["0.000", "1.000"]
+    assert [r.split(",")[col] for r in rows] == ["0.000", "0.000"]
 
 
 def test_bench_w2_note_when_defaulted(workspace, capsys):
@@ -380,8 +388,8 @@ GOLDEN_TEXT = """\
 config                  t  w prec trials    ecadd     sd    ecdbl     sd    fe_mul      sd fe_inv
 binary                  1  0    0      3     79.0    4.3    158.3    0.9    2135.7    55.0    0.0
 mof2                    1  2    0      3     53.0    0.8    159.0    0.8    1855.0    13.5    0.0
-mof3                    1  3    0      3     40.3    0.9    159.0    1.6    1719.7    16.7    1.0
-mof4                    1  4    0      3     35.3    1.2    159.0    0.0    1688.7    13.7    1.0
+mof3                    1  3    0      3     40.3    0.9    159.0    1.6    1777.7    14.4    0.0
+mof4                    1  4    0      3     35.3    1.2    159.0    0.0    1745.7    10.9    0.0
 interleave:t=2,w=2      2  2    1      3     53.0    0.8     79.0    0.8    1215.0    13.5    0.0
 interleave:t=3          3  2    2      3     53.0    0.8     53.0    0.0    1007.0     9.0    0.0
 interleave:t=4,w=4      4  4   15      3     32.3    1.2     38.3    0.5     662.3    17.3    0.0
@@ -393,8 +401,8 @@ GOLDEN_CSV = """\
 config,t,w,prec_points,trials,ecadd_mean,ecadd_sd,ecdbl_mean,ecdbl_sd,femul_mean,femul_sd,feinv_mean
 binary,1,0,0,3,79.000,4.320,158.333,0.943,2135.667,54.950,0.000
 mof2,1,2,0,3,53.000,0.816,159.000,0.816,1855.000,13.491,0.000
-mof3,1,3,0,3,40.333,0.943,159.000,1.633,1719.667,16.680,1.000
-mof4,1,4,0,3,35.333,1.247,159.000,0.000,1688.667,13.719,1.000
+mof3,1,3,0,3,40.333,0.943,159.000,1.633,1777.667,14.430,0.000
+mof4,1,4,0,3,35.333,1.247,159.000,0.000,1745.667,10.873,0.000
 interleave:t=2,w=2,2,2,1,3,53.000,0.816,79.000,0.816,1215.000,13.491,0.000
 interleave:t=3,3,2,2,3,53.000,0.816,53.000,0.000,1007.000,8.981,0.000
 interleave:t=4,w=4,4,4,15,3,32.333,1.247,38.333,0.471,662.333,17.327,0.000
@@ -410,7 +418,15 @@ def test_bench_golden_output(workspace, capsys):
     # doubling, of the identity, is free; 10 when a carry digit makes the
     # last row 11 long), and 11 multiplies a mixed addition, 8 a doubling
     # (65.667*11 + 18*8 = 866.333).  An interleave row adds the same nonzero
-    # digits as one recoding of k at its width: 53.0 at t=2, w=2, as mof2
+    # digits as one recoding of k at its width: 53.0 at t=2, w=2, as mof2.
+    # mof3 and mof4 keep their odd multiples Jacobian, with Z**2 and Z**3
+    # cached at 2 multiplies each: no inversion, and 14 multiplies an
+    # addition over one, 3 more than over an affine one.  Old 1719.667 and
+    # 1688.667 with 1.0 inversion, when a normalization (4 multiplies at
+    # width 3, 3*2 + 4*3 = 18 at width 4) made them affine.  Below the top
+    # digit, the three trials add over a multiple above P 60 and 69 times
+    # in all, 20 and 23 a trial: 1719.667 + 3*20 - 2 = 1777.667 and
+    # 1688.667 + 3*23 - 12 = 1745.667
     curve = str(workspace / "test.curve")
     csv_path = workspace / "golden.csv"
     assert run_main("bench", "--curve", curve, "--trials", "3", "--configs", *GOLDEN_CONFIGS,

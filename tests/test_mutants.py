@@ -1,6 +1,7 @@
 """Mutation gate: the oracles below catch every named mutant of the group
-law, normalization, the scan, the recoding and its cut into tracks, the
-search, the sign of a baby hit, the search tables' +- build and table import.
+law, normalization, the scan and its lookups, the recoding and its cut
+into tracks, the search, the sign of a baby hit, the search tables' +-
+build and table import.
 
 A mutant replaces one node of one function's syntax tree: the expression
 or statement whose source reads ``old`` becomes ``new``.  The edited
@@ -68,6 +69,16 @@ MUTANTS = {
     "scan-lowest-position-first": (scalarmul, "_scan", "reversed(adds)", "adds"),
     "scan-dbl-tally-7": (scalarmul, "_scan", "8 * n_dbl", "7 * n_dbl"),
     "scan-keeps-identity-entries": (scalarmul, "_scan", "not pt.infinity", "True"),
+    "scan-jadd-s1-by-z-squared": (scalarmul, "_scan", "Y * zzz2 % p", "Y * zz2 % p"),
+    "scan-jadd-z3-without-h": (scalarmul, "_scan", "((Z + Z2) * (Z + Z2) - zz - zz2) * h",
+                               "(Z + Z2) * (Z + Z2) - zz - zz2"),
+    "scan-jadd-no-equal-u-fallback": (scalarmul, "_scan", "u1 != u2", "True"),
+    "scan-jadd-tally-16": (scalarmul, "_scan", "14 * n_jadd", "16 * n_jadd"),
+    "lookup-cache-zz-zzz-swapped": (scalarmul, "_signed_lookup", "(Q.X, Q.Y, Q.Z, zz, zzz)",
+                                    "(Q.X, Q.Y, Q.Z, zzz, zz)"),
+    "lookup-negation-flips-x": (scalarmul, "_signed_lookup", "(Q.X, -Q.Y % p, Q.Z, zz, zzz)",
+                                "(-Q.X % p, Q.Y, Q.Z, zz, zzz)"),
+    "lookup-cache-tally-3": (scalarmul, "_signed_lookup", "2 * len(chain)", "3 * len(chain)"),
     "curve-dbl-8yyyy-as-4yyyy": (curve, "ec_dbl_jj", "yy * yy << 3", "yy * yy << 2"),
     "curve-madd-equal-x-is-identity": (curve, "_madd", "ec_dbl_jj(Q)",
                                        "JacobianPoint.infinity(cur)"),
@@ -274,6 +285,29 @@ def _tiny_sweep(c):
         assert jac_tuple(got) == o_mul(2 * k + m, g, p, a), k
 
 
+def _signed_tally(c):
+    # mul_signed's exact tally at each width, for k below n/2, where no
+    # partial sum meets an entry.  Above width 2: 2P by one doubling, 3P =
+    # P + 2P by a mixed addition (11 multiplies), 5P and 7P by add-2007-bl
+    # (16 each), and 2 multiplies to cache each odd multiple's Z**2 and
+    # Z**3.  Then a doubling per digit below the top one, and an addition
+    # per nonzero digit below it: 11 multiplies against P, 14 against a
+    # cached multiple.  The top digit lands on the identity, free
+    dbl = 8 if c.a_is_minus3 else 10
+    for w in (2, 3, 4):
+        odd = (1 << (w - 2)) - 1
+        chain = [odd, min(odd, 1), (dbl + 11 + 16 * (odd - 1) + 2 * odd) if odd else 0, 0]
+        for k in range(1, c.order_n // 2, 37):
+            digits = wmof_recode(k, w)
+            low = [abs(d) for d in digits[:-1] if d]
+            ones = low.count(1)
+            want = [chain[0] + len(low), chain[1] + len(digits) - 1,
+                    chain[2] + dbl * (len(digits) - 1) + 11 * ones + 14 * (len(low) - ones), 0]
+            with tally() as ops:
+                mul_signed(k, c.G, w)
+            assert [getattr(ops, f) for f in FIELDS] == want, (k, w)
+
+
 def _track_cut(c):
     # k*G at one track, three (where a floored chunk misplaces the rows)
     # and thirteen, for k at the cut's edges: the widest k the bound check
@@ -336,6 +370,7 @@ def oracle_sub_suite():
         check_ct_to_bytes_over_z_classes(c, random.Random(c.name))
         _identity_lookup(c)
         _tiny_sweep(c)
+        _signed_tally(c)
         _track_cut(c)
         _identity_base_table(c)
         _wide_coordinate(c)

@@ -15,7 +15,8 @@ windows about the middle of the range, inward from both ends, each inverse
 serving both windows of a pair, and both the decrypt and the build once
 more when the baby table came to store x -> j alone, a hit's sign told
 by the build's offsets and centres, and the giant table only the half of
-the giant points the walk reads.  The
+the giant points the walk reads; the decrypt value again when x*(-R)
+moved to width 4 over Jacobian odd multiples.  The
 encrypt value was taken again when k*Y moved onto a (4,4) public-key table
 with m*G folded into its chain, once more when both tables became
 (8,4) and one recoding of k came to serve both chains, and again when they
@@ -24,7 +25,9 @@ sharing one inversion between R and S, and again when ec_add_jjj began
 taking mixed additions for operands at Z = 1.  The table build and import values
 were taken when building stopped re-deriving its points by binary
 multiplication, and import began comparing against a local build; the
-import value once more when table files came to store only their base.
+import value once more when table files came to store only their base,
+and both when one inversion came to normalize every track's odd
+multiples.
 """
 
 import random
@@ -136,9 +139,16 @@ def test_decrypt_counts(keys, curve):
     ct = ct_from_bytes(ct_to_bytes(encrypt(keys.public_Y, 0xABCDEF, rng)), curve)
     m, ops = tally(decrypt, keys.secret_x, ct, BOUND)
     assert m == 0xABCDEF
-    # signed x*(-R), left Jacobian for the mixed addition with S (R and S
-    # from the wire are affine, so normalizing them is free): (56, 159,
-    # 1888, 0).  Then the search, old (344, 0, 1716, 12) for 344 giant
+    # x*(-R) at width 4, old (55, 159, 1877, 0) at width 2: 2P by one
+    # doubling, 3P by a mixed addition, 5P and 7P by add-2007-bl, and each
+    # multiple's Z**2 and Z**3 cached (3 ECADD, 1 ECDBL, 8 + 11 + 2*16 +
+    # 3*2 = 57 multiplies).  This x recodes to 160 digits, 34 nonzero, the
+    # top one a 1 that lands on the identity, free: 159 doublings (1272
+    # multiplies), and below it 9 digits +-1, each a mixed addition with R
+    # (11), and 24 over a cached multiple (14): (36, 160, 57 + 1272 + 99 +
+    # 336 = 1764, 0).  It stays Jacobian for the mixed addition with S (R
+    # and S from the wire are affine, so normalizing them is free; 1 ECADD,
+    # 11 multiplies).  Then the search, old (344, 0, 1716, 12) for 344 giant
     # steps in 11 batches.  The walk is centred on the middle of the 512
     # windows, h = 256*2**15 = 2**23: M' = M - h*G is one mixed addition
     # (1 ECADD, 11 multiplies), normalized with M for one inversion (3 + 2*4
@@ -150,8 +160,8 @@ def test_decrypt_counts(keys, curve):
     # inversions).  j = 12817 = 25*513 - 8 is centre 25*513 less offset 8,
     # whose sign costs the 2 multiplies of _baby_log's check.  Search:
     # (337, 0, 11 + 11 + 672 + 1 + 2 + 558 = 1255, 7), old 1253 when the
-    # baby entry carried y's parity
-    assert ops == (393, 159, 3143, 7)
+    # baby entry carried y's parity.  Old (393, 159, 3143, 7) at width 2
+    assert ops == (374, 160, 3030, 7)
 
 
 # A search table's multiples of its step start with 256 offsets from a
@@ -225,21 +235,23 @@ def test_bsgs_extension_counts():
 def test_table_build_counts(curve):
     # a (4,4) table: 3 shifted bases by 40 doublings each, normalized
     # together (1 inversion); then per track 2P by one doubling and 3P, 5P,
-    # 7P by three additions, normalized together (1 inversion each).
-    # Importing its bytes decodes the base (3 multiplies for the curve
-    # check) and builds the same table from it
+    # 7P by three additions, the 12 multiples of all 4 tracks normalized
+    # together (1 inversion, 3*11 + 4*12 = 81 multiplies, where a batch per
+    # track took 4*(3*2 + 4*3) = 72 and 4 inversions).  Importing its bytes
+    # decodes the base (3 multiplies for the curve check) and builds the
+    # same table from it
     table, ops = tally(build_table, curve.G, 4, 4)
-    assert ops == (12, 124, 1254, 5)
-    assert tally(table_from_bytes, table_to_bytes(table), curve)[1] == (12, 124, 1257, 5)
+    assert ops == (12, 124, 1263, 2)
+    assert tally(table_from_bytes, table_to_bytes(table), curve)[1] == (12, 124, 1266, 2)
     # the (16,4) shape fixed_base_table builds: 15 shifted bases by 10
     # doublings each and 16 tracks of 2P, 3P, 5P, 7P, so ECADD 16*3 = 48
     # and ECDBL 15*10 + 16 = 166.  Multiplies: 166 doublings at 8, 16 mixed
     # additions (3P) at 11 and 32 Jacobian ones at 16, the 15 bases
-    # normalized at 3*14 + 4*15 and each track's 3 multiples at 3*2 + 4*3:
-    # 1328 + 176 + 512 + 102 + 16*18 = 2406, one inversion for the bases
-    # and one per track
+    # normalized at 3*14 + 4*15 and the 48 multiples at 3*47 + 4*48: 1328 +
+    # 176 + 512 + 102 + 333 = 2451, one inversion for the bases and one for
+    # the multiples (a batch per track took 16*18 = 288 and 16 inversions)
     assert FIXED_BASE_SHAPE == (16, 4)
-    assert tally(build_table, curve.G, *FIXED_BASE_SHAPE)[1] == (48, 166, 2406, 17)
+    assert tally(build_table, curve.G, *FIXED_BASE_SHAPE)[1] == (48, 166, 2451, 2)
 
 
 @pytest.fixture(scope="module")

@@ -359,7 +359,9 @@ def test_negative_scalars_rejected(curve):
 def test_scan_matches_oracle_across_the_tiny_group_order(tiny_curve, monkeypatch):
     # k runs across the group order 8221, so partial sums in the chain meet
     # the point being added (a doubling) and its negative (the identity);
-    # the wrapper counts those meetings to show the sweep reaches them
+    # the wrappers count those meetings to show the sweep reaches them,
+    # against P itself (affine) or, above width 2, an odd multiple of it
+    # (Jacobian)
     p, a = o_of(tiny_curve)
     g = as_tuple(tiny_curve.G)
     P = to_affine(mul_binary(2, tiny_curve.G))
@@ -373,7 +375,14 @@ def test_scan_matches_oracle_across_the_tiny_group_order(tiny_curve, monkeypatch
             meets["identity" if R.is_infinity else "doubling"] += 1
         return R
 
+    def counting_jjj(Q1, Q2):
+        R = ec_add_jjj(Q1, Q2)
+        if Q1.Z and Q2.Z and Q1.X * Q2.Z * Q2.Z % p == Q2.X * Q1.Z * Q1.Z % p:
+            meets["identity" if R.is_infinity else "doubling"] += 1
+        return R
+
     monkeypatch.setattr(scalarmul, "ec_add_ajj", counting_add)
+    monkeypatch.setattr(scalarmul, "ec_add_jjj", counting_jjj)
     ks = range(8221 - 256, 8221 + 256)
     runs = [(f"w={w}", lambda k, w=w: mul_signed(k, tiny_curve.G, w), lambda k: k)
             for w in (2, 3, 4)]

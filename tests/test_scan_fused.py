@@ -1,11 +1,14 @@
 """The scan's inline group law against the scan it replaced.
 
-scalarmul._scan runs dbl-2001-b and madd-2007-bl inline on local integers
-and adds their tallies once per call.  _reference_scan below is the scan as
-it was before that: every step a call into curve.py's ec_dbl_jj and
-ec_add_ajj, which tally for themselves.  Each multiplication runs once under
-each scan, and the two results must be Jacobian-identical, to the
-coordinate, and count the same operations.
+scalarmul._scan runs dbl-2001-b, madd-2007-bl and, for the Jacobian odd
+multiples that mul_signed builds above width 2, add-2007-bl over the
+entry's cached Z**2 and Z**3 inline on local integers, and adds their
+tallies once per call.  ReferenceScan below is the scan as it was before
+that: every step a call into curve.py's ec_dbl_jj, ec_add_ajj and
+ec_add_jjj, which tally for themselves.  Each multiplication runs once
+under each scan, and the two results must be Jacobian-identical, to the
+coordinate, and count the same operations, but for the two
+multiplications that each cached entry saves add-2007-bl.
 """
 
 import random
@@ -22,8 +25,10 @@ from ecagg.curve import (
     JacobianPoint,
     builtin_curve,
     ec_add_ajj,
+    ec_add_jjj,
     ec_dbl_jj,
     ec_neg,
+    lift,
     to_affine,
 )
 from ecagg.elgamal import encrypt, keygen
@@ -40,32 +45,73 @@ from ecagg.scalarmul import (
 INLINE_SCAN = scalarmul._scan
 
 
-def _reference_scan(curve, rows, lookups):
-    adds = [()] * max(map(len, rows))
-    for row, lookup in zip(rows, lookups):
-        for i, d in compress(enumerate(row), row):
-            adds[i] += (lookup[d],)
-    R = JacobianPoint.infinity(curve)
-    for points in reversed(adds):
-        R = ec_dbl_jj(R)
-        for pt in points:
-            R = ec_add_ajj(pt, R)
-    return R
+def equal_u(Q1, Q2):
+    """Neither point the identity, and the same affine x."""
+    p = Q1.curve.field.p
+    return bool(Q1.Z and Q2.Z) and Q1.X * Q2.Z * Q2.Z % p == Q2.X * Q1.Z * Q1.Z % p
+
+
+class ReferenceScan:
+    """The scan with each step a call into curve.py: affine entries through
+    ec_add_ajj, then Jacobian ones, as (X, Y, Z, Z**2, Z**3), through
+    ec_add_jjj, skipping the identity.  general counts the Jacobian
+    additions that ec_add_jjj runs by add-2007-bl (both operands at Z
+    other than 0 and 1, distinct x), computing the Z**2 and Z**3 of the
+    entry that the inline scan reads from its cache."""
+
+    def __init__(self):
+        self.general = 0
+
+    def __call__(self, curve, rows, lookups):
+        adds = [()] * max(map(len, rows))
+        jadds = adds.copy()
+        for row, lookup in zip(rows, lookups):
+            for i, d in compress(enumerate(row), row):
+                pt = lookup[d]
+                if isinstance(pt, tuple):
+                    # ec_add_jjj(R, identity) would be the identity's
+                    # coordinates where R is the identity too
+                    if pt[2]:
+                        jadds[i] += (JacobianPoint(curve, *pt[:3]),)
+                else:
+                    adds[i] += (pt,)
+        R = JacobianPoint.infinity(curve)
+        for points, jpoints in zip(reversed(adds), reversed(jadds)):
+            R = ec_dbl_jj(R)
+            for pt in points:
+                R = ec_add_ajj(pt, R)
+            for J in jpoints:
+                if R.Z not in (0, 1) and J.Z not in (0, 1) and not equal_u(R, J):
+                    self.general += 1
+                R = ec_add_jjj(R, J)
+        return R
 
 
 class Steps:
-    """Counts the steps the inline scan hands to ec_add_ajj, by kind."""
+    """Counts the steps the inline scan hands to ec_add_ajj (an affine
+    entry) and ec_add_jjj (a Jacobian one), by entry and kind."""
 
     def __init__(self):
         self.seen = Counter()
 
-    def __call__(self, A, Q):
+    def ajj(self, A, Q):
         R = ec_add_ajj(A, Q)
-        if not Q.Z:
-            self.seen["identity accumulator"] += 1
-        elif A.x * Q.Z * Q.Z % A.curve.field.p == Q.X:
-            self.seen["opposite" if R.is_infinity else "equal-x doubling"] += 1
+        self._see("affine", lift(A), Q, R)
         return R
+
+    def jjj(self, Q, J):
+        R = ec_add_jjj(Q, J)
+        self._see("jacobian", J, Q, R)
+        return R
+
+    def _see(self, entry, A, Q, R):
+        if not Q.Z:
+            self.seen[entry, "identity accumulator"] += 1
+        elif equal_u(A, Q):
+            self.seen[entry, "opposite" if R.is_infinity else "equal-x doubling"] += 1
+
+    def saw(self, entry, kinds=("identity accumulator", "equal-x doubling", "opposite")):
+        return all(self.seen[entry, kind] for kind in kinds)
 
 
 def coords(points):
@@ -74,24 +120,30 @@ def coords(points):
 
 def run_both(monkeypatch, multiply, steps=None):
     """multiply() under the inline scan and under the reference: the
-    coordinates of the points it returns and the tally of each run."""
+    coordinates of the points it returns and the tally of each run, the
+    reference's less the 2 multiplications of each of its general
+    Jacobian additions; and that number of additions."""
+    reference = ReferenceScan()
     runs = []
-    for scan in (INLINE_SCAN, _reference_scan):
+    for scan in (INLINE_SCAN, reference):
         with monkeypatch.context() as m:
             m.setattr(scalarmul, "_scan", scan)
             if steps is not None and scan is INLINE_SCAN:
-                m.setattr(scalarmul, "ec_add_ajj", steps)
+                m.setattr(scalarmul, "ec_add_ajj", steps.ajj)
+                m.setattr(scalarmul, "ec_add_jjj", steps.jjj)
             with tally() as ops:
                 points = multiply()
         runs.append((coords(points), [getattr(ops, f) for f in FIELDS]))
-    return runs
+    runs[1][1][FIELDS.index("fe_mul")] -= 2 * reference.general
+    return runs + [reference.general]
 
 
 @pytest.mark.parametrize("name", ["tiny_curve", "tiny_curve_a2"])
 def test_sweep_across_the_tiny_group_order(name, request, monkeypatch):
     # k runs across the group order, so partial sums meet the point being
-    # added (a doubling) and its negative (the identity); on the a = 2 curve
-    # every doubling is the general-a ec_dbl_jj
+    # added (a doubling) and its negative (the identity), P itself or, above
+    # width 2, one of its Jacobian odd multiples; on the a = 2 curve every
+    # doubling is the general-a ec_dbl_jj
     c = request.getfixturevalue(name)
     p, a = o_of(c)
     g = as_tuple(c.G)
@@ -104,11 +156,13 @@ def test_sweep_across_the_tiny_group_order(name, request, monkeypatch):
     steps = Steps()
     for multiply, scalar in runs:
         for k in range(c.order_n - 256, c.order_n + 256):
-            inline, reference = run_both(monkeypatch, lambda: multiply(k), steps)
+            inline, reference, _ = run_both(monkeypatch, lambda: multiply(k), steps)
             assert inline == reference, k
             Q = JacobianPoint(c, *inline[0][0])
             assert jac_tuple(Q) == o_mul(scalar(k), g, p, a), k
-    assert {"identity accumulator", "equal-x doubling", "opposite"} <= steps.seen.keys()
+    # every k here recodes to a top digit of +-1, so a Jacobian entry never
+    # meets the identity accumulator; the unmasking test sees that
+    assert steps.saw("affine") and steps.saw("jacobian", ("equal-x doubling", "opposite"))
 
 
 def encrypted(Y, m, k):
@@ -124,7 +178,7 @@ def test_secp160r1_encryptions(monkeypatch):
     messages = [0, 1, 255, 2**24 - 1] + [rng.randrange(1 << 24) for _ in range(196)]
     for m in messages:
         k = rng.randrange(1, c.order_n)
-        inline, reference = run_both(monkeypatch, lambda: encrypted(Y, m, k))
+        inline, reference, _ = run_both(monkeypatch, lambda: encrypted(Y, m, k))
         assert inline == reference, (k, m)
 
 
@@ -136,40 +190,49 @@ def test_secp160r1_equal_and_opposite_points(monkeypatch):
     steps = Steps()
     for x in (1, c.order_n - 1):
         Y = keygen(ForcedK(x), c).public_Y
-        inline, reference = run_both(monkeypatch, lambda: encrypted(Y, 1, 1), steps)
+        inline, reference, _ = run_both(monkeypatch, lambda: encrypted(Y, 1, 1), steps)
         assert inline == reference, x
     assert inline[0][1] == (1, 1, 0)
-    assert {"identity accumulator", "equal-x doubling", "opposite"} <= steps.seen.keys()
+    assert steps.saw("affine")
 
 
 def test_secp160r1_unmasking(monkeypatch):
-    # x*(-R) as decrypt runs it, for x at both ends of [1, n - 1] and random
-    # ones, over encryptions' R and the identity (the R of an aggregate
-    # folded with its mirror)
+    # x*(-R) as decrypt runs it, at width 4, for x at both ends of [1, n -
+    # 1] and random ones, over encryptions' R and the identity (the R of an
+    # aggregate folded with its mirror, whose odd multiples are all the
+    # identity)
     c = builtin_curve()
     n = c.order_n
     rng = random.Random(0xDEC)
     Y = keygen(rng, c).public_Y
     Rs = [to_affine(encrypt(Y, 7, rng).R) for _ in range(4)] + [AffinePoint.identity(c)]
     xs = [1, n - 1] + [rng.randrange(1, n) for _ in range(8)]
+    steps = Steps()
     for x in xs:
         for R in Rs:
-            inline, reference = run_both(monkeypatch, lambda: [mul_signed(x, ec_neg(R), 2)])
+            inline, reference, general = run_both(
+                monkeypatch, lambda: [mul_signed(x, ec_neg(R), 4)], steps)
             assert inline == reference, (x, R)
             if R.infinity:
-                assert inline[0][0] == (1, 1, 0)
+                assert inline[0][0] == (1, 1, 0) and not general
+            elif x not in (1, n - 1):
+                assert general
+    assert steps.saw("jacobian", ("identity accumulator",))
 
 
 @pytest.mark.parametrize("name", ["tiny_curve", "tiny_curve_a2", "curve"])
 def test_identity_lookup_entries_add_nothing(name, request, monkeypatch):
-    # a row over the identity beside a row over G: the identity's entries
-    # meet an accumulator that is not the identity, and change nothing
+    # a row over the identity beside a row over G: the identity's entries,
+    # affine or (width 4) Jacobian, meet an accumulator that is not the
+    # identity, and change nothing
     c = request.getfixturevalue(name)
     p, a = o_of(c)
-    rows = [wmof_recode(1000, 2), wmof_recode(77, 2)]
-    lookups = [_signed_lookup(c.G, 2), _signed_lookup(AffinePoint.identity(c), 2)]
-    for order in (slice(None), slice(None, None, -1)):
-        inline, reference = run_both(
-            monkeypatch, lambda: [scalarmul._scan(c, rows[order], lookups[order])])
-        assert inline == reference
-        assert jac_tuple(JacobianPoint(c, *inline[0][0])) == o_mul(1000, as_tuple(c.G), p, a)
+    for w in (2, 4):
+        rows = [wmof_recode(1000, w), wmof_recode(77, w)]
+        lookups = [_signed_lookup(c.G, w), _signed_lookup(AffinePoint.identity(c), w)]
+        for order in (slice(None), slice(None, None, -1)):
+            inline, reference, _ = run_both(
+                monkeypatch, lambda: [scalarmul._scan(c, rows[order], lookups[order])])
+            assert inline == reference, w
+            Q = JacobianPoint(c, *inline[0][0])
+            assert jac_tuple(Q) == o_mul(1000, as_tuple(c.G), p, a), w

@@ -3,10 +3,10 @@
 mul_binary, left-to-right double-and-add, is the independent reference:
 keygen, message mapping and curve validation run on it, and the tests
 compare every other multiplier and every table against it.  mul_signed and
-mul_interleave only build rows of signed digits, each over its base's
-signed odd multiples, and return one scan over them: a single shared
-doubling chain and one addition per nonzero digit, its hot formulas
-copied from the curve module to run inline on local integers.  A table's
+mul_interleave only build rows of nonzero signed terms, each over its
+base's signed odd multiples, and return one scan over them: a single
+shared doubling chain and one addition per term, its hot formulas copied
+from the curve module to run inline on local integers.  A table's
 multiples are affine, normalized once at build time, and take a mixed
 addition; mul_signed builds its few on every call and keeps them
 Jacobian with their Z**2 and Z**3 cached, so it never inverts, and each
@@ -15,27 +15,28 @@ takes add-2007-bl at 14 multiplications.
 Signed recodings cut the number of additions: a width-w recoding has only
 odd digits no larger than 2**(w-1) - 1, at most one nonzero digit in any w
 consecutive positions, and an average nonzero fraction of 1/(1+w).
-Negative digits cost nothing extra: negating a point mirrors its y.
+Negative digits cost nothing extra: negating a point mirrors its y.  The
+recoding is kept as its nonzero terms, (position, digit) pairs, so
+neither the recoder nor the scan visits a zero digit.
 
 For a fixed base the interleaved method also cuts doublings: the scalar is
-recoded once and its digits are cut into t rows of n/t, one row per track
-over its own shifted base 2**((i-1)*n/t) * G, so the chain is n/t steps
-long (Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 3.42).  The shifted
-bases and the odd multiples needed by widths above 2 are precomputed, the
-bases normalized together and then the multiples of every track; beyond
-the generator itself that is (t-1) + t*(2**(w-2) - 1) stored points, kept
-as one signed-digit lookup per track.  Any fixed point can be the base:
-every encryption runs k*G and k*Y over the FIXED_BASE_SHAPE tables that
-fixed_base_table caches.  mul_interleave folds m*G into the k*Y chain
-as one more row over the first track of the generator's table (Shamir's
-trick).  Both tables have the same shape, so one recoding of k, cut once,
-serves both chains.
+recoded once and its terms are dealt into t rows of n/t positions, one row
+per track over its own shifted base 2**((i-1)*n/t) * G, so the chain is
+n/t steps long (Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 3.42).
+The shifted bases and the odd multiples needed by widths above 2 are
+precomputed, the bases normalized together and then the multiples of
+every track; beyond the generator itself that is (t-1) + t*(2**(w-2) - 1)
+stored points, kept as one signed-digit lookup per track.  Any fixed
+point can be the base: every encryption runs k*G and k*Y over the
+FIXED_BASE_SHAPE tables that fixed_base_table caches.  mul_interleave
+folds m*G into the k*Y chain as one more row over the first track of the
+generator's table (Shamir's trick).  Both tables have the same shape, so
+one recoding of k, dealt once, serves both chains.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
 
 from .counters import counters
 from .curve import (
@@ -54,18 +55,20 @@ from .curve import (
 )
 from .errors import BadEncoding, TableMismatch, UnsupportedWidth
 
-MAX_RECODING_WIDTH = 4
+MAX_RECODING_WIDTH = 5
 
 # (t, w) of the tables fixed_base_table builds, chosen by a flash budget:
 # 16 tracks of 10 bits on secp160r1, each holding its shifted base and that
-# base's 3, 5 and 7 multiples.  That is 64 affine points of 40 bytes per
-# base, 2,560 bytes, or 5,120 bytes for G and the public key together.  Both
-# tables are read-only after keygen, so a mote keeps them in flash: about 4%
-# of a MicaZ's 128 KB, where its 4 KB of SRAM could not hold them.  They buy
-# chains of 10 doublings, against 20 at (8, 4); the additions are fixed by
-# the width-4 recoding, so wider shapes save little more (32 tracks, twice
-# the points, cut another 8% of an encryption's multiplications).
-FIXED_BASE_SHAPE = (16, 4)
+# base's 3, 5, ..., 15 multiples.  That is 128 affine points of 40 bytes
+# per base, 5,120 bytes, or 10,240 bytes for G and the public key together.
+# Both tables are read-only after keygen, so a mote keeps them in flash:
+# about 8% of a MicaZ's 128 KB, where its 4 KB of SRAM could not hold them.
+# Tracks set the chain, 10 doublings against 20 at (8, w); the width sets
+# the additions, one per term of a recoding of density 1/(1+w).  At equal
+# storage, width buys more than tracks: over 600 random (k, m < 256) an
+# encryption costs 737.5 multiplications at (16, 5), 793.6 at (32, 4) and
+# 860.1 at (16, 4), half the storage.
+FIXED_BASE_SHAPE = (16, 5)
 
 _TABLE_MAGIC = b"EPT3"
 
@@ -82,35 +85,34 @@ def mul_binary(k: int, P: AffinePoint) -> JacobianPoint:
     return R
 
 
-def wmof_recode(k: int, w: int) -> tuple[int, ...]:
-    """Width-w signed recoding with odd digits and w-sparse nonzeros.
+def wmof_recode(k: int, w: int) -> tuple[tuple[int, int], ...]:
+    """Width-w signed recoding of k as its nonzero terms: (position, digit)
+    pairs in increasing position, digit d at position i weighing d * 2**i.
 
-    Digits are little-endian: digit i has weight 2**i.  Every nonzero digit
-    is odd with |d| <= 2**(w-1) - 1, any w consecutive positions hold at
-    most one nonzero digit, and the digits reconstruct k.  Emitting an odd
-    digit clears the w-1 positions above it, which is what guarantees the
-    sparsity.
+    Every digit is odd with |d| <= 2**(w-1) - 1, any two positions are at
+    least w apart, and the terms sum to k; k = 0 has none.  A zero run is
+    skipped in one step, and a digit clears the w - 1 positions above it,
+    so k shifts past them with it: no zero digit is ever visited.
     """
     if w < 2 or w > MAX_RECODING_WIDTH:
         raise UnsupportedWidth(f"width {w} outside [2, {MAX_RECODING_WIDTH}]")
     if k < 0:
         raise ValueError("scalar must be non-negative")
-    if k == 0:
-        return (0,)
     half = 1 << (w - 1)
     full = half << 1
-    digits = []
+    terms = []
+    pos = 0
     while k:
-        if k & 1:
-            d = k & (full - 1)
-            if d > half:
-                d -= full
-            digits.append(d)
-            k -= d
-        else:
-            digits.append(0)
-        k >>= 1
-    return tuple(digits)
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        pos += zeros
+        d = k & (full - 1)
+        if d > half:
+            d -= full
+        terms.append((pos, d))
+        k = (k - d) >> w
+        pos += w
+    return tuple(terms)
 
 
 def _odd_chain(P: AffinePoint, w: int) -> list[JacobianPoint]:
@@ -201,9 +203,9 @@ def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
 
 
 def fixed_base_table(P: AffinePoint) -> PrecompTable:
-    """The FIXED_BASE_SHAPE table for base P, 64 stored points, built on
+    """The FIXED_BASE_SHAPE table for base P, 128 stored points, built on
     first use and kept on P's curve, one per base: each key beyond G costs
-    about 24 KB for as long as its curve lives (23,780 bytes by tracemalloc
+    about 48 KB for as long as its curve lives (47,720 bytes by tracemalloc
     on secp160r1).  A curve narrower than the shape's track count gets one
     track per field bit."""
     tables = P.curve._tables
@@ -219,25 +221,25 @@ def default_table(curve: CurveParams) -> PrecompTable:
     return fixed_base_table(curve.G)
 
 
-def _scan(curve: CurveParams, rows: list[tuple[int, ...]],
+def _scan(curve: CurveParams, rows: list[tuple[tuple[int, int], ...]],
           lookups: list[dict]) -> JacobianPoint:
-    """Sum of each row's little-endian signed digits times its lookup's
-    base: additions grouped by position, zero digits and identity entries
-    skipped.  A lookup entry is an AffinePoint or, for mul_signed's odd
-    multiples, a Jacobian tuple (X, Y, Z, Z**2, Z**3); a position adds its
-    affine entries first, then its Jacobian ones, each kind in row order.
-    The accumulator is three ints: an a = -3 doubling with Z and Y nonzero
-    (dbl-2001-b), a mixed addition of distinct x (madd-2007-bl) and an
-    add-2007-bl of distinct x over a Jacobian entry's cached Z powers (14
-    multiplications, against 16) run inline, tallied once at the end, and
-    every other step goes through ec_dbl_jj, ec_add_ajj or ec_add_jjj.  An
-    accumulator at Z = 1 meeting a Jacobian entry also takes ec_add_jjj,
-    whose mixed addition gives it other coordinates than the general
-    formula would."""
-    adds = [()] * max(map(len, rows))
+    """Sum of each row's (position, digit) terms, d * 2**position times its
+    lookup's base: additions grouped by position, identity entries skipped,
+    and the chain sized from the highest term, so no zero digit is walked.
+    A lookup entry is an AffinePoint or, for mul_signed's odd multiples, a
+    Jacobian tuple (X, Y, Z, Z**2, Z**3); a position adds its affine entries
+    first, then its Jacobian ones, each kind in row order.  The accumulator
+    is three ints: an a = -3 doubling with Z and Y nonzero (dbl-2001-b), a
+    mixed addition of distinct x (madd-2007-bl) and an add-2007-bl of
+    distinct x over a Jacobian entry's cached Z powers (14 multiplications,
+    against 16) run inline, tallied once at the end, and every other step
+    goes through ec_dbl_jj, ec_add_ajj or ec_add_jjj.  An accumulator at Z
+    = 1 meeting a Jacobian entry also takes ec_add_jjj, whose mixed
+    addition gives it other coordinates than the general formula would."""
+    adds = [()] * (max((row[-1][0] for row in rows if row), default=-1) + 1)
     jadds = adds.copy()
     for row, lookup in zip(rows, lookups):
-        for i, d in compress(enumerate(row), row):
+        for i, d in row:
             pt = lookup[d]
             if pt.__class__ is tuple:
                 if pt[2]:
@@ -305,14 +307,16 @@ def _scan(curve: CurveParams, rows: list[tuple[int, ...]],
 
 
 @lru_cache(maxsize=1)
-def _track_rows(k: int, t: int, w: int, n_bits: int) -> tuple[tuple[int, ...], ...]:
-    """k, bound-checked, recoded at width w across its full width and cut
-    into the rows of the t tracks of an n_bits table, ceil(n_bits/t) digits
-    each: digit j of row i weighs 2**(chunk*i + j).  The last row keeps
-    every digit from (t-1)*chunk up, so a carry digit, or a k past the
-    design width, stays exact.  Tracks recoded apart would each restart the
-    recoding at their edge, often with a carry digit: 71.1 additions per
-    encryption on secp160r1, against 64.9 for the one recoding cut.
+def _track_rows(k: int, t: int, w: int,
+                n_bits: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """k, bound-checked, recoded at width w across its full width and its
+    terms dealt into the rows of the t tracks of an n_bits table,
+    ceil(n_bits/t) positions each: a term at offset j of row i weighs
+    2**(chunk*i + j).  The last row takes every term from (t-1)*chunk up,
+    so a carry digit, or a k past the design width, stays exact.  Tracks
+    recoded apart would each restart the recoding at their edge, often with
+    a carry digit: 71.1 additions per encryption on secp160r1 at width 4,
+    against 64.9 for the one recoding cut.
 
     The last result is kept until the next call, or until encrypt clears it:
     encrypt multiplies one k over two tables of the same shape (G's and the
@@ -321,17 +325,21 @@ def _track_rows(k: int, t: int, w: int, n_bits: int) -> tuple[tuple[int, ...], .
     chunk = -(-n_bits // t)
     if k.bit_length() > t * chunk + 1:
         raise TableMismatch(f"{k.bit_length()}-bit scalar exceeds table designed for {n_bits} bits")
-    digits = wmof_recode(k, w)
-    rows = [digits[i * chunk:(i + 1) * chunk] for i in range(t - 1)]
-    rows.append(digits[(t - 1) * chunk:])
-    return tuple(rows)
+    rows = [[] for _ in range(t)]
+    last = t - 1
+    for pos, d in wmof_recode(k, w):
+        row = pos // chunk
+        if row > last:
+            row = last
+        rows[row].append((pos - row * chunk, d))
+    return tuple(map(tuple, rows))
 
 
 def mul_interleave(k: int, table: PrecompTable, m: int = 0) -> JacobianPoint:
-    """k*P + m*G over P's precomputed table: k's recoding cut into t rows,
+    """k*P + m*G over P's precomputed table: k's terms dealt into t rows,
     one doubling chain.  A nonzero m is one more row over the first track
     of the generator's table (Shamir's trick), sharing the chain, so a
-    short m adds its nonzero digits and no doubling."""
+    short m adds its terms and no doubling."""
     rows = list(_track_rows(k, table.t, table.w, table.curve.field.n))
     lookups = list(table.signed)
     if m:

@@ -20,14 +20,14 @@ moved to width 4 over Jacobian odd multiples.  The
 encrypt value was taken again when k*Y moved onto a (4,4) public-key table
 with m*G folded into its chain, once more when both tables became
 (8,4) and one recoding of k came to serve both chains, and again when they
-became (16,4), and the fold value when serializing began
+became (16,4) and again (16,5), and the fold value when serializing began
 sharing one inversion between R and S, and again when ec_add_jjj began
 taking mixed additions for operands at Z = 1.  The table build and import values
 were taken when building stopped re-deriving its points by binary
 multiplication, and import began comparing against a local build; the
 import value once more when table files came to store only their base,
 and both when one inversion came to normalize every track's odd
-multiples.
+multiples; the fixed-base shape's build again when it became (16,5).
 """
 
 import random
@@ -87,25 +87,27 @@ def keys(curve):
 
 
 def test_encrypt_counts(keys):
-    # k*G and k*Y + 200*G over the (16,4) tables that the default table and
-    # keygen built beforehand.  This 160-bit k recodes to 160 digits, no
-    # carry, cut into sixteen rows of 10 holding 33 nonzero ones, and 200
-    # to the row -7*2**3 + 2**8 with 2, nine digits long: each chain
-    # doubles 9 times (its first doubling, of the identity, is free), and
-    # each scan's first addition lands on the identity, free.  ECADD
-    # 32 + 34 = 66, ECDBL 2*9 = 18, 11 multiplies a mixed addition and 8 a
-    # doubling: 66*11 + 18*8 = 870
+    # k*G and k*Y + 200*G over the (16,5) tables that the default table and
+    # keygen built beforehand.  This 160-bit k recodes at width 5 to 29
+    # terms, the top one a carry digit 1 at position 160, dealt into
+    # sixteen rows of 10 positions with that carry at offset 10 of the last
+    # row; 200 recodes to -7*2**3 + 2**8, its top term at 8.  So each chain
+    # runs 11 positions and doubles 10 times (its first doubling, of the
+    # identity, is free), and each scan's first addition, the carry alone
+    # at the top, lands on the identity, free.  ECADD 28 + 30 = 58, ECDBL
+    # 2*10 = 20, 11 multiplies a mixed addition and 8 a doubling: 58*11 +
+    # 20*8 = 798
     _, ops = tally(encrypt, keys.public_Y, 200, random.Random(7))
-    assert ops == (66, 18, 870, 0)
+    assert ops == (58, 20, 798, 0)
 
 
 def test_encrypt_after_keygen_repeats_its_counts():
     # perfbench's set-up on a fresh curve (keygen, then the default table)
     # leaves nothing for the first encrypt to build, so the first and
     # second calls with the same draws count the same.  k < n < 2**160 +
-    # 2**81 recodes to at most 161 digits, so its last row holds at most
-    # 11, and 77 is shorter still: each of the two chains doubles at most
-    # 10 times
+    # 2**81 recodes to terms no higher than position 160, offset 10 of its
+    # last row, and 77 is shorter still: each of the two chains doubles at
+    # most 10 times
     curve = builtin_curve()
     kp = keygen(random.Random(0x5EE0), curve)
     default_table(curve)
@@ -243,15 +245,15 @@ def test_table_build_counts(curve):
     table, ops = tally(build_table, curve.G, 4, 4)
     assert ops == (12, 124, 1263, 2)
     assert tally(table_from_bytes, table_to_bytes(table), curve)[1] == (12, 124, 1266, 2)
-    # the (16,4) shape fixed_base_table builds: 15 shifted bases by 10
-    # doublings each and 16 tracks of 2P, 3P, 5P, 7P, so ECADD 16*3 = 48
-    # and ECDBL 15*10 + 16 = 166.  Multiplies: 166 doublings at 8, 16 mixed
-    # additions (3P) at 11 and 32 Jacobian ones at 16, the 15 bases
-    # normalized at 3*14 + 4*15 and the 48 multiples at 3*47 + 4*48: 1328 +
-    # 176 + 512 + 102 + 333 = 2451, one inversion for the bases and one for
-    # the multiples (a batch per track took 16*18 = 288 and 16 inversions)
-    assert FIXED_BASE_SHAPE == (16, 4)
-    assert tally(build_table, curve.G, *FIXED_BASE_SHAPE)[1] == (48, 166, 2451, 2)
+    # the (16,5) shape fixed_base_table builds: 15 shifted bases by 10
+    # doublings each and 16 tracks of 2P, 3P, 5P, ..., 15P, so ECADD 16*7 =
+    # 112 and ECDBL 15*10 + 16 = 166.  Multiplies: 166 doublings at 8, 16
+    # mixed additions (3P) at 11 and 96 Jacobian ones (5P to 15P) at 16,
+    # the 15 bases normalized at 3*14 + 4*15 and the 112 multiples at 3*111
+    # + 4*112: 1328 + 176 + 1536 + 102 + 781 = 3923, one inversion for the
+    # bases and one for the multiples
+    assert FIXED_BASE_SHAPE == (16, 5)
+    assert tally(build_table, curve.G, *FIXED_BASE_SHAPE)[1] == (112, 166, 3923, 2)
 
 
 @pytest.fixture(scope="module")

@@ -89,50 +89,79 @@ def test_binary_counts_doubling(curve):
 
 # --- signed recodings -------------------------------------------------------------
 
+def dense_digits(k, w):
+    """The width-w recoding digit by digit, zeros included (Hankerson-
+    Menezes-Vanstone, Guide to ECC, Alg. 3.35): the reference the terms are
+    the nonzero entries of."""
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            d = k % (1 << w)
+            if d >= 1 << (w - 1):
+                d -= 1 << w
+            k -= d
+        digits.append(d)
+        k >>= 1
+    return digits
+
+
+WIDTHS = range(2, scalarmul.MAX_RECODING_WIDTH + 1)
+
+
 def test_wmof_zero_and_one():
-    assert wmof_recode(0, 2) == (0,)
-    assert wmof_recode(1, 2) == (1,)
+    assert wmof_recode(0, 2) == ()
+    assert wmof_recode(1, 2) == ((0, 1),)
+    assert wmof_recode(1 << 100, 5) == ((100, 1),)
+    with pytest.raises(ValueError):
+        wmof_recode(-1, 2)
 
 
 def test_wmof_width_two_digit_set(rng):
     for _ in range(200):
-        digits = wmof_recode(rng.getrandbits(N), 2)
-        assert all(d in (-1, 0, 1) for d in digits)
+        assert all(d in (-1, 1) for _, d in wmof_recode(rng.getrandbits(N), 2))
 
 
 def test_wmof_invariants(rng):
-    for w in (2, 3, 4):
+    # the terms reconstruct k, every digit is odd with |d| <= 2**(w-1) - 1,
+    # positions strictly increase, at least w apart, and the terms are
+    # exactly the nonzero digits of the digit-by-digit recoding; k with long
+    # zero runs, at the bottom and inside, as well as random ones
+    for w in WIDTHS:
         bound = (1 << (w - 1)) - 1
-        for _ in range(700):
-            k = rng.getrandbits(N)
-            digits = wmof_recode(k, w)
-            assert sum(d << i for i, d in enumerate(digits)) == k
-            nonzero = [i for i, d in enumerate(digits) if d]
-            for i in nonzero:
-                assert digits[i] % 2 != 0
-                assert abs(digits[i]) <= bound
-            for a, b in zip(nonzero, nonzero[1:]):
+        ks = [rng.getrandbits(N) for _ in range(700)]
+        ks += [rng.getrandbits(40) << s | 1 << (s + 100) for s in (0, 1, 7, 19)]
+        for k in ks:
+            terms = wmof_recode(k, w)
+            assert sum(d << i for i, d in terms) == k
+            for _, d in terms:
+                assert d % 2 != 0
+                assert abs(d) <= bound
+            positions = [i for i, _ in terms]
+            assert positions[0] >= 0
+            for a, b in zip(positions, positions[1:]):
                 assert b - a >= w
+            assert list(terms) == [(i, d) for i, d in enumerate(dense_digits(k, w)) if d]
 
 
 def test_wmof_rejects_bad_width():
     with pytest.raises(UnsupportedWidth):
         wmof_recode(5, 1)
     with pytest.raises(UnsupportedWidth):
-        wmof_recode(5, 5)
+        wmof_recode(5, scalarmul.MAX_RECODING_WIDTH + 1)
 
 
 def test_wmof_density_quick(rng):
     total = 0
     samples = 2000
     for _ in range(samples):
-        total += sum(1 for d in wmof_recode(rng.getrandbits(N), 2) if d)
+        total += len(wmof_recode(rng.getrandbits(N), 2))
     assert abs(total / samples / N - 1 / 3) < 0.015
 
 
 # --- the cut of k's recoding into tracks ------------------------------------------------
 
-CUT_SHAPES = [(t, w) for t in (1, 2, 3, 4, 5) for w in (2, 3, 4)] + [(8, 4), (N, 4)]
+CUT_SHAPES = [(t, w) for t in (1, 2, 3, 4, 5) for w in WIDTHS] + [(8, 4), (16, 5), (N, 4), (N, 5)]
 
 
 def test_split_chunk_widths():
@@ -143,18 +172,26 @@ def test_split_chunk_widths():
 
 @pytest.mark.parametrize("t, w", CUT_SHAPES)
 def test_cut_rows_sum_to_k(curve, rng, t, w):
-    # k recoded once and cut into t rows of chunk digits, the last keeping
-    # the rest: digit j of row i weighs 2**(chunk*i + j), so the rows sum
-    # to k exactly, at the track edges, at n - 1, at the widest k the bound
-    # check admits, whose carry digit past t*chunk the last row holds, and
-    # at random 160-bit k
+    # k recoded once and its terms dealt into t rows of chunk positions, the
+    # last keeping the rest: a term at offset j of row i weighs 2**(chunk*i
+    # + j), so the rows sum to k exactly, at the track edges, at n - 1, at
+    # the widest k the bound check admits, whose carry digit past t*chunk
+    # the last row holds, and at random 160-bit k
     chunk = -(-N // t)
+    widest = (1 << (t * chunk + 1)) - 1
     for k in [*cut_edges(t, N, curve.order_n), *(rng.getrandbits(N) for _ in range(20))]:
         rows = scalarmul._track_rows(k, t, w, N)
         assert len(rows) == t
-        assert all(len(row) <= chunk for row in rows[:-1]), (t, w, k)
+        for i, row in enumerate(rows):
+            offsets = [j for j, _ in row]
+            assert offsets == sorted(set(offsets)) and all(j >= 0 for j in offsets), (t, w, k)
+            assert i == t - 1 or all(j < chunk for j in offsets), (t, w, k)
         assert sum(d << (chunk * i + j) for i, row in enumerate(rows)
-                   for j, d in enumerate(row)) == k, (t, w, k)
+                   for j, d in row) == k, (t, w, k)
+        assert sum(map(len, rows)) == len(wmof_recode(k, w))
+    # all ones of t*chunk + 1 bits: -1 at the bottom, then the carry, +1 at
+    # position t*chunk + 1, offset chunk + 1 of the last row
+    assert scalarmul._track_rows(widest, t, w, N)[-1][-1] == (chunk + 1, 1)
     with pytest.raises(TableMismatch):
         scalarmul._track_rows(1 << (t * chunk + 1), t, w, N)
 
@@ -171,7 +208,7 @@ def test_interleave_cut_matches_oracle_on_tiny_curves(t, tiny_curve, tiny_curve_
         ks = [*cut_edges(t, 13, c.order_n), *range(256),
               *range(c.order_n - 128, c.order_n + 128), *range(top - 256, top)]
         ks += [(1 << (i * chunk)) + d for i in range(1, t) for d in range(-2, 3)]
-        for w in (2, 3, 4):
+        for w in WIDTHS:
             check_track_cut(c, t, w, ks)
 
 
@@ -188,14 +225,15 @@ def test_table_points_validated(curve, tiny_curve, tiny_curve_a2, rng):
     # the builder checks nothing itself: every lookup entry of every (t, w),
     # the stored points and their mirrors, is d * 2**(i*chunk) times its
     # base, against binary multiplication on secp160r1 (the generator and
-    # another base) and against the affine oracle on both small curves
+    # another base) and against the affine oracle on both 13-bit curves and
+    # on small7, where width 5's 15*G passes the field's 7 bits
     P = to_affine(mul_binary(rng.getrandbits(N), curve.G))
     multipliers = [(B, lambda k, B=B: jac_tuple(mul_binary(k, B))) for B in (curve.G, P)]
     multipliers += [(c.G, lambda k, c=c: o_mul(k, as_tuple(c.G), *o_of(c)))
-                    for c in (tiny_curve, tiny_curve_a2)]
+                    for c in (tiny_curve, tiny_curve_a2, make_tiny(SMALL7, "small7"))]
     for base, multiply in multipliers:
         for t in range(1, 6):
-            for w in range(2, 5):
+            for w in WIDTHS:
                 table = build_table(base, t, w)
                 for i, lookup in enumerate(table.signed):
                     assert sorted(lookup) == [d for d in range(1 - (1 << (w - 1)), 1 << (w - 1))
@@ -292,8 +330,8 @@ def test_fixed_base_table_keeps_one_table_per_base(rng):
     c = builtin_curve()
     G_table = fixed_base_table(c.G)
     assert default_table(c) is G_table and (G_table.t, G_table.w) == FIXED_BASE_SHAPE
-    # per track its base and 3, 5 and 7 times it: 16*4 points, G among them
-    assert G_table.extra_points == 63
+    # per track its base and 3, 5, ..., 15 times it: 16*8 points, G among them
+    assert G_table.extra_points == 127
     P, Q = (to_affine(mul_binary(rng.getrandbits(N), c.G)) for _ in range(2))
     P_table = fixed_base_table(P)
     Q_table = fixed_base_table(Q)
@@ -327,7 +365,7 @@ def test_signed_one(curve):
 
 
 def test_signed_matches_binary(curve, rng):
-    for w in (2, 3, 4):
+    for w in WIDTHS:
         for _ in range(10):
             k = rng.getrandbits(N)
             assert ec_eq(mul_signed(k, curve.G, w), mul_binary(k, curve.G))
@@ -347,7 +385,7 @@ def test_signed_addition_count(curve, rng):
 
 def test_negative_scalars_rejected(curve):
     table = default_table(curve)
-    for w in (2, 3, 4):
+    for w in WIDTHS:
         with pytest.raises(ValueError):
             mul_signed(-1, curve.G, w)
     with pytest.raises(ValueError):
@@ -385,7 +423,7 @@ def test_scan_matches_oracle_across_the_tiny_group_order(tiny_curve, monkeypatch
     monkeypatch.setattr(scalarmul, "ec_add_jjj", counting_jjj)
     ks = range(8221 - 256, 8221 + 256)
     runs = [(f"w={w}", lambda k, w=w: mul_signed(k, tiny_curve.G, w), lambda k: k)
-            for w in (2, 3, 4)]
+            for w in WIDTHS]
     runs.append(("interleave", lambda k: mul_interleave(k, p_table, k % 256),
                  lambda k: 2 * k + k % 256))
     for name, multiply, scalar in runs:

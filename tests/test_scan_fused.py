@@ -13,7 +13,6 @@ multiplications that each cached entry saves add-2007-bl.
 
 import random
 from collections import Counter
-from itertools import compress
 
 import pytest
 from conftest import ForcedK, as_tuple, jac_tuple, o_mul, o_of
@@ -57,16 +56,18 @@ class ReferenceScan:
     ec_add_jjj, skipping the identity.  general counts the Jacobian
     additions that ec_add_jjj runs by add-2007-bl (both operands at Z
     other than 0 and 1, distinct x), computing the Z**2 and Z**3 of the
-    entry that the inline scan reads from its cache."""
+    entry that the inline scan reads from its cache.  Rows are (position,
+    digit) terms, as the inline scan takes them; the chain runs from the
+    highest position down, doubling through each position."""
 
     def __init__(self):
         self.general = 0
 
     def __call__(self, curve, rows, lookups):
-        adds = [()] * max(map(len, rows))
+        adds = [()] * (max((i for row in rows for i, _ in row), default=-1) + 1)
         jadds = adds.copy()
         for row, lookup in zip(rows, lookups):
-            for i, d in compress(enumerate(row), row):
+            for i, d in row:
                 pt = lookup[d]
                 if isinstance(pt, tuple):
                     # ec_add_jjj(R, identity) would be the identity's
@@ -148,11 +149,12 @@ def test_sweep_across_the_tiny_group_order(name, request, monkeypatch):
     p, a = o_of(c)
     g = as_tuple(c.G)
     P = to_affine(mul_binary(2, c.G))
-    p_table = build_table(P, 4, 4)
     default_table(c)  # the m row's table, built outside the compared tallies
-    runs = [(lambda k, w=w: [mul_signed(k, c.G, w)], lambda k: k) for w in (2, 3, 4)]
-    runs.append((lambda k: [mul_interleave(k, p_table, k % 256)],
-                 lambda k: 2 * k + k % 256))
+    runs = [(lambda k, w=w: [mul_signed(k, c.G, w)], lambda k: k) for w in (2, 3, 4, 5)]
+    for w in (4, 5):
+        p_table = build_table(P, 4, w)
+        runs.append((lambda k, p_table=p_table: [mul_interleave(k, p_table, k % 256)],
+                     lambda k: 2 * k + k % 256))
     steps = Steps()
     for multiply, scalar in runs:
         for k in range(c.order_n - 256, c.order_n + 256):
@@ -223,11 +225,11 @@ def test_secp160r1_unmasking(monkeypatch):
 @pytest.mark.parametrize("name", ["tiny_curve", "tiny_curve_a2", "curve"])
 def test_identity_lookup_entries_add_nothing(name, request, monkeypatch):
     # a row over the identity beside a row over G: the identity's entries,
-    # affine or (width 4) Jacobian, meet an accumulator that is not the
-    # identity, and change nothing
+    # affine or (widths 4 and 5) Jacobian, meet an accumulator that is not
+    # the identity, and change nothing
     c = request.getfixturevalue(name)
     p, a = o_of(c)
-    for w in (2, 4):
+    for w in (2, 4, 5):
         rows = [wmof_recode(1000, w), wmof_recode(77, w)]
         lookups = [_signed_lookup(c.G, w), _signed_lookup(AffinePoint.identity(c), w)]
         for order in (slice(None), slice(None, None, -1)):

@@ -4,8 +4,9 @@ Point addition takes its first operand in affine and its second in Jacobian
 coordinates and yields Jacobian (the cheapest mixed form); doubling is
 Jacobian in and out.  The sensing path never inverts: equality and special
 cases are decided by cross-multiplication.  Conversion back to affine is
-for table builds, serialization and the reader, and to_affine_batch is the
-one routine that does it, sharing one inversion across its points.
+for table builds, serialization and the reader.  to_affine_batch does it,
+sharing one inversion across its points, everywhere but in
+elgamal.ct_to_bytes, which normalizes a ciphertext's R and S pair inline.
 
 A point with Z = 0 is the group identity in Jacobian coordinates; affine
 points carry an explicit infinity flag instead.

@@ -11,8 +11,8 @@ number of bits (24 by default, at most MAX_SEARCH_BITS).
 The reader's public key Y is as fixed as G, so both encryption
 multiplications run over the tables fixed_base_table caches: keygen builds
 Y's table along with Y (the reader provisions sensors with both), and
-S = k*Y + m*G is one doubling chain, m's recoding riding on the generator
-table's first track (Shamir's trick).
+S = k*Y + m*G is one doubling chain, m's recoding dealt over the generator
+table's tracks (Shamir's trick).
 
 The search is baby-step/giant-step at every bound, over one baby/giant
 table cached per curve: the one for the largest stride asked for so far,
@@ -56,14 +56,7 @@ from .curve import (
 )
 from .errors import BadConfig, BadEncoding, MessageTooLarge, NotFound
 from .field import mod_inv, mod_inv_batch
-from .scalarmul import (
-    _track_rows,
-    default_table,
-    fixed_base_table,
-    mul_binary,
-    mul_interleave,
-    mul_signed,
-)
+from .scalarmul import default_table, fixed_base_table, mul_binary, mul_interleave, mul_signed
 from .textcfg import parse_kv, read_text
 
 DEFAULT_MAX_BITS = 24
@@ -447,25 +440,21 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
 def encrypt(public_Y: AffinePoint, m: int, rng) -> Ciphertext:
     """Fresh-randomness encryption of m < 2**DEFAULT_MAX_BITS under the public point.
 
-    Both multiplications run over the (16, 5) tables that fixed_base_table
-    caches: R = k*G over the curve's generator table, and S = k*Y + m*G in
-    one doubling chain over Y's table, m's row over the generator table's
-    first track.  The two tables share their shape, so k is recoded once,
-    at width 5, and its terms dealt once into sixteen rows of 10 positions
-    (mul_interleave keeps the last deal), which serve both chains.  The
-    memo is cleared before returning: k strips S to m*G (S - k*Y), so a
-    captured node must hold no k.  A key from this process's keygen finds
-    its table built; any other key, such as one from load_public_key, pays
-    one table build on first use.
+    Both multiplications run over the FIXED_BASE_SHAPE tables that
+    fixed_base_table caches: R = k*G over the curve's generator table, and
+    S = k*Y + m*G in one doubling chain over Y's table, m's terms dealt
+    over the generator table's tracks.  Each chain recodes k for itself and
+    nothing keeps it: k strips S to m*G (S - k*Y), so a captured node must
+    hold no k.  A key from this process's keygen finds its table built; any
+    other key, such as one from load_public_key, pays one table build on
+    first use.
     """
     if m < 0 or m.bit_length() > DEFAULT_MAX_BITS:
         raise MessageTooLarge(f"message must be in [0, 2**{DEFAULT_MAX_BITS})")
     curve = public_Y.curve
     y_table = fixed_base_table(public_Y)
     k = rng.randrange(1, curve.order_n)
-    ct = Ciphertext(mul_interleave(k, default_table(curve)), mul_interleave(k, y_table, m))
-    _track_rows.cache_clear()
-    return ct
+    return Ciphertext(mul_interleave(k, default_table(curve)), mul_interleave(k, y_table, m))
 
 
 def ct_add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:

@@ -3,12 +3,13 @@
 mul_binary, left-to-right double-and-add, is the independent reference:
 keygen, message mapping and curve validation run on it, and the tests
 compare every other multiplier and every table against it.  mul_signed and
-mul_interleave only build rows of nonzero signed terms, each over its
-base's signed odd multiples, and return one scan over them: a single
-shared doubling chain and one addition per term, its hot formulas copied
-from the curve module to run inline on local integers.  A table's
-multiples are affine, normalized once at build time, and take a mixed
-addition; mul_signed builds its few on every call and keeps them
+mul_interleave only recode their scalars into nonzero signed terms, each
+scalar given with its tracks' lookups of signed odd multiples, and return
+one scan over them: it deals the terms into tracks as it buckets them, and
+runs a single shared doubling chain and one addition per term, its hot
+formulas copied from the curve module to run inline on local integers.  A
+table's multiples are affine, normalized once at build time, and take a
+mixed addition; mul_signed builds its few on every call and keeps them
 Jacobian with their Z**2 and Z**3 cached, so it never inverts, and each
 takes add-2007-bl at 14 multiplications.
 
@@ -20,8 +21,8 @@ recoding is kept as its nonzero terms, (position, digit) pairs, so
 neither the recoder nor the scan visits a zero digit.
 
 For a fixed base the interleaved method also cuts doublings: the scalar is
-recoded once and its terms are dealt into t rows of n/t positions, one row
-per track over its own shifted base 2**((i-1)*n/t) * G, so the chain is
+recoded once and its terms are dealt into t tracks of n/t positions, each
+over its own shifted base 2**((i-1)*n/t) * G, so the chain is
 n/t steps long (Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 3.42).
 The shifted bases and the odd multiples needed by widths above 2 are
 precomputed, the bases normalized together and then the multiples of
@@ -29,14 +30,13 @@ every track; beyond the generator itself that is (t-1) + t*(2**(w-2) - 1)
 stored points, kept as one signed-digit lookup per track.  Any fixed
 point can be the base: every encryption runs k*G and k*Y over the
 FIXED_BASE_SHAPE tables that fixed_base_table caches.  mul_interleave
-folds m*G into the k*Y chain as one more row over the first track of the
-generator's table (Shamir's trick).  Both tables have the same shape, so
-one recoding of k, dealt once, serves both chains.
+folds m*G into the k*Y chain (Shamir's trick): m's terms are dealt over
+the generator's tracks as k's are over P's, so m shares k's chain of
+about n/t doublings however wide it is.  Nothing is kept between calls:
+each of encrypt's two chains recodes k for itself.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .counters import counters
 from .curve import (
@@ -221,26 +221,44 @@ def default_table(curve: CurveParams) -> PrecompTable:
     return fixed_base_table(curve.G)
 
 
-def _scan(curve: CurveParams, rows: list[tuple[tuple[int, int], ...]],
-          lookups: list[dict]) -> JacobianPoint:
-    """Sum of each row's (position, digit) terms, d * 2**position times its
-    lookup's base: additions grouped by position, identity entries skipped,
-    and the chain sized from the highest term, so no zero digit is walked.
+def _scan(curve: CurveParams, scalars: list[tuple[tuple, tuple[dict, ...], int]]) -> JacobianPoint:
+    """Sum of every scalar's (position, digit) terms, each scalar given with
+    its tracks' lookups and its track width, chunk: a term at position pos
+    goes to track r = min(pos // chunk, t - 1), at offset pos - r*chunk, and
+    weighs d * 2**offset times that track's base.  The last track takes
+    every term from (t-1)*chunk up, so a carry digit, or a scalar past the
+    design width, stays exact; with one track, every term sits at its own
+    position, whatever the chunk.  Additions are grouped by offset and
+    identity entries skipped.  The chain is sized from the highest offset a
+    scalar's terms can reach, its top term's in the last track and below
+    both chunk and the top position in the others, so no zero digit is
+    walked and an empty top offset only doubles the identity, which is free.
     A lookup entry is an AffinePoint or, for mul_signed's odd multiples, a
-    Jacobian tuple (X, Y, Z, Z**2, Z**3); a position adds its affine entries
-    first, then its Jacobian ones, each kind in row order.  The accumulator
-    is three ints: an a = -3 doubling with Z and Y nonzero (dbl-2001-b), a
-    mixed addition of distinct x (madd-2007-bl) and an add-2007-bl of
-    distinct x over a Jacobian entry's cached Z powers (14 multiplications,
-    against 16) run inline, tallied once at the end, and every other step
-    goes through ec_dbl_jj, ec_add_ajj or ec_add_jjj.  An accumulator at Z
-    = 1 meeting a Jacobian entry also takes ec_add_jjj, whose mixed
-    addition gives it other coordinates than the general formula would."""
-    adds = [()] * (max((row[-1][0] for row in rows if row), default=-1) + 1)
+    Jacobian tuple (X, Y, Z, Z**2, Z**3); an offset adds its affine entries
+    first, then its Jacobian ones, each kind in scalar, then position,
+    order.  The accumulator is three ints: an a = -3 doubling with Z and Y
+    nonzero (dbl-2001-b), a mixed addition of distinct x (madd-2007-bl)
+    and an add-2007-bl of distinct x over a Jacobian entry's cached Z
+    powers (14 multiplications, against 16) run inline, tallied once at the
+    end, and every other step goes through ec_dbl_jj, ec_add_ajj or
+    ec_add_jjj.  An accumulator at Z = 1 meeting a Jacobian entry also
+    takes ec_add_jjj, whose mixed addition gives it other coordinates than
+    the general formula would."""
+    size = 0
+    for terms, lookups, chunk in scalars:
+        if terms:
+            top = terms[-1][0]
+            size = max(size, top - (len(lookups) - 1) * chunk + 1, min(top, chunk - 1) + 1)
+    adds = [()] * size
     jadds = adds.copy()
-    for row, lookup in zip(rows, lookups):
-        for i, d in row:
-            pt = lookup[d]
+    for terms, lookups, chunk in scalars:
+        last = len(lookups) - 1
+        for pos, d in terms:
+            r = pos // chunk
+            if r > last:
+                r = last
+            pt = lookups[r][d]
+            i = pos - r * chunk
             if pt.__class__ is tuple:
                 if pt[2]:
                     jadds[i] += (pt,)
@@ -306,47 +324,26 @@ def _scan(curve: CurveParams, rows: list[tuple[tuple[int, int], ...]],
     return JacobianPoint(curve, X, Y, Z)
 
 
-@lru_cache(maxsize=1)
-def _track_rows(k: int, t: int, w: int,
-                n_bits: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """k, bound-checked, recoded at width w across its full width and its
-    terms dealt into the rows of the t tracks of an n_bits table,
-    ceil(n_bits/t) positions each: a term at offset j of row i weighs
-    2**(chunk*i + j).  The last row takes every term from (t-1)*chunk up,
-    so a carry digit, or a k past the design width, stays exact.  Tracks
-    recoded apart would each restart the recoding at their edge, often with
-    a carry digit: 71.1 additions per encryption on secp160r1 at width 4,
-    against 64.9 for the one recoding cut.
-
-    The last result is kept until the next call, or until encrypt clears it:
-    encrypt multiplies one k over two tables of the same shape (G's and the
-    public key's), and its second multiplication reuses the first one's rows.
-    """
-    chunk = -(-n_bits // t)
-    if k.bit_length() > t * chunk + 1:
-        raise TableMismatch(f"{k.bit_length()}-bit scalar exceeds table designed for {n_bits} bits")
-    rows = [[] for _ in range(t)]
-    last = t - 1
-    for pos, d in wmof_recode(k, w):
-        row = pos // chunk
-        if row > last:
-            row = last
-        rows[row].append((pos - row * chunk, d))
-    return tuple(map(tuple, rows))
-
-
 def mul_interleave(k: int, table: PrecompTable, m: int = 0) -> JacobianPoint:
-    """k*P + m*G over P's precomputed table: k's terms dealt into t rows,
-    one doubling chain.  A nonzero m is one more row over the first track
-    of the generator's table (Shamir's trick), sharing the chain, so a
-    short m adds its terms and no doubling."""
-    rows = list(_track_rows(k, table.t, table.w, table.curve.field.n))
-    lookups = list(table.signed)
+    """k*P + m*G over P's precomputed table: k, bound-checked, recoded once
+    across its full width and its terms dealt into the table's t tracks of
+    ceil(n/t) positions, one doubling chain.  Tracks recoded apart would
+    each restart the recoding at their edge, often with a carry digit: 71.1
+    additions per encryption on secp160r1 at width 4, against 64.9 for the
+    one recoding dealt.  A nonzero m is recoded too and dealt over the
+    generator's table the same way (Shamir's trick), sharing the chain: m
+    adds its terms, and a doubling only where its highest offset passes
+    k's."""
+    curve = table.curve
+    n_bits = curve.field.n
+    chunk = -(-n_bits // table.t)
+    if k.bit_length() > table.t * chunk + 1:
+        raise TableMismatch(f"{k.bit_length()}-bit scalar exceeds table designed for {n_bits} bits")
+    scalars = [(wmof_recode(k, table.w), table.signed, chunk)]
     if m:
-        g_table = default_table(table.curve)
-        rows.append(wmof_recode(m, g_table.w))
-        lookups.append(g_table.signed[0])
-    return _scan(table.curve, rows, lookups)
+        g_table = default_table(curve)
+        scalars.append((wmof_recode(m, g_table.w), g_table.signed, -(-n_bits // g_table.t)))
+    return _scan(curve, scalars)
 
 
 def mul_signed(k: int, P: AffinePoint, w: int) -> JacobianPoint:
@@ -356,7 +353,7 @@ def mul_signed(k: int, P: AffinePoint, w: int) -> JacobianPoint:
     their few odd multiples on the fly and scan them in Jacobian form, so
     no width spends an inversion.
     """
-    return _scan(P.curve, [wmof_recode(k, w)], [_signed_lookup(P, w)])
+    return _scan(P.curve, [(wmof_recode(k, w), (_signed_lookup(P, w),), 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ from ecagg.errors import (
     NotFound,
     OffCurvePoint,
 )
-from ecagg import scalarmul
+from ecagg import elgamal, scalarmul
 from ecagg.scalarmul import default_table, fixed_base_table, mul_binary, mul_interleave
 
 
@@ -446,10 +446,10 @@ def test_shamir_edges_round_trip(curve, keys, m, max_bits):
 @pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "secp160r1"])
 def test_encrypt_shares_one_recoding_of_k(tiny, tiny_curve, monkeypatch):
     # R and S are, to the Jacobian coordinate, the two interleaved
-    # multiplications k*G and k*Y + m*G, for m with no row, one digit, a
-    # byte, and rows as long as and longer than secp160r1's 10-step chain;
-    # and k is recoded once, whole, with no split into tracks, a nonzero m
-    # once more
+    # multiplications k*G and k*Y + m*G, for m with no terms, one digit, a
+    # byte, and terms past the first track and past secp160r1's 10-step
+    # chain; and each chain recodes k once, whole, with no split into
+    # tracks, S's chain a nonzero m once more
     recoded = []
     recode = scalarmul.wmof_recode
 
@@ -466,9 +466,7 @@ def test_encrypt_shares_one_recoding_of_k(tiny, tiny_curve, monkeypatch):
         k = rng.randrange(1, c.order_n)
         recoded.clear()
         ct = encrypt(Y, m, ForcedK(k))
-        assert recoded == [k] + [m] * (m > 0), m
-        # the references recode k afresh
-        scalarmul._track_rows.cache_clear()
+        assert recoded == [k, k] + [m] * (m > 0), m
         R, S = mul_interleave(k, g_table), mul_interleave(k, y_table, m)
         assert (ct.R.X, ct.R.Y, ct.R.Z) == (R.X, R.Y, R.Z), m
         assert (ct.S.X, ct.S.Y, ct.S.Z) == (S.X, S.Y, S.Z), m
@@ -493,11 +491,13 @@ def test_encrypt_decrypt_on_curves_narrower_than_the_shape(name):
     assert decrypt(keys.secret_x, ct_from_bytes(ct_to_bytes(total), c), 1000) == 1000
 
 
-def test_encrypt_keeps_no_recoding_of_k(curve, keys):
-    # S - k*Y = m*G: whoever holds k reads m, so once encrypt returns, the
-    # memo that shared k's rows between its two chains holds nothing
-    encrypt(keys.public_Y, 200, ForcedK(0xC0FFEE))
-    assert scalarmul._track_rows.cache_info().currsize == 0
+def test_encrypt_keeps_no_recoding_of_k():
+    # S - k*Y = m*G: whoever holds k reads m, so nothing on encrypt's path
+    # may outlive the call holding k; no function of the multipliers or the
+    # scheme is memoized (functools caches carry cache_info)
+    memoized = [f"{module.__name__}.{name}" for module in (scalarmul, elgamal)
+                for name, value in vars(module).items() if hasattr(value, "cache_info")]
+    assert memoized == []
 
 
 def test_hostile_keys_and_randomizers_round_trip():

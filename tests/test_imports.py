@@ -51,11 +51,7 @@ def test_check_sees_unused_and_used_names():
 
 # (importing module, module.name): why it stays; a pair no longer needed
 # leaves the list
-ALLOWED_PRIVATE = {
-    ("elgamal", "scalarmul._track_rows"):
-        "encrypt clears the one-entry recoding memo of k, until one pass over "
-        "both of encrypt's chains replaces it",
-}
+ALLOWED_PRIVATE = {}
 
 
 def private_imports(source: str) -> list[str]:
@@ -103,7 +99,7 @@ def test_private_check_sees_imports_and_module_attributes():
               "from ecagg.counters import _totals, __doc__\n"
               "from ecagg import aggsim\n"
               "from .curve import lift\n"
-              "x = sm._track_rows(1), curve.lift, os._exit, lift._hidden, self._tables\n"
+              "x = sm._scan(1), curve.lift, os._exit, lift._hidden, self._tables\n"
               "y = aggsim._parse_node\n")
     assert sorted(private_imports(source)) == [
-        "aggsim._parse_node", "counters._totals", "field._reduce", "scalarmul._track_rows"]
+        "aggsim._parse_node", "counters._totals", "field._reduce", "scalarmul._scan"]

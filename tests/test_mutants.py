@@ -1,16 +1,17 @@
 """Mutation gate: the oracles below catch every named mutant of the group
-law, normalization, the scan and its lookups, the recoding and its cut
-into tracks, the search, the sign of a baby hit, the search tables' +-
-build and table import.
+law, normalization, the scan and its lookups, the recoding and the deal of
+k's and m's terms into tracks, the search, the sign of a baby hit, the
+search tables' +- build and table import.
 
 A mutant replaces one node of one function's syntax tree: the expression
 or statement whose source reads ``old`` becomes ``new``.  The edited
-function is defined again, decorators included, over its module's own
-globals and patched, with monkeypatch, over the original in every ecagg
-module that holds it.  The sub-suite must then fail, by a failed check or
-by an error, and it must pass on the unmutated program.  It builds its own
-curves, so no table or search cache that the unmutated code built can hide
-a mutant.
+function is defined again over its module's own globals and patched,
+with monkeypatch, over the original in every ecagg module that holds it.
+The sub-suite must then fail, by a failed check or by an error, and it
+must pass on the unmutated program.  It builds its own curves, so no table
+or search cache that the unmutated code built can hide a mutant.  It calls
+mul_interleave, which mutants replace, through its module: a name
+imported into this file would keep the original.
 
 A mutant that survives is a gap in the checks: make them stronger, never
 drop the mutant.
@@ -51,7 +52,6 @@ from ecagg.scalarmul import (
     build_table,
     default_table,
     mul_binary,
-    mul_interleave,
     mul_signed,
     table_to_bytes,
     wmof_recode,
@@ -86,7 +86,7 @@ MUTANTS = {
     "terms-position-lags-shift": (scalarmul, "wmof_recode", "pos += w", "pos += w - 1"),
     "terms-zero-run-one-long": (scalarmul, "wmof_recode", "(k & -k).bit_length() - 1",
                                 "(k & -k).bit_length()"),
-    "scan-chain-sized-from-lowest-term": (scalarmul, "_scan", "row[-1][0]", "row[0][0]"),
+    "scan-chain-sized-from-lowest-term": (scalarmul, "_scan", "terms[-1][0]", "terms[0][0]"),
     "rmap-center-plus-j": (elgamal, "_baby_log", "-j", "j"),
     "sign-centre-index-one-off": (elgamal, "_baby_log", "(j + k_max) // span",
                                   "(j + k_max) // span + 1"),
@@ -140,14 +140,19 @@ MUTANTS = {
     "giants-floor-half": (elgamal, "bsgs_cache", "(steps + 1) // 2", "steps // 2"),
     "table-import-skips-identity-check": (scalarmul, "table_from_bytes",
                                           "base.is_infinity", "False"),
-    "m-row-over-track-1": (scalarmul, "mul_interleave", "g_table.signed[0]",
-                           "g_table.signed[1]"),
-    "cut-last-row-drops-carry": (scalarmul, "_track_rows", "wmof_recode(k, w)",
-                                 "[term for term in wmof_recode(k, w) if term[0] < t * chunk]"),
-    "cut-chunk-floored": (scalarmul, "_track_rows", "-(-n_bits // t)", "n_bits // t"),
-    "cut-row-start-one-late": (scalarmul, "_track_rows", "row * chunk", "row * chunk + 1"),
-    "cut-offset-kept": (scalarmul, "_track_rows", "pos - row * chunk", "pos"),
-    "cut-last-row-unclamped": (scalarmul, "_track_rows", "row > last", "False"),
+    "m-row-over-track-1": (scalarmul, "mul_interleave", "g_table.signed",
+                           "g_table.signed[1:]"),
+    "m-dealt-onto-first-track": (scalarmul, "mul_interleave", "g_table.signed",
+                                 "g_table.signed[:1]"),
+    "m-dealt-at-tables-chunk": (scalarmul, "mul_interleave", "-(-n_bits // g_table.t)", "chunk"),
+    "cut-last-row-drops-carry": (scalarmul, "mul_interleave", "wmof_recode(k, table.w)",
+                                 "[term for term in wmof_recode(k, table.w) "
+                                 "if term[0] < table.t * chunk]"),
+    "cut-chunk-floored": (scalarmul, "mul_interleave", "-(-n_bits // table.t)",
+                          "n_bits // table.t"),
+    "cut-row-start-one-late": (scalarmul, "_scan", "r * chunk", "r * chunk + 1"),
+    "cut-offset-kept": (scalarmul, "_scan", "pos - r * chunk", "pos"),
+    "cut-last-row-unclamped": (scalarmul, "_scan", "r > last", "False"),
 }
 
 
@@ -172,7 +177,7 @@ def mutate(module, name, old, new):
             return self.generic_visit(node)
 
     tree = ast.fix_missing_locations(Swap().visit(tree))
-    # the definition runs with its decorators, over the module's globals
+    # the definition runs over the module's globals
     defined = {}
     exec(compile(tree, inspect.getsourcefile(module), "exec"), vars(module), defined)
     return defined[name]
@@ -190,6 +195,10 @@ def _secp160r1_round_trip():
     with tally() as ops:
         encrypt(keys.public_Y, 200, random.Random(7))
     assert [getattr(ops, f) for f in FIELDS] == [58, 20, 798, 0]
+    # and its 24-bit pin: m's terms dealt over G's tracks add no doubling
+    with tally() as ops:
+        encrypt(keys.public_Y, 0xABCDEF, random.Random(7))
+    assert [getattr(ops, f) for f in FIELDS] == [61, 20, 831, 0]
     cts = {m: ct_from_bytes(ct_to_bytes(encrypt(keys.public_Y, m, random.Random(m))), c)
            for m in (2038, 2058, 7)}
     for m, ct in cts.items():
@@ -270,9 +279,9 @@ def _tiny_odd_walk(c):
 def _identity_lookup(c):
     # a row over the identity beside a row over G adds nothing
     p, a = o_of(c)
-    rows = [wmof_recode(1000, 2), wmof_recode(77, 2)]
-    lookups = [_signed_lookup(c.G, 2), _signed_lookup(AffinePoint.identity(c), 2)]
-    assert jac_tuple(scalarmul._scan(c, rows, lookups)) == o_mul(1000, as_tuple(c.G), p, a)
+    scalars = [(wmof_recode(1000, 2), (_signed_lookup(c.G, 2),), 1),
+               (wmof_recode(77, 2), (_signed_lookup(AffinePoint.identity(c), 2),), 1)]
+    assert jac_tuple(scalarmul._scan(c, scalars)) == o_mul(1000, as_tuple(c.G), p, a)
     assert mul_signed(77, AffinePoint.identity(c), 2).is_infinity
 
 
@@ -287,8 +296,23 @@ def _tiny_sweep(c):
         for w in (2, 3, 4, 5):
             assert jac_tuple(mul_signed(k, c.G, w)) == want, (k, w)
         m = k % 256
-        got = mul_interleave(k, p_table, m)
+        got = scalarmul.mul_interleave(k, p_table, m)
         assert jac_tuple(got) == o_mul(2 * k + m, g, p, a), k
+
+
+def _wide_m_sweep(c):
+    # k*P + m*G for readings up to encrypt's 24 bits, wider than the tiny
+    # curves' field: m's terms are dealt over the generator table's one-bit
+    # tracks, every term from position 12 up on the last one
+    p, a = o_of(c)
+    g = as_tuple(c.G)
+    p_table = build_table(to_affine(mul_binary(2, c.G)), 4, 5)
+    rng = random.Random(c.name)
+    for bits in range(9, 25):
+        for m in ((1 << bits) - 1, 1 << (bits - 1), rng.getrandbits(bits)):
+            k = rng.randrange(c.order_n)
+            got = scalarmul.mul_interleave(k, p_table, m)
+            assert jac_tuple(got) == o_mul(2 * k + m, g, p, a), (k, m)
 
 
 def _signed_tally(c):
@@ -365,7 +389,6 @@ def _x_equal_p(c):
 
 
 def oracle_sub_suite():
-    scalarmul._track_rows.cache_clear()
     _secp160r1_round_trip()
     _secp160r1_walk()
     _x_equal_p(builtin_curve())
@@ -379,6 +402,7 @@ def oracle_sub_suite():
         check_ct_to_bytes_over_z_classes(c, random.Random(c.name))
         _identity_lookup(c)
         _tiny_sweep(c)
+        _wide_m_sweep(c)
         _signed_tally(c)
         _track_cut(c)
         _identity_base_table(c)

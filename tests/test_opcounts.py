@@ -20,7 +20,9 @@ moved to width 4 over Jacobian odd multiples.  The
 encrypt value was taken again when k*Y moved onto a (4,4) public-key table
 with m*G folded into its chain, once more when both tables became
 (8,4) and one recoding of k came to serve both chains, and again when they
-became (16,4) and again (16,5), and the fold value when serializing began
+became (16,4) and again (16,5); the wide-reading values were first
+taken when m's terms came to be dealt over the generator's tracks as k's
+are over Y's.  The fold value was taken again when serializing began
 sharing one inversion between R and S, and again when ec_add_jjj began
 taking mixed additions for operands at Z = 1.  The table build and import values
 were taken when building stopped re-deriving its points by binary
@@ -99,6 +101,20 @@ def test_encrypt_counts(keys):
     # 20*8 = 798
     _, ops = tally(encrypt, keys.public_Y, 200, random.Random(7))
     assert ops == (58, 20, 798, 0)
+
+
+@pytest.mark.parametrize("m, ops", [(0xBEEF, (59, 20, 809, 0)), (0xABCDEF, (61, 20, 831, 0))],
+                         ids=["16-bit", "24-bit"])
+def test_wide_reading_encrypt_counts(keys, m, ops):
+    # test_encrypt_counts' k with a 16-bit and a 24-bit reading, whose
+    # terms are dealt over the sixteen 10-position tracks of G's table as
+    # k's are over Y's.  0xBEEF recodes to 15 + -9*2**5 + 3*2**14, the last
+    # at offset 4 of track 1; 0xABCDEF to 15 + 15*2**5 - 13*2**10 + 11*2**18
+    # + 2**23, at offsets 0 and 5 of track 0, 0 and 8 of track 1 and 3 of
+    # track 2.  No term passes offset 9, so each chain still doubles 10
+    # times, and each term of m is one mixed addition more: ECADD 58 + 3 =
+    # 59 and 58 + 5 = 61, and 59*11 + 20*8 = 809, 61*11 + 20*8 = 831
+    assert tally(encrypt, keys.public_Y, m, random.Random(7))[1] == ops
 
 
 def test_encrypt_after_keygen_repeats_its_counts():

@@ -172,28 +172,30 @@ def test_split_chunk_widths():
 
 @pytest.mark.parametrize("t, w", CUT_SHAPES)
 def test_cut_rows_sum_to_k(curve, rng, t, w):
-    # k recoded once and its terms dealt into t rows of chunk positions, the
-    # last keeping the rest: a term at offset j of row i weighs 2**(chunk*i
-    # + j), so the rows sum to k exactly, at the track edges, at n - 1, at
-    # the widest k the bound check admits, whose carry digit past t*chunk
-    # the last row holds, and at random 160-bit k
+    # k recoded once and its terms dealt into t tracks of chunk positions,
+    # the last keeping the rest: a term at offset j of track i weighs
+    # 2**(chunk*i + j), so the product is k*G exactly, at the track edges,
+    # at n - 1, at the widest k the bound check admits, whose carry digit
+    # past t*chunk the last track holds, and at random 160-bit k.  Each
+    # term is one addition, the top one onto the identity, free, and the
+    # chain doubles once per offset below the highest term's, each term's
+    # track being the last that starts at or below its position
+    table = build_table(curve.G, t, w)
     chunk = -(-N // t)
     widest = (1 << (t * chunk + 1)) - 1
-    for k in [*cut_edges(t, N, curve.order_n), *(rng.getrandbits(N) for _ in range(20))]:
-        rows = scalarmul._track_rows(k, t, w, N)
-        assert len(rows) == t
-        for i, row in enumerate(rows):
-            offsets = [j for j, _ in row]
-            assert offsets == sorted(set(offsets)) and all(j >= 0 for j in offsets), (t, w, k)
-            assert i == t - 1 or all(j < chunk for j in offsets), (t, w, k)
-        assert sum(d << (chunk * i + j) for i, row in enumerate(rows)
-                   for j, d in row) == k, (t, w, k)
-        assert sum(map(len, rows)) == len(wmof_recode(k, w))
-    # all ones of t*chunk + 1 bits: -1 at the bottom, then the carry, +1 at
-    # position t*chunk + 1, offset chunk + 1 of the last row
-    assert scalarmul._track_rows(widest, t, w, N)[-1][-1] == (chunk + 1, 1)
+    for k in [*(rng.getrandbits(N) for _ in range(10)), *cut_edges(t, N, curve.order_n)]:
+        terms = wmof_recode(k, w)
+        offsets = [pos - max(i for i in range(t) if i * chunk <= pos) * chunk for pos, _ in terms]
+        with tally() as ops:
+            Q = mul_interleave(k, table)
+        assert ec_eq(Q, mul_binary(k, curve.G)), (t, w, k)
+        assert ops.ecadd == max(len(terms) - 1, 0), (t, w, k)
+        assert ops.ecdbl == max(offsets, default=0), (t, w, k)
+    # the last, all ones of t*chunk + 1 bits: -1 at the bottom, then the
+    # carry, +1 at position t*chunk + 1, offset chunk + 1 of the last track
+    assert k == widest and max(offsets) == chunk + 1
     with pytest.raises(TableMismatch):
-        scalarmul._track_rows(1 << (t * chunk + 1), t, w, N)
+        mul_interleave(1 << (t * chunk + 1), table)
 
 
 @pytest.mark.parametrize("t", [1, 3, 13])
@@ -455,7 +457,7 @@ def test_table_file_roundtrip(curve, tmp_path):
     data = table_to_bytes(table)
     loaded = table_from_bytes(data, curve)
     assert table_to_bytes(loaded) == data
-    # the track width follows from the curve and t, as _track_rows derives it
+    # the track width follows from the curve and t, as mul_interleave derives it
     assert (loaded.curve.field.n, loaded.t, loaded.w) == (160, 3, 3)
     assert loaded.stored_points() == table.stored_points()
     k = 0x1234567890ABCDEF1234567890ABCDEF12345678

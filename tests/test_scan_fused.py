@@ -56,26 +56,33 @@ class ReferenceScan:
     ec_add_jjj, skipping the identity.  general counts the Jacobian
     additions that ec_add_jjj runs by add-2007-bl (both operands at Z
     other than 0 and 1, distinct x), computing the Z**2 and Z**3 of the
-    entry that the inline scan reads from its cache.  Rows are (position,
-    digit) terms, as the inline scan takes them; the chain runs from the
-    highest position down, doubling through each position."""
+    entry that the inline scan reads from its cache.  Scalars are (terms,
+    track lookups, chunk), as the inline scan takes them, and are split
+    into rows here on their own: a term's track is the last one that starts
+    at or below its position, track i starting at i*chunk, and its offset
+    is its distance from that start.  The chain runs from the highest
+    offset down, doubling through each offset."""
 
     def __init__(self):
         self.general = 0
 
-    def __call__(self, curve, rows, lookups):
-        adds = [()] * (max((i for row in rows for i, _ in row), default=-1) + 1)
+    def __call__(self, curve, scalars):
+        rows = []
+        for terms, lookups, chunk in scalars:
+            starts = [i * chunk for i in range(len(lookups))]
+            for pos, d in terms:
+                i = max(i for i, start in enumerate(starts) if start <= pos)
+                rows.append((pos - starts[i], lookups[i][d]))
+        adds = [()] * (max((j for j, _ in rows), default=-1) + 1)
         jadds = adds.copy()
-        for row, lookup in zip(rows, lookups):
-            for i, d in row:
-                pt = lookup[d]
-                if isinstance(pt, tuple):
-                    # ec_add_jjj(R, identity) would be the identity's
-                    # coordinates where R is the identity too
-                    if pt[2]:
-                        jadds[i] += (JacobianPoint(curve, *pt[:3]),)
-                else:
-                    adds[i] += (pt,)
+        for j, pt in rows:
+            if isinstance(pt, tuple):
+                # ec_add_jjj(R, identity) would be the identity's
+                # coordinates where R is the identity too
+                if pt[2]:
+                    jadds[j] += (JacobianPoint(curve, *pt[:3]),)
+            else:
+                adds[j] += (pt,)
         R = JacobianPoint.infinity(curve)
         for points, jpoints in zip(reversed(adds), reversed(jadds)):
             R = ec_dbl_jj(R)
@@ -230,11 +237,11 @@ def test_identity_lookup_entries_add_nothing(name, request, monkeypatch):
     c = request.getfixturevalue(name)
     p, a = o_of(c)
     for w in (2, 4, 5):
-        rows = [wmof_recode(1000, w), wmof_recode(77, w)]
-        lookups = [_signed_lookup(c.G, w), _signed_lookup(AffinePoint.identity(c), w)]
+        scalars = [(wmof_recode(1000, w), (_signed_lookup(c.G, w),), 1),
+                   (wmof_recode(77, w), (_signed_lookup(AffinePoint.identity(c), w),), 1)]
         for order in (slice(None), slice(None, None, -1)):
             inline, reference, _ = run_both(
-                monkeypatch, lambda: [scalarmul._scan(c, rows[order], lookups[order])])
+                monkeypatch, lambda: [scalarmul._scan(c, scalars[order])])
             assert inline == reference, w
             Q = JacobianPoint(c, *inline[0][0])
             assert jac_tuple(Q) == o_mul(1000, as_tuple(c.G), p, a), w

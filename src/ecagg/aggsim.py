@@ -1,9 +1,10 @@
 """Deterministic in-process simulation of concealed data aggregation.
 
 A scenario describes a tree: leaves hold sensor readings, aggregator nodes
-fold their children's ciphertexts, and the single reader at the root decrypts
-the final aggregate.  Leaves and aggregators only ever see the public key and
-ciphertext bytes; the secret key exists at the reader alone.  Every hop moves
+fold their children's ciphertexts (``fold``, the one aggregator hop, which
+``ecagg add`` runs too), and the single reader at the root folds its own
+and decrypts the final aggregate.  Leaves and aggregators only ever see the
+public key and ciphertext bytes; the secret key exists at the reader alone.  Every hop moves
 serialized bytes, so the wire format is exercised on each edge.
 
 Execution is single-threaded post-order traversal and fully determined by
@@ -128,6 +129,15 @@ def load_scenario(path) -> Scenario:
     return scenario_from_text(read_text(path, BadScenario, "scenario file"))
 
 
+def fold(children, curve) -> bytes:
+    """One aggregator hop: the children's ciphertext bytes decoded, added in
+    listed order onto the identity, and the sum serialized once."""
+    total = ct_identity(curve)
+    for data in children:
+        total = ct_add(total, ct_from_bytes(data, curve))
+    return ct_to_bytes(total)
+
+
 def run_round(tree: Scenario, keys: KeyPair, rng,
               max_bits: int = DEFAULT_MAX_BITS) -> RoundResult:
     """One aggregation round over the tree.
@@ -163,10 +173,7 @@ def run_round(tree: Scenario, keys: KeyPair, rng,
                 expected += reading
                 data = ct_to_bytes(encrypt(keys.public_Y, reading, rng))
             else:
-                folded = ct_identity(curve)
-                for child in node.children:
-                    folded = ct_add(folded, ct_from_bytes(ciphertexts[child], curve))
-                data = ct_to_bytes(folded)
+                data = fold([ciphertexts[child] for child in node.children], curve)
             if nid == tree.root:
                 recovered = decrypt(keys.secret_x, ct_from_bytes(data, curve), worst)
         ciphertexts[nid] = data

@@ -57,11 +57,8 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_add(args) -> int:
-    curve = builtin_curve()
-    total = elgamal.ct_identity(curve)
-    for path in args.inputs:
-        total = elgamal.ct_add(total, elgamal.ct_from_bytes(Path(path).read_bytes(), curve))
-    Path(args.out).write_bytes(elgamal.ct_to_bytes(total))
+    children = [Path(path).read_bytes() for path in args.inputs]
+    Path(args.out).write_bytes(aggsim.fold(children, builtin_curve()))
     return 0
 
 

@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 from ecagg import cli
-from ecagg.aggsim import parse_report
+from ecagg.aggsim import load_scenario, parse_report, run_round
 from ecagg.cli import main
 from ecagg.counters import FIELDS, tally
 from ecagg.curve import builtin_curve, to_affine
-from ecagg.elgamal import load_public_key, load_secret_key
+from ecagg.elgamal import keygen, load_public_key, load_secret_key
 from ecagg.errors import BadConfig
 from ecagg.scalarmul import mul_binary
 
@@ -190,7 +190,8 @@ def test_decrypt_search_ceiling(workspace, capsys):
         assert run_main("decrypt", "--sec", str(workspace / "k.sec"),
                         "--in", cts[0], "--max", bound) == 2
     capsys.readouterr()
-    # the widest bound builds the 2**18-point giant table once
+    # the widest bound runs N = 2**17 giant steps at stride 2**14 and builds
+    # their table of ceil(N/2) = 2**16 points once
     assert run_main("decrypt", "--sec", str(workspace / "k.sec"),
                     "--in", cts[0], "--max", str((1 << 32) - 1)) == 0
     assert capsys.readouterr().out.strip() == "77"
@@ -202,6 +203,20 @@ def test_add_single_file_reencodes(workspace):
     cts = encrypt_files(workspace, (9,))
     assert run_main("add", "--in", cts[0], "--out", str(workspace / "copy.ct")) == 0
     assert (workspace / "copy.ct").read_bytes() == (workspace / "m0.ct").read_bytes()
+
+
+def test_add_writes_the_rounds_aggregate(workspace):
+    # ecagg add runs the aggregator's hop: over a seeded demo round's four
+    # leaf ciphertexts it writes exactly the bytes that round's agg sent
+    rng = random.Random(7)
+    result = run_round(load_scenario(workspace / "demo.scenario"),
+                       keygen(rng, builtin_curve()), rng)
+    leaves = []
+    for nid in ("s1", "s2", "s3", "s4"):
+        (workspace / f"{nid}.ct").write_bytes(result.ciphertexts[nid])
+        leaves.append(str(workspace / f"{nid}.ct"))
+    assert run_main("add", "--in", *leaves, "--out", str(workspace / "agg.ct")) == 0
+    assert (workspace / "agg.ct").read_bytes() == result.ciphertexts["agg"]
 
 
 def test_encrypt_bad_pub_exits_2(workspace):

@@ -5,7 +5,8 @@ An aggregator cannot tell a hostile child from an honest one, since any two
 curve points encrypt some sum.  The generator below draws, as a fixed
 function of the curve's name, children that are identical, opposite, or
 the identity in one component.  It folds them the way aggregators do, some
-through the wire and some still Jacobian, and aims the total at the
+through the wire and some still Jacobian, and once more as one aggregator
+hop (aggsim.fold) over every child's wire bytes, and aims the total at the
 search's edges: exactly the bound, the bound + 1, n - 1, the centre of
 the first giant window, the negative of the last giant point the table
 stores, a stored giant point itself, and a match above the bound in the
@@ -24,7 +25,7 @@ from itertools import product
 import pytest
 from conftest import TINY, TINY_A2, as_tuple, jac_tuple, make_tiny, o_add, o_mul, o_of
 
-from ecagg import elgamal
+from ecagg import aggsim, elgamal
 from ecagg.counters import tally
 from ecagg.curve import JacobianPoint, builtin_curve, to_affine, to_affine_batch
 from ecagg.elgamal import (
@@ -69,11 +70,13 @@ def seeded(name):
 
 
 class Node:
-    """A ciphertext, the scalars it hides (R = k*G, S = (m + x*k)*G, mod n)
-    and the oracle's R and S."""
+    """A ciphertext, the scalars it hides (R = k*G, S = (m + x*k)*G, mod n),
+    the oracle's R and S, and the wire bytes of the children it sums, each
+    as often as it is summed."""
 
-    def __init__(self, ct, k, m, oR, oS):
+    def __init__(self, ct, k, m, oR, oS, children):
         self.ct, self.k, self.m, self.oR, self.oS = ct, k, m, oR, oS
+        self.children = children
 
     def check(self):
         assert jac_tuple(self.ct.R) == self.oR and jac_tuple(self.ct.S) == self.oS
@@ -93,7 +96,8 @@ class Case:
         k, m = k % self.n, m % self.n
         s = (m + self.x * k) % self.n
         ct = Ciphertext(mul_binary(k, self.c.G), mul_binary(s, self.c.G))
-        return Node(ct, k, m, o_mul(k, self.g, self.p, self.a), o_mul(s, self.g, self.p, self.a))
+        return Node(ct, k, m, o_mul(k, self.g, self.p, self.a), o_mul(s, self.g, self.p, self.a),
+                    [ct_to_bytes(ct)])
 
     def wire(self, node):
         """node as an aggregator receives it half the time: encoded and
@@ -112,7 +116,8 @@ class Case:
         ct = ct_add(left.ct, right.ct)
         node = Node(ct, (left.k + right.k) % self.n, (left.m + right.m) % self.n,
                     o_add(left.oR, right.oR, self.p, self.a),
-                    o_add(left.oS, right.oS, self.p, self.a))
+                    o_add(left.oS, right.oS, self.p, self.a),
+                    left.children + right.children)
         node.check()
         return self.wire(node)
 
@@ -133,7 +138,8 @@ class Case:
     def aggregate(self, total):
         """Hostile groups, each folded on its own, then the running total
         folded with each group, with itself or with its mirror; the last
-        child makes the hidden sum total."""
+        child makes the hidden sum total.  The same children, folded as
+        one aggregator folds its children's bytes, give the same R and S."""
         rng = self.rng
         acc = None
         for _ in range(rng.randint(1, 4)):
@@ -149,7 +155,10 @@ class Case:
             elif top == "mirror":
                 acc = self.fold(acc, self.wire(self.child(-acc.k, -acc.m)))
         last = self.child(rng.choice((0, rng.randrange(1, self.n))), total - acc.m)
-        return self.fold(acc, self.wire(last))
+        node = self.fold(acc, self.wire(last))
+        hop = ct_from_bytes(aggsim.fold(node.children, self.c), self.c)
+        assert jac_tuple(hop.R) == node.oR and jac_tuple(hop.S) == node.oS
+        return node
 
 
 def target(kind, rng, n, bound, stride):

@@ -36,6 +36,7 @@ import random
 
 import pytest
 
+from ecagg.aggsim import fold
 from ecagg.counters import counters
 from ecagg.curve import (
     AffinePoint,
@@ -50,9 +51,7 @@ from ecagg.curve import (
 )
 from ecagg.elgamal import (
     bsgs_cache,
-    ct_add,
     ct_from_bytes,
-    ct_identity,
     ct_to_bytes,
     decrypt,
     encrypt,
@@ -135,14 +134,7 @@ def test_encrypt_after_keygen_repeats_its_counts():
 def test_fold_and_serialize_counts(keys, curve):
     rng = random.Random(11)
     wire = [ct_to_bytes(encrypt(keys.public_Y, m, rng)) for m in (15, 16, 18, 14)]
-
-    def fold():
-        acc = ct_identity(curve)
-        for data in wire:
-            acc = ct_add(acc, ct_from_bytes(data, curve))
-        return ct_to_bytes(acc)
-
-    root, ops = tally(fold)
+    root, ops = tally(fold, wire, curve)
     # 8 decodes at 3 multiplies (24); per component, the first child lands
     # on the identity, free, the second meets it at Z = 1 (mmadd, 6) and
     # the third and fourth add at Z = 1 into the sum (madd, 11 each), 56 in

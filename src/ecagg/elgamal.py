@@ -548,7 +548,7 @@ def save_keypair(kp: KeyPair, prefix) -> tuple[Path, Path]:
     pub = Path(f"{prefix}.pub")
     sec = Path(f"{prefix}.sec")
     for path in (pub, sec):
-        if path.exists():
+        if os.path.lexists(path):
             raise BadConfig(f"{path} exists; refusing to overwrite a key file")
     pub.write_text(
         f"curve = {curve.name}\n"

@@ -4,21 +4,22 @@ mul_binary, left-to-right double-and-add, is the independent reference:
 keygen, message mapping and curve validation run on it, and the tests
 compare every other multiplier and every table against it.  mul_signed and
 mul_interleave only recode their scalars into nonzero signed terms, each
-scalar given with its tracks' lookups of signed odd multiples, and return
+scalar given with its tracks' lookups of odd multiples, and return
 one scan over them: it deals the terms into tracks as it buckets them, and
 runs a single shared doubling chain and one addition per term, its hot
 formulas copied from the curve module to run inline on local integers.  A
-table's multiples are affine, normalized once at build time, and take a
-mixed addition; mul_signed builds its few on every call and keeps them
-Jacobian with their Z**2 and Z**3 cached, so it never inverts, and each
-takes add-2007-bl at 14 multiplications.
+table's multiples are affine (x, y) ints, normalized once at build time,
+and take a mixed addition; mul_signed builds its few on every call and
+keeps them Jacobian with their Z**2 and Z**3 cached, so it never inverts,
+and each takes add-2007-bl at 14 multiplications.
 
 Signed recodings cut the number of additions: a width-w recoding has only
 odd digits no larger than 2**(w-1) - 1, at most one nonzero digit in any w
 consecutive positions, and an average nonzero fraction of 1/(1+w).
-Negative digits cost nothing extra: negating a point mirrors its y.  The
-recoding is kept as its nonzero terms, (position, digit) pairs, so
-neither the recoder nor the scan visits a zero digit.
+Negative digits cost nothing extra: each odd multiple is held once, and
+the scan mirrors its y for a negative digit.  The recoding is kept as its
+nonzero terms, (position, digit) pairs, so neither the recoder nor the
+scan visits a zero digit.
 
 For a fixed base the interleaved method also cuts doublings: the scalar is
 recoded once and its terms are dealt into t tracks of n/t positions, each
@@ -27,7 +28,7 @@ n/t steps long (Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 3.42).
 The shifted bases and the odd multiples needed by widths above 2 are
 precomputed, the bases normalized together and then the multiples of
 every track; beyond the generator itself that is (t-1) + t*(2**(w-2) - 1)
-stored points, kept as one signed-digit lookup per track.  Any fixed
+stored points, held per track at index |d| >> 1 of digit d.  Any fixed
 point can be the base: every encryption runs k*G and k*Y over the
 FIXED_BASE_SHAPE tables that fixed_base_table caches.  mul_interleave
 folds m*G into the k*Y chain (Shamir's trick): m's terms are dealt over
@@ -47,7 +48,6 @@ from .curve import (
     ec_add_ajj,
     ec_add_jjj,
     ec_dbl_jj,
-    ec_neg,
     lift,
     point_to_bytes,
     to_affine,
@@ -128,31 +128,30 @@ def _odd_chain(P: AffinePoint, w: int) -> list[JacobianPoint]:
     return chain
 
 
-def _signed_lookup(P: AffinePoint, w: int) -> dict:
-    """P's width-w lookup by signed digit, as mul_signed scans it: d -> d*P
-    and -d -> -(d*P) for odd d up to 2**(w-1) - 1.  P itself stays affine;
-    the multiples above it stay Jacobian, each with its Z**2 and Z**3
-    cached at 2 multiplications, so no inversion is spent and each scan
-    addition of one costs 14 multiplications."""
+def _signed_lookup(P: AffinePoint, w: int) -> tuple:
+    """P's width-w lookup as mul_signed scans it: d*P at index d >> 1 for
+    odd d up to 2**(w-1) - 1, None for the identity.  P is its affine
+    (x, y); the multiples above it stay Jacobian, (X, Y, Z, Z**2, Z**3)
+    with the Z powers cached at 2 multiplications, so no inversion is spent
+    and each scan addition of one costs 14 multiplications."""
     p = P.curve.field.p
-    lookup = {1: P, -1: ec_neg(P)}
+    lookup = [None if P.infinity else (P.x, P.y)]
     chain = _odd_chain(P, w)
     counters().fe_mul += 2 * len(chain)
-    for d, Q in zip(range(3, 1 << (w - 1), 2), chain):
+    for Q in chain:
         zz = Q.Z * Q.Z % p
-        zzz = zz * Q.Z % p
-        lookup[d] = (Q.X, Q.Y, Q.Z, zz, zzz)
-        lookup[-d] = (Q.X, -Q.Y % p, Q.Z, zz, zzz)
-    return lookup
+        lookup.append((Q.X, Q.Y, Q.Z, zz, zz * Q.Z % p) if Q.Z else None)
+    return tuple(lookup)
 
 
 class PrecompTable:
-    """Fixed-base table: per track, the signed lookup of its shifted base."""
+    """Fixed-base table: per track, d*B for its shifted base B and odd d up
+    to 2**(w-1) - 1 at index d >> 1, as (x, y) ints or None for the identity."""
 
     __slots__ = ("curve", "t", "w", "signed")
 
     def __init__(self, curve: CurveParams, t: int, w: int,
-                 signed: tuple[dict[int, AffinePoint], ...]):
+                 signed: tuple[tuple[tuple[int, int] | None, ...], ...]):
         self.curve = curve
         self.t = t
         self.w = w
@@ -160,15 +159,14 @@ class PrecompTable:
 
     def stored_points(self) -> list[AffinePoint]:
         """Every stored point: bases in track order, then odd multiples."""
-        pts = [lookup[1] for lookup in self.signed]
-        for lookup in self.signed:
-            pts += [lookup[d] for d in sorted(lookup) if d > 1]
-        return pts
+        pts = [lookup[0] for lookup in self.signed] + [pt for lk in self.signed for pt in lk[1:]]
+        return [AffinePoint(self.curve, *pt) if pt else AffinePoint.identity(self.curve)
+                for pt in pts]
 
     @property
     def extra_points(self) -> int:
         """Stored points beyond the generator itself."""
-        return len(self.stored_points()) - 1
+        return sum(map(len, self.signed)) - 1
 
 
 def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
@@ -195,17 +193,16 @@ def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
     bases = to_affine_batch(shifted)
     per = (1 << (w - 2)) - 1
     odd = to_affine_batch([Q for base in bases for Q in _odd_chain(base, w)]) if per else []
-    signed = []
-    for i, base in enumerate(bases):
-        lookup = dict(zip(range(1, 1 << (w - 1), 2), [base, *odd[i * per:(i + 1) * per]]))
-        signed.append({**lookup, **{-d: ec_neg(pt) for d, pt in lookup.items()}})
-    return PrecompTable(curve, t, w, tuple(signed))
+    signed = tuple(tuple(None if pt.infinity else (pt.x, pt.y)
+                         for pt in [base, *odd[i * per:(i + 1) * per]])
+                   for i, base in enumerate(bases))
+    return PrecompTable(curve, t, w, signed)
 
 
 def fixed_base_table(P: AffinePoint) -> PrecompTable:
     """The FIXED_BASE_SHAPE table for base P, 128 stored points, built on
     first use and kept on P's curve, one per base: each key beyond G costs
-    about 48 KB for as long as its curve lives (47,720 bytes by tracemalloc
+    about 21 KB for as long as its curve lives (21,376 bytes by tracemalloc
     on secp160r1).  A curve narrower than the shape's track count gets one
     track per field bit."""
     tables = P.curve._tables
@@ -221,7 +218,7 @@ def default_table(curve: CurveParams) -> PrecompTable:
     return fixed_base_table(curve.G)
 
 
-def _scan(curve: CurveParams, scalars: list[tuple[tuple, tuple[dict, ...], int]]) -> JacobianPoint:
+def _scan(curve: CurveParams, scalars: list[tuple[tuple, tuple, int]]) -> JacobianPoint:
     """Sum of every scalar's (position, digit) terms, each scalar given with
     its tracks' lookups and its track width, chunk: a term at position pos
     goes to track r = min(pos // chunk, t - 1), at offset pos - r*chunk, and
@@ -233,17 +230,18 @@ def _scan(curve: CurveParams, scalars: list[tuple[tuple, tuple[dict, ...], int]]
     scalar's terms can reach, its top term's in the last track and below
     both chunk and the top position in the others, so no zero digit is
     walked and an empty top offset only doubles the identity, which is free.
-    A lookup entry is an AffinePoint or, for mul_signed's odd multiples, a
-    Jacobian tuple (X, Y, Z, Z**2, Z**3); an offset adds its affine entries
-    first, then its Jacobian ones, each kind in scalar, then position,
-    order.  The accumulator is three ints: an a = -3 doubling with Z and Y
-    nonzero (dbl-2001-b), a mixed addition of distinct x (madd-2007-bl)
-    and an add-2007-bl of distinct x over a Jacobian entry's cached Z
-    powers (14 multiplications, against 16) run inline, tallied once at the
-    end, and every other step goes through ec_dbl_jj, ec_add_ajj or
-    ec_add_jjj.  An accumulator at Z = 1 meeting a Jacobian entry also
-    takes ec_add_jjj, whose mixed addition gives it other coordinates than
-    the general formula would."""
+    A lookup holds d*P at index |d| >> 1: an affine (x, y), for mul_signed's
+    odd multiples a Jacobian (X, Y, Z, Z**2, Z**3), or None for the
+    identity; a negative digit takes its entry with y mirrored.  An offset
+    adds its affine entries first, then its Jacobian ones, each kind in
+    scalar, then position, order.  The accumulator is three ints: an a = -3
+    doubling with Z and Y nonzero (dbl-2001-b), a mixed addition of
+    distinct x (madd-2007-bl) and an add-2007-bl of distinct x over a
+    Jacobian entry's cached Z powers (14 multiplications, against 16) run
+    inline, tallied once at the end, and every other step goes through
+    ec_dbl_jj, ec_add_ajj or ec_add_jjj.  An accumulator at Z = 1 meeting a
+    Jacobian entry also takes ec_add_jjj, whose mixed addition gives it
+    other coordinates than the general formula would."""
     size = 0
     for terms, lookups, chunk in scalars:
         if terms:
@@ -251,20 +249,21 @@ def _scan(curve: CurveParams, scalars: list[tuple[tuple, tuple[dict, ...], int]]
             size = max(size, top - (len(lookups) - 1) * chunk + 1, min(top, chunk - 1) + 1)
     adds = [()] * size
     jadds = adds.copy()
+    p = curve.field.p
     for terms, lookups, chunk in scalars:
         last = len(lookups) - 1
         for pos, d in terms:
             r = pos // chunk
             if r > last:
                 r = last
-            pt = lookups[r][d]
+            pt = lookups[r][(d if d > 0 else -d) >> 1]
+            if pt is None:
+                continue
             i = pos - r * chunk
-            if pt.__class__ is tuple:
-                if pt[2]:
-                    jadds[i] += (pt,)
-            elif not pt.infinity:
-                adds[i] += (pt,)
-    p = curve.field.p
+            if len(pt) == 2:
+                adds[i] += ((pt[0], -pt[1] % p) if d < 0 else pt,)
+            else:
+                jadds[i] += ((pt[0], -pt[1] % p, *pt[2:]) if d < 0 else pt,)
     inline_dbl = curve.a_is_minus3
     X, Y, Z = 1, 1, 0
     n_dbl = n_add = n_jadd = 0
@@ -281,22 +280,22 @@ def _scan(curve: CurveParams, scalars: list[tuple[tuple, tuple[dict, ...], int]]
         else:
             Q = ec_dbl_jj(JacobianPoint(curve, X, Y, Z))
             X, Y, Z = Q.X, Q.Y, Q.Z
-        for pt in points:
+        for x2, y2 in points:
             if Z:
                 zz = Z * Z % p
-                h = pt.x * zz % p - X
+                h = x2 * zz % p - X
                 if h:
                     n_add += 1
                     hh = h * h % p
                     i = hh << 2
                     j = h * i % p
-                    r = (pt.y * (Z * zz % p) % p - Y) << 1
+                    r = (y2 * (Z * zz % p) % p - Y) << 1
                     v = X * i % p
                     X = (r * r - j - (v << 1)) % p
                     Y = (r * (v - X) - (Y * j << 1)) % p
                     Z = ((Z + h) * (Z + h) - zz - hh) % p
                     continue
-            Q = ec_add_ajj(pt, JacobianPoint(curve, X, Y, Z))
+            Q = ec_add_ajj(AffinePoint(curve, x2, y2), JacobianPoint(curve, X, Y, Z))
             X, Y, Z = Q.X, Q.Y, Q.Z
         for X2, Y2, Z2, zz2, zzz2 in jpoints:
             if Z > 1:
@@ -349,7 +348,7 @@ def mul_interleave(k: int, table: PrecompTable, m: int = 0) -> JacobianPoint:
 def mul_signed(k: int, P: AffinePoint, w: int) -> JacobianPoint:
     """k * P scanned over its width-w recoding; no stored precomputation.
 
-    Width 2 needs nothing beyond P and its mirror; wider recodings build
+    Width 2 needs nothing beyond P; wider recodings build
     their few odd multiples on the fly and scan them in Jacobian form, so
     no width spends an inversion.
     """
@@ -366,7 +365,7 @@ def table_to_bytes(table: PrecompTable) -> bytes:
     name = table.curve.name.encode()
     return (_TABLE_MAGIC + bytes([len(name)]) + name
             + table.curve.field.n.to_bytes(2, "big") + table.t.to_bytes(2, "big")
-            + bytes([table.w]) + point_to_bytes(table.signed[0][1]))
+            + bytes([table.w]) + point_to_bytes(table.stored_points()[0]))
 
 
 def table_from_bytes(data: bytes, curve: CurveParams) -> PrecompTable:

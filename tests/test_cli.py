@@ -113,6 +113,18 @@ def test_keygen_refuses_to_overwrite(workspace, existing):
     assert {p.name: p.read_bytes() for p in workspace.glob("k.*")} == before
 
 
+@pytest.mark.parametrize("dangling", ["pub", "sec"])
+def test_keygen_refuses_dangling_key_file_link(workspace, dangling):
+    # a symlink to a missing file is still a key file name in use: keygen
+    # must neither follow it nor write the other file of the pair
+    curve = str(workspace / "test.curve")
+    target = workspace / "elsewhere"
+    (workspace / f"k.{dangling}").symlink_to(target)
+    assert run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "1") == 2
+    assert not target.exists()
+    assert [p.name for p in workspace.glob("k.*")] == [f"k.{dangling}"]
+
+
 def test_keygen_missing_curve_file(workspace):
     assert run_main("keygen", "--curve", str(workspace / "nope.curve"),
                     "--out", str(workspace / "k")) == 2

@@ -64,20 +64,22 @@ MUTANTS = {
     "scan-dbl-8yyyy-as-4yyyy": (scalarmul, "_scan", "yy * yy << 3", "yy * yy << 2"),
     "scan-dbl-z3-unshifted": (scalarmul, "_scan", "Y * Z << 1", "Y * Z"),
     "scan-madd-z3-minus-h": (scalarmul, "_scan", "(Z + h) * (Z + h)", "(Z - h) * (Z + h)"),
-    "scan-madd-r-unshifted": (scalarmul, "_scan", "pt.y * (Z * zz % p) % p - Y << 1",
-                              "pt.y * (Z * zz % p) % p - Y"),
+    "scan-madd-r-unshifted": (scalarmul, "_scan", "y2 * (Z * zz % p) % p - Y << 1",
+                              "y2 * (Z * zz % p) % p - Y"),
     "scan-lowest-position-first": (scalarmul, "_scan", "reversed(adds)", "adds"),
     "scan-dbl-tally-7": (scalarmul, "_scan", "8 * n_dbl", "7 * n_dbl"),
-    "scan-keeps-identity-entries": (scalarmul, "_scan", "not pt.infinity", "True"),
+    "scan-keeps-identity-entries": (scalarmul, "_scan", "pt is None", "False"),
     "scan-jadd-s1-by-z-squared": (scalarmul, "_scan", "Y * zzz2 % p", "Y * zz2 % p"),
     "scan-jadd-z3-without-h": (scalarmul, "_scan", "((Z + Z2) * (Z + Z2) - zz - zz2) * h",
                                "(Z + Z2) * (Z + Z2) - zz - zz2"),
     "scan-jadd-no-equal-u-fallback": (scalarmul, "_scan", "u1 != u2", "True"),
     "scan-jadd-tally-16": (scalarmul, "_scan", "14 * n_jadd", "16 * n_jadd"),
-    "lookup-cache-zz-zzz-swapped": (scalarmul, "_signed_lookup", "(Q.X, Q.Y, Q.Z, zz, zzz)",
-                                    "(Q.X, Q.Y, Q.Z, zzz, zz)"),
-    "lookup-negation-flips-x": (scalarmul, "_signed_lookup", "(Q.X, -Q.Y % p, Q.Z, zz, zzz)",
-                                "(-Q.X % p, Q.Y, Q.Z, zz, zzz)"),
+    "lookup-cache-zz-zzz-swapped": (scalarmul, "_signed_lookup",
+                                    "(Q.X, Q.Y, Q.Z, zz, zz * Q.Z % p)",
+                                    "(Q.X, Q.Y, Q.Z, zz * Q.Z % p, zz)"),
+    "scan-mirror-keeps-affine-y": (scalarmul, "_scan", "(pt[0], -pt[1] % p)", "(pt[0], pt[1])"),
+    "scan-mirror-flips-jacobian-x": (scalarmul, "_scan", "(pt[0], -pt[1] % p, *pt[2:])",
+                                     "(-pt[0] % p, pt[1], *pt[2:])"),
     "lookup-cache-tally-3": (scalarmul, "_signed_lookup", "2 * len(chain)", "3 * len(chain)"),
     "curve-dbl-8yyyy-as-4yyyy": (curve, "ec_dbl_jj", "yy * yy << 3", "yy * yy << 2"),
     "curve-madd-equal-x-is-identity": (curve, "_madd", "ec_dbl_jj(Q)",

@@ -1,5 +1,7 @@
 """Recoding invariants and multiplier equivalence."""
 
+import gc
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -34,6 +36,7 @@ from ecagg.curve import (
 from ecagg.errors import BadEncoding, OffCurvePoint, TableMismatch, UnsupportedWidth
 from ecagg.scalarmul import (
     FIXED_BASE_SHAPE,
+    _signed_lookup,
     build_table,
     default_table,
     fixed_base_table,
@@ -224,9 +227,9 @@ def test_table_extra_point_counts(curve):
 
 
 def test_table_points_validated(curve, tiny_curve, tiny_curve_a2, rng):
-    # the builder checks nothing itself: every lookup entry of every (t, w),
-    # the stored points and their mirrors, is d * 2**(i*chunk) times its
-    # base, against binary multiplication on secp160r1 (the generator and
+    # the builder checks nothing itself: every stored entry of every (t, w),
+    # d*B at index d >> 1 of track i, is d * 2**(i*chunk) times the base,
+    # against binary multiplication on secp160r1 (the generator and
     # another base) and against the affine oracle on both 13-bit curves and
     # on small7, where width 5's 15*G passes the field's 7 bits
     P = to_affine(mul_binary(rng.getrandbits(N), curve.G))
@@ -238,18 +241,48 @@ def test_table_points_validated(curve, tiny_curve, tiny_curve_a2, rng):
             for w in WIDTHS:
                 table = build_table(base, t, w)
                 for i, lookup in enumerate(table.signed):
-                    assert sorted(lookup) == [d for d in range(1 - (1 << (w - 1)), 1 << (w - 1))
-                                              if d % 2]
-                    for d, pt in lookup.items():
+                    assert len(lookup) == 1 << (w - 2)
+                    for d, entry in zip(range(1, 1 << (w - 1), 2), lookup):
                         chunk = -(-base.curve.field.n // t)
                         k = (d << (i * chunk)) % base.curve.order_n
+                        pt = (AffinePoint(base.curve, *entry) if entry
+                              else AffinePoint.identity(base.curve))
                         assert on_curve(pt), (base, t, w, i, d)
                         assert as_tuple(pt) == multiply(k), (base, t, w, i, d)
 
 
 def test_table_base_shift(curve):
     table = build_table(curve.G, 2, 2)
-    assert ec_eq(lift(table.signed[1][1]), mul_binary(1 << 80, curve.G))
+    assert ec_eq(lift(AffinePoint(curve, *table.signed[1][0])), mul_binary(1 << 80, curve.G))
+
+
+def test_tables_hold_each_odd_multiple_once(curve):
+    # one entry per odd multiple, plain ints and no mirrored copy: a
+    # table's track holds (x, y) pairs, mul_signed's lookup P's pair and
+    # then its Jacobian multiples; a live (16, 5) table keeps about 21 KB
+    # on secp160r1
+    for t in range(1, 6):
+        for w in WIDTHS:
+            for lookup in build_table(curve.G, t, w).signed:
+                assert len(lookup) == 1 << (w - 2)
+                assert all(entry is None or (len(entry) == 2 and {type(v) for v in entry} == {int})
+                           for entry in lookup), (t, w)
+    for w in WIDTHS:
+        lookup = _signed_lookup(curve.G, w)
+        assert len(lookup) == 1 << (w - 2)
+        assert lookup[0] == (curve.G.x, curve.G.y)
+        assert all(len(entry) == 5 and {type(v) for v in entry} == {int} for entry in lookup[1:])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = build_table(curve.G, *FIXED_BASE_SHAPE)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.extra_points == 127
+    assert kept <= 24_000, kept
 
 
 # --- interleaved multiplication ----------------------------------------------------------

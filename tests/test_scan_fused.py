@@ -60,8 +60,10 @@ class ReferenceScan:
     track lookups, chunk), as the inline scan takes them, and are split
     into rows here on their own: a term's track is the last one that starts
     at or below its position, track i starting at i*chunk, and its offset
-    is its distance from that start.  The chain runs from the highest
-    offset down, doubling through each offset."""
+    is its distance from that start.  A digit d reads the entry of |d|,
+    at index |d| // 2, and a negative one is that entry's negative, by
+    ec_neg for an affine entry and -Y for a Jacobian one.  The chain runs
+    from the highest offset down, doubling through each offset."""
 
     def __init__(self):
         self.general = 0
@@ -72,17 +74,18 @@ class ReferenceScan:
             starts = [i * chunk for i in range(len(lookups))]
             for pos, d in terms:
                 i = max(i for i, start in enumerate(starts) if start <= pos)
-                rows.append((pos - starts[i], lookups[i][d]))
-        adds = [()] * (max((j for j, _ in rows), default=-1) + 1)
+                rows.append((pos - starts[i], lookups[i][abs(d) // 2], d < 0))
+        adds = [()] * (max((j for j, _, _ in rows), default=-1) + 1)
         jadds = adds.copy()
-        for j, pt in rows:
-            if isinstance(pt, tuple):
-                # ec_add_jjj(R, identity) would be the identity's
-                # coordinates where R is the identity too
-                if pt[2]:
-                    jadds[j] += (JacobianPoint(curve, *pt[:3]),)
+        for j, entry, negative in rows:
+            if entry is None:
+                continue
+            if len(entry) == 2:
+                pt = AffinePoint(curve, *entry)
+                adds[j] += (ec_neg(pt) if negative else pt,)
             else:
-                adds[j] += (pt,)
+                X, Y, Z = entry[:3]
+                jadds[j] += (JacobianPoint(curve, X, -Y % curve.field.p if negative else Y, Z),)
         R = JacobianPoint.infinity(curve)
         for points, jpoints in zip(reversed(adds), reversed(jadds)):
             R = ec_dbl_jj(R)

@@ -344,14 +344,15 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
     (mod_inv_batch) serves two windows, and each window is visited once.
     The pairs run inward, from k = N // 2 (the last window and the first)
     to k = 1 beside the middle: window w or N - w is reached after w pairs
-    at 7 multiplications each, where a walk up from 0 spends 5*w on window
-    w, and only m near the middle waits for the whole walk.  A window computes
-    its slope and x3, and y3 only when x3 is in the table: one ECADD and 2
-    multiplications, 1 more on an x hit.  A walk to the end takes N ECADDs
-    (the shift and N - 1 windows) and 1 + ceil((N // 2) / _GIANT_BATCH)
-    inversions.  M' at the x of a giant point Q is +-Q, which puts M's log
-    at h - k*span (M' = Q) or h + k*span: that m is returned when in range,
-    and otherwise no window holds one.
+    at 7 multiplications each, and only m near the middle waits for the
+    whole walk.  A window computes its slope and x3, and y3 only when x3 is
+    in the table: one ECADD and 2 multiplications, 1 more on an x hit.  The
+    walk tallies each side's windows and the y3s as it computes them, and
+    hands the tallies to counters() once, as it leaves.  A walk to the end
+    takes N ECADDs (the shift and N - 1 windows) and 1 + ceil((N // 2) /
+    _GIANT_BATCH) inversions.  M' at the x of a giant point Q is +-Q, which
+    puts M's log at h - k*span (M' = Q) or h + k*span: that m is returned
+    when in range, and otherwise no window holds one.
     A bound below the cached stride is answered by the baby table alone.
 
     Raises NotFound when no multiple in range matches, which is how a
@@ -376,64 +377,60 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
     hit = babies.get(P.x)
     if hit is not None and 0 < _baby_log(anchors, hit, P.x, P.y, p) <= max_value:
         return hit
-    if steps and shifted[0].infinity:
+    if not steps:
+        raise NotFound(f"no preimage at or below {max_value}")
+    if shifted[0].infinity:
         # M = h*G
         if h <= max_value:
             return h
-    elif steps:
-        xC, yC = shifted[0].x, shifted[0].y
-        hit = babies.get(xC)
-        if hit is not None and (m := h + _baby_log(anchors, hit, xC, yC, p)) <= max_value:
-            return m
-        c = counters()
-        pairs = steps // 2
-        # pairs run from k = pairs down to 1; each has both windows but pair
-        # `pairs` when steps is even (its minus side is window 0), so
-        # walked(k) windows precede pair k
-        lone = 1 - steps % 2
-
-        def walked(k):
-            return max(2 * (pairs - k) - lone, 0)
-
-        for hi in range(pairs, 0, -_GIANT_BATCH):
-            lo = max(hi - _GIANT_BATCH, 0)
-            xs, ys = gxs[lo:hi][::-1], gys[lo:hi][::-1]
-            dxs = [x - xC for x in xs]
-            if 0 in dxs:
-                k = hi - dxs.index(0)
-                m = h - k * span if gys[k - 1] == yC else h + k * span
-                c.ecadd += walked(hi)
-                c.fe_mul += 2 * walked(hi)
+        raise NotFound(f"no preimage at or below {max_value}")
+    xC, yC = shifted[0].x, shifted[0].y
+    hit = babies.get(xC)
+    if hit is not None and (m := h + _baby_log(anchors, hit, xC, yC, p)) <= max_value:
+        return m
+    # m stays above the bound until a window finds one in range; plus and
+    # minus count the windows computed on each side, y3s their x hits
+    m = max_value + 1
+    plus = minus = y3s = 0
+    for hi in range(steps // 2, 0, -_GIANT_BATCH):
+        lo = max(hi - _GIANT_BATCH, 0)
+        xs, ys = gxs[lo:hi][::-1], gys[lo:hi][::-1]
+        dxs = [x - xC for x in xs]
+        if 0 in dxs:
+            k = hi - dxs.index(0)
+            m = h - k * span if gys[k - 1] == yC else h + k * span
+            break
+        for k, gx, gy, inv in zip(range(hi, lo, -1), xs, ys, mod_inv_batch(f, dxs)):
+            sx = xC + gx
+            lam = (gy - yC) * inv % p
+            x3 = (lam * lam - sx) % p
+            plus += 1
+            hit = babies.get(x3)
+            if hit is not None:
+                y3 = (lam * (xC - x3) - yC) % p
+                y3s += 1
+                m = h + k * span + _baby_log(anchors, hit, x3, y3, p)
                 if m <= max_value:
-                    return m
-                break
-            for k, gx, gy, inv in zip(range(hi, lo, -1), xs, ys, mod_inv_batch(f, dxs)):
-                sx = xC + gx
-                lam = (gy - yC) * inv % p
+                    break
+            if k < half:
+                # the mirror sum M' - Q over the same inverse; its m,
+                # below h, is always in range
+                lam = (-gy - yC) * inv % p
                 x3 = (lam * lam - sx) % p
+                minus += 1
                 hit = babies.get(x3)
                 if hit is not None:
-                    c.fe_mul += 1
                     y3 = (lam * (xC - x3) - yC) % p
-                    m = h + k * span + _baby_log(anchors, hit, x3, y3, p)
-                    if m <= max_value:
-                        c.ecadd += walked(k) + 1
-                        c.fe_mul += 2 * walked(k) + 2
-                        return m
-                if k < half:
-                    # the mirror sum M' - Q over the same inverse; its m,
-                    # below h, is always in range
-                    lam = (-gy - yC) * inv % p
-                    x3 = (lam * lam - sx) % p
-                    hit = babies.get(x3)
-                    if hit is not None:
-                        c.ecadd += walked(k) + 2
-                        c.fe_mul += 2 * walked(k) + 5
-                        y3 = (lam * (xC - x3) - yC) % p
-                        return h - k * span + _baby_log(anchors, hit, x3, y3, p)
-        else:
-            c.ecadd += steps - 1
-            c.fe_mul += 2 * (steps - 1)
+                    y3s += 1
+                    m = h - k * span + _baby_log(anchors, hit, x3, y3, p)
+                    break
+        if m <= max_value:
+            break
+    c = counters()
+    c.ecadd += plus + minus
+    c.fe_mul += 2 * (plus + minus) + y3s
+    if m <= max_value:
+        return m
     raise NotFound(f"no preimage at or below {max_value}")
 
 

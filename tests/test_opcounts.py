@@ -59,6 +59,7 @@ from ecagg.elgamal import (
     map_message,
     rmap,
 )
+from ecagg.errors import NotFound
 from ecagg.scalarmul import (
     FIXED_BASE_SHAPE,
     build_table,
@@ -240,6 +241,42 @@ def test_bsgs_extension_counts():
     # shared by steps 32 and 33, step 33's center, and the new last one
     for m in (32 * 2**15 + 5, 33 * 2**15 - 2**14, 33 * 2**15, 2**22 - 1):
         assert rmap(map_message(m, curve), 2**22 - 1) == m
+
+
+def test_walk_counts_every_window():
+    # a fresh search at 2**16 - 1: stride 4096 and 8 giant steps of span
+    # 8192, paired about the middle window h = 4*8192 and walked inward by
+    # pairs k = 4..1, plus window h + k*span first, then the minus window h
+    # - k*span for k < 4.  Every search pays the shift (1 ECADD, 11
+    # multiplies) and M, M' normalized (1 inversion, 11 multiplies); m 9
+    # from window 0's or the middle window's centre answers there.  m 9
+    # from the centre at walk position pos waits for pos windows at 1 ECADD
+    # and 2 multiplies each, 1 multiply for its y3 (offset 9 is an anchor,
+    # so its sign is free), and the one batch of 4 inverses (3*3
+    # multiplies, 1 inversion).  65545, 9 above the first window's centre,
+    # is an x hit above the bound, 1 multiply for its y3, and then the rest
+    # of the walk
+    curve = builtin_curve()
+    bound, span, h = 2**16 - 1, 8192, 32768
+    assert bsgs_cache(curve, bound)[0] == span // 2
+    order = []
+    for k in range(4, 0, -1):
+        order += [h + k * span] + ([h - k * span] if k < 4 else [])
+    assert order == [65536, 57344, 8192, 49152, 16384, 40960, 24576]
+    for pos, centre in enumerate(order, 1):
+        for m in (centre - 9, centre + 9):
+            if m <= bound:
+                ops = (1 + pos, 0, 32 + 2 * pos, 2)
+                assert tally(rmap, map_message(m, curve), bound) == (m, ops), m
+    for m in (9, h - 9, h + 9):
+        assert tally(rmap, map_message(m, curve), bound) == (m, (1, 0, 22, 1)), m
+    M = map_message(65545, curve)
+    c = counters()
+    before = (c.ecadd, c.ecdbl, c.fe_mul, c.fe_inv)
+    with pytest.raises(NotFound):
+        rmap(M, bound)
+    after = (c.ecadd, c.ecdbl, c.fe_mul, c.fe_inv)
+    assert tuple(a - b for a, b in zip(after, before)) == (8, 0, 46, 2)
 
 
 def test_table_build_counts(curve):

@@ -235,7 +235,8 @@ def _madd(x2: int, y2: int, Q: JacobianPoint) -> JacobianPoint:
 
 
 def ec_add_jjj(Q1: JacobianPoint, Q2: JacobianPoint) -> JacobianPoint:
-    """Q1 + Q2 in Jacobian coordinates, for folding ciphertexts.
+    """Q1 + Q2 in Jacobian coordinates, for folding ciphertexts and chaining
+    odd multiples.
 
     Aggregation adds accumulators and points fresh off the wire, which sit
     at Z = 1, so the formula follows the operands' Z: mmadd-2007-bl when

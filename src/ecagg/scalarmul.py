@@ -26,11 +26,11 @@ recoded once and its terms are dealt into t tracks of n/t positions, each
 over its own shifted base 2**((i-1)*n/t) * G, so the chain is
 n/t steps long (Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 3.42).
 The shifted bases and the odd multiples needed by widths above 2 are
-precomputed, the bases normalized together and then the multiples of
-every track; beyond the generator itself that is (t-1) + t*(2**(w-2) - 1)
-stored points, held per track at index |d| >> 1 of digit d.  Any fixed
-point can be the base: every encryption runs k*G and k*Y over the
-FIXED_BASE_SHAPE tables that fixed_base_table caches.  mul_interleave
+precomputed, the bases and their doubles normalized together and then the
+multiples of every track; beyond the generator itself that is (t-1) +
+t*(2**(w-2) - 1) stored points, held per track at index |d| >> 1 of digit
+d.  Any fixed point can be the base: every encryption runs k*G and k*Y
+over the FIXED_BASE_SHAPE tables that fixed_base_table caches.  mul_interleave
 folds m*G into the k*Y chain (Shamir's trick): m's terms are dealt over
 the generator's tracks as k's are over P's, so m shares k's chain of
 about n/t doublings however wide it is.  Nothing is kept between calls:
@@ -55,20 +55,21 @@ from .curve import (
 )
 from .errors import BadEncoding, TableMismatch, UnsupportedWidth
 
-MAX_RECODING_WIDTH = 5
+MAX_RECODING_WIDTH = 6
 
-# (t, w) of the tables fixed_base_table builds, chosen by a flash budget:
-# 16 tracks of 10 bits on secp160r1, each holding its shifted base and that
-# base's 3, 5, ..., 15 multiples.  That is 128 affine points of 40 bytes
-# per base, 5,120 bytes, or 10,240 bytes for G and the public key together.
-# Both tables are read-only after keygen, so a mote keeps them in flash:
-# about 8% of a MicaZ's 128 KB, where its 4 KB of SRAM could not hold them.
+# (t, w) of the tables fixed_base_table builds, chosen by a flash budget of
+# 20 KB: 16 tracks of 10 bits on secp160r1, each holding its shifted base
+# and that base's 3, 5, ..., 31 multiples.  That is 256 affine points of 40
+# bytes per base, 10,240 bytes, or 20,480 bytes for G and the public key
+# together.  Both tables are read-only after keygen, so a mote writes them
+# to flash once, where its 4 KB of SRAM could not hold them, and only reads
+# them after: 16% of a MicaZ's 128 KB, the rest left to the program.
 # Tracks set the chain, 10 doublings against 20 at (8, w); the width sets
 # the additions, one per term of a recoding of density 1/(1+w).  At equal
 # storage, width buys more than tracks: over 600 random (k, m < 256) an
-# encryption costs 737.5 multiplications at (16, 5), 793.6 at (32, 4) and
-# 860.1 at (16, 4), half the storage.
-FIXED_BASE_SHAPE = (16, 5)
+# encryption costs 654.8 multiplications at (16, 6) and 658.3 at (32, 5),
+# both 20 KB, and 737.5 at (16, 5), half the storage.
+FIXED_BASE_SHAPE = (16, 6)
 
 _TABLE_MAGIC = b"EPT3"
 
@@ -115,14 +116,14 @@ def wmof_recode(k: int, w: int) -> tuple[tuple[int, int], ...]:
     return tuple(terms)
 
 
-def _odd_chain(P: AffinePoint, w: int) -> list[JacobianPoint]:
-    """3P, 5P, ..., (2**(w-1) - 1)P, left Jacobian for no inversion: 2P by
-    one doubling, 3P = P + 2P by a mixed addition and each next multiple
-    2P further by add-2007-bl.  Empty at width 2."""
-    if w == 2:
-        return []
-    dbl = ec_dbl_jj(lift(P))
-    chain = [ec_add_ajj(P, dbl)]
+def _odd_chain(P: AffinePoint, dbl: JacobianPoint, w: int) -> list[JacobianPoint]:
+    """3P, 5P, ..., (2**(w-1) - 1)P for w > 2, given dbl = 2P, left Jacobian
+    for no inversion: 3P = P + 2P and each next multiple 2P further, by
+    ec_add_jjj, whose formula follows the operands' Z.  With 2P Jacobian, as
+    mul_signed doubles it, 3P is a mixed addition and the rest add-2007-bl;
+    with 2P at Z = 1, as a table build normalizes it, 3P is mmadd-2007-bl
+    and the rest mixed additions."""
+    chain = [ec_add_jjj(lift(P), dbl)]
     for _ in range(5, 1 << (w - 1), 2):
         chain.append(ec_add_jjj(dbl, chain[-1]))
     return chain
@@ -136,7 +137,7 @@ def _signed_lookup(P: AffinePoint, w: int) -> tuple:
     and each scan addition of one costs 14 multiplications."""
     p = P.curve.field.p
     lookup = [None if P.infinity else (P.x, P.y)]
-    chain = _odd_chain(P, w)
+    chain = _odd_chain(P, ec_dbl_jj(lift(P)), w) if w > 2 else []
     counters().fe_mul += 2 * len(chain)
     for Q in chain:
         zz = Q.Z * Q.Z % p
@@ -166,9 +167,11 @@ class PrecompTable:
 def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
     """Precompute the fixed-base table for (t, w).
 
-    Bases are chained doublings of G, normalized together; then every
-    track's odd multiples, chained as mul_signed chains them, are
-    normalized together too: two inversions in all.  More tracks than the
+    Bases are chained doublings of G, and above width 2 each track's 2B is
+    the first doubling past its base, one more for the last track; bases
+    and doubles are normalized together.  Then every track's odd multiples
+    are chained from 2B at Z = 1, by mixed additions, and normalized
+    together too: two inversions in all.  More tracks than the
     field has bits would only add bases that see zero digits, so t must be
     in [1, n].
     """
@@ -178,15 +181,20 @@ def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
     if w < 2 or w > MAX_RECODING_WIDTH:
         raise UnsupportedWidth(f"width {w} outside [2, {MAX_RECODING_WIDTH}]")
     chunk = -(-curve.field.n // t)
-    shifted = [lift(G)]
-    for i in range(1, t):
-        R = shifted[-1]
-        for _ in range(chunk):
-            R = ec_dbl_jj(R)
-        shifted.append(R)
-    bases = to_affine_batch(shifted)
     per = (1 << (w - 2)) - 1
-    odd = to_affine_batch([Q for base in bases for Q in _odd_chain(base, w)]) if per else []
+    # G doubled up to the last track's base and, above width 2, once past
+    # it: track i's base sits at position i*chunk and its 2B at i*chunk + 1,
+    # the next track's base when chunk is 1, so positions are normalized once
+    chain = [lift(G)]
+    for _ in range((t - 1) * chunk + (w > 2)):
+        chain.append(ec_dbl_jj(chain[-1]))
+    keep = sorted({i * chunk + d for i in range(t) for d in range(1 + (w > 2))})
+    affine = dict(zip(keep, to_affine_batch([chain[i] for i in keep])))
+    bases = [affine[i * chunk] for i in range(t)]
+    odd = []
+    if per:
+        odd = to_affine_batch([Q for i, base in enumerate(bases)
+                               for Q in _odd_chain(base, lift(affine[i * chunk + 1]), w)])
     signed = tuple(tuple(None if pt.infinity else (pt.x, pt.y)
                          for pt in [base, *odd[i * per:(i + 1) * per]])
                    for i, base in enumerate(bases))
@@ -194,9 +202,9 @@ def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
 
 
 def fixed_base_table(P: AffinePoint) -> PrecompTable:
-    """The FIXED_BASE_SHAPE table for base P, 128 stored points, built on
+    """The FIXED_BASE_SHAPE table for base P, 256 stored points, built on
     first use and kept on P's curve, one per base: each key beyond G costs
-    about 21 KB for as long as its curve lives (21,376 bytes by tracemalloc
+    about 42 KB for as long as its curve lives (41,832 bytes by tracemalloc
     on secp160r1).  A curve narrower than the shape's track count gets one
     track per field bit."""
     tables = P.curve._tables
@@ -226,7 +234,9 @@ def _scan(curve: CurveParams, scalars: list[tuple[tuple, tuple, int]]) -> Jacobi
     walked and an empty top offset only doubles the identity, which is free.
     A lookup holds d*P at index |d| >> 1: an affine (x, y), for mul_signed's
     odd multiples a Jacobian (X, Y, Z, Z**2, Z**3), or None for the
-    identity; a negative digit takes its entry with y mirrored.  An offset
+    identity; a negative digit takes its entry with y mirrored, as p - y:
+    CurveParams admits only curves of odd prime order, so no entry has
+    y = 0 and p - y stays in [1, p - 1].  An offset
     adds its affine entries first, then its Jacobian ones, each kind in
     scalar, then position, order.  The accumulator is three ints: an a = -3
     doubling with Z and Y nonzero (dbl-2001-b), a mixed addition of
@@ -255,9 +265,9 @@ def _scan(curve: CurveParams, scalars: list[tuple[tuple, tuple, int]]) -> Jacobi
                 continue
             i = pos - r * chunk
             if len(pt) == 2:
-                adds[i] += ((pt[0], -pt[1] % p) if d < 0 else pt,)
+                adds[i] += ((pt[0], p - pt[1]) if d < 0 else pt,)
             else:
-                jadds[i] += ((pt[0], -pt[1] % p, *pt[2:]) if d < 0 else pt,)
+                jadds[i] += ((pt[0], p - pt[1], *pt[2:]) if d < 0 else pt,)
     inline_dbl = curve.a_is_minus3
     X, Y, Z = 1, 1, 0
     n_dbl = n_add = n_jadd = 0
@@ -321,9 +331,9 @@ def mul_interleave(k: int, table: PrecompTable, m: int = 0) -> JacobianPoint:
     """k*P + m*G over P's precomputed table: k, bound-checked, recoded once
     across its full width and its terms dealt into the table's t tracks of
     ceil(n/t) positions, one doubling chain.  Tracks recoded apart would
-    each restart the recoding at their edge, often with a carry digit: 68.3
-    additions per encryption on secp160r1 at FIXED_BASE_SHAPE, against 56.5
-    for the one recoding dealt (means over 400 random k and 24-bit m).  A
+    each restart the recoding at their edge, often with a carry digit: 62.4
+    additions per encryption on secp160r1 at FIXED_BASE_SHAPE, against 48.4
+    for the one recoding dealt (means over 1,200 random k and 24-bit m).  A
     nonzero m is recoded too and dealt over the generator's table the same
     way (Shamir's trick), sharing the chain: m adds its terms, and a
     doubling only where its highest offset passes k's."""

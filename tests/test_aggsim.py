@@ -311,20 +311,20 @@ def test_setup_and_nodes_account_for_every_operation():
     keys = keygen(random.Random(0xACC), builtin_curve())
     with tally() as outer:
         result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
-    # the generator's (16,5) table, (112, 166, 3923, 2): one inversion for
-    # the 15 shifted bases, one for the 112 odd multiples of all 16 tracks;
-    # keygen already built the public key's table.  The reader searches [0, 63], the sum
+    # the generator's (16,6) table, (240, 151, 5659, 2): one inversion for
+    # the 15 shifted bases and the 16 doubled ones, one for the 240 odd
+    # multiples of all 16 tracks; keygen already built the public key's table.  The reader searches [0, 63], the sum
     # of the fixed readings: stride 2**7 (2**min(14, (6 + 1) // 2 + 4) for
     # the 6-bit bound) and (63 + 128) // 256 = 0 giant steps, so the search
     # tables are the 128 baby points alone, a ladder of 7 levels of 1, 2,
     # ..., 64 lanes, one inversion and one doubling each: 127 - 7 = 120
     # additions and 3*127 + 7 + 3*(127 - 7) = 748 multiplications with the
     # batch inversions' share, (120, 7, 748, 7)
-    assert [getattr(result.setup, f) for f in FIELDS] == [112 + 120, 166 + 7, 3923 + 748, 2 + 7]
+    assert [getattr(result.setup, f) for f in FIELDS] == [240 + 120, 151 + 7, 5659 + 748, 2 + 7]
     for f in FIELDS:
         nodes = sum(getattr(st.ops, f) for st in result.node_stats.values())
         assert getattr(result.setup, f) + nodes == getattr(outer, f), f
-    # no node is charged a build (a (16,5) table costs 166 ECDBL): a leaf
+    # no node is charged a build (a (16,6) table costs 151 ECDBL): a leaf
     # runs two chains of at most 10 doublings (k < n < 2**160 + 2**81
     # recodes to terms no higher than position 160, offset 10 of the last
     # 10-position row, and the readings are shorter), an aggregator only adds, the
@@ -353,9 +353,9 @@ def test_setup_builds_a_missing_public_key_table():
     keys = KeyPair(x, to_affine(mul_binary(x, curve.G)))
     assert keys.public_Y not in curve._tables
     result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
-    # the round's usual (232, 173, 4671, 9), plus the key's (16,5) table,
-    # (112, 166, 3923, 2)
-    assert [getattr(result.setup, f) for f in FIELDS] == [232 + 112, 173 + 166, 4671 + 3923, 9 + 2]
+    # the round's usual (360, 158, 6407, 9), plus the key's (16,6) table,
+    # (240, 151, 5659, 2)
+    assert [getattr(result.setup, f) for f in FIELDS] == [360 + 240, 158 + 151, 6407 + 5659, 9 + 2]
     assert all(st.ops.ecdbl <= 20 for st in result.node_stats.values() if st.role == "leaf")
     assert curve._tables.keys() == {curve.G, keys.public_Y}
 

@@ -261,7 +261,7 @@ def test_simulate_reproducible(workspace, capsys):
 
 
 def test_simulate_records_account_for_every_operation(workspace, capsys):
-    # curve validation and keygen's public-key (16,5) table come before the
+    # curve validation and keygen's public-key (16,6) table come before the
     # round starts; the (setup) record carries them, so setup plus the node
     # records equal everything the command counted
     with tally() as outer:
@@ -272,21 +272,21 @@ def test_simulate_records_account_for_every_operation(workspace, capsys):
         nodes = sum(rec[f] for rec in report["nodes"].values())
         assert report["setup"][f] + nodes == getattr(outer, f), f
     # curve validation (160 doublings for order_n * G), Y itself (159 for
-    # this seed's x * G), the key's and the generator's (16,5) tables (166
-    # each: 15 shifted bases by 10 doublings, and 2P on each of 16 tracks),
-    # and the search tables for the demo's worst-case sum 63 (7: 128 baby
-    # points from a ladder of 7 levels, one doubling each, and no giant
-    # step)
-    assert report["setup"]["ecdbl"] == 160 + 159 + 2 * 166 + 7
+    # this seed's x * G), the key's and the generator's (16,6) tables (151
+    # each: 15 shifted bases by 10 doublings, each track's 2P the first of
+    # them past its base, and one more for the last track's), and the
+    # search tables for the demo's worst-case sum 63 (7: 128 baby points
+    # from a ladder of 7 levels, one doubling each, and no giant step)
+    assert report["setup"]["ecdbl"] == 160 + 159 + 2 * 151 + 7
     # the demo's four encryptions, each serialized: 11 multiplies a mixed
     # addition, 8 a doubling, and 11 more normalize R and S (4 each at a
-    # general Z, 3 for the shared inversion).  ECADD is twice k's width-5
-    # terms (26, 27, 27 and 28) plus the reading's one (15, 16 = 2**4, 18 =
+    # general Z, 3 for the shared inversion).  ECADD is twice k's width-6
+    # terms (24, 23, 23 and 24) plus the reading's one (15, 16 = 2**4, 18 =
     # 9*2 and 14 = 7*2 are each a single term), less each chain's free
     # first addition.  A chain doubles once per position below the highest
-    # offset of a term in any of k's sixteen 10-position rows: 9 for s1, s2
-    # and s3, and 10 for s4, whose carry digit sits at offset 10 of the last
-    # row.  So s1 is 51*11 + 18*8 + 11 = 716.  The aggregator,
+    # offset of a term in any of k's sixteen 10-position rows: 8 for s1, 9
+    # for s2 and s3, and 10 for s4, whose carry digit sits at offset 10 of
+    # the last row.  So s1 is 47*11 + 16*8 + 11 = 656.  The aggregator,
     # the reader and the setup run no encryption.  The reader's x*(-R) runs
     # at width 4, old (53, 160, 1863, 0) at width 2: 2P, 3P, 5P, 7P and
     # their cached Z powers (3 ECADD, 1 ECDBL, 57 multiplies), then this
@@ -296,12 +296,12 @@ def test_simulate_records_account_for_every_operation(workspace, capsys):
     # + 322 = 1731, 0); S's mixed addition (1, 0, 11, 0); and the search
     # normalizing M, a baby-table hit (0, 0, 16, 1).  The setup is curve
     # validation, Y and the search tables, (245, 326, 4686, 8), plus the
-    # two (16,5) table builds, (112, 166, 3923, 2) each
+    # two (16,6) table builds, (240, 151, 5659, 2) each
     records = {node: tuple(rec[f] for f in FIELDS) for node, rec in report["nodes"].items()}
-    assert records == {"s1": (51, 18, 716, 1), "s2": (53, 18, 738, 1), "s3": (53, 18, 738, 1),
-                       "s4": (55, 20, 776, 1), "agg": (6, 0, 91, 1),
+    assert records == {"s1": (47, 16, 656, 1), "s2": (45, 18, 650, 1), "s3": (45, 18, 650, 1),
+                       "s4": (47, 20, 688, 1), "agg": (6, 0, 91, 1),
                        "reader": (35, 159, 1758, 1)}
-    assert tuple(report["setup"][f] for f in FIELDS) == (469, 658, 12532, 12)
+    assert tuple(report["setup"][f] for f in FIELDS) == (725, 628, 16004, 12)
 
 
 def test_simulate_bad_scenario_exits_2(workspace):
@@ -369,22 +369,22 @@ def test_bench_elgamal_mode_and_csv(workspace, capsys):
                     "--configs", "elgamal", "--seed", "1", "--csv", str(csv_path)) == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("config,")
-    # the row reports the generator table encryption runs on: (16, 5), its
-    # 128 points all but G itself
-    assert lines[1].startswith("elgamal,16,5,127,2,")
+    # the row reports the generator table encryption runs on: (16, 6), its
+    # 256 points all but G itself
+    assert lines[1].startswith("elgamal,16,6,255,2,")
 
 
 def test_bench_elgamal_on_a_curve_narrower_than_the_shape(workspace):
     # a valid 7-bit curve (conftest's SMALL7), fewer bits than
     # FIXED_BASE_SHAPE has tracks: keygen and encryption run over tables of
-    # one track per bit, 7 * 8 points, all but G itself reported
+    # one track per bit, 7 * 16 points, all but G itself reported
     small = workspace / "small7.curve"
     small.write_text("name = small7\nn = 7\nc = 1\na = 7c\nb = 39\ngx = 6\ngy = 1\n"
                      "order_n = 6d\n")
     csv_path = workspace / "small7.csv"
     assert run_main("bench", "--curve", str(small), "--trials", "3", "--configs", "elgamal",
                     "--seed", "7", "--csv", str(csv_path)) == 0
-    assert csv_path.read_text().splitlines()[1].startswith("elgamal,7,5,55,3,")
+    assert csv_path.read_text().splitlines()[1].startswith("elgamal,7,6,111,3,")
 
 
 def test_bench_reports_inversions(workspace, capsys):
@@ -421,7 +421,7 @@ mof4                    1  4    0      3     35.3    1.2    159.0    0.0    1745
 interleave:t=2,w=2      2  2    1      3     53.0    0.8     79.0    0.8    1215.0    13.5    0.0
 interleave:t=3          3  2    2      3     53.0    0.8     53.0    0.0    1007.0     9.0    0.0
 interleave:t=4,w=4      4  4   15      3     32.3    1.2     38.3    0.5     662.3    17.3    0.0
-elgamal                16  5  127      3     53.7    1.2     18.0    0.0     734.3    13.7    0.0
+elgamal                16  6  255      3     46.0    0.8     17.3    0.9     644.7    16.0    0.0
 note: rows without an explicit w use width 2
 """
 
@@ -434,19 +434,22 @@ mof4,1,4,0,3,35.333,1.247,159.000,0.000,1745.667,10.873,0.000
 interleave:t=2,w=2,2,2,1,3,53.000,0.816,79.000,0.816,1215.000,13.491,0.000
 interleave:t=3,3,2,2,3,53.000,0.816,53.000,0.000,1007.000,8.981,0.000
 interleave:t=4,w=4,4,4,15,3,32.333,1.247,38.333,0.471,662.333,17.327,0.000
-elgamal,16,5,127,3,53.667,1.247,18.000,0.000,734.333,13.719,0.000
+elgamal,16,6,255,3,46.000,0.816,17.333,0.943,644.667,15.965,0.000
 """
 
 
 def test_bench_golden_output(workspace, capsys):
     # a fixed seed pins the counts, the column layout, the CSV and the order
     # in which the elgamal row draws from the seeded generator.  Its
-    # encryptions run over (16,5) tables, k's width-5 terms dealt into rows
-    # of 10 positions: two chains of 9 doublings each in all three trials
-    # (the first doubling, of the identity, is free; 10 when a carry digit
-    # sits at offset 10 of the last row), and 11 multiplies a mixed
-    # addition, 8 a doubling (53.667*11 + 18*8 = 734.333; 65.667 additions
-    # and 866.333 at (16,4)).  An interleave row adds the same nonzero
+    # encryptions run over (16,6) tables, k's width-6 terms dealt into rows
+    # of 10 positions: two chains of 9, 8 and 9 doublings in the three
+    # trials, one fewer than the highest offset's position count (the first
+    # doubling, of the identity, is free; 10 when a carry digit sits at
+    # offset 10 of the last row), and 46, 45 and 47 additions, twice k's 23,
+    # 23 and 24 terms plus the reading's 2, 1 and 1, less each chain's free
+    # first one.  11 multiplies a mixed addition, 8 a doubling: 46*11 +
+    # 17.333*8 = 644.667 (53.667 additions and 734.333 at (16,5)).  An
+    # interleave row adds the same nonzero
     # digits as one recoding of k at its width: 53.0 at t=2, w=2, as mof2.
     # mof3 and mof4 keep their odd multiples Jacobian, with Z**2 and Z**3
     # cached at 2 multiplies each: no inversion, and 14 multiplies an
@@ -478,7 +481,7 @@ def test_bench_unknown_config_exits_2(workspace):
 
 
 @pytest.mark.parametrize("config", ["interleave:w=2x", "interleave:t=0", "interleave:t=161",
-                                    "mof\u00b2", "mof0", "mof1", "mof6"])
+                                    "mof\u00b2", "mof0", "mof1", "mof7"])
 def test_bench_config_rejects_with_bad_config(config):
     # bench tokens are outside input: they fail as BadConfig when resolved,
     # never as a ValueError from int() or build_table, nor at a mofN
@@ -492,19 +495,19 @@ def test_bench_checks_every_config_before_any_trial(workspace, capsys):
     # run: the command counts only loading the curve, as with the bad token
     # alone, and prints no row
     counts = []
-    for configs in (["binary", "mof6"], ["mof6"]):
+    for configs in (["binary", "mof7"], ["mof7"]):
         with tally() as ops:
             assert run_main("bench", "--curve", str(workspace / "test.curve"), "--trials", "2",
                             "--configs", *configs) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "mof6" in err
+        assert out == "" and "mof7" in err
         counts.append([getattr(ops, f) for f in FIELDS])
     assert counts[0] == counts[1]
 
 
 def test_bench_runs_a_repeated_config(workspace, capsys):
     # every config's key and table are set up before any trial, and a curve
-    # keeps both elgamal keys' tables: no trial pays a build (166 doublings
+    # keeps both elgamal keys' tables: no trial pays a build (151 doublings
     # beside an encryption's two chains of at most 10)
     assert run_main("bench", "--curve", str(workspace / "test.curve"), "--trials", "3",
                     "--configs", "elgamal", "binary", "elgamal") == 0

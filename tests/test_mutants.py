@@ -1,7 +1,8 @@
 """Mutation gate: the oracles below catch every named mutant of the group
-law, normalization, the scan and its lookups, the recoding and the deal of
-k's and m's terms into tracks, the search, the sign of a baby hit, the
-search tables' +- build and table import.
+law, normalization, the scan and its lookups, the odd-multiple chains of
+lookups and tables, the recoding and the deal of k's and m's terms into
+tracks, the search, the sign of a baby hit, the search tables' +- build
+and table import.
 
 A mutant replaces one node of one function's syntax tree: the expression
 or statement whose source reads ``old`` becomes ``new``.  The edited
@@ -10,8 +11,8 @@ with monkeypatch, over the original in every ecagg module that holds it.
 The sub-suite must then fail, by a failed check or by an error, and it
 must pass on the unmutated program.  It builds its own curves, so no table
 or search cache that the unmutated code built can hide a mutant.  It calls
-mul_interleave, which mutants replace, through its module: a name
-imported into this file would keep the original.
+mul_interleave and build_table, which mutants replace, through their
+module: a name imported into this file would keep the original.
 
 A mutant that survives is a gap in the checks: make them stronger, never
 drop the mutant.
@@ -77,10 +78,19 @@ MUTANTS = {
     "lookup-cache-zz-zzz-swapped": (scalarmul, "_signed_lookup",
                                     "(Q.X, Q.Y, Q.Z, zz, zz * Q.Z % p)",
                                     "(Q.X, Q.Y, Q.Z, zz * Q.Z % p, zz)"),
-    "scan-mirror-keeps-affine-y": (scalarmul, "_scan", "(pt[0], -pt[1] % p)", "(pt[0], pt[1])"),
-    "scan-mirror-flips-jacobian-x": (scalarmul, "_scan", "(pt[0], -pt[1] % p, *pt[2:])",
-                                     "(-pt[0] % p, pt[1], *pt[2:])"),
+    "scan-mirror-keeps-affine-y": (scalarmul, "_scan", "(pt[0], p - pt[1])", "(pt[0], pt[1])"),
+    "scan-mirror-flips-jacobian-x": (scalarmul, "_scan", "(pt[0], p - pt[1], *pt[2:])",
+                                     "(p - pt[0], pt[1], *pt[2:])"),
     "lookup-cache-tally-3": (scalarmul, "_signed_lookup", "2 * len(chain)", "3 * len(chain)"),
+    "odd-chain-steps-by-p": (scalarmul, "_odd_chain", "ec_add_jjj(dbl, chain[-1])",
+                             "ec_add_jjj(lift(P), chain[-1])"),
+    "build-chain-over-base-not-2b": (scalarmul, "build_table", "lift(affine[i * chunk + 1])",
+                                     "lift(base)"),
+    "build-doubles-past-last-base-at-width-2": (scalarmul, "build_table",
+                                                "(t - 1) * chunk + (w > 2)",
+                                                "(t - 1) * chunk + 1"),
+    "odd-chain-3p-by-madd": (scalarmul, "_odd_chain", "ec_add_jjj(lift(P), dbl)",
+                             "ec_add_ajj(P, dbl)"),
     "curve-dbl-8yyyy-as-4yyyy": (curve, "ec_dbl_jj", "yy * yy << 3", "yy * yy << 2"),
     "curve-madd-equal-x-is-identity": (curve, "_madd", "ec_dbl_jj(Q)",
                                        "JacobianPoint.infinity(cur)"),
@@ -186,7 +196,7 @@ def mutate(module, name, old, new):
 
 
 def _secp160r1_round_trip():
-    # the encrypt count pin of test_opcounts, (58, 20, 798, 0), on a fresh
+    # the encrypt count pin of test_opcounts, (49, 18, 683, 0), on a fresh
     # curve with both tables built; then readings the search finds one
     # giant step up, at 2048 - 10 and 2048 + 10 (stride 2**10 at the bound
     # 4000): one match on each side of the window's center, which the
@@ -196,11 +206,11 @@ def _secp160r1_round_trip():
     default_table(c)
     with tally() as ops:
         encrypt(keys.public_Y, 200, random.Random(7))
-    assert [getattr(ops, f) for f in FIELDS] == [58, 20, 798, 0]
+    assert [getattr(ops, f) for f in FIELDS] == [49, 18, 683, 0]
     # and its 24-bit pin: m's terms dealt over G's tracks add no doubling
     with tally() as ops:
         encrypt(keys.public_Y, 0xABCDEF, random.Random(7))
-    assert [getattr(ops, f) for f in FIELDS] == [61, 20, 831, 0]
+    assert [getattr(ops, f) for f in FIELDS] == [52, 18, 716, 0]
     cts = {m: ct_from_bytes(ct_to_bytes(encrypt(keys.public_Y, m, random.Random(m))), c)
            for m in (2038, 2058, 7)}
     for m, ct in cts.items():
@@ -295,7 +305,7 @@ def _tiny_sweep(c):
     p_table = build_table(to_affine(mul_binary(2, c.G)), 4, 4)
     for k in range(c.order_n - 64, c.order_n + 64):
         want = o_mul(k, g, p, a)
-        for w in (2, 3, 4, 5):
+        for w in (2, 3, 4, 5, 6):
             assert jac_tuple(mul_signed(k, c.G, w)) == want, (k, w)
         m = k % 256
         got = scalarmul.mul_interleave(k, p_table, m)
@@ -327,7 +337,7 @@ def _signed_tally(c):
     # 14 against a cached multiple.  The top term lands on the identity,
     # free
     dbl = 8 if c.a_is_minus3 else 10
-    for w in (2, 3, 4, 5):
+    for w in (2, 3, 4, 5, 6):
         odd = (1 << (w - 2)) - 1
         chain = [odd, min(odd, 1), (dbl + 11 + 16 * (odd - 1) + 2 * odd) if odd else 0, 0]
         for k in range(1, c.order_n // 2, 37):
@@ -342,12 +352,36 @@ def _signed_tally(c):
             assert [getattr(ops, f) for f in FIELDS] == want, (k, w)
 
 
+def _build_tally(c):
+    # build_table's exact tally at one, two, three and thirteen tracks (a
+    # chunk of 1, where a track's 2B is the next one's base) and each width.
+    # G is doubled to the last track's base, and once more above width 2;
+    # the bases and 2B points other than G, each normalized once, share an
+    # inversion (4 multiplies each, 3 per batch step).  Per track 3B = B +
+    # 2B by mmadd-2007-bl (6) and each next multiple by a mixed addition
+    # of 2B (11), then all tracks' multiples share the second inversion
+    dbl = 8 if c.a_is_minus3 else 10
+    for t in (1, 2, 3, 13):
+        chunk = -(-c.field.n // t)
+        for w in (2, 3, 4, 5, 6):
+            per = (1 << (w - 2)) - 1
+            odd = t * per
+            doublings = (t - 1) * chunk + (w > 2)
+            kept = len({i * chunk + d for i in range(t) for d in range(1 + (w > 2))}) - 1
+            chains = t * (6 + 11 * (per - 1)) + 4 * odd + 3 * (odd - 1) if per else 0
+            want = [odd, doublings, dbl * doublings + 4 * kept + 3 * max(kept - 1, 0) + chains,
+                    (kept > 0) + (per > 0)]
+            with tally() as ops:
+                scalarmul.build_table(c.G, t, w)
+            assert [getattr(ops, f) for f in FIELDS] == want, (t, w)
+
+
 def _track_cut(c):
     # k*G at one track, three (where a floored chunk misplaces the rows)
     # and thirteen, for k at the cut's edges: the widest k the bound check
     # admits ends in a term past t*chunk, which the last row must keep
     for t in (1, 3, 13):
-        for w in (4, 5):
+        for w in (4, 5, 6):
             check_track_cut(c, t, w, cut_edges(t, c.field.n, c.order_n))
 
 
@@ -406,6 +440,7 @@ def oracle_sub_suite():
         _tiny_sweep(c)
         _wide_m_sweep(c)
         _signed_tally(c)
+        _build_tally(c)
         _track_cut(c)
         _identity_base_table(c)
         _wide_coordinate(c)

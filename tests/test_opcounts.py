@@ -20,16 +20,18 @@ moved to width 4 over Jacobian odd multiples.  The
 encrypt value was taken again when k*Y moved onto a (4,4) public-key table
 with m*G folded into its chain, once more when both tables became
 (8,4) and one recoding of k came to serve both chains, and again when they
-became (16,4) and again (16,5); the wide-reading values were first
-taken when m's terms came to be dealt over the generator's tracks as k's
-are over Y's.  The fold value was taken again when serializing began
+became (16,4), (16,5) and (16,6); the wide-reading values were first taken
+when m's terms came to be dealt over the generator's tracks as k's are
+over Y's, and again at (16,6).  The fold value was taken again when serializing began
 sharing one inversion between R and S, and again when ec_add_jjj began
 taking mixed additions for operands at Z = 1.  The table build and import values
 were taken when building stopped re-deriving its points by binary
 multiplication, and import began comparing against a local build; the
 import value once more when table files came to store only their base,
 and both when one inversion came to normalize every track's odd
-multiples; the fixed-base shape's build again when it became (16,5).
+multiples; the fixed-base shape's build again when it became (16,5), and
+both builds again when each track's 2P came from the shifted-base chain,
+normalized with the bases, and the shape became (16,6).
 """
 
 import random
@@ -89,31 +91,32 @@ def keys(curve):
 
 
 def test_encrypt_counts(keys):
-    # k*G and k*Y + 200*G over the (16,5) tables that the default table and
-    # keygen built beforehand.  This 160-bit k recodes at width 5 to 29
-    # terms, the top one a carry digit 1 at position 160, dealt into
-    # sixteen rows of 10 positions with that carry at offset 10 of the last
-    # row; 200 recodes to -7*2**3 + 2**8, its top term at 8.  So each chain
-    # runs 11 positions and doubles 10 times (its first doubling, of the
-    # identity, is free), and each scan's first addition, the carry alone
-    # at the top, lands on the identity, free.  ECADD 28 + 30 = 58, ECDBL
-    # 2*10 = 20, 11 multiplies a mixed addition and 8 a doubling: 58*11 +
-    # 20*8 = 798
+    # k*G and k*Y + 200*G over the (16,6) tables that the default table and
+    # keygen built beforehand.  This 160-bit k recodes at width 6 to 25
+    # terms, the top one 3*2**158, dealt into sixteen rows of 10 positions;
+    # the highest offset any of them reaches is 9, held by two terms, at
+    # positions 19 (row 1) and 139 (row 13).  200 recodes to 25*2**3, one
+    # term at offset 3.  So each chain runs 10 positions and doubles 9
+    # times (its first doubling, of the identity, is free), and each scan's
+    # first addition, at offset 9, lands on the identity, free.  ECADD 24 +
+    # 25 = 49, ECDBL 2*9 = 18, 11 multiplies a mixed addition and 8 a
+    # doubling: 49*11 + 18*8 = 683
     _, ops = tally(encrypt, keys.public_Y, 200, random.Random(7))
-    assert ops == (58, 20, 798, 0)
+    assert ops == (49, 18, 683, 0)
 
 
-@pytest.mark.parametrize("m, ops", [(0xBEEF, (59, 20, 809, 0)), (0xABCDEF, (61, 20, 831, 0))],
+@pytest.mark.parametrize("m, ops", [(0xBEEF, (51, 18, 705, 0)), (0xABCDEF, (52, 18, 716, 0))],
                          ids=["16-bit", "24-bit"])
 def test_wide_reading_encrypt_counts(keys, m, ops):
     # test_encrypt_counts' k with a 16-bit and a 24-bit reading, whose
     # terms are dealt over the sixteen 10-position tracks of G's table as
-    # k's are over Y's.  0xBEEF recodes to 15 + -9*2**5 + 3*2**14, the last
-    # at offset 4 of track 1; 0xABCDEF to 15 + 15*2**5 - 13*2**10 + 11*2**18
-    # + 2**23, at offsets 0 and 5 of track 0, 0 and 8 of track 1 and 3 of
-    # track 2.  No term passes offset 9, so each chain still doubles 10
-    # times, and each term of m is one mixed addition more: ECADD 58 + 3 =
-    # 59 and 58 + 5 = 61, and 59*11 + 20*8 = 809, 61*11 + 20*8 = 831
+    # k's are over Y's.  0xBEEF recodes to -17 - 2**8 + 3*2**14, at offsets
+    # 0 and 8 of track 0 and 4 of track 1; 0xABCDEF to -17 - 25*2**9 -
+    # 21*2**18 + 2**24, at offsets 0 and 9 of track 0, 8 of track 1 and 4
+    # of track 2.  No term passes k's top offset 9, so each chain still
+    # doubles 9 times, and each term of m beyond 200's one is one mixed
+    # addition more: ECADD 49 + 2 = 51 and 49 + 3 = 52, and 51*11 + 18*8 =
+    # 705, 52*11 + 18*8 = 716
     assert tally(encrypt, keys.public_Y, m, random.Random(7))[1] == ops
 
 
@@ -280,25 +283,33 @@ def test_walk_counts_every_window():
 
 
 def test_table_build_counts(curve):
-    # a (4,4) table: 3 shifted bases by 40 doublings each, normalized
-    # together (1 inversion); then per track 2P by one doubling and 3P, 5P,
-    # 7P by three additions, the 12 multiples of all 4 tracks normalized
-    # together (1 inversion, 3*11 + 4*12 = 81 multiplies, where a batch per
-    # track took 4*(3*2 + 4*3) = 72 and 4 inversions).  Importing its bytes
-    # decodes the base (3 multiplies for the curve check) and builds the
-    # same table from it
+    # a (4,4) table: G doubled 3*40 times to the last track's base, and once
+    # more for that track's 2P, each other track's 2P being the first
+    # doubling past its base; the 3 shifted bases and 4 doubled points
+    # normalized together (1 inversion, 4*7 + 3*6 = 46 multiplies).  Per
+    # track 3P = P + 2P by mmadd-2007-bl (6) and 5P, 7P by mixed additions
+    # of 2P (11 each), the 12 multiples of all 4 tracks normalized together
+    # (1 inversion, 4*12 + 3*11 = 81): 121*8 + 46 + 4*28 + 81 = 1207.
+    # Importing its bytes decodes the base (3 multiplies for the curve
+    # check) and builds the same table from it
     table, ops = tally(build_table, curve.G, 4, 4)
-    assert ops == (12, 124, 1263, 2)
-    assert tally(table_from_bytes, table_to_bytes(table), curve)[1] == (12, 124, 1266, 2)
-    # the (16,5) shape fixed_base_table builds: 15 shifted bases by 10
-    # doublings each and 16 tracks of 2P, 3P, 5P, ..., 15P, so ECADD 16*7 =
-    # 112 and ECDBL 15*10 + 16 = 166.  Multiplies: 166 doublings at 8, 16
-    # mixed additions (3P) at 11 and 96 Jacobian ones (5P to 15P) at 16,
-    # the 15 bases normalized at 3*14 + 4*15 and the 112 multiples at 3*111
-    # + 4*112: 1328 + 176 + 1536 + 102 + 781 = 3923, one inversion for the
-    # bases and one for the multiples
-    assert FIXED_BASE_SHAPE == (16, 5)
-    assert tally(build_table, curve.G, *FIXED_BASE_SHAPE)[1] == (112, 166, 3923, 2)
+    assert ops == (12, 121, 1207, 2)
+    assert tally(table_from_bytes, table_to_bytes(table), curve)[1] == (12, 121, 1210, 2)
+    # the (16,6) shape fixed_base_table builds: 15 shifted bases by 10
+    # doublings each and one doubling more, then 16 tracks of 3P, 5P, ...,
+    # 31P, so ECADD 16*15 = 240 and ECDBL 15*10 + 1 = 151.  Multiplies: 151
+    # doublings at 8, the 15 bases and 16 doubled points normalized at
+    # 4*31 + 3*30, 16 mmadds (3P) at 6 and 224 mixed additions (5P to 31P)
+    # at 11, and the 240 multiples normalized at 4*240 + 3*239: 1208 + 214
+    # + 96 + 2464 + 1677 = 5659, one inversion for the bases and doubled
+    # points and one for the multiples
+    assert FIXED_BASE_SHAPE == (16, 6)
+    assert tally(build_table, curve.G, *FIXED_BASE_SHAPE)[1] == (240, 151, 5659, 2)
+    # width 2 keeps no odd multiple, so it doubles no point past the last
+    # base: one track is G alone, two are one chain of 80 doublings and one
+    # normalization at 4 multiplies and no batch product
+    assert tally(build_table, curve.G, 1, 2)[1] == (0, 0, 0, 0)
+    assert tally(build_table, curve.G, 2, 2)[1] == (0, 80, 644, 1)
 
 
 @pytest.fixture(scope="module")

@@ -34,15 +34,7 @@ def _make_rng(seed_hex: str | None) -> random.Random:
 
 
 def cmd_keygen(args) -> int:
-    curve = load_curve(args.curve)
-    # key files name their curve, and the other commands resolve that name
-    # to the built-in curve: refuse a curve that name would not reproduce
-    shipped = builtin_curve(curve.name)
-    if ((curve.field.p, curve.a, curve.b, curve.G, curve.order_n)
-            != (shipped.field.p, shipped.a, shipped.b, shipped.G, shipped.order_n)):
-        raise BadConfig(f"curve {curve.name!r} differs from the built-in curve of that name")
-    rng = _make_rng(args.seed)
-    kp = elgamal.keygen(rng, curve)
+    kp = elgamal.keygen(_make_rng(args.seed), builtin_curve())
     pub, sec = elgamal.save_keypair(kp, args.out)
     print(f"wrote {pub} and {sec}")
     return 0
@@ -174,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a key pair")
-    p.add_argument("--curve", required=True, help="curve config file")
     p.add_argument("--out", required=True, help="output prefix for .pub/.sec")
     p.add_argument("--seed", help="hex seed for reproducible keys")
     p.set_defaults(func=cmd_keygen)

@@ -6,7 +6,8 @@ Jacobian in and out.  The sensing path never inverts: equality and special
 cases are decided by cross-multiplication.  Conversion back to affine is
 for table builds, serialization and the reader.  to_affine_batch does it,
 sharing one inversion across its points, everywhere but in
-elgamal.ct_to_bytes, which normalizes a ciphertext's R and S pair inline.
+elgamal.ct_to_bytes, which normalizes a ciphertext's R and S pair inline
+for the aggregator hop's speed (its docstring has the numbers).
 
 A point with Z = 0 is the group identity in Jacobian coordinates; affine
 points carry an explicit infinity flag instead.

@@ -493,6 +493,11 @@ def ct_to_bytes(c: Ciphertext) -> bytes:
     A component at Z = 0 or 1 needs no inversion.  When both Z are above 1,
     one inversion of Z_R*Z_S yields both inverses for 3 multiplications
     (mod_inv_batch's count for a pair); each scaled point then costs 4.
+
+    The same bytes and counts as point_to_bytes over to_affine_batch, kept
+    inline because that route read relay-fold p50 6.21-6.32 ms against
+    5.97-6.08 ms, worse in 6 of 6 alternated pairs (perfbench/run.py, seed
+    1, 8 s, trace 0; Python 3.11.7, 2-CPU Xeon): measure before rerouting it.
     """
     R, S = c.R, c.S
     f = R.curve.field

@@ -14,7 +14,7 @@ from ecagg.aggsim import load_scenario, parse_report, run_round
 from ecagg.cli import main
 from ecagg.counters import FIELDS, tally
 from ecagg.curve import builtin_curve, to_affine
-from ecagg.elgamal import keygen, load_public_key, load_secret_key
+from ecagg.elgamal import keygen, load_public_key, load_secret_key, save_keypair
 from ecagg.errors import BadConfig
 from ecagg.scalarmul import mul_binary
 
@@ -70,11 +70,23 @@ def run_main(*argv):
 # --- keygen -----------------------------------------------------------------------
 
 def test_keygen_deterministic(workspace, capsys):
-    curve = str(workspace / "test.curve")
-    assert run_main("keygen", "--curve", curve, "--out", str(workspace / "a"), "--seed", "c0ffee") == 0
-    assert run_main("keygen", "--curve", curve, "--out", str(workspace / "b"), "--seed", "c0ffee") == 0
+    # keygen writes elgamal.keygen's key over the shipped curve, drawn from
+    # the seeded generator: the same seed gives the same bytes
+    assert run_main("keygen", "--out", str(workspace / "a"), "--seed", "c0ffee") == 0
+    save_keypair(keygen(random.Random(0xc0ffee), builtin_curve()), workspace / "b")
     assert (workspace / "a.pub").read_bytes() == (workspace / "b.pub").read_bytes()
     assert (workspace / "a.sec").read_bytes() == (workspace / "b.sec").read_bytes()
+
+
+def test_keygen_takes_no_curve_file(workspace, capsys):
+    # keygen's curve is the shipped profile, so argparse refuses a curve
+    # file before anything is written
+    with pytest.raises(SystemExit) as exc:
+        run_main("keygen", "--curve", str(workspace / "test.curve"),
+                 "--out", str(workspace / "k"), "--seed", "1")
+    assert exc.value.code == 2
+    assert "--curve" in capsys.readouterr().err
+    assert not list(workspace.glob("k.*"))
 
 
 def test_unseeded_runs_draw_from_the_os(workspace):
@@ -82,34 +94,30 @@ def test_unseeded_runs_draw_from_the_os(workspace):
     # a seed still gives a reproducible generator
     assert isinstance(cli._make_rng(None), random.SystemRandom)
     assert type(cli._make_rng("c0ffee")) is random.Random
-    assert run_main("keygen", "--curve", str(workspace / "test.curve"),
-                    "--out", str(workspace / "os")) == 0
+    assert run_main("keygen", "--out", str(workspace / "os")) == 0
     Y = load_public_key(workspace / "os.pub")
     x, curve = load_secret_key(workspace / "os.sec")
     assert Y == to_affine(mul_binary(x, curve.G))
 
 
 def test_non_hex_seed_exits_2(workspace, capsys):
-    assert run_main("keygen", "--curve", str(workspace / "test.curve"),
-                    "--out", str(workspace / "k"), "--seed", "0xyz") == 2
+    assert run_main("keygen", "--out", str(workspace / "k"), "--seed", "0xyz") == 2
     assert "not hexadecimal" in capsys.readouterr().err
     assert not (workspace / "k.pub").exists() and not (workspace / "k.sec").exists()
 
 
 def test_keygen_secret_file_mode_0600(workspace):
-    curve = str(workspace / "test.curve")
-    assert run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "1") == 0
+    assert run_main("keygen", "--out", str(workspace / "k"), "--seed", "1") == 0
     assert stat.S_IMODE((workspace / "k.sec").stat().st_mode) == 0o600
 
 
 @pytest.mark.parametrize("existing", ["both", "pub", "sec"])
 def test_keygen_refuses_to_overwrite(workspace, existing):
-    curve = str(workspace / "test.curve")
-    assert run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "1") == 0
+    assert run_main("keygen", "--out", str(workspace / "k"), "--seed", "1") == 0
     if existing != "both":
         (workspace / ("k.sec" if existing == "pub" else "k.pub")).unlink()
     before = {p.name: p.read_bytes() for p in workspace.glob("k.*")}
-    assert run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "2") == 2
+    assert run_main("keygen", "--out", str(workspace / "k"), "--seed", "2") == 2
     assert {p.name: p.read_bytes() for p in workspace.glob("k.*")} == before
 
 
@@ -117,48 +125,17 @@ def test_keygen_refuses_to_overwrite(workspace, existing):
 def test_keygen_refuses_dangling_key_file_link(workspace, dangling):
     # a symlink to a missing file is still a key file name in use: keygen
     # must neither follow it nor write the other file of the pair
-    curve = str(workspace / "test.curve")
     target = workspace / "elsewhere"
     (workspace / f"k.{dangling}").symlink_to(target)
-    assert run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "1") == 2
+    assert run_main("keygen", "--out", str(workspace / "k"), "--seed", "1") == 2
     assert not target.exists()
     assert [p.name for p in workspace.glob("k.*")] == [f"k.{dangling}"]
-
-
-def test_keygen_missing_curve_file(workspace):
-    assert run_main("keygen", "--curve", str(workspace / "nope.curve"),
-                    "--out", str(workspace / "k")) == 2
-
-
-# the tiny test curve (p = 2**13 - 1) under the shipped curve's name
-TINY_AS_SECP = """
-name = secp160r1
-n = d
-c = 1
-a = 1ffc
-b = 3
-gx = 1
-gy = 1
-order_n = 201d
-"""
-
-
-@pytest.mark.parametrize("text", [CURVE_TEXT.replace("secp160r1", "mycurve"), TINY_AS_SECP],
-                         ids=["renamed", "other_params"])
-def test_keygen_refuses_curve_key_files_cannot_name(workspace, text):
-    # key files carry only the curve's name, which encrypt resolves to the
-    # built-in curve; keygen must not write keys for a curve it cannot reach
-    (workspace / "other.curve").write_text(text)
-    assert run_main("keygen", "--curve", str(workspace / "other.curve"),
-                    "--out", str(workspace / "k"), "--seed", "1") == 2
-    assert not list(workspace.glob("k.*"))
 
 
 def test_keygen_pub_validates_on_reload(workspace):
     from ecagg.curve import on_curve
     from ecagg.elgamal import load_public_key
-    curve = str(workspace / "test.curve")
-    run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "11")
+    run_main("keygen", "--out", str(workspace / "k"), "--seed", "11")
     assert on_curve(load_public_key(workspace / "k.pub"))
 
 
@@ -175,8 +152,7 @@ def encrypt_files(workspace, messages, prefix="m"):
 
 
 def test_pipeline_recovers_63(workspace, capsys):
-    curve = str(workspace / "test.curve")
-    run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "2")
+    run_main("keygen", "--out", str(workspace / "k"), "--seed", "2")
     cts = encrypt_files(workspace, (15, 16, 18, 14))
     assert run_main("add", "--in", *cts, "--out", str(workspace / "sum.ct")) == 0
     capsys.readouterr()
@@ -186,17 +162,15 @@ def test_pipeline_recovers_63(workspace, capsys):
 
 
 def test_decrypt_wrong_key_exits_3(workspace, capsys):
-    curve = str(workspace / "test.curve")
-    run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "2")
-    run_main("keygen", "--curve", curve, "--out", str(workspace / "w"), "--seed", "3")
+    run_main("keygen", "--out", str(workspace / "k"), "--seed", "2")
+    run_main("keygen", "--out", str(workspace / "w"), "--seed", "3")
     cts = encrypt_files(workspace, (250,))
     assert run_main("decrypt", "--sec", str(workspace / "w.sec"),
                     "--in", cts[0], "--max", "60000") == 3
 
 
 def test_decrypt_search_ceiling(workspace, capsys):
-    curve = str(workspace / "test.curve")
-    run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "2")
+    run_main("keygen", "--out", str(workspace / "k"), "--seed", "2")
     cts = encrypt_files(workspace, (77,))
     for bound in (str(1 << 32), "-1"):
         assert run_main("decrypt", "--sec", str(workspace / "k.sec"),
@@ -210,8 +184,7 @@ def test_decrypt_search_ceiling(workspace, capsys):
 
 
 def test_add_single_file_reencodes(workspace):
-    curve = str(workspace / "test.curve")
-    run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "2")
+    run_main("keygen", "--out", str(workspace / "k"), "--seed", "2")
     cts = encrypt_files(workspace, (9,))
     assert run_main("add", "--in", cts[0], "--out", str(workspace / "copy.ct")) == 0
     assert (workspace / "copy.ct").read_bytes() == (workspace / "m0.ct").read_bytes()
@@ -237,8 +210,7 @@ def test_encrypt_bad_pub_exits_2(workspace):
 
 
 def test_encrypt_oversized_message_exits_2(workspace):
-    curve = str(workspace / "test.curve")
-    run_main("keygen", "--curve", curve, "--out", str(workspace / "k"), "--seed", "2")
+    run_main("keygen", "--out", str(workspace / "k"), "--seed", "2")
     assert run_main("encrypt", "--pub", str(workspace / "k.pub"),
                     "--msg", str(1 << 30), "--out", str(workspace / "x.ct")) == 2
 
@@ -537,20 +509,18 @@ def test_bench_zero_trials_exits_2(workspace):
 # --- subprocess harness ------------------------------------------------------------------
 
 def test_exit_codes_via_subprocess(workspace):
-    curve = str(workspace / "test.curve")
     env_cmd = [sys.executable, "-m", "ecagg"]
     # the child imports the package under test, installed or not
     root = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
-    ok = subprocess.run(env_cmd + ["keygen", "--curve", curve, "--out",
-                                   str(workspace / "sk"), "--seed", "aa"],
+    ok = subprocess.run(env_cmd + ["keygen", "--out", str(workspace / "sk"), "--seed", "aa"],
                         capture_output=True, text=True, env=env)
     assert ok.returncode == 0
-    bad = subprocess.run(env_cmd + ["keygen", "--curve", str(workspace / "none.curve"),
-                                    "--out", str(workspace / "x")],
+    bad = subprocess.run(env_cmd + ["keygen", "--out", str(workspace / "x"), "--seed", "0xyz"],
                          capture_output=True, text=True, env=env)
     assert bad.returncode == 2
-    assert bad.stderr
+    assert "not hexadecimal" in bad.stderr
+    assert not list(workspace.glob("x.*"))
     usage = subprocess.run(env_cmd + ["decrypt"], capture_output=True, text=True, env=env)
     assert usage.returncode == 2

@@ -10,7 +10,10 @@ elgamal.ct_to_bytes, which normalizes a ciphertext's R and S pair inline
 for the aggregator hop's speed (its docstring has the numbers).
 
 A point with Z = 0 is the group identity in Jacobian coordinates; affine
-points carry an explicit infinity flag instead.
+points carry an explicit infinity flag instead.  Points refer to their
+curve, never the reverse: a curve keeps its generator's coordinates,
+building G on each access, and caches only plain ints, so it is freed with
+everything it caches when its last reference goes.
 
 Coordinates are plain integers in [0, p).  Each formula is straight-line
 code reducing with CPython's ``%`` (see the field module for why), and
@@ -108,9 +111,14 @@ class JacobianPoint:
 
 
 class CurveParams:
-    """Validated domain parameters: curve coefficients, generator, group order."""
+    """Validated domain parameters: curve coefficients, generator, group order.
 
-    __slots__ = ("field", "a", "b", "G", "order_n", "name", "a_is_minus3",
+    G builds the generator from its stored coordinates on each access, and
+    the caches hold plain ints, so nothing here refers back to the curve:
+    reference counting frees it and its caches when its last reference goes.
+    """
+
+    __slots__ = ("field", "a", "b", "_g", "order_n", "name", "a_is_minus3",
                  "_tables", "_rmap_cache")
 
     def __init__(self, field: FieldParams, a: int, b: int, gx: int, gy: int,
@@ -137,15 +145,21 @@ class CurveParams:
         self.order_n = order_n
         self.name = name
         self.a_is_minus3 = a == p - 3
-        # fixed-base tables by base point (scalarmul.fixed_base_table)
+        # fixed-base tables' tracks by base (x, y) (scalarmul.fixed_base_table)
         self._tables = {}
         self._rmap_cache = None
-        self.G = AffinePoint(self, gx, gy)
-        if not on_curve(self.G):
+        self._g = (gx, gy)
+        G = self.G
+        if not on_curve(G):
             raise InvalidCurve("generator not on curve")
         from .scalarmul import mul_binary  # deferred: scalarmul imports this module
-        if not mul_binary(order_n, self.G).is_infinity:
+        if not mul_binary(order_n, G).is_infinity:
             raise InvalidCurve("order_n * G is not the identity")
+
+    @property
+    def G(self) -> AffinePoint:
+        """The generator, a new point on each access."""
+        return AffinePoint(self, *self._g)
 
     def __repr__(self):
         return f"CurveParams({self.name!r}, n={self.field.n})"

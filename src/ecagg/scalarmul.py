@@ -207,21 +207,27 @@ def build_table(G: AffinePoint, t: int, w: int) -> PrecompTable:
 
 def fixed_base_table(P: AffinePoint) -> PrecompTable:
     """The FIXED_BASE_SHAPE table for base P, 256 stored points, built on
-    first use and kept on P's curve, one per base: each key beyond G costs
-    about 42 KB for as long as its curve lives (41,832 bytes by tracemalloc
-    on secp160r1).  A curve narrower than the shape's track count gets one
-    track per field bit."""
-    tables = P.curve._tables
-    table = tables.get(P)
-    if table is None:
+    first use and kept on P's curve, one per base: the curve keeps the
+    table's tracks, plain ints under P's (x, y), and each call wraps them
+    in a new PrecompTable.  Each key beyond G costs about 42 KB for as long
+    as its curve lives: 41,824 bytes by tracemalloc on secp160r1, the
+    tracks' 41,768 and the key's 56.  A curve narrower than the shape's
+    track count gets one track per field bit."""
+    curve = P.curve
+    signed = curve._tables.get((P.x, P.y))
+    if signed is None:
         t, w = FIXED_BASE_SHAPE
-        table = tables[P] = build_table(P, min(t, P.curve.field.n), w)
-    return table
+        signed = curve._tables[P.x, P.y] = build_table(P, min(t, curve.field.n), w).signed
+    return PrecompTable(curve, len(signed), FIXED_BASE_SHAPE[1], signed)
 
 
 def default_table(curve: CurveParams) -> PrecompTable:
-    """The curve's shared generator table, fixed_base_table(curve.G)."""
-    return fixed_base_table(curve.G)
+    """The curve's shared generator table, fixed_base_table(curve.G), found
+    by the generator's stored coordinates: once built, no point is made."""
+    signed = curve._tables.get(curve._g)
+    if signed is None:
+        return fixed_base_table(curve.G)
+    return PrecompTable(curve, len(signed), FIXED_BASE_SHAPE[1], signed)
 
 
 def _scan(curve: CurveParams, scalars: list[tuple[tuple, tuple, int]]) -> JacobianPoint:

@@ -351,13 +351,14 @@ def test_setup_builds_a_missing_public_key_table():
     curve = builtin_curve()
     x = random.Random(0xACC).randrange(1, curve.order_n)
     keys = KeyPair(x, to_affine(mul_binary(x, curve.G)))
-    assert keys.public_Y not in curve._tables
+    Y, G = keys.public_Y, curve.G
+    assert (Y.x, Y.y) not in curve._tables
     result = run_round(scenario_from_text(DEMO), keys, random.Random(1), max_bits=16)
     # the round's usual (360, 158, 6407, 9), plus the key's (16,6) table,
     # (240, 151, 5659, 2)
     assert [getattr(result.setup, f) for f in FIELDS] == [360 + 240, 158 + 151, 6407 + 5659, 9 + 2]
     assert all(st.ops.ecdbl <= 20 for st in result.node_stats.values() if st.role == "leaf")
-    assert curve._tables.keys() == {curve.G, keys.public_Y}
+    assert curve._tables.keys() == {(G.x, G.y), (Y.x, Y.y)}
 
 
 def test_round_rejects_bound_above_search_ceiling(keys):

@@ -580,10 +580,14 @@ def test_alternating_keys_keep_two_tables(tmp_path):
                 ct = encrypt(Y, m, rng)
             assert decrypt(x, ct, 1000) == m
             assert first_round or ops.ecdbl <= 40
-            # loaded and rehomed are equal points on two curves
-            assert built.setdefault((Y.curve, Y), fixed_base_table(Y)) is fixed_base_table(Y)
-    assert curve._tables.keys() == {curve.G, mine.public_Y, rehomed}
-    assert loaded.curve._tables.keys() == {loaded.curve.G, loaded}
+            # loaded and rehomed are equal points on two curves; a table's
+            # tracks are the same object on every call, so built once
+            tracks = fixed_base_table(Y).signed
+            assert built.setdefault((Y.curve, Y), tracks) is tracks
+    G, Y = curve.G, mine.public_Y
+    assert curve._tables.keys() == {(G.x, G.y), (Y.x, Y.y), (rehomed.x, rehomed.y)}
+    G = loaded.curve.G
+    assert loaded.curve._tables.keys() == {(G.x, G.y), (loaded.x, loaded.y)}
 
 
 def test_ct_to_bytes_shares_one_inversion(curve, keys, rng):

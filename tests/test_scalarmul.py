@@ -261,11 +261,12 @@ def test_table_base_shift(curve):
 def test_tables_hold_each_odd_multiple_once(curve):
     # one entry per odd multiple, plain ints and no mirrored copy: a
     # table's track holds (x, y) pairs, mul_signed's lookup P's pair and
-    # then its Jacobian multiples.  A live (16, 6) table on secp160r1 keeps
-    # 256 pairs, each a 56-byte tuple of two 48-byte ints, in 16 track
-    # tuples and one outer tuple of 168 bytes each, and the 64-byte table
-    # object: 38,912 + 2,856 + 64 = 41,832 bytes by tracemalloc; the bound
-    # leaves 5% above that
+    # then its Jacobian multiples.  The curve keeps a key's (16, 6) table on
+    # secp160r1 as 256 pairs, each a 56-byte tuple of two 48-byte ints, in
+    # 16 track tuples and one outer tuple of 168 bytes each, under a 56-byte
+    # (x, y) key: 38,912 + 2,856 + 56 = 41,824 bytes by tracemalloc.  Each
+    # lookup wraps them in a 64-byte table object that goes with it.  The
+    # bound leaves about 5% above that
     for t in range(1, 6):
         for w in WIDTHS:
             for lookup in build_table(curve.G, t, w).signed:
@@ -277,17 +278,20 @@ def test_tables_hold_each_odd_multiple_once(curve):
         assert len(lookup) == 1 << (w - 2)
         assert lookup[0] == (curve.G.x, curve.G.y)
         assert all(len(entry) == 5 and {type(v) for v in entry} == {int} for entry in lookup[1:])
+    c = builtin_curve()
+    default_table(c)
+    P = to_affine(mul_binary(3, c.G))
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        table = build_table(curve.G, *FIXED_BASE_SHAPE)
+        assert fixed_base_table(P).extra_points == 255
+        # empties the free lists the build left behind
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert table.extra_points == 255
-    assert kept <= 44_000, kept
+    assert kept <= 43_900, kept
 
 
 # --- interleaved multiplication ----------------------------------------------------------
@@ -368,16 +372,20 @@ def test_interleave_folds_a_second_scalar(curve, rng):
 
 def test_fixed_base_table_keeps_one_table_per_base(rng):
     c = builtin_curve()
+    # each call wraps the cached tracks in a new table, so the tracks being
+    # the same object on every call means each base is built once
     G_table = fixed_base_table(c.G)
-    assert default_table(c) is G_table and (G_table.t, G_table.w) == FIXED_BASE_SHAPE
+    assert default_table(c).signed is G_table.signed
+    assert (G_table.t, G_table.w) == FIXED_BASE_SHAPE
     # per track its base and 3, 5, ..., 31 times it: 16*16 points, G among them
     assert G_table.extra_points == 255
     P, Q = (to_affine(mul_binary(rng.getrandbits(N), c.G)) for _ in range(2))
-    P_table = fixed_base_table(P)
-    Q_table = fixed_base_table(Q)
-    assert fixed_base_table(P) is P_table and fixed_base_table(Q) is Q_table
-    assert c._tables.keys() == {c.G, P, Q}
-    assert fixed_base_table(c.G) is G_table
+    P_tracks = fixed_base_table(P).signed
+    Q_tracks = fixed_base_table(Q).signed
+    assert fixed_base_table(P).signed is P_tracks and fixed_base_table(Q).signed is Q_tracks
+    G = c.G
+    assert c._tables.keys() == {(G.x, G.y), (P.x, P.y), (Q.x, Q.y)}
+    assert fixed_base_table(G).signed is G_table.signed
 
 
 def test_fixed_base_table_fits_the_stated_flash_budget(curve):

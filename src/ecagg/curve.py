@@ -75,18 +75,19 @@ class AffinePoint:
         return f"AffinePoint({self.x:#x}, {self.y:#x})"
 
 
-class _class_only(classmethod):
-    """A classmethod an instance cannot read: Q.infinity on a JacobianPoint
-    would be a bound method, always truthy, where AffinePoint's is a flag."""
+class _JacobianType(type):
+    """JacobianPoint's metaclass.  Its infinity is read on the class as a
+    plain method, with no Python-level __get__, and never on a point, where
+    a bound method would always be truthy (AffinePoint's infinity is a
+    flag): Q.infinity raises AttributeError."""
 
-    def __get__(self, obj, cls=None):
-        if obj is not None:
-            raise AttributeError("JacobianPoint.infinity builds the identity; test is_infinity")
-        return super().__get__(obj, cls)
+    def infinity(cls, curve):
+        return cls(curve, 1, 1, 0)
 
 
-class JacobianPoint:
-    """Curve point (X, Y, Z) with affine image (X/Z**2, Y/Z**3); Z = 0 is the identity."""
+class JacobianPoint(metaclass=_JacobianType):
+    """Curve point (X, Y, Z) with affine image (X/Z**2, Y/Z**3); Z = 0 is
+    the identity, which JacobianPoint.infinity(curve) builds."""
 
     __slots__ = ("curve", "X", "Y", "Z")
 
@@ -95,10 +96,6 @@ class JacobianPoint:
         self.X = X
         self.Y = Y
         self.Z = Z
-
-    @_class_only
-    def infinity(cls, curve):
-        return cls(curve, 1, 1, 0)
 
     @property
     def is_infinity(self) -> bool:
@@ -172,7 +169,7 @@ def on_curve(P: AffinePoint) -> bool:
     cur, x = P.curve, P.x
     p = cur.field.p
     counters().fe_mul += 3
-    return P.y * P.y % p == ((x * x + cur.a) * x + cur.b) % p
+    return not (P.y * P.y - (x * x + cur.a) * x - cur.b) % p
 
 
 def lift(P: AffinePoint) -> JacobianPoint:
@@ -368,15 +365,19 @@ def point_to_bytes(P: AffinePoint) -> bytes:
     if P.infinity:
         return bytes([_IDENTITY])
     blen = P.curve.field.byte_length
-    return bytes([_UNCOMPRESSED]) + P.x.to_bytes(blen, "big") + P.y.to_bytes(blen, "big")
+    return bytes([_UNCOMPRESSED]) + (P.x << 8 * blen | P.y).to_bytes(2 * blen, "big")
 
 
 def decode_point(data: bytes, pos: int, curve: CurveParams) -> tuple[JacobianPoint, int]:
     """Decode one point starting at pos; returns (point, next position).
 
     The point comes lifted, as aggregation adds it: Z = 1, or Z = 0 for the
-    identity.  Coordinates must lie below p and meet the curve equation,
-    checked as on_curve does at 3 multiplications.
+    identity.  x || y is read by one int.from_bytes and split at
+    8 * byte_length bits, not at the field's n: where n is not a multiple
+    of 8 the bits above n in y's bytes must reach the range check.
+    Coordinates must lie below p and meet the curve equation, which is
+    checked as on_curve checks it, by one reduction of y^2 - x^3 - ax - b,
+    tallied as its 3 multiplications.
     """
     if pos >= len(data):
         raise BadEncoding("truncated point")
@@ -389,13 +390,15 @@ def decode_point(data: bytes, pos: int, curve: CurveParams) -> tuple[JacobianPoi
     end = pos + 1 + 2 * blen
     if end > len(data):
         raise BadEncoding("truncated point payload")
-    x = int.from_bytes(data[pos + 1:pos + 1 + blen], "big")
-    y = int.from_bytes(data[pos + 1 + blen:end], "big")
+    bits = 8 * blen
+    xy = int.from_bytes(data[pos + 1:end], "big")
+    x = xy >> bits
+    y = xy & ((1 << bits) - 1)
     p = curve.field.p
     if x >= p or y >= p:
         raise OffCurvePoint("coordinate not below p")
     counters().fe_mul += 3
-    if y * y % p != ((x * x + curve.a) * x + curve.b) % p:
+    if (y * y - (x * x + curve.a) * x - curve.b) % p:
         raise OffCurvePoint("coordinates fail the curve equation")
     return JacobianPoint(curve, x, y, 1), end
 

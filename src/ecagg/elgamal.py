@@ -30,8 +30,10 @@ reaching the K multiples on either side through one inversion shared by its
 K differences, and the giant steps are batched to one inversion per 32
 giant points; in both, each inverse serves a +- pair of affine sums.
 
-Only the holder of the secret key ever inverts a field element or recovers a
-plaintext; aggregation itself needs nothing but point additions.
+Only the holder of the secret key recovers a plaintext.  Encryption and
+ct_add invert nothing; the one inversion a leaf or an aggregator pays is
+ct_to_bytes's, which brings R and S to affine together for the wire (none
+when both already sit at Z = 0 or 1).
 """
 
 from __future__ import annotations
@@ -495,13 +497,14 @@ def ct_to_bytes(c: Ciphertext) -> bytes:
     (mod_inv_batch's count for a pair); each scaled point then costs 4.
 
     The same bytes and counts as point_to_bytes over to_affine_batch, kept
-    inline because that route read relay-fold p50 6.21-6.32 ms against
-    5.97-6.08 ms, worse in 6 of 6 alternated pairs (perfbench/run.py, seed
+    inline because that route read relay-fold p50 5.88-6.00 ms against
+    5.68-5.72 ms, worse in 6 of 6 alternated pairs (perfbench/run.py, seed
     1, 8 s, trace 0; Python 3.11.7, 2-CPU Xeon): measure before rerouting it.
     """
     R, S = c.R, c.S
     f = R.curve.field
     p, blen = f.p, f.byte_length
+    bits = 8 * blen
     ops = counters()
     zr, zs = R.Z, S.Z
     # from here on zr and zs hold what scales R and S to affine
@@ -524,7 +527,7 @@ def ct_to_bytes(c: Ciphertext) -> bytes:
             zi2 = zinv * zinv % p
             x = x * zi2 % p
             y = y * (zi2 * zinv % p) % p
-        out.append(b"\x04" + x.to_bytes(blen, "big") + y.to_bytes(blen, "big"))
+        out.append(b"\x04" + (x << bits | y).to_bytes(2 * blen, "big"))
     return b"".join(out)
 
 

@@ -5,16 +5,20 @@ import hashlib
 import os
 import random
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
 from conftest import (
     MULTIPLES_COUNTS,
     SECP_BABY_LOGS,
+    SMALL7,
     TINY,
     TINY_A2,
     ForcedK,
+    as_point,
     as_tuple,
+    at_z,
     check_baby_log,
     check_ct_to_bytes_over_z_classes,
     check_multiples,
@@ -22,6 +26,9 @@ from conftest import (
     o_add,
     o_mul,
     o_of,
+    oracle_points,
+    wire_decode,
+    wire_encode,
     x_equal_p_bytes,
 )
 
@@ -30,6 +37,7 @@ from ecagg.curve import (
     AffinePoint,
     JacobianPoint,
     builtin_curve,
+    decode_point,
     ec_add_jjj,
     ec_eq,
     ec_neg,
@@ -713,6 +721,61 @@ def test_ct_bytes_roundtrip(curve, keys, rng):
         assert len(data) == 82
         back = ct_from_bytes(data, curve)
         assert ct_to_bytes(back) == data
+
+
+@pytest.mark.parametrize("name", ["secp160r1", "tiny13", "small7"])
+def test_wire_codec_matches_two_field_codec(name):
+    # the codec reads and writes x || y as one integer split at 8 *
+    # byte_length bits, which is wider than the field on tiny13 (13 bits in
+    # 2 bytes) and small7 (7 bits in 1): checked against wire_encode and
+    # wire_decode, which handle each coordinate on its own.  Ciphertexts
+    # with each component the identity, at Z = 1 or at another Z, and then
+    # every point whose x and y are each a valid coordinate, that plus p or
+    # plus 2**n, p itself or the widest value the bytes hold, at two
+    # positions, refused with the same class and message or decoded alike
+    c = builtin_curve() if name == "secp160r1" else make_tiny(
+        {"tiny13": TINY, "small7": SMALL7}[name], name)
+    rng = random.Random(name)
+    p, n, blen = c.field.p, c.field.n, c.field.byte_length
+    points = [None, *oracle_points(c, 3, rng)]
+
+    def as_decoded(Q):
+        assert Q.Z == (not Q.is_infinity)
+        return None if Q.is_infinity else (Q.X, Q.Y)
+
+    def decoded(data, pos):
+        try:
+            Q, end = decode_point(data, pos, c)
+        except (BadEncoding, OffCurvePoint) as e:
+            return type(e), str(e)
+        return as_decoded(Q), end
+
+    for TR, TS in product(points, repeat=2):
+        assert point_to_bytes(as_point(TR, c)) == wire_encode(TR, c)
+        for zr, zs in ((1, 1), (rng.randrange(2, p), rng.randrange(2, p))):
+            data = ct_to_bytes(Ciphertext(at_z(TR, c, zr), at_z(TS, c, zs)))
+            assert data == wire_encode(TR, c) + wire_encode(TS, c)
+            back = ct_from_bytes(data, c)
+            assert [as_decoded(back.R), as_decoded(back.S)] == [TR, TS]
+    x, y = points[1]
+    top = (1 << 8 * blen) - 1
+    xs = {v for v in (x, x + p, x + (1 << n), p, top) if v <= top}
+    ys = {v for v in (y, y + p, y + (1 << n), (y + 1) % p, p, top) if v <= top}
+    refused = set()
+    for X, Y in product(sorted(xs), sorted(ys)):
+        raw = bytes([0x04]) + X.to_bytes(blen, "big") + Y.to_bytes(blen, "big")
+        want = wire_decode(raw, 0, c)
+        assert decoded(raw, 0) == want, (X, Y)
+        shifted = b"\x00" + raw + b"\x00"
+        assert decoded(shifted, 1) == wire_decode(shifted, 1, c), (X, Y)
+        if want[0] in (BadEncoding, OffCurvePoint):
+            refused.add(want[1])
+            with pytest.raises(want[0], match=want[1]):
+                ct_from_bytes(raw + wire_encode(points[2], c), c)
+    assert refused == {"coordinate not below p", "coordinates fail the curve equation"}
+    valid = wire_encode(points[1], c)
+    for data in [b"", b"\x02", b"\x05", *(valid[:k] for k in range(1, len(valid)))]:
+        assert decoded(data, 0) == wire_decode(data, 0, c), data
 
 
 def test_ct_identity_component_length(curve, keys):

@@ -127,7 +127,9 @@ MUTANTS = {
                             "(count - k_max) // span"),
     "pm-centres-2k-apart": (elgamal, "_multiples", "2 * k_max + 1", "2 * k_max"),
     "decode-skips-on-curve": (curve, "decode_point",
-                              "y * y % p != ((x * x + curve.a) * x + curve.b) % p", "False"),
+                              "(y * y - (x * x + curve.a) * x - curve.b) % p", "False"),
+    "decode-y-split-at-field-bits": (curve, "decode_point", "(1 << bits) - 1",
+                                     "curve.field.mask"),
     "decode-skips-range-check": (curve, "decode_point", "x >= p or y >= p", "False"),
     "decode-accepts-x-equal-p": (curve, "decode_point", "x >= p or y >= p", "x > p or y >= p"),
     "jjj-z3-without-h": (curve, "ec_add_jjj", "((Z1 + Z2) * (Z1 + Z2) - z1z1 - z2z2) * h",
@@ -147,6 +149,7 @@ MUTANTS = {
                                  "_madd(X1, Y1, Q2) if Z1 == 1 else _madd(X2, Y2, Q1)",
                                  "_madd(X2, Y2, Q1)"),
     "ct-scales-s-by-r-inverse": (elgamal, "ct_to_bytes", "zr * inv % p", "zs * inv % p"),
+    "ct-writes-x-one-byte-short": (elgamal, "ct_to_bytes", "x << bits | y", "x << bits - 8 | y"),
     "normalize-y-by-z-squared": (curve, "to_affine_batch", "zi2 * zinv", "zi2"),
     "giants-one-stride-apart": (elgamal, "bsgs_cache", "2 * stride", "stride"),
     "giants-floor-half": (elgamal, "bsgs_cache", "(steps + 1) // 2", "steps // 2"),
@@ -400,17 +403,18 @@ def _identity_base_table(c):
 
 
 def _wide_coordinate(c):
-    # a ciphertext whose R carries x + p: it fits the tiny curves' two-byte
-    # coordinates and meets the curve equation mod p, yet must not decode
+    # ciphertexts whose R carries x + p, or y + 2**13: each fits the tiny
+    # curves' two-byte coordinates and, reduced mod p or cut to the field's
+    # 13 bits, meets the curve equation, yet must not decode
     p = c.field.p
-    x, y = c.G.x + p, c.G.y
-    wide = bytes([0x04]) + x.to_bytes(2, "big") + y.to_bytes(2, "big")
-    try:
-        ct_from_bytes(wide + point_to_bytes(c.G), c)
-    except OffCurvePoint:
-        pass
-    else:
-        raise AssertionError("a coordinate not below p decoded")
+    for x, y in ((c.G.x + p, c.G.y), (c.G.x, c.G.y + (1 << c.field.n))):
+        wide = bytes([0x04]) + x.to_bytes(2, "big") + y.to_bytes(2, "big")
+        try:
+            ct_from_bytes(wide + point_to_bytes(c.G), c)
+        except OffCurvePoint:
+            pass
+        else:
+            raise AssertionError("a coordinate not below p decoded")
 
 
 def _x_equal_p(c):

@@ -10,6 +10,7 @@ search bound.
 from __future__ import annotations
 
 import argparse
+import csv
 import random
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from statistics import fmean, pstdev
 
 from . import aggsim, elgamal, scalarmul
 from .counters import FIELDS, tally
-from .curve import builtin_curve, load_curve
+from .curve import builtin_curve
 from .errors import BadConfig, Error, NotFound
 from .textcfg import parse_kv
 
@@ -91,49 +92,47 @@ _BENCH_COLUMNS = (
 
 
 def _bench_config(token: str, curve, rng):
-    """(t, w, stored points, one-trial callable of k, w defaulted) for a
-    token such as binary, mof3, interleave:t=2,w=2 or elgamal."""
+    """(t, w, stored points, one-trial callable of k) for a token such as
+    binary, mof3, interleave:t=2,w=2 or elgamal."""
     name, _, params = token.partition(":")
     given = parse_kv(params.replace(",", "\n"), BadConfig)
     G = curve.G
     if name == "binary" and not given:
-        return 1, 0, 0, lambda k: scalarmul.mul_binary(k, G), False
+        return 1, 0, 0, lambda k: scalarmul.mul_binary(k, G)
     if name.startswith("mof") and name[3:].isdecimal() and not given:
         w = int(name[3:])
         if not 2 <= w <= scalarmul.MAX_RECODING_WIDTH:
             raise BadConfig(f"width {w} outside [2, {scalarmul.MAX_RECODING_WIDTH}] "
                             f"in config {token!r}")
-        return 1, w, 0, lambda k: scalarmul.mul_signed(k, G, w), False
+        return 1, w, 0, lambda k: scalarmul.mul_signed(k, G, w)
     if name == "elgamal" and not given:
         # one encryption as the program runs it, over the cached tables
         Y = elgamal.keygen(rng, curve).public_Y
         table = scalarmul.default_table(curve)
         return (table.t, table.w, table.extra_points,
-                lambda k: elgamal.encrypt(Y, rng.getrandbits(8), rng), False)
-    if name != "interleave" or not given.keys() <= {"t", "w"}:
-        raise BadConfig(f"unknown bench config {token!r} (only interleave takes parameters)")
+                lambda k: elgamal.encrypt(Y, rng.getrandbits(8), rng))
+    if name != "interleave" or given.keys() != {"t", "w"}:
+        raise BadConfig(f"unknown bench config {token!r} (interleave takes exactly t and w)")
     try:
-        t, w = int(given.get("t", 1)), int(given.get("w", 2))
+        t, w = int(given["t"]), int(given["w"])
     except ValueError:
         raise BadConfig(f"t and w must be integers in config {token!r}") from None
     if not 1 <= t <= curve.field.n:
         raise BadConfig(f"track count {t} outside [1, {curve.field.n}] in config {token!r}")
     table = scalarmul.build_table(G, t, w)
-    return t, w, table.extra_points, lambda k: scalarmul.mul_interleave(k, table), "w" not in given
+    return t, w, table.extra_points, lambda k: scalarmul.mul_interleave(k, table)
 
 
 def cmd_bench(args) -> int:
-    curve = load_curve(args.curve)
     if args.trials < 1:
         raise BadConfig("trials must be at least 1")
+    curve = builtin_curve()
     rng = _make_rng(args.seed)
     scalars = [rng.getrandbits(curve.field.n) for _ in range(args.trials)]
     # every token is checked, and its table or key built, before any trial
     configs = [(token, *_bench_config(token, curve, rng)) for token in args.configs]
     rows = []
-    any_defaulted = False
-    for token, t, w, prec, trial, defaulted in configs:
-        any_defaulted = any_defaulted or defaulted
+    for token, t, w, prec, trial in configs:
         samples = []
         for k in scalars:
             with tally() as ops:
@@ -146,13 +145,11 @@ def cmd_bench(args) -> int:
     print(" ".join(format(head, spec.partition(".")[0]) for head, spec, _ in _BENCH_COLUMNS))
     for row in rows:
         print(" ".join(format(v, spec) for v, (_, spec, _) in zip(row, _BENCH_COLUMNS)))
-    if any_defaulted:
-        print("note: rows without an explicit w use width 2")
     if args.csv:
-        lines = [",".join(name for _, _, name in _BENCH_COLUMNS)]
-        lines += [",".join(f"{v:.3f}" if isinstance(v, float) else str(v) for v in row)
-                  for row in rows]
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        with open(args.csv, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(
+                [[name for _, _, name in _BENCH_COLUMNS]]
+                + [[f"{v:.3f}" if isinstance(v, float) else v for v in row] for row in rows])
     return 0
 
 
@@ -195,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", help="operation-count benchmark")
-    p.add_argument("--curve", required=True, help="curve config file")
     p.add_argument("--trials", required=True, type=int, help="trials per config")
     p.add_argument("--configs", required=True, nargs="+",
                    help="e.g. binary mof2 interleave:t=2,w=2 elgamal")

@@ -33,7 +33,7 @@ import importlib.resources
 from .counters import counters
 from .errors import BadConfig, BadEncoding, InvalidCurve, OffCurvePoint
 from .field import FieldParams, is_probable_prime, mod_inv_batch
-from .textcfg import parse_kv, read_text
+from .textcfg import parse_kv
 
 _CONFIG_KEYS = ("name", "n", "c", "a", "b", "gx", "gy", "order_n")
 
@@ -418,11 +418,6 @@ def curve_from_config(text: str) -> CurveParams:
         raise InvalidCurve(str(e)) from None
     return CurveParams(fp, vals["a"], vals["b"], vals["gx"], vals["gy"],
                        vals["order_n"], vals["name"])
-
-
-def load_curve(path) -> CurveParams:
-    """Read and validate a curve config file."""
-    return curve_from_config(read_text(path, BadConfig, "curve file"))
 
 
 def builtin_curve(name: str = "secp160r1") -> CurveParams:

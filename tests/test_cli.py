@@ -1,7 +1,9 @@
 """Command-line behaviour, including the exit-code contract."""
 
+import csv
 import os
 import random
+import shlex
 import stat
 import subprocess
 import sys
@@ -87,6 +89,17 @@ def test_keygen_takes_no_curve_file(workspace, capsys):
     assert exc.value.code == 2
     assert "--curve" in capsys.readouterr().err
     assert not list(workspace.glob("k.*"))
+
+
+def test_bench_takes_no_curve_file(workspace, capsys):
+    # bench runs on the shipped profile, as every other command does, so
+    # argparse refuses a curve file before any row is computed
+    with pytest.raises(SystemExit) as exc:
+        run_main("bench", "--curve", str(workspace / "test.curve"), "--trials", "1",
+                 "--configs", "binary")
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--curve" in err
 
 
 def test_unseeded_runs_draw_from_the_os(workspace):
@@ -288,7 +301,7 @@ def parse_bench_counts(text):
     rows = {}
     for line in text.splitlines():
         parts = line.split()
-        if not parts or parts[0] in ("config", "note:"):
+        if not parts or parts[0] == "config":
             continue
         if len(parts) >= 12:
             rows[parts[0]] = {
@@ -296,48 +309,41 @@ def parse_bench_counts(text):
     return rows
 
 
-def test_bench_doubling_halves(workspace, capsys):
-    curve = str(workspace / "test.curve")
-    assert run_main("bench", "--curve", curve, "--trials", "5",
+def test_bench_doubling_halves(capsys):
+    assert run_main("bench", "--trials", "5",
                     "--configs", "binary", "interleave:t=2,w=2", "--seed", "abc") == 0
     rows = parse_bench_counts(capsys.readouterr().out)
     ratio = rows["interleave:t=2,w=2"]["ecdbl"] / rows["binary"]["ecdbl"]
     assert 0.45 < ratio < 0.56
 
 
-def test_bench_doublings_monotone_in_tracks(workspace, capsys):
-    curve = str(workspace / "test.curve")
+def test_bench_doublings_monotone_in_tracks(capsys):
     configs = [f"interleave:t={t},w=2" for t in (1, 2, 3, 4)]
-    assert run_main("bench", "--curve", curve, "--trials", "3",
-                    "--configs", *configs, "--seed", "feed") == 0
+    assert run_main("bench", "--trials", "3", "--configs", *configs, "--seed", "feed") == 0
     rows = parse_bench_counts(capsys.readouterr().out)
     means = [rows[c]["ecdbl"] for c in configs]
     assert all(a > b for a, b in zip(means, means[1:]))
 
 
-def test_bench_mof_reduces_additions(workspace, capsys):
-    curve = str(workspace / "test.curve")
-    assert run_main("bench", "--curve", curve, "--trials", "5",
-                    "--configs", "binary", "mof2", "--seed", "abc") == 0
+def test_bench_mof_reduces_additions(capsys):
+    assert run_main("bench", "--trials", "5", "--configs", "binary", "mof2", "--seed", "abc") == 0
     rows = parse_bench_counts(capsys.readouterr().out)
     assert rows["mof2"]["ecadd"] < 0.8 * rows["binary"]["ecadd"]
 
 
-def test_bench_counts_reproducible(workspace, capsys):
-    curve = str(workspace / "test.curve")
-    run_main("bench", "--curve", curve, "--trials", "1",
+def test_bench_counts_reproducible(capsys):
+    run_main("bench", "--trials", "1",
              "--configs", "binary", "mof3", "interleave:t=3,w=2", "--seed", "f00d")
     first = parse_bench_counts(capsys.readouterr().out)
-    run_main("bench", "--curve", curve, "--trials", "1",
+    run_main("bench", "--trials", "1",
              "--configs", "binary", "mof3", "interleave:t=3,w=2", "--seed", "f00d")
     second = parse_bench_counts(capsys.readouterr().out)
     assert first == second
 
 
 def test_bench_elgamal_mode_and_csv(workspace, capsys):
-    curve = str(workspace / "test.curve")
     csv_path = workspace / "rows.csv"
-    assert run_main("bench", "--curve", curve, "--trials", "2",
+    assert run_main("bench", "--trials", "2",
                     "--configs", "elgamal", "--seed", "1", "--csv", str(csv_path)) == 0
     lines = csv_path.read_text().splitlines()
     assert lines[0].startswith("config,")
@@ -346,25 +352,11 @@ def test_bench_elgamal_mode_and_csv(workspace, capsys):
     assert lines[1].startswith("elgamal,16,6,255,2,")
 
 
-def test_bench_elgamal_on_a_curve_narrower_than_the_shape(workspace):
-    # a valid 7-bit curve (conftest's SMALL7), fewer bits than
-    # FIXED_BASE_SHAPE has tracks: keygen and encryption run over tables of
-    # one track per bit, 7 * 16 points, all but G itself reported
-    small = workspace / "small7.curve"
-    small.write_text("name = small7\nn = 7\nc = 1\na = 7c\nb = 39\ngx = 6\ngy = 1\n"
-                     "order_n = 6d\n")
-    csv_path = workspace / "small7.csv"
-    assert run_main("bench", "--curve", str(small), "--trials", "3", "--configs", "elgamal",
-                    "--seed", "7", "--csv", str(csv_path)) == 0
-    assert csv_path.read_text().splitlines()[1].startswith("elgamal,7,6,111,3,")
-
-
 def test_bench_reports_inversions(workspace, capsys):
     # the column in both forms: mof3 keeps 3*P Jacobian and binary never
     # inverts, so both read 0 (mof3 read 1 when it normalized 3*P)
-    curve = str(workspace / "test.curve")
     csv_path = workspace / "inv.csv"
-    assert run_main("bench", "--curve", curve, "--trials", "2", "--configs", "binary", "mof3",
+    assert run_main("bench", "--trials", "2", "--configs", "binary", "mof3",
                     "--seed", "f00d", "--csv", str(csv_path)) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     col = header.split().index("fe_inv")
@@ -374,15 +366,17 @@ def test_bench_reports_inversions(workspace, capsys):
     assert [r.split(",")[col] for r in rows] == ["0.000", "0.000"]
 
 
-def test_bench_w2_note_when_defaulted(workspace, capsys):
-    curve = str(workspace / "test.curve")
-    run_main("bench", "--curve", curve, "--trials", "1",
-             "--configs", "interleave:t=3", "--seed", "2")
-    assert "width 2" in capsys.readouterr().out
+def test_bench_interleave_needs_t_and_w(capsys):
+    # a row measures only what its token names: interleave without t or w
+    # is refused before any row, where w once defaulted to 2 and t to 1
+    for config in ("interleave", "interleave:t=3", "interleave:w=2"):
+        assert run_main("bench", "--trials", "1", "--configs", config) == 2, config
+        out, err = capsys.readouterr()
+        assert out == "" and repr(config) in err and "exactly t and w" in err
 
 
-GOLDEN_CONFIGS = ("binary", "mof2", "mof3", "mof4", "interleave:t=2,w=2", "interleave:t=3",
-                  "interleave:t=4,w=4", "elgamal")
+GOLDEN_CONFIGS = ("binary", "mof2", "mof3", "mof4", "interleave:t=2,w=2",
+                  "interleave:t=3,w=2", "interleave:t=4,w=4", "elgamal")
 
 GOLDEN_TEXT = """\
 config                  t  w prec trials    ecadd     sd    ecdbl     sd    fe_mul      sd fe_inv
@@ -391,10 +385,9 @@ mof2                    1  2    0      3     53.0    0.8    159.0    0.8    1855
 mof3                    1  3    0      3     40.3    0.9    159.0    1.6    1777.7    14.4    0.0
 mof4                    1  4    0      3     35.3    1.2    159.0    0.0    1745.7    10.9    0.0
 interleave:t=2,w=2      2  2    1      3     53.0    0.8     79.0    0.8    1215.0    13.5    0.0
-interleave:t=3          3  2    2      3     53.0    0.8     53.0    0.0    1007.0     9.0    0.0
+interleave:t=3,w=2      3  2    2      3     53.0    0.8     53.0    0.0    1007.0     9.0    0.0
 interleave:t=4,w=4      4  4   15      3     32.3    1.2     38.3    0.5     662.3    17.3    0.0
 elgamal                16  6  255      3     46.0    0.8     17.3    0.9     644.7    16.0    0.0
-note: rows without an explicit w use width 2
 """
 
 GOLDEN_CSV = """\
@@ -403,9 +396,9 @@ binary,1,0,0,3,79.000,4.320,158.333,0.943,2135.667,54.950,0.000
 mof2,1,2,0,3,53.000,0.816,159.000,0.816,1855.000,13.491,0.000
 mof3,1,3,0,3,40.333,0.943,159.000,1.633,1777.667,14.430,0.000
 mof4,1,4,0,3,35.333,1.247,159.000,0.000,1745.667,10.873,0.000
-interleave:t=2,w=2,2,2,1,3,53.000,0.816,79.000,0.816,1215.000,13.491,0.000
-interleave:t=3,3,2,2,3,53.000,0.816,53.000,0.000,1007.000,8.981,0.000
-interleave:t=4,w=4,4,4,15,3,32.333,1.247,38.333,0.471,662.333,17.327,0.000
+"interleave:t=2,w=2",2,2,1,3,53.000,0.816,79.000,0.816,1215.000,13.491,0.000
+"interleave:t=3,w=2",3,2,2,3,53.000,0.816,53.000,0.000,1007.000,8.981,0.000
+"interleave:t=4,w=4",4,4,15,3,32.333,1.247,38.333,0.471,662.333,17.327,0.000
 elgamal,16,6,255,3,46.000,0.816,17.333,0.943,644.667,15.965,0.000
 """
 
@@ -431,65 +424,88 @@ def test_bench_golden_output(workspace, capsys):
     # digit, the three trials add over a multiple above P 60 and 69 times
     # in all, 20 and 23 a trial: 1719.667 + 3*20 - 2 = 1777.667 and
     # 1688.667 + 3*23 - 12 = 1745.667
-    curve = str(workspace / "test.curve")
     csv_path = workspace / "golden.csv"
-    assert run_main("bench", "--curve", curve, "--trials", "3", "--configs", *GOLDEN_CONFIGS,
+    assert run_main("bench", "--trials", "3", "--configs", *GOLDEN_CONFIGS,
                     "--seed", "5eed", "--csv", str(csv_path)) == 0
     assert capsys.readouterr().out == GOLDEN_TEXT
     assert csv_path.read_text() == GOLDEN_CSV
 
 
-def test_bench_unknown_config_exits_2(workspace):
-    curve = str(workspace / "test.curve")
-    # a parameter on binary, mofN or elgamal, or a repeated one (keys are
-    # case-folded), would otherwise be dropped and its row run another
-    # config; a track count above the field's 160 bits would store bases
-    # that only see zero digits
+def test_bench_csv_reads_back_as_the_table(workspace, capsys):
+    # a label with a comma is quoted, so every record has the header's 12
+    # fields and holds the printed row's values: the same label and ints,
+    # and floats to three decimals that round to the table's one
+    csv_path = workspace / "rows.csv"
+    assert run_main("bench", "--trials", "2", "--configs", "mof3", "interleave:t=2,w=3",
+                    "--seed", "c5", "--csv", str(csv_path)) == 0
+    table = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    with csv_path.open(newline="") as f:
+        records = list(csv.DictReader(f))
+    assert [rec["config"] for rec in records] == ["mof3", "interleave:t=2,w=3"]
+    for printed, rec in zip(table, records, strict=True):
+        assert len(rec) == 12 and None not in rec.values()
+        for (_, spec, name), shown in zip(cli._BENCH_COLUMNS, printed, strict=True):
+            if spec.endswith("f"):
+                assert abs(float(rec[name]) - float(shown)) <= 0.05 + 1e-9, name
+            else:
+                assert rec[name] == shown, name
+
+
+def test_bench_unknown_config_exits_2():
+    # a parameter on binary, mofN or elgamal, or a repeated or extra one
+    # (keys are case-folded), would otherwise be dropped and its row run
+    # another config; a track count above the field's 160 bits would store
+    # bases that only see zero digits
     for config in ("quantum", "mof3:w=2", "binary:t=4", "elgamal:t=2", "elgamal:w=4", "mof\u00b2",
-                   "interleave:t=2,t=3", "interleave:t=2,T=3", "interleave:t=161",
-                   "interleave:t", "interleave:=2", "interleave:x=2", "interleave:w=2x"):
-        assert run_main("bench", "--curve", curve, "--trials", "1",
-                        "--configs", config) == 2, config
+                   "interleave:t=2,t=3", "interleave:t=2,T=3", "interleave:t=161,w=2",
+                   "interleave:t", "interleave:=2", "interleave:t=2,w=2,x=2",
+                   "interleave:t=2,w=2x"):
+        assert run_main("bench", "--trials", "1", "--configs", config) == 2, config
 
 
-@pytest.mark.parametrize("config", ["interleave:w=2x", "interleave:t=0", "interleave:t=161",
-                                    "mof\u00b2", "mof0", "mof1", "mof7"])
-def test_bench_config_rejects_with_bad_config(config):
+# each interleave token names both keys, so it reaches the integer or the
+# range check rather than the refusal of a missing key; the id names the
+# value at fault
+@pytest.mark.parametrize("config, check", [
+    pytest.param("interleave:t=2,w=2x", "must be integers", id="interleave:w=2x"),
+    pytest.param("interleave:t=0,w=2", "track count 0 outside", id="interleave:t=0"),
+    pytest.param("interleave:t=161,w=2", "track count 161 outside", id="interleave:t=161"),
+    pytest.param("mof\u00b2", "unknown bench config", id="mof\u00b2"),
+    *(pytest.param(f"mof{w}", f"width {w} outside", id=f"mof{w}") for w in (0, 1, 7))])
+def test_bench_config_rejects_with_bad_config(config, check):
     # bench tokens are outside input: they fail as BadConfig when resolved,
     # never as a ValueError from int() or build_table, nor at a mofN
     # config's first trial
-    with pytest.raises(BadConfig):
+    with pytest.raises(BadConfig, match=check):
         cli._bench_config(config, builtin_curve(), random.Random(1))
 
 
-def test_bench_checks_every_config_before_any_trial(workspace, capsys):
+def test_bench_checks_every_config_before_any_trial(capsys):
     # a bad width in the last token fails before the first token's trials
     # run: the command counts only loading the curve, as with the bad token
     # alone, and prints no row
     counts = []
     for configs in (["binary", "mof7"], ["mof7"]):
         with tally() as ops:
-            assert run_main("bench", "--curve", str(workspace / "test.curve"), "--trials", "2",
-                            "--configs", *configs) == 2
+            assert run_main("bench", "--trials", "2", "--configs", *configs) == 2
         out, err = capsys.readouterr()
         assert out == "" and "mof7" in err
         counts.append([getattr(ops, f) for f in FIELDS])
     assert counts[0] == counts[1]
 
 
-def test_bench_runs_a_repeated_config(workspace, capsys):
+def test_bench_runs_a_repeated_config(capsys):
     # every config's key and table are set up before any trial, and a curve
     # keeps both elgamal keys' tables: no trial pays a build (151 doublings
     # beside an encryption's two chains of at most 10)
-    assert run_main("bench", "--curve", str(workspace / "test.curve"), "--trials", "3",
-                    "--configs", "elgamal", "binary", "elgamal") == 0
+    assert run_main("bench", "--trials", "3", "--configs", "elgamal", "binary", "elgamal") == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [row.split()[0] for row in rows] == ["elgamal", "binary", "elgamal"]
     for row in (rows[0], rows[2]):
         assert float(row.split()[7]) <= 40
 
 
-def test_value_error_in_a_command_escapes_main(workspace, monkeypatch):
+def test_value_error_in_a_command_escapes_main(monkeypatch):
     # main maps the library's own errors to exit codes; anything else is a
     # bug and keeps its traceback
     def broken(args):
@@ -497,13 +513,41 @@ def test_value_error_in_a_command_escapes_main(workspace, monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_bench", broken)
     with pytest.raises(ValueError, match="bug"):
-        run_main("bench", "--curve", str(workspace / "test.curve"), "--trials", "1",
-                 "--configs", "binary")
+        run_main("bench", "--trials", "1", "--configs", "binary")
 
 
-def test_bench_zero_trials_exits_2(workspace):
-    curve = str(workspace / "test.curve")
-    assert run_main("bench", "--curve", curve, "--trials", "0", "--configs", "binary") == 2
+def test_bench_zero_trials_exits_2():
+    # the trial count is checked before the curve is built and validated
+    with tally() as ops:
+        assert run_main("bench", "--trials", "0", "--configs", "binary") == 2
+    assert [getattr(ops, f) for f in FIELDS] == [0, 0, 0, 0]
+
+
+# --- README ------------------------------------------------------------------------------
+
+def readme_commands():
+    """argv of every ecagg command in README's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in text.split("```sh\n")[1:]:
+        for line in block.split("```", 1)[0].replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["ecagg"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    # every command the README shows is accepted by the parser, and every
+    # bench token resolves; no command runs
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "keygen", "encrypt", "add", "decrypt", "simulate", "bench"}
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        for token in getattr(args, "configs", ()):
+            cli._bench_config(token, builtin_curve(), random.Random(1))
 
 
 # --- subprocess harness ------------------------------------------------------------------

@@ -30,7 +30,6 @@ from ecagg.curve import (
     ec_eq,
     ec_neg,
     lift,
-    load_curve,
     on_curve,
     point_to_bytes,
     to_affine,
@@ -372,16 +371,6 @@ def test_load_rejects_malformed_line(edit):
     # keys are case-folded, so N repeats n
     with pytest.raises(BadConfig):
         curve_from_config(BASE_CONFIG.replace(*edit))
-
-
-@pytest.mark.parametrize("data", [None, BASE_CONFIG.encode() + b"# \xff\n"],
-                         ids=["missing_file", "not_utf8"])
-def test_load_curve_rejects_unreadable_file(tmp_path, data):
-    path = tmp_path / "c.curve"
-    if data is not None:
-        path.write_bytes(data)
-    with pytest.raises(BadConfig):
-        load_curve(path)
 
 
 @pytest.mark.parametrize("bits", [161, 162])

@@ -875,6 +875,9 @@ KEY_FILE_FAULTS = {
     "missing_field": (b"curve = secp160r1\nyx = 01\n", b"curve = secp160r1\n"),
     "bad_hex": (b"curve = secp160r1\nyx = zz\nyy = 02\n", b"curve = secp160r1\nx = 0g\n"),
     "not_utf8": (b"curve = secp160r1\nyx = 01\nyy = 02\xff\n", b"curve = secp160r1\nx = 05\xff\n"),
+    # the file is refused whole, not read past a bad byte the parser would skip
+    "not_utf8_comment": (b"curve = secp160r1\nyx = 01\nyy = 02\n# \xff\n",
+                         b"curve = secp160r1\nx = 05\n# \xff\n"),
     "missing_file": (None, None),
 }
 

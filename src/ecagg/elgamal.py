@@ -1,7 +1,8 @@
 """Additive homomorphic encryption on the curve group.
 
-A plaintext m is carried as the point m*G, so adding two ciphertexts
-component-wise adds the hidden plaintexts: (R1+R2, S1+S2) encrypts m1+m2.
+A plaintext m is carried as the point m*G and a ciphertext is the tuple
+(R, S) of two Jacobian points, so adding two ciphertexts component-wise
+adds the hidden plaintexts: (R1+R2, S1+S2) encrypts m1+m2.
 Encryption draws a fresh k and emits (k*G, m*G + k*Y); decryption strips the
 mask with the secret key (m*G = S + x*(-R)) and then searches the small
 message range for the m whose multiple matches.  The search bound is what
@@ -78,19 +79,6 @@ _GIANT_BATCH = 32
 class KeyPair:
     secret_x: int
     public_Y: AffinePoint
-
-
-class Ciphertext:
-    """Pair (R, S) of curve points; the unit the aggregators fold."""
-
-    __slots__ = ("R", "S")
-
-    def __init__(self, R: JacobianPoint, S: JacobianPoint):
-        self.R = R
-        self.S = S
-
-    def __repr__(self):
-        return f"Ciphertext(R={self.R!r}, S={self.S!r})"
 
 
 def keygen(rng, curve: CurveParams) -> KeyPair:
@@ -436,8 +424,9 @@ def rmap(M: JacobianPoint, max_value: int) -> int:
     raise NotFound(f"no preimage at or below {max_value}")
 
 
-def encrypt(public_Y: AffinePoint, m: int, rng) -> Ciphertext:
-    """Fresh-randomness encryption of m < 2**DEFAULT_MAX_BITS under the public point.
+def encrypt(public_Y: AffinePoint, m: int, rng) -> tuple[JacobianPoint, JacobianPoint]:
+    """Fresh-randomness encryption of m < 2**DEFAULT_MAX_BITS under the
+    public point: the pair (R, S) = (k*G, k*Y + m*G).
 
     Both multiplications run over the FIXED_BASE_SHAPE tables that
     fixed_base_table caches: R = k*G over the curve's generator table, and
@@ -453,21 +442,26 @@ def encrypt(public_Y: AffinePoint, m: int, rng) -> Ciphertext:
     curve = public_Y.curve
     y_table = fixed_base_table(public_Y)
     k = rng.randrange(1, curve.order_n)
-    return Ciphertext(mul_interleave(k, default_table(curve)), mul_interleave(k, y_table, m))
+    return mul_interleave(k, default_table(curve)), mul_interleave(k, y_table, m)
 
 
-def ct_add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
-    """Component-wise addition; the aggregation operator."""
-    return Ciphertext(ec_add_jjj(c1.R, c2.R), ec_add_jjj(c1.S, c2.S))
+def ct_add(c1: tuple[JacobianPoint, JacobianPoint],
+           c2: tuple[JacobianPoint, JacobianPoint]) -> tuple[JacobianPoint, JacobianPoint]:
+    """The pair (R1 + R2, S1 + S2) of two ciphertexts (R1, S1) and (R2, S2),
+    one Jacobian addition per component; the aggregation operator."""
+    (R1, S1), (R2, S2) = c1, c2
+    return ec_add_jjj(R1, R2), ec_add_jjj(S1, S2)
 
 
-def ct_identity(curve: CurveParams) -> Ciphertext:
-    """The neutral ciphertext: an empty aggregate decrypting to zero."""
-    return Ciphertext(JacobianPoint.infinity(curve), JacobianPoint.infinity(curve))
+def ct_identity(curve: CurveParams) -> tuple[JacobianPoint, JacobianPoint]:
+    """The neutral ciphertext, the pair of identity points: an empty
+    aggregate decrypting to zero."""
+    return JacobianPoint.infinity(curve), JacobianPoint.infinity(curve)
 
 
-def decrypt(secret_x: int, c: Ciphertext, max_value: int) -> int:
-    """Strip the mask (m*G = S + x*(-R)) and search the message range.
+def decrypt(secret_x: int, c: tuple[JacobianPoint, JacobianPoint], max_value: int) -> int:
+    """Strip the mask from the ciphertext c = (R, S) (m*G = S + x*(-R)) and
+    search the message range.
 
     The bound is checked (and the search tables built) before x*(-R), which
     runs over the width-4 signed recoding: 3R, 5R and 7R are built and
@@ -480,17 +474,17 @@ def decrypt(secret_x: int, c: Ciphertext, max_value: int) -> int:
     besides the giant-step batches is the one rmap shares between M and its
     shift to the middle of the range.
     """
-    bsgs_cache(c.R.curve, max_value)
-    return rmap(ec_add_ajj(to_affine(c.S), mul_signed(secret_x, ec_neg(to_affine(c.R)), 4)),
-                max_value)
+    R, S = c
+    bsgs_cache(R.curve, max_value)
+    return rmap(ec_add_ajj(to_affine(S), mul_signed(secret_x, ec_neg(to_affine(R)), 4)), max_value)
 
 
 # ---------------------------------------------------------------------------
 # Wire format: R then S, each in the point encoding of the curve module.
 
-def ct_to_bytes(c: Ciphertext) -> bytes:
-    """R and S normalized together on ints and written in the point encoding
-    (0x00, or 0x04 || x || y).
+def ct_to_bytes(c: tuple[JacobianPoint, JacobianPoint]) -> bytes:
+    """The ciphertext c = (R, S), R and S normalized together on ints and
+    written in the point encoding (0x00, or 0x04 || x || y).
 
     A component at Z = 0 or 1 needs no inversion.  When both Z are above 1,
     one inversion of Z_R*Z_S yields both inverses for 3 multiplications
@@ -501,7 +495,7 @@ def ct_to_bytes(c: Ciphertext) -> bytes:
     5.68-5.72 ms, worse in 6 of 6 alternated pairs (perfbench/run.py, seed
     1, 8 s, trace 0; Python 3.11.7, 2-CPU Xeon): measure before rerouting it.
     """
-    R, S = c.R, c.S
+    R, S = c
     f = R.curve.field
     p, blen = f.p, f.byte_length
     bits = 8 * blen
@@ -531,13 +525,14 @@ def ct_to_bytes(c: Ciphertext) -> bytes:
     return b"".join(out)
 
 
-def ct_from_bytes(data: bytes, curve: CurveParams) -> Ciphertext:
-    """R then S, each lifted by decode_point; no bytes may follow S."""
+def ct_from_bytes(data: bytes, curve: CurveParams) -> tuple[JacobianPoint, JacobianPoint]:
+    """The ciphertext (R, S) from R then S, each lifted by decode_point; no
+    bytes may follow S."""
     R, pos = decode_point(data, 0, curve)
     S, pos = decode_point(data, pos, curve)
     if pos != len(data):
         raise BadEncoding("trailing bytes after ciphertext")
-    return Ciphertext(R, S)
+    return R, S
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def check_ct_to_bytes_over_z_classes(curve, rng):
     for (TR, z1), (TS, z2) in product(((None, 1), (A, 1), (A, zr)), ((None, 1), (B, 1), (B, zs))):
         R, S = at_z(TR, curve, z1), at_z(TS, curve, z2)
         with tally() as ops:
-            got = ecagg.elgamal.ct_to_bytes(ecagg.elgamal.Ciphertext(R, S))
+            got = ecagg.elgamal.ct_to_bytes((R, S))
         want = [wire_encode(T, curve) for T in (TR, TS)]
         assert want == [ecagg.curve.point_to_bytes(to_affine(Q)) for Q in (R, S)]
         assert got == b"".join(want), (TR, z1, TS, z2)

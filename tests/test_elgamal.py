@@ -47,7 +47,6 @@ from ecagg.curve import (
     to_affine,
 )
 from ecagg.elgamal import (
-    Ciphertext,
     _multiples,
     bsgs_cache,
     ct_add,
@@ -437,6 +436,11 @@ def test_encrypt_decrypt_roundtrip(curve, keys, rng):
         m = rng.randrange(1 << 16)
         ct = encrypt(keys.public_Y, m, rng)
         assert decrypt(keys.secret_x, ct, (1 << 16) - 1) == m
+    # a ciphertext is the plain pair (R, S) of Jacobian points, whichever
+    # operation made it
+    for made in (ct, ct_add(ct, ct), ct_identity(curve), ct_from_bytes(ct_to_bytes(ct), curve)):
+        assert type(made) is tuple and len(made) == 2, made
+        assert all(type(P) is JacobianPoint for P in made), made
 
 
 @pytest.mark.parametrize("m, max_bits", [(0, 24), (1, 24), (2**24 - 1, 24)])
@@ -445,8 +449,9 @@ def test_shamir_edges_round_trip(curve, keys, m, max_bits):
     # by binary multiplication, whether m's row is empty, one digit, or
     # as long as the message bound allows; the reader searches max_bits
     ct = ct_from_bytes(ct_to_bytes(encrypt(keys.public_Y, m, random.Random(m))), curve)
-    xR = mul_binary(keys.secret_x, to_affine(ct.R))
-    M = ec_add_jjj(ct.S, lift(ec_neg(to_affine(xR))))
+    R, S = ct
+    xR = mul_binary(keys.secret_x, to_affine(R))
+    M = ec_add_jjj(S, lift(ec_neg(to_affine(xR))))
     assert ec_eq(M, mul_binary(m, curve.G))
     assert decrypt(keys.secret_x, ct, (1 << max_bits) - 1) == m
 
@@ -476,8 +481,9 @@ def test_encrypt_shares_one_recoding_of_k(tiny, tiny_curve, monkeypatch):
         ct = encrypt(Y, m, ForcedK(k))
         assert recoded == [k, k] + [m] * (m > 0), m
         R, S = mul_interleave(k, g_table), mul_interleave(k, y_table, m)
-        assert (ct.R.X, ct.R.Y, ct.R.Z) == (R.X, R.Y, R.Z), m
-        assert (ct.S.X, ct.S.Y, ct.S.Z) == (S.X, S.Y, S.Z), m
+        ctR, ctS = ct
+        assert (ctR.X, ctR.Y, ctR.Z) == (R.X, R.Y, R.Z), m
+        assert (ctS.X, ctS.Y, ctS.Z) == (S.X, S.Y, S.Z), m
         assert ec_eq(S, ec_add_jjj(mul_binary(k, Y), mul_binary(m, c.G))), m
 
 
@@ -540,7 +546,8 @@ def test_unit_key_and_randomizer_take_the_equal_point_branch():
     with tally() as ops:
         ct = encrypt(Y, 1, ForcedK(1))
     assert [getattr(ops, f) for f in FIELDS] == [0, 1, 12, 0]
-    assert ec_eq(ct.S, mul_binary(2, c.G))
+    _, S = ct
+    assert ec_eq(S, mul_binary(2, c.G))
     assert decrypt(1, ct, 10) == 1
 
 
@@ -556,7 +563,8 @@ def test_hostile_aggregates_on_the_wire(curve, keys, rng):
     assert [getattr(ops, f) for f in FIELDS] == [0, 2, 28, 0]
     assert decrypt(keys.secret_x, twice, 2**24 - 1) == 2 * m
     # folded with its mirror: both components cancel to the identity
-    mirror = Ciphertext(lift(ec_neg(to_affine(ct.R))), lift(ec_neg(to_affine(ct.S))))
+    R, S = ct
+    mirror = (lift(ec_neg(to_affine(R))), lift(ec_neg(to_affine(S))))
     cancelled = ct_to_bytes(ct_add(ct, mirror))
     assert cancelled == b"\x00\x00"
     assert decrypt(keys.secret_x, ct_from_bytes(cancelled, curve), 2**24 - 1) == 0
@@ -601,12 +609,14 @@ def test_alternating_keys_keep_two_tables(tmp_path):
 def test_ct_to_bytes_shares_one_inversion(curve, keys, rng):
     # the batch normalization writes the bytes one inversion per point would
     def each(c):
-        return point_to_bytes(to_affine(c.R)) + point_to_bytes(to_affine(c.S))
+        R, S = c
+        return point_to_bytes(to_affine(R)) + point_to_bytes(to_affine(S))
 
     fresh = encrypt(keys.public_Y, 5, rng)
+    fresh_R, fresh_S = fresh
     cases = [fresh, ct_from_bytes(ct_to_bytes(fresh), curve), ct_identity(curve),
-             Ciphertext(JacobianPoint.infinity(curve), fresh.S),
-             Ciphertext(fresh.R, lift(curve.G))]
+             (JacobianPoint.infinity(curve), fresh_S),
+             (fresh_R, lift(curve.G))]
     for c, invs in zip(cases, (1, 0, 0, 1, 1)):
         with tally() as ops:
             data = ct_to_bytes(c)
@@ -632,17 +642,18 @@ def test_encrypt_randomized(curve, keys):
     pairs = set()
     for _ in range(100):
         ct = encrypt(keys.public_Y, 42, rng)
-        r_values.add(point_to_bytes(to_affine(ct.R)))
+        R, _ = ct
+        r_values.add(point_to_bytes(to_affine(R)))
         pairs.add(ct_to_bytes(ct))
     assert len(r_values) == 100
     assert len(pairs) == 100
 
 
 def test_encrypt_forced_unit_k(curve, keys):
-    ct = encrypt(keys.public_Y, 9, ForcedK(1))
-    assert ec_eq(ct.R, lift(curve.G))
+    R, S = encrypt(keys.public_Y, 9, ForcedK(1))
+    assert ec_eq(R, lift(curve.G))
     expected_S = ec_add_jjj(map_message(9, curve), lift(keys.public_Y))
-    assert ec_eq(ct.S, expected_S)
+    assert ec_eq(S, expected_S)
 
 
 def test_encrypt_rejects_oversized(curve, keys, rng):
@@ -679,10 +690,10 @@ def test_ct_add_demo_values(curve, keys, rng):
 def test_ct_add_commutative(curve, keys, rng):
     c1 = encrypt(keys.public_Y, 3, rng)
     c2 = encrypt(keys.public_Y, 4, rng)
-    lhs = ct_add(c1, c2)
-    rhs = ct_add(c2, c1)
-    assert ec_eq(lhs.R, rhs.R)
-    assert ec_eq(lhs.S, rhs.S)
+    lhs_R, lhs_S = ct_add(c1, c2)
+    rhs_R, rhs_S = ct_add(c2, c1)
+    assert ec_eq(lhs_R, rhs_R)
+    assert ec_eq(lhs_S, rhs_S)
 
 
 def test_ct_identity_decrypts_to_zero(curve, keys):
@@ -753,10 +764,10 @@ def test_wire_codec_matches_two_field_codec(name):
     for TR, TS in product(points, repeat=2):
         assert point_to_bytes(as_point(TR, c)) == wire_encode(TR, c)
         for zr, zs in ((1, 1), (rng.randrange(2, p), rng.randrange(2, p))):
-            data = ct_to_bytes(Ciphertext(at_z(TR, c, zr), at_z(TS, c, zs)))
+            data = ct_to_bytes((at_z(TR, c, zr), at_z(TS, c, zs)))
             assert data == wire_encode(TR, c) + wire_encode(TS, c)
-            back = ct_from_bytes(data, c)
-            assert [as_decoded(back.R), as_decoded(back.S)] == [TR, TS]
+            back_R, back_S = ct_from_bytes(data, c)
+            assert [as_decoded(back_R), as_decoded(back_S)] == [TR, TS]
     x, y = points[1]
     top = (1 << 8 * blen) - 1
     xs = {v for v in (x, x + p, x + (1 << n), p, top) if v <= top}
@@ -781,12 +792,12 @@ def test_wire_codec_matches_two_field_codec(name):
 def test_ct_identity_component_length(curve, keys):
     # R is the identity when k*G collapses; forced here by a crafted pair
     from ecagg.curve import JacobianPoint
-    ct = Ciphertext(JacobianPoint.infinity(curve), lift(curve.G))
+    ct = (JacobianPoint.infinity(curve), lift(curve.G))
     data = ct_to_bytes(ct)
     assert data[0] == 0x00
     assert len(data) == 42
-    back = ct_from_bytes(data, curve)
-    assert back.R.is_infinity
+    back_R, _ = ct_from_bytes(data, curve)
+    assert back_R.is_infinity
 
 
 def test_ct_tampered_rejected(curve, keys, rng):

@@ -30,7 +30,6 @@ from ecagg.counters import tally
 from ecagg.curve import JacobianPoint, builtin_curve, to_affine, to_affine_batch
 from ecagg.elgamal import (
     _GIANT_BATCH,
-    Ciphertext,
     _giant_steps,
     bsgs_cache,
     ct_add,
@@ -79,7 +78,8 @@ class Node:
         self.children = children
 
     def check(self):
-        assert jac_tuple(self.ct.R) == self.oR and jac_tuple(self.ct.S) == self.oS
+        R, S = self.ct
+        assert jac_tuple(R) == self.oR and jac_tuple(S) == self.oS
 
 
 class Case:
@@ -95,7 +95,7 @@ class Case:
     def child(self, k, m):
         k, m = k % self.n, m % self.n
         s = (m + self.x * k) % self.n
-        ct = Ciphertext(mul_binary(k, self.c.G), mul_binary(s, self.c.G))
+        ct = (mul_binary(k, self.c.G), mul_binary(s, self.c.G))
         return Node(ct, k, m, o_mul(k, self.g, self.p, self.a), o_mul(s, self.g, self.p, self.a),
                     [ct_to_bytes(ct)])
 
@@ -107,8 +107,8 @@ class Case:
         return node
 
     def fold(self, left, right):
-        for l, r, oL, oR in ((left.ct.R, right.ct.R, left.oR, right.oR),
-                             (left.ct.S, right.ct.S, left.oS, right.oS)):
+        (lR, lS), (rR, rS) = left.ct, right.ct
+        for l, r, oL, oR in ((lR, rR, left.oR, right.oR), (lS, rS, left.oS, right.oS)):
             relation = ("equal" if oL == oR else
                         "opposite" if None not in (oL, oR) and o_add(oL, oR, self.p, self.a) is None
                         else "distinct")
@@ -156,8 +156,8 @@ class Case:
                 acc = self.fold(acc, self.wire(self.child(-acc.k, -acc.m)))
         last = self.child(rng.choice((0, rng.randrange(1, self.n))), total - acc.m)
         node = self.fold(acc, self.wire(last))
-        hop = ct_from_bytes(aggsim.fold(node.children, self.c), self.c)
-        assert jac_tuple(hop.R) == node.oR and jac_tuple(hop.S) == node.oS
+        hop_R, hop_S = ct_from_bytes(aggsim.fold(node.children, self.c), self.c)
+        assert jac_tuple(hop_R) == node.oR and jac_tuple(hop_S) == node.oS
         return node
 
 

@@ -178,8 +178,8 @@ def test_sweep_across_the_tiny_group_order(name, request, monkeypatch):
 
 
 def encrypted(Y, m, k):
-    ct = encrypt(Y, m, ForcedK(k))
-    return [ct.R, ct.S]
+    R, S = encrypt(Y, m, ForcedK(k))
+    return [R, S]
 
 
 def test_secp160r1_encryptions(monkeypatch):
@@ -217,7 +217,8 @@ def test_secp160r1_unmasking(monkeypatch):
     n = c.order_n
     rng = random.Random(0xDEC)
     Y = keygen(rng, c).public_Y
-    Rs = [to_affine(encrypt(Y, 7, rng).R) for _ in range(4)] + [AffinePoint.identity(c)]
+    Rs = [to_affine(R) for R, _ in (encrypt(Y, 7, rng) for _ in range(4))]
+    Rs.append(AffinePoint.identity(c))
     xs = [1, n - 1] + [rng.randrange(1, n) for _ in range(8)]
     steps = Steps()
     for x in xs:

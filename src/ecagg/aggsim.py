@@ -130,11 +130,13 @@ def load_scenario(path) -> Scenario:
 
 
 def fold(children, curve) -> bytes:
-    """One aggregator hop: the children's ciphertext bytes decoded, added in
-    listed order onto the identity, and the sum serialized once."""
+    """One aggregator hop: every child's ciphertext bytes decoded before the
+    first addition, so a bad child is refused after the decodes alone; then
+    the children added in listed order onto the identity, and the sum
+    serialized once."""
     total = ct_identity(curve)
-    for data in children:
-        total = ct_add(total, ct_from_bytes(data, curve))
+    for ct in [ct_from_bytes(data, curve) for data in children]:
+        total = ct_add(total, ct)
     return ct_to_bytes(total)
 
 

@@ -11,9 +11,10 @@ number of bits (24 by default, at most MAX_SEARCH_BITS).
 
 The reader's public key Y is as fixed as G, so both encryption
 multiplications run over the tables fixed_base_table caches: keygen builds
-Y's table along with Y (the reader provisions sensors with both), and
-S = k*Y + m*G is one doubling chain, m's recoding dealt over the generator
-table's tracks (Shamir's trick).
+Y's table along with Y (the reader provisions sensors with both).  One
+mul_interleave call over G's and Y's tables recodes and deals k once for
+both R = k*G and S = k*Y + m*G, and S is one doubling chain, m's recoding
+dealt over the generator table's tracks (Shamir's trick).
 
 The search is baby-step/giant-step at every bound, over one baby/giant
 table cached per curve: the one for the largest stride asked for so far,
@@ -429,20 +430,21 @@ def encrypt(public_Y: AffinePoint, m: int, rng) -> tuple[JacobianPoint, Jacobian
     public point: the pair (R, S) = (k*G, k*Y + m*G).
 
     Both multiplications run over the FIXED_BASE_SHAPE tables that
-    fixed_base_table caches: R = k*G over the curve's generator table, and
-    S = k*Y + m*G in one doubling chain over Y's table, m's terms dealt
-    over the generator table's tracks.  Each chain recodes k for itself and
-    nothing keeps it: k strips S to m*G (S - k*Y), so a captured node must
-    hold no k.  A key from this process's keygen finds its table built; any
-    other key, such as one from load_public_key, pays one table build on
-    first use.
+    fixed_base_table caches, in one mul_interleave call over the pair (G's
+    table, Y's table): k is recoded and dealt once, each term read from
+    both tables, and R = k*G and S = k*Y + m*G run one doubling chain each,
+    m's terms dealt over the generator table's tracks into S's.  Nothing
+    keeps k past that call: k strips S to m*G (S - k*Y), so a captured node
+    must hold no k.  A key from this process's keygen finds its table
+    built; any other key, such as one from load_public_key, pays one table
+    build on first use.
     """
     if m < 0 or m.bit_length() > DEFAULT_MAX_BITS:
         raise MessageTooLarge(f"message must be in [0, 2**{DEFAULT_MAX_BITS})")
     curve = public_Y.curve
     y_table = fixed_base_table(public_Y)
     k = rng.randrange(1, curve.order_n)
-    return mul_interleave(k, default_table(curve)), mul_interleave(k, y_table, m)
+    return mul_interleave(k, (default_table(curve), y_table), m)
 
 
 def ct_add(c1: tuple[JacobianPoint, JacobianPoint],

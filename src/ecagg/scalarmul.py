@@ -3,15 +3,16 @@
 mul_binary, left-to-right double-and-add, is the independent reference:
 keygen, message mapping and curve validation run on it, and the tests
 compare every other multiplier and every table against it.  mul_signed and
-mul_interleave only recode their scalars into nonzero signed terms, each
-scalar given with its tracks' lookups of odd multiples, and return
-one scan over them: it deals the terms into tracks as it buckets them, and
-runs a single shared doubling chain and one addition per term, its hot
-formulas copied from the curve module to run inline on local integers.  A
-table's multiples are affine (x, y) ints, normalized once at build time,
-and take a mixed addition; mul_signed builds its few on every call and
-keeps them Jacobian with their Z**2 and Z**3 cached, so it never inverts,
-and each takes add-2007-bl at 14 multiplications.
+mul_interleave only recode their scalars into nonzero signed terms and run
+one scan over them in two halves: a deal places each term on its track and
+offset and reads its entry from each table's lookups of odd multiples into
+that table's chain of buckets, and each chain then runs one doubling chain
+and one addition per entry, its hot formulas copied from the curve module
+to run inline on local integers.  A table's multiples are affine (x, y)
+ints, normalized once at build time, and take a mixed addition; mul_signed
+builds its few on every call and keeps them Jacobian with their Z**2 and
+Z**3 cached, so it never inverts, and each takes add-2007-bl at 14
+multiplications.
 
 Signed recodings cut the number of additions: a width-w recoding has only
 odd digits no larger than 2**(w-1) - 1, at most one nonzero digit in any w
@@ -30,11 +31,14 @@ precomputed, the bases and their doubles normalized together and then the
 multiples of every track; beyond the generator itself that is (t-1) +
 t*(2**(w-2) - 1) stored points, held per track at index |d| >> 1 of digit
 d.  Any fixed point can be the base: every encryption runs k*G and k*Y
-over the FIXED_BASE_SHAPE tables that fixed_base_table caches.  mul_interleave
-folds m*G into the k*Y chain (Shamir's trick): m's terms are dealt over
-the generator's tracks as k's are over P's, so m shares k's chain of
-about n/t doublings however wide it is.  Nothing is kept between calls:
-each of encrypt's two chains recodes k for itself.
+over the FIXED_BASE_SHAPE tables that fixed_base_table caches, in one
+mul_interleave call over both tables that recodes and deals k once and
+reads each term's entry from both (after Moeller, "Algorithms for
+multi-exponentiation", SAC 2001).  mul_interleave folds m*G into the last
+chain (Shamir's trick): m's terms are dealt over the generator's tracks as
+k's are over P's, so m shares k's chain of about n/t doublings however
+wide it is.  Nothing is kept between calls, so k lives only inside the one
+call.
 """
 
 from __future__ import annotations
@@ -230,54 +234,65 @@ def default_table(curve: CurveParams) -> PrecompTable:
     return PrecompTable(curve, len(signed), FIXED_BASE_SHAPE[1], signed)
 
 
-def _scan(curve: CurveParams, scalars: list[tuple[tuple, tuple, int]]) -> JacobianPoint:
-    """Sum of every scalar's (position, digit) terms, each scalar given with
-    its tracks' lookups and its track width, chunk: a term at position pos
-    goes to track r = min(pos // chunk, t - 1), at offset pos - r*chunk, and
-    weighs d * 2**offset times that track's base.  The last track takes
-    every term from (t-1)*chunk up, so a carry digit, or a scalar past the
-    design width, stays exact; with one track, every term sits at its own
-    position, whatever the chunk.  Additions are grouped by offset and
-    identity entries skipped.  The chain is sized from the highest offset a
-    scalar's terms can reach, its top term's in the last track and below
-    both chunk and the top position in the others, so no zero digit is
-    walked and an empty top offset only doubles the identity, which is free.
-    A lookup holds d*P at index |d| >> 1: an affine (x, y), for mul_signed's
-    odd multiples a Jacobian (X, Y, Z, Z**2, Z**3), or None for the
-    identity; a negative digit takes its entry with y mirrored, as p - y:
+def _reach(terms, tracks: int, chunk: int) -> int:
+    """The chain length that a scalar's terms need over tracks of chunk
+    positions: one past the highest offset they reach, the top term's in
+    the last track and below both chunk and the top position in the others.
+    So no zero digit is walked, and an empty top offset only doubles the
+    identity, which is free.  No terms need no chain."""
+    if not terms:
+        return 0
+    top = terms[-1][0]
+    return max(top - (tracks - 1) * chunk + 1, min(top, chunk - 1) + 1)
+
+
+def _deal(p: int, terms, lookups, chunk: int, chains) -> None:
+    """Deal a scalar's (position, digit) terms into the buckets of one chain
+    per table, the tables of one shape: lookups holds each table's tracks,
+    chains each table's (adds, jadds), lists of entry tuples by offset.  A
+    term at position pos goes to track r = min(pos // chunk, t - 1), at
+    offset pos - r*chunk, and weighs d * 2**offset times that track's base.
+    The last track takes every term from (t-1)*chunk up, so a carry digit,
+    or a scalar past the design width, stays exact; with one track, every
+    term sits at its own position, whatever the chunk.  Each term is placed
+    once, in one loop that reads every table's entry there.  A lookup holds
+    d*P at index |d| >> 1: an affine (x, y), for mul_signed's odd multiples
+    a Jacobian (X, Y, Z, Z**2, Z**3), or None for the identity, which is
+    skipped.  A negative digit takes its entry with y mirrored, as p - y:
     CurveParams admits only curves of odd prime order, so no entry has
-    y = 0 and p - y stays in [1, p - 1].  An offset
-    adds its affine entries first, then its Jacobian ones, each kind in
-    scalar, then position, order.  The accumulator is three ints: an a = -3
-    doubling with Z and Y nonzero (dbl-2001-b), a mixed addition of
-    distinct x (madd-2007-bl) and an add-2007-bl of distinct x over a
-    Jacobian entry's cached Z powers (14 multiplications, against 16) run
-    inline, tallied once at the end, and every other step goes through
-    ec_dbl_jj, ec_add_ajj or ec_add_jjj.  An accumulator at Z = 1 meeting a
-    Jacobian entry also takes ec_add_jjj, whose mixed addition gives it
-    other coordinates than the general formula would."""
-    size = 0
-    for terms, lookups, chunk in scalars:
-        if terms:
-            top = terms[-1][0]
-            size = max(size, top - (len(lookups) - 1) * chunk + 1, min(top, chunk - 1) + 1)
-    adds = [()] * size
-    jadds = adds.copy()
-    p = curve.field.p
-    for terms, lookups, chunk in scalars:
-        last = len(lookups) - 1
-        for pos, d in terms:
-            r = pos // chunk
-            if r > last:
-                r = last
-            pt = lookups[r][(d if d > 0 else -d) >> 1]
+    y = 0 and p - y stays in [1, p - 1].  Affine entries go to adds and
+    Jacobian ones to jadds, each in the order dealt."""
+    last = len(lookups[0]) - 1
+    pairs = [(tracks, *chain) for tracks, chain in zip(lookups, chains)]
+    for pos, d in terms:
+        r = pos // chunk
+        if r > last:
+            r = last
+        i = pos - r * chunk
+        e = (d if d > 0 else -d) >> 1
+        for tracks, adds, jadds in pairs:
+            pt = tracks[r][e]
             if pt is None:
                 continue
-            i = pos - r * chunk
             if len(pt) == 2:
                 adds[i] += ((pt[0], p - pt[1]) if d < 0 else pt,)
             else:
                 jadds[i] += ((pt[0], p - pt[1], *pt[2:]) if d < 0 else pt,)
+
+
+def _chain(curve: CurveParams, adds: list, jadds: list) -> JacobianPoint:
+    """The sum of one chain's dealt buckets: from the highest offset down,
+    one doubling, then the offset's affine entries, then its Jacobian ones,
+    each in the order dealt; an offset with no Jacobian entry, every offset
+    of a fixed-base chain, skips their loop.  The accumulator is three
+    ints: an a = -3 doubling with Z and Y nonzero (dbl-2001-b), a mixed
+    addition of distinct x (madd-2007-bl) and an add-2007-bl of distinct x
+    over a Jacobian entry's cached Z powers (14 multiplications, against
+    16) run inline, tallied once at the end, and every other step goes
+    through ec_dbl_jj, ec_add_ajj or ec_add_jjj.  An accumulator at Z = 1
+    meeting a Jacobian entry also takes ec_add_jjj, whose mixed addition
+    gives it other coordinates than the general formula would."""
+    p = curve.field.p
     inline_dbl = curve.a_is_minus3
     X, Y, Z = 1, 1, 0
     n_dbl = n_add = n_jadd = 0
@@ -311,6 +326,8 @@ def _scan(curve: CurveParams, scalars: list[tuple[tuple, tuple, int]]) -> Jacobi
                     continue
             Q = ec_add_ajj(AffinePoint(curve, x2, y2), JacobianPoint(curve, X, Y, Z))
             X, Y, Z = Q.X, Q.Y, Q.Z
+        if not jpoints:
+            continue
         for X2, Y2, Z2, zz2, zzz2 in jpoints:
             if Z > 1:
                 zz = Z * Z % p
@@ -337,7 +354,8 @@ def _scan(curve: CurveParams, scalars: list[tuple[tuple, tuple, int]]) -> Jacobi
     return JacobianPoint(curve, X, Y, Z)
 
 
-def mul_interleave(k: int, table: PrecompTable, m: int = 0) -> JacobianPoint:
+def mul_interleave(k: int, table: PrecompTable | tuple[PrecompTable, ...],
+                   m: int = 0) -> JacobianPoint | tuple[JacobianPoint, ...]:
     """k*P + m*G over P's precomputed table: k, bound-checked, recoded once
     across its full width and its terms dealt into the table's t tracks of
     ceil(n/t) positions, one doubling chain.  Tracks recoded apart would
@@ -346,17 +364,40 @@ def mul_interleave(k: int, table: PrecompTable, m: int = 0) -> JacobianPoint:
     for the one recoding dealt (means over 1,200 random k and 24-bit m).  A
     nonzero m is recoded too and dealt over the generator's table the same
     way (Shamir's trick), sharing the chain: m adds its terms, and a
-    doubling only where its highest offset passes k's."""
-    curve = table.curve
+    doubling only where its highest offset passes k's.
+
+    table may be a tuple of tables of one curve and shape, for several
+    products of the same k, as encrypt's (k*G, k*Y + m*G) over (G's table,
+    Y's table): k is then checked, recoded and dealt once, each term read
+    from every table into that table's own chain, m's terms join the last
+    chain only, and a tuple comes back, one point per table.  Tables of
+    other curves or shapes raise TableMismatch before any point work."""
+    tables = table if isinstance(table, tuple) else (table,)
+    curve, t, w = tables[0].curve, tables[0].t, tables[0].w
+    lookups = []
+    for each in tables:
+        if each.curve is not curve or each.t != t or each.w != w:
+            raise TableMismatch("tables differ in curve or shape")
+        lookups.append(each.signed)
     n_bits = curve.field.n
-    chunk = -(-n_bits // table.t)
-    if k.bit_length() > table.t * chunk + 1:
+    chunk = -(-n_bits // t)
+    if k.bit_length() > t * chunk + 1:
         raise TableMismatch(f"{k.bit_length()}-bit scalar exceeds table designed for {n_bits} bits")
-    scalars = [(wmof_recode(k, table.w), table.signed, chunk)]
+    terms = wmof_recode(k, w)
+    sizes = [_reach(terms, t, chunk)] * len(tables)
     if m:
         g_table = default_table(curve)
-        scalars.append((wmof_recode(m, g_table.w), g_table.signed, -(-n_bits // g_table.t)))
-    return _scan(curve, scalars)
+        g_chunk = -(-n_bits // g_table.t)
+        m_terms = wmof_recode(m, g_table.w)
+        sizes[-1] = max(sizes[-1], _reach(m_terms, g_table.t, g_chunk))
+    chains = [([()] * size, [()] * size) for size in sizes]
+    p = curve.field.p
+    _deal(p, terms, lookups, chunk, chains)
+    if m:
+        _deal(p, m_terms, (g_table.signed,), g_chunk, chains[-1:])
+    if isinstance(table, tuple):
+        return tuple([_chain(curve, adds, jadds) for adds, jadds in chains])
+    return _chain(curve, *chains[0])
 
 
 def mul_signed(k: int, P: AffinePoint, w: int) -> JacobianPoint:
@@ -366,7 +407,11 @@ def mul_signed(k: int, P: AffinePoint, w: int) -> JacobianPoint:
     their few odd multiples on the fly and scan them in Jacobian form, so
     no width spends an inversion.
     """
-    return _scan(P.curve, [(wmof_recode(k, w), (_signed_lookup(P, w),), 1)])
+    terms = wmof_recode(k, w)
+    size = _reach(terms, 1, 1)
+    chain = [()] * size, [()] * size
+    _deal(P.curve.field.p, terms, ((_signed_lookup(P, w),),), 1, (chain,))
+    return _chain(P.curve, *chain)
 
 
 # ---------------------------------------------------------------------------

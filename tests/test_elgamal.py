@@ -458,19 +458,27 @@ def test_shamir_edges_round_trip(curve, keys, m, max_bits):
 
 @pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "secp160r1"])
 def test_encrypt_shares_one_recoding_of_k(tiny, tiny_curve, monkeypatch):
-    # R and S are, to the Jacobian coordinate, the two interleaved
-    # multiplications k*G and k*Y + m*G, for m with no terms, one digit, a
-    # byte, and terms past the first track and past secp160r1's 10-step
-    # chain; and each chain recodes k once, whole, with no split into
-    # tracks, S's chain a nonzero m once more
+    # R and S are, to the Jacobian coordinate, the two single-table
+    # interleaved multiplications k*G and k*Y + m*G, for m with no terms,
+    # one digit, a byte, and terms past the first track and past
+    # secp160r1's 10-step chain; and encrypt makes one mul_interleave call,
+    # which recodes k once, whole, with no split into tracks, for both
+    # chains, and a nonzero m once more
     recoded = []
+    calls = []
     recode = scalarmul.wmof_recode
+    interleave = elgamal.mul_interleave
 
     def counted(k, w):
         recoded.append(k)
         return recode(k, w)
 
+    def called(*args):
+        calls.append(args)
+        return interleave(*args)
+
     monkeypatch.setattr(scalarmul, "wmof_recode", counted)
+    monkeypatch.setattr(elgamal, "mul_interleave", called)
     c = tiny_curve if tiny else builtin_curve()
     rng = random.Random(c.order_n)
     Y = keygen(rng, c).public_Y
@@ -478,8 +486,10 @@ def test_encrypt_shares_one_recoding_of_k(tiny, tiny_curve, monkeypatch):
     for m in (0, 1, 255, 2**9, 2**20, 2**24 - 1):
         k = rng.randrange(1, c.order_n)
         recoded.clear()
+        calls.clear()
         ct = encrypt(Y, m, ForcedK(k))
-        assert recoded == [k, k] + [m] * (m > 0), m
+        assert recoded == [k] + [m] * (m > 0), m
+        assert len(calls) == 1, m
         R, S = mul_interleave(k, g_table), mul_interleave(k, y_table, m)
         ctR, ctS = ct
         assert (ctR.X, ctR.Y, ctR.Z) == (R.X, R.Y, R.Z), m

@@ -1,8 +1,8 @@
 """Mutation gate: the oracles below catch every named mutant of the group
 law, normalization, the scan and its lookups, the odd-multiple chains of
 lookups and tables, the recoding and the deal of k's and m's terms into
-tracks, the search, the sign of a baby hit, the search tables' +- build
-and table import.
+tracks and into each table's chain, the search, the sign of a baby hit,
+the search tables' +- build and table import.
 
 A mutant replaces one node of one function's syntax tree: the expression
 or statement whose source reads ``old`` becomes ``new``.  The edited
@@ -62,24 +62,24 @@ MODULES = (curve, scalarmul, elgamal, aggsim, cli)
 
 # name: (module, function, old, new)
 MUTANTS = {
-    "scan-dbl-8yyyy-as-4yyyy": (scalarmul, "_scan", "yy * yy << 3", "yy * yy << 2"),
-    "scan-dbl-z3-unshifted": (scalarmul, "_scan", "Y * Z << 1", "Y * Z"),
-    "scan-madd-z3-minus-h": (scalarmul, "_scan", "(Z + h) * (Z + h)", "(Z - h) * (Z + h)"),
-    "scan-madd-r-unshifted": (scalarmul, "_scan", "y2 * (Z * zz % p) % p - Y << 1",
+    "scan-dbl-8yyyy-as-4yyyy": (scalarmul, "_chain", "yy * yy << 3", "yy * yy << 2"),
+    "scan-dbl-z3-unshifted": (scalarmul, "_chain", "Y * Z << 1", "Y * Z"),
+    "scan-madd-z3-minus-h": (scalarmul, "_chain", "(Z + h) * (Z + h)", "(Z - h) * (Z + h)"),
+    "scan-madd-r-unshifted": (scalarmul, "_chain", "y2 * (Z * zz % p) % p - Y << 1",
                               "y2 * (Z * zz % p) % p - Y"),
-    "scan-lowest-position-first": (scalarmul, "_scan", "reversed(adds)", "adds"),
-    "scan-dbl-tally-7": (scalarmul, "_scan", "8 * n_dbl", "7 * n_dbl"),
-    "scan-keeps-identity-entries": (scalarmul, "_scan", "pt is None", "False"),
-    "scan-jadd-s1-by-z-squared": (scalarmul, "_scan", "Y * zzz2 % p", "Y * zz2 % p"),
-    "scan-jadd-z3-without-h": (scalarmul, "_scan", "((Z + Z2) * (Z + Z2) - zz - zz2) * h",
+    "scan-lowest-position-first": (scalarmul, "_chain", "reversed(adds)", "adds"),
+    "scan-dbl-tally-7": (scalarmul, "_chain", "8 * n_dbl", "7 * n_dbl"),
+    "scan-keeps-identity-entries": (scalarmul, "_deal", "pt is None", "False"),
+    "scan-jadd-s1-by-z-squared": (scalarmul, "_chain", "Y * zzz2 % p", "Y * zz2 % p"),
+    "scan-jadd-z3-without-h": (scalarmul, "_chain", "((Z + Z2) * (Z + Z2) - zz - zz2) * h",
                                "(Z + Z2) * (Z + Z2) - zz - zz2"),
-    "scan-jadd-no-equal-u-fallback": (scalarmul, "_scan", "u1 != u2", "True"),
-    "scan-jadd-tally-16": (scalarmul, "_scan", "14 * n_jadd", "16 * n_jadd"),
+    "scan-jadd-no-equal-u-fallback": (scalarmul, "_chain", "u1 != u2", "True"),
+    "scan-jadd-tally-16": (scalarmul, "_chain", "14 * n_jadd", "16 * n_jadd"),
     "lookup-cache-zz-zzz-swapped": (scalarmul, "_signed_lookup",
                                     "(Q.X, Q.Y, Q.Z, zz, zz * Q.Z % p)",
                                     "(Q.X, Q.Y, Q.Z, zz * Q.Z % p, zz)"),
-    "scan-mirror-keeps-affine-y": (scalarmul, "_scan", "(pt[0], p - pt[1])", "(pt[0], pt[1])"),
-    "scan-mirror-flips-jacobian-x": (scalarmul, "_scan", "(pt[0], p - pt[1], *pt[2:])",
+    "scan-mirror-keeps-affine-y": (scalarmul, "_deal", "(pt[0], p - pt[1])", "(pt[0], pt[1])"),
+    "scan-mirror-flips-jacobian-x": (scalarmul, "_deal", "(pt[0], p - pt[1], *pt[2:])",
                                      "(p - pt[0], pt[1], *pt[2:])"),
     "lookup-cache-tally-3": (scalarmul, "_signed_lookup", "2 * len(chain)", "3 * len(chain)"),
     "odd-chain-steps-by-p": (scalarmul, "_odd_chain", "ec_add_jjj(dbl, chain[-1])",
@@ -98,7 +98,7 @@ MUTANTS = {
     "terms-position-lags-shift": (scalarmul, "wmof_recode", "pos += w", "pos += w - 1"),
     "terms-zero-run-one-long": (scalarmul, "wmof_recode", "(k & -k).bit_length() - 1",
                                 "(k & -k).bit_length()"),
-    "scan-chain-sized-from-lowest-term": (scalarmul, "_scan", "terms[-1][0]", "terms[0][0]"),
+    "scan-chain-sized-from-lowest-term": (scalarmul, "_reach", "terms[-1][0]", "terms[0][0]"),
     "rmap-center-plus-j": (elgamal, "_baby_log", "-j", "j"),
     "sign-centre-index-one-off": (elgamal, "_baby_log", "(j + k_max) // span",
                                   "(j + k_max) // span + 1"),
@@ -160,14 +160,21 @@ MUTANTS = {
     "m-dealt-onto-first-track": (scalarmul, "mul_interleave", "g_table.signed",
                                  "g_table.signed[:1]"),
     "m-dealt-at-tables-chunk": (scalarmul, "mul_interleave", "-(-n_bits // g_table.t)", "chunk"),
-    "cut-last-row-drops-carry": (scalarmul, "mul_interleave", "wmof_recode(k, table.w)",
-                                 "[term for term in wmof_recode(k, table.w) "
-                                 "if term[0] < table.t * chunk]"),
-    "cut-chunk-floored": (scalarmul, "mul_interleave", "-(-n_bits // table.t)",
-                          "n_bits // table.t"),
-    "cut-row-start-one-late": (scalarmul, "_scan", "r * chunk", "r * chunk + 1"),
-    "cut-offset-kept": (scalarmul, "_scan", "pos - r * chunk", "pos"),
-    "cut-last-row-unclamped": (scalarmul, "_scan", "r > last", "False"),
+    "cut-last-row-drops-carry": (scalarmul, "mul_interleave", "wmof_recode(k, w)",
+                                 "[term for term in wmof_recode(k, w) if term[0] < t * chunk]"),
+    "cut-chunk-floored": (scalarmul, "mul_interleave", "-(-n_bits // t)", "n_bits // t"),
+    "cut-row-start-one-late": (scalarmul, "_deal", "r * chunk", "r * chunk + 1"),
+    "cut-offset-kept": (scalarmul, "_deal", "pos - r * chunk", "pos"),
+    "cut-last-row-unclamped": (scalarmul, "_deal", "r > last", "False"),
+    "pair-y-entry-in-r-chain": (scalarmul, "_deal", "zip(lookups, chains)",
+                                "zip(lookups, chains[:1] * len(chains))"),
+    "pair-m-into-first-chain": (scalarmul, "mul_interleave", "chains[-1:]", "chains[:1]"),
+    "pair-mirrors-first-table-only": (scalarmul, "_deal",
+                                      "(pt[0], p - pt[1]) if d < 0 else pt",
+                                      "(pt[0], p - pt[1]) if d < 0 and adds is pairs[0][1] else pt"),
+    "pair-last-chain-sized-from-k": (scalarmul, "mul_interleave",
+                                     "max(sizes[-1], _reach(m_terms, g_table.t, g_chunk))",
+                                     "sizes[-1]"),
 }
 
 
@@ -292,11 +299,13 @@ def _tiny_odd_walk(c):
 
 
 def _identity_lookup(c):
-    # a row over the identity beside a row over G adds nothing
+    # a row over the identity dealt beside a row over G adds nothing
     p, a = o_of(c)
-    scalars = [(wmof_recode(1000, 2), (_signed_lookup(c.G, 2),), 1),
-               (wmof_recode(77, 2), (_signed_lookup(AffinePoint.identity(c), 2),), 1)]
-    assert jac_tuple(scalarmul._scan(c, scalars)) == o_mul(1000, as_tuple(c.G), p, a)
+    chain = [()] * 11, [()] * 11  # 1000's top term sits at position 10
+    scalarmul._deal(c.field.p, wmof_recode(1000, 2), ((_signed_lookup(c.G, 2),),), 1, (chain,))
+    scalarmul._deal(c.field.p, wmof_recode(77, 2),
+                    ((_signed_lookup(AffinePoint.identity(c), 2),),), 1, (chain,))
+    assert jac_tuple(scalarmul._chain(c, *chain)) == o_mul(1000, as_tuple(c.G), p, a)
     assert mul_signed(77, AffinePoint.identity(c), 2).is_infinity
 
 
@@ -313,6 +322,22 @@ def _tiny_sweep(c):
         m = k % 256
         got = scalarmul.mul_interleave(k, p_table, m)
         assert jac_tuple(got) == o_mul(2 * k + m, g, p, a), k
+
+
+def _pair_sweep(c):
+    # one call over two tables of one shape, k across the group order: R =
+    # k*G and S = k*P + m*G, P = 2G, for no m, a one-term m, an m with
+    # terms on the generator table's last track and a reading wider than
+    # the field, whose terms reach offsets k's do not
+    p, a = o_of(c)
+    g = as_tuple(c.G)
+    P = to_affine(mul_binary(2, c.G))
+    tables = (build_table(c.G, 4, 4), build_table(P, 4, 4))
+    for m in (0, 1 << 7, (3 << 12) + 5, (1 << 23) + 9):
+        for k in range(c.order_n - 32, c.order_n + 32):
+            R, S = scalarmul.mul_interleave(k, tables, m)
+            assert jac_tuple(R) == o_mul(k, g, p, a), (k, m)
+            assert jac_tuple(S) == o_mul(2 * k + m, g, p, a), (k, m)
 
 
 def _wide_m_sweep(c):
@@ -442,6 +467,7 @@ def oracle_sub_suite():
         check_ct_to_bytes_over_z_classes(c, random.Random(c.name))
         _identity_lookup(c)
         _tiny_sweep(c)
+        _pair_sweep(c)
         _wide_m_sweep(c)
         _signed_tally(c)
         _build_tally(c)

@@ -61,7 +61,7 @@ from ecagg.elgamal import (
     map_message,
     rmap,
 )
-from ecagg.errors import NotFound
+from ecagg.errors import BadEncoding, NotFound, OffCurvePoint
 from ecagg.scalarmul import (
     FIXED_BASE_SHAPE,
     build_table,
@@ -146,6 +146,25 @@ def test_fold_and_serialize_counts(keys, curve):
     # multiplies): 24 + 56 + 11 = 91
     assert ops == (6, 0, 91, 1)
     assert decrypt(keys.secret_x, ct_from_bytes(root, curve), 1000) == 63
+
+
+@pytest.mark.parametrize("bad, error, ops", [("truncated", BadEncoding, (0, 0, 21, 0)),
+                                             ("off-curve", OffCurvePoint, (0, 0, 24, 0))])
+def test_fold_refuses_a_bad_child_before_any_addition(keys, curve, bad, error, ops):
+    # test_fold_and_serialize_counts' hop with its fourth child's last byte
+    # cut or flipped: the three good children decode at 6 multiplies each
+    # and the fourth's R at 3, and a flipped S meets the curve equation's 3
+    # more before it fails.  Every child is decoded before the first
+    # addition, so the hop is refused with no ECADD spent
+    rng = random.Random(11)
+    wire = [ct_to_bytes(encrypt(keys.public_Y, m, rng)) for m in (15, 16, 18, 14)]
+    last = wire[3]
+    wire[3] = last[:-1] if bad == "truncated" else last[:-1] + bytes([last[-1] ^ 1])
+    c = counters()
+    before = (c.ecadd, c.ecdbl, c.fe_mul, c.fe_inv)
+    with pytest.raises(error):
+        fold(wire, curve)
+    assert tuple(a - b for a, b in zip((c.ecadd, c.ecdbl, c.fe_mul, c.fe_inv), before)) == ops
 
 
 def test_decrypt_counts(keys, curve):

@@ -370,6 +370,27 @@ def test_interleave_folds_a_second_scalar(curve, rng):
     assert ec_eq(mul_interleave(0, p_table, 5), mul_binary(5, curve.G))
 
 
+def test_interleave_tuple_of_mismatched_tables_rejected_before_any_work(curve, tiny_curve,
+                                                                        monkeypatch):
+    # a tuple of tables shares one recoding of k, so its tables must share
+    # the curve and the shape: one whose track count, width or curve
+    # differs, first or last, is refused before k is recoded or any point
+    # work is done, with or without m
+    def no_recoding(k, w):
+        raise AssertionError("recoded before the tables were checked")
+
+    P = to_affine(mul_binary(5, curve.G))
+    base = build_table(curve.G, 4, 4)
+    others = [build_table(P, 5, 4), build_table(P, 4, 5), build_table(tiny_curve.G, 4, 4)]
+    monkeypatch.setattr(scalarmul, "wmof_recode", no_recoding)
+    for other in others:
+        for tables in [(base, other), (other, base), (base, base, other)]:
+            for m in (0, 5):
+                with tally() as ops, pytest.raises(TableMismatch):
+                    mul_interleave(3, tables, m)
+                assert (ops.ecadd, ops.ecdbl, ops.fe_mul, ops.fe_inv) == (0, 0, 0, 0)
+
+
 def test_fixed_base_table_keeps_one_table_per_base(rng):
     c = builtin_curve()
     # each call wraps the cached tracks in a new table, so the tracks being

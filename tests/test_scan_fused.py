@@ -1,14 +1,17 @@
 """The scan's inline group law against the scan it replaced.
 
-scalarmul._scan runs dbl-2001-b, madd-2007-bl and, for the Jacobian odd
-multiples that mul_signed builds above width 2, add-2007-bl over the
-entry's cached Z**2 and Z**3 inline on local integers, and adds their
-tallies once per call.  ReferenceScan below is the scan as it was before
-that: every step a call into curve.py's ec_dbl_jj, ec_add_ajj and
-ec_add_jjj, which tally for themselves.  Each multiplication runs once
-under each scan, and the two results must be Jacobian-identical, to the
-coordinate, and count the same operations, but for the two
-multiplications that each cached entry saves add-2007-bl.
+A scalar multiplication deals its recoded terms into one chain of buckets
+per table (scalarmul._deal) and runs each chain (scalarmul._chain), which
+computes dbl-2001-b, madd-2007-bl and, for the Jacobian odd multiples that
+mul_signed builds above width 2, add-2007-bl over the entry's cached Z**2
+and Z**3 inline on local integers, and adds their tallies once per chain.
+ReferenceScan below takes the same two calls the way the scan ran before
+that: its deal places each table's terms on its own, and its chain makes
+every step a call into curve.py's ec_dbl_jj, ec_add_ajj and ec_add_jjj,
+which tally for themselves.  Each multiplication runs once under each
+scan, and the two results must be Jacobian-identical, to the coordinate,
+and count the same operations, but for the two multiplications that each
+cached entry saves add-2007-bl.
 """
 
 import random
@@ -35,13 +38,14 @@ from ecagg.scalarmul import (
     _signed_lookup,
     build_table,
     default_table,
+    fixed_base_table,
     mul_binary,
     mul_interleave,
     mul_signed,
     wmof_recode,
 )
 
-INLINE_SCAN = scalarmul._scan
+INLINE_SCAN = (scalarmul._deal, scalarmul._chain)
 
 
 def equal_u(Q1, Q2):
@@ -51,47 +55,48 @@ def equal_u(Q1, Q2):
 
 
 class ReferenceScan:
-    """The scan with each step a call into curve.py: affine entries through
-    ec_add_ajj, then Jacobian ones, as (X, Y, Z, Z**2, Z**3), through
-    ec_add_jjj, skipping the identity.  general counts the Jacobian
-    additions that ec_add_jjj runs by add-2007-bl (both operands at Z
-    other than 0 and 1, distinct x), computing the Z**2 and Z**3 of the
-    entry that the inline scan reads from its cache.  Scalars are (terms,
-    track lookups, chunk), as the inline scan takes them, and are split
-    into rows here on their own: a term's track is the last one that starts
-    at or below its position, track i starting at i*chunk, and its offset
-    is its distance from that start.  A digit d reads the entry of |d|,
-    at index |d| // 2, and a negative one is that entry's negative, by
-    ec_neg for an affine entry and -Y for a Jacobian one.  The chain runs
-    from the highest offset down, doubling through each offset."""
+    """The scan with each step a call into curve.py, through the seam the
+    multipliers call: deal(p, terms, lookups, chunk, chains), then
+    chain(curve, adds, jadds) once per chain.  The deal takes each table in
+    turn and places its terms on their own: a term's track is the last one
+    that starts at or below its position, track i starting at i*chunk, and
+    its offset is its distance from that start.  A digit d reads the entry
+    of |d|, at index |d| // 2, and the deal stores it with d's sign in the
+    chain's adds, whatever its kind, skipping the identity.  The chain runs
+    from the highest offset down, doubling through each offset, and adds
+    an offset's affine entries through ec_add_ajj, then its Jacobian ones,
+    as (X, Y, Z, Z**2, Z**3), through ec_add_jjj; a negative entry is its
+    entry's negative, by ec_neg for an affine one and -Y for a Jacobian
+    one.  general counts the Jacobian additions that ec_add_jjj runs by
+    add-2007-bl (both operands at Z other than 0 and 1, distinct x),
+    computing the Z**2 and Z**3 of the entry that the inline scan reads
+    from its cache; chains counts the chains run."""
 
     def __init__(self):
         self.general = 0
+        self.chains = 0
 
-    def __call__(self, curve, scalars):
-        rows = []
-        for terms, lookups, chunk in scalars:
-            starts = [i * chunk for i in range(len(lookups))]
+    def deal(self, p, terms, lookups, chunk, chains):
+        for tracks, (adds, jadds) in zip(lookups, chains):
+            starts = [i * chunk for i in range(len(tracks))]
             for pos, d in terms:
                 i = max(i for i, start in enumerate(starts) if start <= pos)
-                rows.append((pos - starts[i], lookups[i][abs(d) // 2], d < 0))
-        adds = [()] * (max((j for j, _, _ in rows), default=-1) + 1)
-        jadds = adds.copy()
-        for j, entry, negative in rows:
-            if entry is None:
-                continue
-            if len(entry) == 2:
-                pt = AffinePoint(curve, *entry)
-                adds[j] += (ec_neg(pt) if negative else pt,)
-            else:
-                X, Y, Z = entry[:3]
-                jadds[j] += (JacobianPoint(curve, X, -Y % curve.field.p if negative else Y, Z),)
+                entry = tracks[i][abs(d) // 2]
+                if entry is not None:
+                    adds[pos - starts[i]] += ((entry, d < 0),)
+
+    def chain(self, curve, adds, jadds):
+        assert not any(jadds)
+        self.chains += 1
         R = JacobianPoint.infinity(curve)
-        for points, jpoints in zip(reversed(adds), reversed(jadds)):
+        for row in reversed(adds):
             R = ec_dbl_jj(R)
-            for pt in points:
-                R = ec_add_ajj(pt, R)
-            for J in jpoints:
+            for entry, negative in [e for e in row if len(e[0]) == 2]:
+                pt = AffinePoint(curve, *entry)
+                R = ec_add_ajj(ec_neg(pt) if negative else pt, R)
+            for entry, negative in [e for e in row if len(e[0]) != 2]:
+                X, Y, Z = entry[:3]
+                J = JacobianPoint(curve, X, -Y % curve.field.p if negative else Y, Z)
                 if R.Z not in (0, 1) and J.Z not in (0, 1) and not equal_u(R, J):
                     self.general += 1
                 R = ec_add_jjj(R, J)
@@ -129,6 +134,16 @@ def coords(points):
     return [(Q.X, Q.Y, Q.Z) for Q in points]
 
 
+def scan(c, scalars):
+    """Scalars, each (terms, track lookups, chunk), dealt into one chain and
+    the chain run, through scalarmul's names, which run_both patches."""
+    size = max(scalarmul._reach(terms, len(lookups), chunk) for terms, lookups, chunk in scalars)
+    chain = [()] * size, [()] * size
+    for terms, lookups, chunk in scalars:
+        scalarmul._deal(c.field.p, terms, (lookups,), chunk, (chain,))
+    return scalarmul._chain(c, *chain)
+
+
 def run_both(monkeypatch, multiply, steps=None):
     """multiply() under the inline scan and under the reference: the
     coordinates of the points it returns and the tally of each run, the
@@ -136,15 +151,19 @@ def run_both(monkeypatch, multiply, steps=None):
     Jacobian additions; and that number of additions."""
     reference = ReferenceScan()
     runs = []
-    for scan in (INLINE_SCAN, reference):
+    for deal, chain in (INLINE_SCAN, (reference.deal, reference.chain)):
         with monkeypatch.context() as m:
-            m.setattr(scalarmul, "_scan", scan)
-            if steps is not None and scan is INLINE_SCAN:
+            m.setattr(scalarmul, "_deal", deal)
+            m.setattr(scalarmul, "_chain", chain)
+            if steps is not None and deal is INLINE_SCAN[0]:
                 m.setattr(scalarmul, "ec_add_ajj", steps.ajj)
                 m.setattr(scalarmul, "ec_add_jjj", steps.jjj)
             with tally() as ops:
                 points = multiply()
         runs.append((coords(points), [getattr(ops, f) for f in FIELDS]))
+    # every point came out of the reference's chain, so no inline code ran
+    # in its place
+    assert reference.chains == len(points)
     runs[1][1][FIELDS.index("fe_mul")] -= 2 * reference.general
     return runs + [reference.general]
 
@@ -244,8 +263,47 @@ def test_identity_lookup_entries_add_nothing(name, request, monkeypatch):
         scalars = [(wmof_recode(1000, w), (_signed_lookup(c.G, w),), 1),
                    (wmof_recode(77, w), (_signed_lookup(AffinePoint.identity(c), w),), 1)]
         for order in (slice(None), slice(None, None, -1)):
-            inline, reference, _ = run_both(
-                monkeypatch, lambda: [scalarmul._scan(c, scalars[order])])
+            inline, reference, _ = run_both(monkeypatch, lambda: [scan(c, scalars[order])])
             assert inline == reference, w
             Q = JacobianPoint(c, *inline[0][0])
             assert jac_tuple(Q) == o_mul(1000, as_tuple(c.G), p, a), w
+
+
+def last_track_m(c):
+    """An m with terms at position 0 and at the start of the last track of
+    the generator's table, past any reading on secp160r1."""
+    g_table = default_table(c)
+    return (3 << (g_table.t - 1) * -(-c.field.n // g_table.t)) + 5
+
+
+@pytest.mark.parametrize("m_case", ["no m", "one-term m", "m on the last track"])
+@pytest.mark.parametrize("name", ["tiny_curve", "tiny_curve_a2", "curve"])
+def test_tuple_form(name, m_case, request, monkeypatch):
+    # two tables of one shape in one call, as encrypt makes it: k is dealt
+    # once into both chains and m's terms into the last one only.  Under
+    # each scan, the pair matches the two single-table calls to the
+    # coordinate, and the group law gives k*G and k*P + m*G, P = 2G.  On
+    # the tiny curves k sweeps across the group order, so partial sums meet
+    # the entries and their negatives, over the shipped shape and over four
+    # tracks at widths 4 and 5
+    c = request.getfixturevalue(name)
+    p, a = o_of(c)
+    g = as_tuple(c.G)
+    m = {"no m": 0, "one-term m": 1 << 7, "m on the last track": last_track_m(c)}[m_case]
+    P = to_affine(mul_binary(2, c.G))
+    pairs = [(default_table(c), fixed_base_table(P))]
+    if c.field.n < 20:
+        pairs += [(build_table(c.G, 4, w), build_table(P, 4, w)) for w in (4, 5)]
+        ks = range(c.order_n - 48, c.order_n + 48)
+    else:
+        rng = random.Random(m)
+        ks = [1, c.order_n - 1] + [rng.randrange(1, c.order_n) for _ in range(6)]
+    for tables in pairs:
+        for k in ks:
+            inline, reference, _ = run_both(monkeypatch, lambda: mul_interleave(k, tables, m))
+            assert inline == reference, (k, m)
+            R, S = mul_interleave(k, tables[0]), mul_interleave(k, tables[1], m)
+            assert inline[0] == coords([R, S]), (k, m)
+            if c.field.n < 20:
+                assert jac_tuple(R) == o_mul(k, g, p, a), k
+                assert jac_tuple(S) == o_mul(2 * k + m, g, p, a), k

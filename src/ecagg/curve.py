@@ -127,8 +127,9 @@ class CurveParams:
         # |p + 1 - order_n| <= 2*sqrt(p).  The curve's order is a multiple of
         # order_n in that interval, and for p > 33 the next multiple lies
         # beyond it, so the cofactor is 1: every point decode_point accepts
-        # lies in <G>.  The interval also bounds the doublings that check
-        # order_n * G below, and both checks come before any point work.
+        # lies in <G>.  The interval also bounds the doublings of the check
+        # of order_n * G below, by mul_signed at width 4, the cheapest
+        # multiplier that needs no table; both come before any point work.
         if (p + 1 - order_n) ** 2 > 4 * p:
             raise InvalidCurve("group order outside Hasse's interval")
         if not is_probable_prime(order_n):
@@ -149,8 +150,8 @@ class CurveParams:
         G = self.G
         if not on_curve(G):
             raise InvalidCurve("generator not on curve")
-        from .scalarmul import mul_binary  # deferred: scalarmul imports this module
-        if not mul_binary(order_n, G).is_infinity:
+        from .scalarmul import mul_signed  # deferred: scalarmul imports this module
+        if not mul_signed(order_n, G, 4).is_infinity:
             raise InvalidCurve("order_n * G is not the identity")
 
     @property

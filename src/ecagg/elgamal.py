@@ -231,15 +231,16 @@ def bsgs_cache(curve: CurveParams, max_value: int):
     about 32 KB at the 2**24 bound), tell the two apart on a hit
     (_baby_log); so the build never computes the y of a centre +- offset.
     Entry i - 1 of the giant lists is -i*2*stride*G for 1 <= i <=
-    ceil(N/2), N = _giant_steps(max_value, stride), the entries that
-    rmap's walk reads: giant step i covers the window [2*i*stride - stride,
-    2*i*stride + stride], and rmap pairs the N windows about the middle
-    one, ceil(N/2) steps up.  The stride grows with the bound (16 at bound
-    0, 512 at 1000, 2**14 from 2**18 up).  A curve caches one entry, the
-    one with the largest stride asked for so far: a smaller bound reuses it
-    with fewer giant steps, a larger stride replaces it, and a bound that
-    needs more giant steps keeps the baby table and rebuilds the giant
-    lists at the new length.
+    ceil(N/2), N = _giant_steps(max_value, stride), the entries that rmap's
+    walk reads, chained from 2*stride*G by mul_signed at width 2 (a power
+    of two, one term, costs only its doublings): giant step i covers the
+    window [2*i*stride - stride, 2*i*stride + stride], and rmap pairs the N
+    windows about the middle one, ceil(N/2) steps up.  The stride grows
+    with the bound (16 at bound 0, 512 at 1000, 2**14 from 2**18 up).  A
+    curve caches one entry, the one with the largest stride asked for so
+    far: a smaller bound reuses it with fewer giant steps, a larger stride
+    replaces it, and a bound that needs more giant steps keeps the baby
+    table and rebuilds the giant lists at the new length.
 
     Before any point work, MessageTooLarge rejects a bound outside
     [0, 2**MAX_SEARCH_BITS), as the giant table grows with it (2**16
@@ -271,7 +272,7 @@ def bsgs_cache(curve: CurveParams, max_value: int):
     stored = (steps + 1) // 2
     if len(gxs) < stored:
         gxs[:] = gys[:] = [0] * stored
-        for j, x, y in _multiples(ec_neg(to_affine(mul_binary(span, curve.G))), stored):
+        for j, x, y in _multiples(ec_neg(to_affine(mul_signed(span, curve.G, 2))), stored):
             gxs[j - 1] = x
             gys[j - 1] = y
     return cached

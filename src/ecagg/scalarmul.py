@@ -1,18 +1,19 @@
 """Scalar multiplication: the binary reference and one table-driven scan.
 
-mul_binary, left-to-right double-and-add, is the independent reference:
-keygen, message mapping and curve validation run on it, and the tests
-compare every other multiplier and every table against it.  mul_signed and
-mul_interleave only recode their scalars into nonzero signed terms and run
-one scan over them in two halves: a deal places each term on its track and
-offset and reads its entry from each table's lookups of odd multiples into
-that table's chain of buckets, and each chain then runs one doubling chain
-and one addition per entry, its hot formulas copied from the curve module
-to run inline on local integers.  A table's multiples are affine (x, y)
-ints, normalized once at build time, and take a mixed addition; mul_signed
-builds its few on every call and keeps them Jacobian with their Z**2 and
-Z**3 cached, so it never inverts, and each takes add-2007-bl at 14
-multiplications.
+mul_binary, left-to-right double-and-add, is the independent reference the
+tests compare every other multiplier and every table against; keygen's
+x*G, message mapping and bench's binary row run on it too.  Every other
+product runs on mul_signed (curve validation, the reader's x*(-R), the
+search's giant base) or mul_interleave (encryption), which only recode
+their scalars into nonzero signed terms and run one scan over them in two
+halves: a deal places each term on its track and offset and reads its
+entry from each table's lookups of odd multiples into that table's chain
+of buckets, and each chain then runs one doubling chain and one addition
+per entry, its hot formulas copied from the curve module to run inline on
+local integers.  A table's multiples are affine (x, y) ints, normalized
+once at build time, and take a mixed addition; mul_signed builds its few
+on every call and keeps them Jacobian with their Z**2 and Z**3 cached, so
+it never inverts, and each takes add-2007-bl at 14 multiplications.
 
 Signed recodings cut the number of additions: a width-w recoding has only
 odd digits no larger than 2**(w-1) - 1, at most one nonzero digit in any w
@@ -226,12 +227,8 @@ def fixed_base_table(P: AffinePoint) -> PrecompTable:
 
 
 def default_table(curve: CurveParams) -> PrecompTable:
-    """The curve's shared generator table, fixed_base_table(curve.G), found
-    by the generator's stored coordinates: once built, no point is made."""
-    signed = curve._tables.get(curve._g)
-    if signed is None:
-        return fixed_base_table(curve.G)
-    return PrecompTable(curve, len(signed), FIXED_BASE_SHAPE[1], signed)
+    """fixed_base_table(curve.G): the generator's table, one per curve."""
+    return fixed_base_table(curve.G)
 
 
 def _reach(terms, tracks: int, chunk: int) -> int:
@@ -259,9 +256,9 @@ def _deal(p: int, terms, lookups, chunk: int, chains) -> None:
     d*P at index |d| >> 1: an affine (x, y), for mul_signed's odd multiples
     a Jacobian (X, Y, Z, Z**2, Z**3), or None for the identity, which is
     skipped.  A negative digit takes its entry with y mirrored, as p - y:
-    CurveParams admits only curves of odd prime order, so no entry has
-    y = 0 and p - y stays in [1, p - 1].  Affine entries go to adds and
-    Jacobian ones to jadds, each in the order dealt."""
+    in [1, p - 1] on a curve CurveParams admits (odd prime order, no
+    y = 0), and p, congruent to 0, for a G of order 2 its check refuses.
+    Affine entries go to adds and Jacobian ones to jadds, in dealt order."""
     last = len(lookups[0]) - 1
     pairs = [(tracks, *chain) for tracks, chain in zip(lookups, chains)]
     for pos, d in terms:

@@ -256,13 +256,14 @@ def test_simulate_records_account_for_every_operation(workspace, capsys):
     for f in FIELDS:
         nodes = sum(rec[f] for rec in report["nodes"].values())
         assert report["setup"][f] + nodes == getattr(outer, f), f
-    # curve validation (160 doublings for order_n * G), Y itself (159 for
-    # this seed's x * G), the key's and the generator's (16,6) tables (151
-    # each: 15 shifted bases by 10 doublings, each track's 2P the first of
-    # them past its base, and one more for the last track's), and the
-    # search tables for the demo's worst-case sum 63 (7: 128 baby points
-    # from a ladder of 7 levels, one doubling each, and no giant step)
-    assert report["setup"]["ecdbl"] == 160 + 159 + 2 * 151 + 7
+    # curve validation (161 for order_n * G by mul_signed at width 4: 2P,
+    # then 160 in the scan), Y itself (159 for this seed's x * G), the
+    # key's and the generator's (16,6) tables (151 each: 15 shifted bases
+    # by 10 doublings, each track's 2P the first of them past its base,
+    # and one more for the last track's), and the search tables for the
+    # demo's worst-case sum 63 (7: 128 baby points from a ladder of 7
+    # levels, one doubling each, and no giant step)
+    assert report["setup"]["ecdbl"] == 161 + 159 + 2 * 151 + 7
     # the demo's four encryptions, each serialized: 11 multiplies a mixed
     # addition, 8 a doubling, and 11 more normalize R and S (4 each at a
     # general Z, 3 for the shared inversion).  ECADD is twice k's width-6
@@ -280,13 +281,15 @@ def test_simulate_records_account_for_every_operation(workspace, capsys):
     # and 23 over a cached multiple (14 each), so (34, 159, 57 + 1264 + 88
     # + 322 = 1731, 0); S's mixed addition (1, 0, 11, 0); and the search
     # normalizing M, a baby-table hit (0, 0, 16, 1).  The setup is curve
-    # validation, Y and the search tables, (245, 326, 4686, 8), plus the
-    # two (16,6) table builds, (240, 151, 5659, 2) each
+    # validation, Y and the search tables, (220, 327, 4478, 8), plus the
+    # two (16,6) table builds, (240, 151, 5659, 2) each; the validation is
+    # (19, 161, 1563, 0), its n*G by mul_signed at width 4
+    # (test_builtin_curve_validation_tally)
     records = {node: tuple(rec[f] for f in FIELDS) for node, rec in report["nodes"].items()}
     assert records == {"s1": (47, 16, 656, 1), "s2": (45, 18, 650, 1), "s3": (45, 18, 650, 1),
                        "s4": (47, 20, 688, 1), "agg": (6, 0, 91, 1),
                        "reader": (35, 159, 1758, 1)}
-    assert tuple(report["setup"][f] for f in FIELDS) == (725, 628, 16004, 12)
+    assert tuple(report["setup"][f] for f in FIELDS) == (700, 629, 15796, 12)
 
 
 def test_simulate_bad_scenario_exits_2(workspace):

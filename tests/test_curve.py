@@ -22,6 +22,7 @@ from ecagg.curve import (
     AffinePoint,
     CurveParams,
     JacobianPoint,
+    builtin_curve,
     curve_from_config,
     decode_point,
     ec_add_ajj,
@@ -268,6 +269,11 @@ def test_affine_eq_needs_the_same_group(curve, tiny_curve, tiny_curve_a2):
     twin = curve_from_config(BASE_CONFIG)
     assert twin is not curve and twin.G == curve.G
     assert AffinePoint.identity(twin) == AffinePoint.identity(curve)
+    # and hash alike, the identity too; a non-point is left to its own
+    # __eq__, so a coordinate pair is never equal to a point
+    assert len({AffinePoint.identity(twin), AffinePoint.identity(curve), twin.G, curve.G}) == 2
+    assert curve.G.__eq__((curve.G.x, curve.G.y)) is NotImplemented
+    assert curve.G != (curve.G.x, curve.G.y)
 
 
 def test_eq_reflexive_and_infinity(curve):
@@ -389,6 +395,28 @@ def test_load_rejects_oversized_field(n):
     # above 521 bits (P-521) before any primality test or 1 << (n // 2)
     with pytest.raises(InvalidCurve, match="bit length"):
         curve_from_config(BASE_CONFIG.replace("n = a0", f"n = {n}"))
+
+
+def test_order_two_generator_rejected():
+    # G = (5, 0) has order 2, and 8209 is a prime in Hasse's interval for
+    # p = 2**13 - 1: the width-4 scan that checks order_n * G mirrors G's
+    # y = 0 as p, congruent to it, and still finds order_n * G = G
+    field = FieldParams(TINY["n"], TINY["c"])
+    p = field.p
+    with pytest.raises(InvalidCurve, match="not the identity"):
+        CurveParams(field, p - 3, -(125 - 15) % p, 5, 0, 8209, "order2")
+
+
+def test_builtin_curve_validation_tally():
+    # on_curve(G) is 3 multiplies.  order_n * G by mul_signed at width 4
+    # builds 2P, 3P, 5P, 7P and their cached Z powers (3, 1, 57), then
+    # scans order_n's 18 terms over 160 doublings: the top one lands on the
+    # identity, free, 3 take a mixed addition of +-G (11 each), 13 one over
+    # a cached multiple (14 each), and the last meets its own negative,
+    # found at equal x for 8 and no ECADD
+    with tally() as t:
+        builtin_curve()
+    assert [getattr(t, f) for f in FIELDS] == [19, 161, 3 + 57 + 8 * 160 + 3 * 11 + 13 * 14 + 8, 0]
 
 
 def test_load_rejects_wrong_order():

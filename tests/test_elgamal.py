@@ -907,7 +907,7 @@ KEY_FILE_FAULTS = {
 @pytest.mark.parametrize("fault", KEY_FILE_FAULTS)
 def test_malformed_key_file_rejected_before_curve_work(tmp_path, fault, suffix):
     # the fields are read and checked before the named curve is built and
-    # validated (160 ECDBL and 1,771 fe_mul for secp160r1)
+    # validated (161 ECDBL and 1,563 fe_mul for secp160r1)
     content = KEY_FILE_FAULTS[fault][suffix == "sec"]
     path = tmp_path / f"k.{suffix}"
     if content is not None:
@@ -916,3 +916,29 @@ def test_malformed_key_file_rejected_before_curve_work(tmp_path, fault, suffix):
     with tally() as t, pytest.raises(BadConfig):
         load(path)
     assert [getattr(t, f) for f in FIELDS] == [0, 0, 0, 0]
+
+
+# Each refusal that comes after a key file parses, with the work spent
+# before it: an unknown curve name is refused before any curve is built,
+# a value out of range after the curve build (19, 161, 1563, 0, see
+# test_builtin_curve_validation_tally), and an off-curve public key after
+# on_curve's 3 multiplies more.  Fields are formatted from the curve.
+KEY_FILE_REFUSALS = {
+    "unknown_curve": ("pub", "curve = secp999\nyx = 01\nyy = 02\n", (0, 0, 0, 0)),
+    "yx_not_below_p": ("pub", "curve = {name}\nyx = {p:x}\nyy = {gy:x}\n", (19, 161, 1563, 0)),
+    "x_zero": ("sec", "curve = {name}\nx = 0\n", (19, 161, 1563, 0)),
+    "x_not_below_n": ("sec", "curve = {name}\nx = {n:x}\n", (19, 161, 1563, 0)),
+    "off_curve": ("pub", "curve = {name}\nyx = {gx:x}\nyy = {gy1:x}\n", (19, 161, 1566, 0)),
+}
+
+
+@pytest.mark.parametrize("refusal", KEY_FILE_REFUSALS)
+def test_key_file_refusal_after_parsing_spends_a_pinned_tally(curve, tmp_path, refusal):
+    suffix, text, spent = KEY_FILE_REFUSALS[refusal]
+    path = tmp_path / f"k.{suffix}"
+    path.write_text(text.format(name=curve.name, p=curve.field.p, n=curve.order_n,
+                                gx=curve.G.x, gy=curve.G.y, gy1=curve.G.y + 1))
+    load = load_public_key if suffix == "pub" else load_secret_key
+    with tally() as t, pytest.raises(BadConfig):
+        load(path)
+    assert tuple(getattr(t, f) for f in FIELDS) == spent

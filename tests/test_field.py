@@ -14,6 +14,7 @@ from ecagg.field import (
     fe_mul,
     fe_square,
     fe_sub,
+    is_probable_prime,
     mod_inv_batch,
     mod_reduce,
 )
@@ -45,6 +46,9 @@ def test_params_reject_composite():
     # 2**16 - 1 = 65535 = 3 * 5 * 17 * 257
     with pytest.raises(ValueError):
         FieldParams(16, 1)
+    # nothing below 2 is prime: 1 and -1 share no factor with the small
+    # bases, and 1's m - 1 = 0 would halve forever
+    assert not any(map(is_probable_prime, (-1, 0, 1)))
 
 
 def test_params_reject_large_c():
@@ -65,6 +69,10 @@ def test_add_examples(fp160):
     assert fe_add(fe(P - 1, f), fe(1, f)).value == 0
     # oracle: (2p - 2) mod p = p - 2
     assert fe_add(fe(P - 1, f), fe(P - 1, f)).value == P - 2
+    # a second FieldParams of the same p is the same field; another p is not
+    assert fe_add(fe(P - 1, f), fe(2, FieldParams(N, C))).value == 1
+    with pytest.raises(ValueError, match="different fields"):
+        fe_add(fe(1, f), fe(1, FieldParams(13, 1)))
 
 
 def test_add_oracle(fp160, rng):
